@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,6 @@ from .estimator import (
     SweepConfig,
     beta_estimate,
     classical_bound,
-    corollary_bound,
     mu_zero_bound,
     nu_zero_bound,
 )
@@ -59,7 +59,6 @@ class JobSpec:
     radii: tuple | None = None
     weight_pieces: int = 16
     nodes: int = 1024
-    seed: int = 0
     out: str | None = None
     format: str = "json"
     tolerance: float = 1e-8
@@ -70,22 +69,28 @@ class JobSpec:
             raise SpecError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise SpecError(f"format must be json or csv, got {self.format!r}")
-        for name, v in (("weight-pieces", self.weight_pieces), ("nodes", self.nodes)):
-            if int(v) < 1:
-                raise SpecError(f"{name} must be a positive integer, got {v}")
+        if int(self.weight_pieces) < 1:
+            raise SpecError(
+                f"weight-pieces must be a positive integer, got {self.weight_pieces}")
+        # the library limits: a circle needs 16 nodes, a grid 4 per breakpoint
+        if int(self.nodes) < 16:
+            raise SpecError(f"nodes must be at least 16, got {self.nodes}")
+        if self.command != "verify" and self.nodes < 4 * self.weight_pieces:
+            raise SpecError(f"nodes must be at least 4 x weight-pieces "
+                            f"= {4 * self.weight_pieces}, got {self.nodes}")
         if self.circles is not None and int(self.circles) < 1:
             raise SpecError(f"circles must be a positive integer, got {self.circles}")
         for r in self.radii or ():
-            if not r > 0.0:
-                raise SpecError(f"circle radii must be positive, got {r}")
-        if self.tolerance <= 0:
-            raise SpecError(f"tolerance must be positive, got {self.tolerance}")
+            if not 0.0 < r < math.inf:
+                raise SpecError(f"circle radii must be positive and finite, got {r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise SpecError(f"tolerance must be positive and finite, got {self.tolerance}")
         # M/tau ranges are checked per use: sweeps report bad grid points
         # row by row instead of refusing the whole scan
         if self.command != "sweep":
             for m in self.M or ():
-                if not m > 1.0:
-                    raise SpecError(f"M must exceed 1, got {m}")
+                if not 1.0 < m < math.inf:
+                    raise SpecError(f"M must exceed 1 and be finite, got {m}")
             for t in self.tau or ():
                 if not 0.0 <= t <= 1.0:
                     raise SpecError(f"tau must lie in [0, 1], got {t}")
@@ -143,7 +148,6 @@ def build_spec(argv) -> JobSpec:
     p.add_argument("--radii", help="comma list of origin-circle radii (overrides lattice)")
     p.add_argument("--weight-pieces", type=int, help="arcs per weight function")
     p.add_argument("--nodes", type=int, help="angular resolution")
-    p.add_argument("--seed", type=int, help="seed for the weight search")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=["json", "csv"])
     p.add_argument("--tolerance", type=float, help="residual tolerance for verify")
@@ -160,7 +164,7 @@ def build_spec(argv) -> JobSpec:
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read config {args.config}: {exc}") from exc
     for key in ("command", "M", "tau", "alpha", "coeff_file", "circles", "radii",
-                "weight_pieces", "nodes", "seed", "out", "format", "tolerance",
+                "weight_pieces", "nodes", "out", "format", "tolerance",
                 "corrupt_mu"):
         v = getattr(args, key)
         if v is not None:
@@ -212,7 +216,7 @@ def _build_pair(spec: JobSpec) -> BeltramiPair:
 
 
 def _sweep_config(spec: JobSpec) -> SweepConfig:
-    base = dict(weight_pieces=spec.weight_pieces, seed=spec.seed)
+    base = dict(weight_pieces=spec.weight_pieces)
     if spec.radii is not None:
         circles = tuple(CircleSpec(0.0, r, resolution=spec.nodes) for r in spec.radii)
         return SweepConfig(circles=circles, resolution=spec.nodes, **base)
@@ -312,6 +316,8 @@ def _report_payload(report) -> dict:
                 "value": rec["value"],
                 "family": rec["family"],
                 "evaluations": rec["evaluations"],
+                "solver_status": rec["solver_status"],
+                "optimality_residual": rec["optimality_residual"],
             }
             for rec in report.per_circle
         ],
@@ -330,7 +336,7 @@ def cmd_estimate(spec: JobSpec) -> int:
     pair = _build_pair(spec)
     cfg = _sweep_config(spec)
     report = beta_estimate(pair, cfg)
-    coro = corollary_bound(pair, cfg)
+    coro = report.corollary
     classical = classical_bound(pair)
     bounds = {"beta": report.bound, "corollary": coro, "classical": classical}
     diagnostics = {
@@ -356,7 +362,6 @@ def cmd_estimate(spec: JobSpec) -> int:
             "beta_ge_classical": report.bound >= classical - 1e-12,
         },
         "report": _report_payload(report),
-        "seed": spec.seed,
     }
     _emit(payload, spec)
     return _EXIT_OK
@@ -368,8 +373,7 @@ def cmd_sharp(spec: JobSpec) -> int:
     stretch, _ = build_maps(fam)
     pair = fam.pair()
     residual = beltrami_residual(stretch, pair)
-    cfg = SweepConfig.origin(resolution=spec.nodes, weight_pieces=spec.weight_pieces,
-                             seed=spec.seed)
+    cfg = SweepConfig.origin(resolution=spec.nodes, weight_pieces=spec.weight_pieces)
     beta = beta_estimate(pair, cfg).bound
     step = max(1, fam.grid.node_count // 256)
     sl = slice(None, None, step)
@@ -398,7 +402,6 @@ def cmd_sharp(spec: JobSpec) -> int:
             "theta1": fam.theta1.values[sl],
             "theta2": fam.theta2.values[sl],
         },
-        "seed": spec.seed,
     }
     _emit(payload, spec)
     return _EXIT_OK
@@ -465,7 +468,6 @@ def cmd_verify(spec: JobSpec) -> int:
         "corrupt_mu": spec.corrupt_mu,
         "checks": checks,
         "passed": all(c["ok"] for c in checks.values()),
-        "seed": spec.seed,
     }
     _emit(payload, spec)
     return _EXIT_OK if payload["passed"] else _EXIT_VERIFY
@@ -479,9 +481,9 @@ def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
         fam = build_family(m, t, node_count=spec.nodes)
         pair = fam.pair()
         cfg = SweepConfig.origin(resolution=spec.nodes,
-                                 weight_pieces=spec.weight_pieces, seed=spec.seed)
-        beta = beta_estimate(pair, cfg).bound
-        coro = corollary_bound(pair, cfg)
+                                 weight_pieces=spec.weight_pieces)
+        report = beta_estimate(pair, cfg)
+        beta, coro = report.bound, report.corollary
         classical = classical_bound(pair)
         row.update(
             c=c,
@@ -497,7 +499,7 @@ def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
             nu0_max=float(np.max(np.abs(fam.nu0.values))),
             status="ok",
         )
-    except (SpecError, EllipticityError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # spec, ellipticity, range
         row["status"] = f"error: {exc}"
     row["seconds"] = time.perf_counter() - start
     return row
@@ -537,10 +539,17 @@ def run(argv=None) -> int:
     except EllipticityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ELLIPTICITY
-    except SpecError as exc:
+    except ValueError as exc:  # a spec error, or a library limit no check mirrors
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_SPEC
+    except OverflowError as exc:
+        print(f"error: parameters out of floating-point range ({exc})", file=sys.stderr)
         return _EXIT_SPEC
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

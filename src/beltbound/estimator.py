@@ -9,10 +9,12 @@ pair (phi, psi) scales them into
 
 and the exponent bound is the reciprocal of the sup over circles of the inf
 over weights.  The inf runs over a concrete candidate set: the constant
-pair, a closed-form pair that collapses the arctan term to 1, and
-piecewise-constant pairs aligned to the coefficient arcs refined by
-coordinate descent.  Any candidate set gives a valid bound; richer sets
-tighten it.
+pair, a closed-form pair that collapses the arctan term to 1, and the
+piecewise-constant pair aligned to the coefficient arcs that minimises the
+value.  In log-weights that minimisation is convex, so it is one
+deterministic SLSQP solve of a smooth epigraph form per circle; the value of
+the weights it returns is recomputed exactly.  Any candidate set gives a
+valid bound; richer sets tighten it.
 
 Weights are reduced to one value per arc (coefficient breakpoints merged
 with a uniform subdivision), so the objective needs only per-arc integrals
@@ -27,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .periodic_fields import (
     PIECEWISE,
@@ -100,9 +103,6 @@ class SweepConfig:
     circles: tuple[CircleSpec, ...]
     weight_pieces: int = 16
     weight_family: str = "all"
-    multistarts: int = 8
-    sweeps: int = 40
-    seed: int = 0
     resolution: int = 2048
 
     def __post_init__(self):
@@ -158,6 +158,15 @@ class ExponentReport:
     per_circle: tuple
     certified_value: float  # closed-form-weights chain; never above sup of distortion
     config: SweepConfig
+
+    @property
+    def corollary(self) -> float:
+        """The unit-weights bound from this sweep's constant-pair values;
+        equal to corollary_bound on the same pair and config."""
+        values = [r["constant_value"] for r in self.per_circle]
+        if None in values:
+            raise ValueError("the sweep did not evaluate the constant family")
+        return _bound_of(max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -253,43 +262,88 @@ def _remark_fields(data: _CircleData) -> WeightPair:
     )
 
 
-def _descend(data: _CircleData, rng: np.random.Generator, cfg: SweepConfig):
-    """Coordinate descent in log-weights, multiplicative steps, multistarts."""
+def _epigraph(data: _CircleData):
+    """Smooth convex epigraph form of log(_arc_value) in log-weights.
+
+    Variables v = (x, y, a, b, m, M): x = log phi and y = log psi per arc, and
+    auxiliaries a >= max x, b <= min y, m <= min(log dmin - x - y),
+    M >= max(log dmax - x - y), written as G v + h >= 0.  The objective
+
+        (a - b)/2 + log(sum T exp((y - x)/2) / 2pi) - log((4/pi) arctan(e^{(m-M)/4}))
+
+    is convex (a log-sum-exp plus a convex decreasing function of m - M) and
+    equals log(_arc_value) wherever the auxiliaries are tight.
+    """
     n = data.arc_lefts.size
-    best_val = math.inf
-    best_x = np.zeros(2 * n)
+    log_t = np.log(data.arc_integrals)
+    log_dmin, log_dmax = np.log(data.arc_dmin), np.log(data.arc_dmax)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    one, nil = np.ones((n, 1)), np.zeros((n, 1))
+    G = np.block([
+        [-eye, zero, one, nil, nil, nil],  # a - x_j
+        [zero, eye, nil, -one, nil, nil],  # y_j - b
+        [-eye, -eye, nil, nil, -one, nil],  # log dmin_j - x_j - y_j - m
+        [eye, eye, nil, nil, nil, one],  # M - log dmax_j + x_j + y_j
+    ])
+    h = np.concatenate([np.zeros(2 * n), log_dmin, -log_dmax])
+    const = math.log(TWO_PI * 4.0 / math.pi)
+
+    def objective(v):
+        x, y = v[:n], v[n:2 * n]
+        a, b, m, M = v[2 * n:]
+        z = log_t + 0.5 * (y - x)
+        zmax = float(np.max(z))
+        e = np.exp(z - zmax)
+        total = float(np.sum(e))
+        # m - M <= 0 on the feasible set; the clamp only guards exp overflow
+        s = min(m - M, 0.0)
+        u = math.exp(0.25 * s)
+        h_u = math.atan(u) / u if u > 1e-8 else 1.0  # arctan(u)/u, -> 1 as u -> 0
+        val = 0.5 * (a - b) + zmax + math.log(total) - const - 0.25 * s - math.log(h_u)
+        grad = np.empty_like(v)
+        w = e / total
+        grad[:n] = -0.5 * w
+        grad[n:2 * n] = 0.5 * w
+        dg = -0.25 / (h_u * (1.0 + u * u))
+        grad[2 * n:] = (0.5, -0.5, dg, -dg)
+        return val, grad
+
+    start = np.concatenate([np.zeros(2 * n + 2), [np.min(log_dmin), np.max(log_dmax)]])
+    return objective, G, h, start
+
+
+def _solve_weights(data: _CircleData):
+    """One SLSQP solve of the per-arc weight problem from the constant pair.
+
+    The reported value is always the exact _arc_value of the returned
+    weights; the solver's own objective only steers.  When the solve does not
+    beat the constant start, the start is kept.  Returns the value, the
+    weights, the objective+gradient call count, the SLSQP exit status and the
+    optimality residual |epigraph objective - log value| at the returned point.
+    """
+    n = data.arc_lefts.size
+    objective, G, h, v0 = _epigraph(data)
     evals = 0
 
-    def value_of(x):
+    def counted(v):
         nonlocal evals
         evals += 1
-        return _arc_value(data, np.exp(x[:n]), np.exp(x[n:]))
+        return objective(v)
 
-    starts = [np.zeros(2 * n)]
-    for _ in range(max(0, cfg.multistarts - 1)):
-        starts.append(rng.normal(0.0, 0.35, 2 * n))
-    for x in starts:
-        x = x.copy()
-        v = value_of(x)
-        step = 0.7
-        for _ in range(cfg.sweeps):
-            improved = False
-            for i in range(2 * n):
-                for sgn in (1.0, -1.0):
-                    x[i] += sgn * step
-                    trial = value_of(x)
-                    if trial < v:
-                        v = trial
-                        improved = True
-                        break
-                    x[i] -= sgn * step
-            if not improved:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        if v < best_val:
-            best_val, best_x = v, x
-    return best_val, np.exp(best_x[:n]), np.exp(best_x[n:]), evals
+    res = minimize(
+        counted, v0, jac=True, method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda v: G @ v + h, "jac": lambda v: G},
+        # at the default ftol (1e-6) SLSQP stops up to ~1e-8 above the minimum
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    ones = np.ones(n)
+    best_v, best_val = v0, _arc_value(data, ones, ones)
+    val = _arc_value(data, np.exp(res.x[:n]), np.exp(res.x[n:2 * n]))
+    if val < best_val:  # False for a NaN value too
+        best_v, best_val = res.x, val
+    residual = abs(float(objective(best_v)[0]) - math.log(best_val))
+    phi, psi = np.exp(best_v[:n]), np.exp(best_v[n:2 * n])
+    return best_val, phi, psi, evals, int(res.status), residual
 
 
 def _piecewise_pair(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> WeightPair:
@@ -298,7 +352,7 @@ def _piecewise_pair(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> Weig
     )
 
 
-def _evaluate_circle(data: _CircleData, cfg: SweepConfig, rng) -> dict:
+def _evaluate_circle(data: _CircleData, cfg: SweepConfig) -> dict:
     candidates = []
     fams = cfg.families()
     if "constant" in fams:
@@ -307,9 +361,9 @@ def _evaluate_circle(data: _CircleData, cfg: SweepConfig, rng) -> dict:
         )
     if "remark" in fams:
         candidates.append(("remark", _remark_value(data), lambda: _remark_fields(data)))
-    evals = 0
+    evals, status, residual = 0, None, None
     if "piecewise" in fams:
-        v, phi, psi, evals = _descend(data, rng, cfg)
+        v, phi, psi, evals, status, residual = _solve_weights(data)
         candidates.append(("piecewise", v, lambda: _piecewise_pair(data, phi, psi)))
     name, val, make = min(candidates, key=lambda c: c[1])
     return {
@@ -318,19 +372,24 @@ def _evaluate_circle(data: _CircleData, cfg: SweepConfig, rng) -> dict:
         "family": name,
         "weights": make(),
         "evaluations": evals,
+        "solver_status": status,
+        "optimality_residual": residual,
         "all_values": {c[0]: c[1] for c in candidates},
     }
+
+
+def _bound_of(sup_value: float) -> float:
+    # a Holder exponent never exceeds 1; values below 1 only arise when the
+    # sweep omits the small near-constant circles that realize 1
+    return min(1.0, 1.0 / sup_value)
 
 
 def _assemble(records, cfg: SweepConfig) -> ExponentReport:
     sup_rec = max(records, key=lambda r: r["value"])
     sup_value = sup_rec["value"]
     certified = max(r["all_values"].get("remark", math.nan) for r in records)
-    # a Holder exponent never exceeds 1; values below 1 only arise when the
-    # sweep omits the small near-constant circles that realize 1
-    bound = min(1.0, 1.0 / sup_value)
     return ExponentReport(
-        bound=bound,
+        bound=_bound_of(sup_value),
         sup_value=sup_value,
         attaining_circle=sup_rec["circle"],
         attaining_weights=sup_rec["weights"],
@@ -341,6 +400,9 @@ def _assemble(records, cfg: SweepConfig) -> ExponentReport:
                 "value": r["value"],
                 "family": r["family"],
                 "evaluations": r["evaluations"],
+                "solver_status": r["solver_status"],
+                "optimality_residual": r["optimality_residual"],
+                "constant_value": r["all_values"].get("constant"),
             }
             for r in records
         ),
@@ -397,11 +459,9 @@ def _gamma_fields(m: CoefficientMatrixField, circle: CircleSpec, cfg: SweepConfi
 
 def _sweep(fields_of: Callable, cfg: SweepConfig) -> ExponentReport:
     records = []
-    for idx, circle in enumerate(cfg.circles):
+    for circle in cfg.circles:
         grid, I, D = fields_of(circle)
-        data = _arc_reduce(circle, grid, I, D)
-        rng = np.random.default_rng(cfg.seed + 1009 * idx)
-        records.append(_evaluate_circle(data, cfg, rng))
+        records.append(_evaluate_circle(_arc_reduce(circle, grid, I, D), cfg))
     return _assemble(records, cfg)
 
 

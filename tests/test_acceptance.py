@@ -169,7 +169,7 @@ def test_criterion_5_reduction_identities(capsys):
 
 def test_criterion_6_ordering(capsys):
     t0 = time.perf_counter()
-    cfg = SweepConfig.origin(resolution=256, weight_pieces=8, multistarts=4, sweeps=30)
+    cfg = SweepConfig.origin(resolution=256, weight_pieces=8)
     rng = np.random.default_rng(6)
     violations = 0
     for _ in range(200):

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from beltbound.cli import JobSpec, SpecError, build_spec, run
+from beltbound.estimator import SweepConfig, corollary_bound
+from beltbound.reduction import BeltramiPair
 
 FAST = ["--nodes", "512", "--weight-pieces", "8"]
 
@@ -25,6 +30,9 @@ def test_estimate_radial_payload(capsys):
         assert abs(doc["bounds"][key] - 0.5) < 1e-9, key
     assert doc["ordering"]["beta_ge_corollary"]
     assert doc["report"]["certified_value"] >= doc["report"]["sup_value"] - 1e-12
+    for rec in doc["report"]["per_circle"]:
+        assert rec["solver_status"] == 0
+        assert 0.0 <= rec["optimality_residual"] < 1e-8
 
 
 def test_sharp_payload(capsys):
@@ -89,7 +97,7 @@ def test_sweep_survives_bad_row(capsys):
 
 
 def test_determinism(capsys):
-    argv = ["--command", "estimate", "--M", "1.5", "--tau", "0.5", "--seed", "7"] + FAST
+    argv = ["--command", "estimate", "--M", "1.5", "--tau", "0.5"] + FAST
     run(argv)
     first = capsys.readouterr().out
     run(argv)
@@ -115,6 +123,28 @@ def test_coeff_file_roundtrip(tmp_path, capsys):
     assert doc["bounds"]["beta"] >= doc["bounds"]["classical"] - 1e-12
 
 
+def test_corollary_taken_from_beta_sweep(tmp_path, capsys):
+    pieces = {
+        "breakpoints": [0.0, 1.2, 2.9, 4.4],
+        "mu0": [0.2, -0.35, 0.1, 0.3],
+        "nu0": [0.3, 0.1, -0.4, 0.05],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pieces))
+    code, doc = run_json(
+        capsys,
+        ["--command", "estimate", "--coeff-file", str(path), "--circles", "1",
+         "--nodes", "256", "--weight-pieces", "4"],
+    )
+    assert code == 0
+    pair = BeltramiPair.from_profiles(
+        pieces["breakpoints"], pieces["mu0"], pieces["nu0"], node_count=256
+    )
+    cfg = SweepConfig.disk_lattice(radius_count=1, resolution=256, weight_pieces=4)
+    assert doc["report"]["circle_count"] == len(cfg.circles) == 9
+    assert doc["bounds"]["corollary"] == corollary_bound(pair, cfg)
+
+
 def test_coeff_file_ellipticity_exit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"breakpoints": [0.0], "mu0": [0.8], "nu0": [0.3]}))
@@ -134,6 +164,36 @@ def test_spec_errors_exit_two(capsys):
     for argv in cases:
         assert run(argv) == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "estimate", "--alpha", "0.5", "--nodes", "8"],
+        ["--command", "estimate", "--alpha", "0.5", "--radii", "inf"],
+        ["--command", "estimate", "--alpha", "0.5", "--nodes", "1024",
+         "--weight-pieces", "600"],
+        ["--command", "sharp", "--M", "1e300", "--tau", "0"],
+        ["--command", "verify", "--alpha", "0.5", "--tolerance", "nan"],
+    ],
+)
+def test_library_limits_exit_two(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beltbound.cli", "--command", "estimate",
+         "--alpha", "0.5"] + FAST,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["bounds"]["beta"] - 0.5) < 1e-9
 
 
 def test_verify_rejects_coeff_file_source(tmp_path):
