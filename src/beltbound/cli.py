@@ -17,8 +17,6 @@ import io
 import json
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +217,7 @@ def _sweep_config(spec: JobSpec) -> SweepConfig:
     base = dict(weight_pieces=spec.weight_pieces)
     if spec.radii is not None:
         circles = tuple(CircleSpec(0.0, r, resolution=spec.nodes) for r in spec.radii)
-        return SweepConfig(circles=circles, resolution=spec.nodes, **base)
+        return SweepConfig(circles=circles, **base)
     if spec.circles is not None:
         return SweepConfig.disk_lattice(radius_count=spec.circles,
                                         resolution=spec.nodes, **base)
@@ -474,7 +472,6 @@ def cmd_verify(spec: JobSpec) -> int:
 
 
 def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
-    start = time.perf_counter()
     row = {"M": m, "tau": t}
     try:
         c, d = cd_params(m, t)
@@ -501,7 +498,6 @@ def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
         )
     except (ValueError, OverflowError) as exc:  # spec, ellipticity, range
         row["status"] = f"error: {exc}"
-    row["seconds"] = time.perf_counter() - start
     return row
 
 
@@ -511,8 +507,7 @@ def cmd_sweep(spec: JobSpec) -> int:
     points = [(m, t) for t in ts for m in ms]
     if not points:
         raise SpecError("empty sweep grid: give at least one --M value")
-    with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
-        rows = list(pool.map(lambda p: _sweep_row(*p, spec), points))
+    rows = [_sweep_row(m, t, spec) for m, t in points]
     _emit(rows, spec)
     return _EXIT_OK if any(r["status"] == "ok" for r in rows) else _EXIT_VERIFY
 

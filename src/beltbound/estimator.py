@@ -97,13 +97,13 @@ class SweepConfig:
 
     weight_family picks the candidate classes: "constant", "remark",
     "piecewise", or "all".  weight_pieces is the uniform subdivision merged
-    into the coefficient arcs for the piecewise class.
+    into the coefficient arcs for the piecewise class.  Each circle is
+    sampled at its own CircleSpec.resolution.
     """
 
     circles: tuple[CircleSpec, ...]
     weight_pieces: int = 16
     weight_family: str = "all"
-    resolution: int = 2048
 
     def __post_init__(self):
         if not self.circles:
@@ -116,8 +116,7 @@ class SweepConfig:
     @classmethod
     def origin(cls, radius: float = 0.5, resolution: int = 2048, **kw) -> "SweepConfig":
         """Single origin-centered circle; enough for purely angular data."""
-        return cls(circles=(CircleSpec(0.0, radius, resolution=resolution),),
-                   resolution=resolution, **kw)
+        return cls(circles=(CircleSpec(0.0, radius, resolution=resolution),), **kw)
 
     @classmethod
     def disk_lattice(
@@ -139,7 +138,7 @@ class SweepConfig:
                 circles.append(
                     CircleSpec(complex(center), (1.0 - margin) * (1.0 - r), resolution=resolution)
                 )
-        return cls(circles=tuple(circles), resolution=resolution, **kw)
+        return cls(circles=tuple(circles), **kw)
 
     def families(self) -> tuple[str, ...]:
         if self.weight_family == "all":
@@ -231,35 +230,16 @@ def _arc_value(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> float:
     return num / _arctan_term(ratio)
 
 
-def _constant_value(data: _CircleData) -> float:
-    mean_i = float(np.sum(data.arc_integrals)) / TWO_PI
-    ratio = float(np.min(data.arc_dmin) / np.max(data.arc_dmax))
-    return mean_i / _arctan_term(ratio)
-
-
-def _remark_value(data: _CircleData) -> float:
+def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
     """Closed-form pair phi = I sqrt(D), psi = sqrt(D)/I.
 
     Pointwise sqrt(psi/phi) I = 1 and phi psi = D, so the objective collapses
     to sqrt(sup phi / inf psi); no quadrature error enters.
     """
-    iv = data.integrand.values.real
-    sq = np.sqrt(data.det_ratio.values)
-    return math.sqrt(float(np.max(iv * sq)) * float(np.max(iv / sq)))
-
-
-def _remark_fields(data: _CircleData) -> WeightPair:
-    iv = data.integrand.values.real
-    sq = np.sqrt(data.det_ratio.values)
-    kind = (
-        PIECEWISE
-        if data.integrand.kind == PIECEWISE and data.det_ratio.kind == PIECEWISE
-        else SMOOTH
-    )
-    return WeightPair(
-        PeriodicField(data.grid, iv * sq, kind),
-        PeriodicField(data.grid, sq / iv, kind),
-    )
+    iv = I.values.real
+    sq = np.sqrt(D.values)
+    return WeightPair(PeriodicField(I.grid, iv * sq, I.kind),
+                      PeriodicField(I.grid, sq / iv, I.kind))
 
 
 def _epigraph(data: _CircleData):
@@ -356,11 +336,14 @@ def _evaluate_circle(data: _CircleData, cfg: SweepConfig) -> dict:
     candidates = []
     fams = cfg.families()
     if "constant" in fams:
+        ones = np.ones(data.arc_lefts.size)
         candidates.append(
-            ("constant", _constant_value(data), lambda: WeightPair.constant(data.grid))
+            ("constant", _arc_value(data, ones, ones), lambda: WeightPair.constant(data.grid))
         )
     if "remark" in fams:
-        candidates.append(("remark", _remark_value(data), lambda: _remark_fields(data)))
+        w = _remark_pair(data.integrand, data.det_ratio)
+        value = math.sqrt(float(np.max(w.phi.values)) / float(np.min(w.psi.values)))
+        candidates.append(("remark", value, lambda: w))
     evals, status, residual = 0, None, None
     if "piecewise" in fams:
         v, phi, psi, evals, status, residual = _solve_weights(data)
@@ -419,42 +402,45 @@ def _uniform_boundaries(p: int) -> np.ndarray:
 # restrictions to (integrand, det-ratio) fields
 
 
-def _beta_fields(pair: BeltramiPair, circle: CircleSpec, cfg: SweepConfig):
-    extra = _uniform_boundaries(cfg.weight_pieces)
-    on = pair.on_circle(replace(circle, resolution=cfg.resolution), extra)
+def _joint_kind(*fields) -> str:
+    return PIECEWISE if all(f.kind == PIECEWISE for f in fields) else SMOOTH
+
+
+def _pair_fields(on: PairOnCircle):
+    """(I, D) of a pair restriction: I = (|1-nbar^2 mu|^2 - nu^2)/sqrt(rad) with
+    rad = (1-(|mu|+nu)^2)(1-(|mu|-nu)^2), D = ((1-nu)^2-|mu|^2)/((1+nu)^2-|mu|^2)."""
     mu_abs = np.abs(on.nbar2mu.values)
     nu = on.nu.values.real
-    w = on.nbar2mu.values
-    num = np.abs(1.0 - w) ** 2 - nu**2
+    num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
     rad = (1.0 - (mu_abs + nu) ** 2) * (1.0 - (mu_abs - nu) ** 2)
     if np.any(rad <= 0):
         j = int(np.argmin(rad))
         raise EllipticityError(
             f"integrand radicand <= 0 at node {j} (|mu|+|nu| reaches 1 on the circle)"
         )
-    ivals = num / np.sqrt(rad)
     dvals = ((1.0 - nu) ** 2 - mu_abs**2) / ((1.0 + nu) ** 2 - mu_abs**2)
-    kind = (
-        PIECEWISE
-        if on.nbar2mu.kind == PIECEWISE and on.nu.kind == PIECEWISE
-        else SMOOTH
-    )
-    I = PeriodicField(on.grid, ivals, kind)
-    D = PeriodicField(on.grid, dvals, kind)
-    return on.grid, I, D
+    kind = _joint_kind(on.nbar2mu, on.nu)
+    return PeriodicField(on.grid, num / np.sqrt(rad), kind), PeriodicField(on.grid, dvals, kind)
 
 
-def _gamma_fields(m: CoefficientMatrixField, circle: CircleSpec, cfg: SweepConfig):
-    extra = _uniform_boundaries(cfg.weight_pieces)
-    on = m.on_circle(replace(circle, resolution=cfg.resolution), extra)
+def _matrix_fields(on: MatrixOnCircle):
+    """(I, D) of a matrix restriction: I = nAn/sqrt(det), D = det."""
     nAn = on.nAn.values
     det = on.det.values
     if np.any(det <= 0) or np.any(nAn <= 0):
         raise EllipticityError("matrix field loses positivity on the circle")
-    kind = PIECEWISE if on.nAn.kind == PIECEWISE and on.det.kind == PIECEWISE else SMOOTH
-    I = PeriodicField(on.grid, nAn / np.sqrt(det), kind)
-    D = PeriodicField(on.grid, det, kind)
-    return on.grid, I, D
+    kind = _joint_kind(on.nAn, on.det)
+    return PeriodicField(on.grid, nAn / np.sqrt(det), kind), PeriodicField(on.grid, det, kind)
+
+
+def _beta_fields(pair: BeltramiPair, circle: CircleSpec, cfg: SweepConfig):
+    on = pair.on_circle(circle, _uniform_boundaries(cfg.weight_pieces))
+    return (on.grid, *_pair_fields(on))
+
+
+def _gamma_fields(m: CoefficientMatrixField, circle: CircleSpec, cfg: SweepConfig):
+    on = m.on_circle(circle, _uniform_boundaries(cfg.weight_pieces))
+    return (on.grid, *_matrix_fields(on))
 
 
 def _sweep(fields_of: Callable, cfg: SweepConfig) -> ExponentReport:
@@ -493,7 +479,7 @@ def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     the mean of |1 - nbar^2 mu|^2 / (1 - |mu|^2)."""
     sup = 0.0
     for circle in cfg.circles:
-        on = pair.on_circle(replace(circle, resolution=cfg.resolution))
+        on = pair.on_circle(circle)
         if np.max(np.abs(on.nu.values)) > 1e-14:
             raise ValueError("nu_zero_bound requires nu = 0")
         mu_abs = np.abs(on.nbar2mu.values)
@@ -512,7 +498,7 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """
     best = 0.0
     for circle in cfg.circles:
-        on = pair.on_circle(replace(circle, resolution=cfg.resolution))
+        on = pair.on_circle(circle)
         if np.max(np.abs(on.mu.values)) > 1e-14:
             raise ValueError("mu_zero_bound requires mu = 0")
         nu = on.nu.values.real
@@ -530,40 +516,24 @@ def classical_bound(pair: BeltramiPair) -> float:
 def remark_weights(on: PairOnCircle) -> WeightPair:
     """Closed-form weight pair making the arctan term exactly 1.
 
-    phi = (|1-nbar^2 mu|^2 - nu^2)/((1+nu)^2 - |mu|^2) and
-    psi = ((1-nu)^2 - |mu|^2)/(|1-nbar^2 mu|^2 - nu^2); their product is the
-    det ratio, and the weighted integrand is identically 1, leaving
+    phi = I sqrt(D) = (|1-nbar^2 mu|^2 - nu^2)/((1+nu)^2 - |mu|^2) and
+    psi = sqrt(D)/I = ((1-nu)^2 - |mu|^2)/(|1-nbar^2 mu|^2 - nu^2), since
+    rad = ((1-nu)^2 - |mu|^2)((1+nu)^2 - |mu|^2); their product is the det
+    ratio, and the weighted integrand is identically 1, leaving
     sqrt(sup phi / inf psi) <= sup of the distortion.
     """
     if not on.real_nu:
         raise ValueError("remark weights require real nu")
-    mu_abs = np.abs(on.nbar2mu.values)
-    nu = on.nu.values.real
-    num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
-    phi = num / ((1.0 + nu) ** 2 - mu_abs**2)
-    psi = ((1.0 - nu) ** 2 - mu_abs**2) / num
-    kind = (
-        PIECEWISE
-        if on.nbar2mu.kind == PIECEWISE and on.nu.kind == PIECEWISE
-        else SMOOTH
-    )
-    return WeightPair(
-        PeriodicField(on.grid, phi, kind), PeriodicField(on.grid, psi, kind)
-    )
+    return _remark_pair(*_pair_fields(on))
 
 
 def circle_integrand(on: PairOnCircle, weights: WeightPair) -> PeriodicField:
     """sqrt(psi/phi) times the coefficient integrand, per node."""
     if not on.real_nu:
         raise ValueError("the integrand is defined for real nu")
-    mu_abs = np.abs(on.nbar2mu.values)
-    nu = on.nu.values.real
-    num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
-    rad = (1.0 - (mu_abs + nu) ** 2) * (1.0 - (mu_abs - nu) ** 2)
-    if np.any(rad <= 0):
-        raise EllipticityError("integrand radicand <= 0 on the circle")
+    I, _ = _pair_fields(on)
     w = np.sqrt(weights.psi.values.real / weights.phi.values.real)
-    return PeriodicField(on.grid, w * num / np.sqrt(rad), SMOOTH)
+    return PeriodicField(on.grid, w * I.values, SMOOTH)
 
 
 def weighted_objective(on, weights: WeightPair) -> float:
@@ -572,21 +542,10 @@ def weighted_objective(on, weights: WeightPair) -> float:
     Accepts either a coefficient-pair restriction or a matrix restriction;
     extrema and means are taken over the sampled nodes.
     """
-    if isinstance(on, MatrixOnCircle):
-        I = on.nAn.values / np.sqrt(on.det.values)
-        D = on.det.values
-        kind = on.nAn.kind
-    else:
-        mu_abs = np.abs(on.nbar2mu.values)
-        nu = on.nu.values.real
-        num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
-        rad = (1.0 - (mu_abs + nu) ** 2) * (1.0 - (mu_abs - nu) ** 2)
-        I = num / np.sqrt(rad)
-        D = ((1.0 - nu) ** 2 - mu_abs**2) / ((1.0 + nu) ** 2 - mu_abs**2)
-        kind = on.nbar2mu.kind
+    I, D = _matrix_fields(on) if isinstance(on, MatrixOnCircle) else _pair_fields(on)
     phi = weights.phi.values.real
     psi = weights.psi.values.real
-    mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I, kind))
-    prod = D / (phi * psi)
+    mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I.values, I.kind))
+    prod = D.values / (phi * psi)
     ratio = float(np.min(prod) / np.max(prod))
     return math.sqrt(np.max(phi) / np.min(psi)) * mean / _arctan_term(ratio)

@@ -22,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodic_fields import PIECEWISE, SMOOTH, AngularGrid, PeriodicField, wrap_angle
-from .reduction import BeltramiPair, CoefficientMatrixField
+from .periodic_fields import (
+    PIECEWISE,
+    SMOOTH,
+    AngularGrid,
+    PeriodicField,
+    merge_breakpoints,
+    wrap_angle,
+)
+from .reduction import _ELL_TOL, BeltramiPair, CoefficientMatrixField
 from .stretching import AngularStretching, KProfile
 
 __all__ = [
@@ -120,17 +127,38 @@ def _profile_samples(M: float, tau: float, c: float, d: float, theta):
 
 
 def build_family(M: float, tau: float, node_count: int = 2048) -> SharpFamily:
-    """Assemble the family at (M, tau) on a breakpoint-aligned grid."""
+    """Assemble the family at (M, tau) on a breakpoint-aligned grid.
+
+    Large M leaves floating point behind, and each way raises a ValueError
+    naming M and tau: the powers of M overflow, the weighted arcs (width
+    pi M^-tau/(1 + M^-tau)) fall below the breakpoint merge tolerance, or
+    |mu| + |nu| on them, 1 - 2(1 + M^{1-2tau})/(1 + M + M^{1-2tau} +
+    M^{2-2tau}), comes within the ellipticity tolerance of 1.  In practice
+    that bounds M below about 2e10 for every tau.
+    """
     c, d = cd_params(M, tau)
     cut = c * math.pi / 2.0
     bks = (0.0, cut, math.pi, math.pi + cut)
+    try:
+        m_lo, m_sq = M ** (1.0 - 2.0 * tau), M ** (2.0 * (1.0 - tau))
+    except OverflowError as exc:
+        raise ValueError(f"sharp family at M={M:g}, tau={tau:g}: {exc} (M too large)") from exc
+    den = 1.0 + M + m_lo + m_sq
+    mu_hi = (M - m_lo) / den
+    nu_hi = (m_sq - 1.0) / den
+    if merge_breakpoints(bks).size < len(bks):
+        raise ValueError(
+            f"sharp family at M={M:g}, tau={tau:g}: the weighted arcs are "
+            f"{math.pi - cut:.3g} wide, below the breakpoint merge tolerance (M too large)"
+        )
+    if mu_hi + nu_hi >= 1.0 - _ELL_TOL:
+        raise ValueError(
+            f"sharp family at M={M:g}, tau={tau:g}: |mu|+|nu| = {mu_hi + nu_hi:.17g} "
+            f"is within the ellipticity tolerance of 1 (M too large)"
+        )
     grid = AngularGrid.with_breakpoints(node_count, bks)
 
     th1, th2, dth1, dth2 = _profile_samples(M, tau, c, d, grid.nodes)
-    m_lo = M ** (1.0 - 2.0 * tau)
-    den = 1.0 + M + m_lo + M ** (2.0 * (1.0 - tau))
-    mu_hi = (M - m_lo) / den
-    nu_hi = (M ** (2.0 * (1.0 - tau)) - 1.0) / den
 
     k = KProfile(
         PeriodicField.piecewise(grid, [1.0, M, 1.0, M]),

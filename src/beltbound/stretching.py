@@ -5,9 +5,15 @@ system eta1' = -alpha k2^{-1} eta2, eta2' = alpha k1 eta1 coupling the profile
 to a positive weight pair (k1, k2), shooting for exponents alpha whose
 solutions close up 2pi-periodically, and the (k1,k2) <-> (mu0,nu0) algebra.
 
-For piecewise-constant weights every propagation step uses the closed-form
-2x2 propagator, so profile values, monodromy matrices, and phase advances are
-exact to roundoff; that is what the sharpness tests lean on.
+All propagation runs on constant-rate cells, where the system has a
+closed-form 2x2 propagator, and one recurrence gives the state at every cell
+boundary; profile values, monodromy matrices and phase advances all come
+from those states.  Piecewise-constant weights are cut at their breakpoints,
+so every result is exact to roundoff; that is what the sharpness tests lean
+on.  Smooth weights are cut into eight cells per node gap with k frozen at
+the cell midpoint (second order in the cell width); monodromy and phase
+advance then describe one discrete flow and agree with each other to
+roundoff.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ __all__ = [
     "injectivity_check",
     "sl_weak_residuals",
 ]
+
+_CELLS_PER_GAP = 8  # constant-rate cells per node gap of a smooth weight pair
 
 
 class RootSearchError(RuntimeError):
@@ -155,18 +163,6 @@ class AngularStretching:
             object.__setattr__(self, name, d)
 
     @classmethod
-    def identity(cls, node_count: int = 2048) -> "AngularStretching":
-        g = AngularGrid.uniform(node_count)
-        t = g.nodes
-        return cls(
-            1.0,
-            PeriodicField(g, np.cos(t)),
-            PeriodicField(g, np.sin(t)),
-            -np.sin(t),
-            np.cos(t),
-        )
-
-    @classmethod
     def radial(cls, alpha: float, node_count: int = 2048) -> "AngularStretching":
         """|z|^{alpha-1} z: circular profile with exponent alpha."""
         g = AngularGrid.uniform(node_count)
@@ -267,52 +263,55 @@ def distortion_from_k(k: KProfile, eta1, eta2):
 # propagation
 
 
-def _piece_propagator(a: float, b: float, h):
-    """exp(h [[0, -a], [b, 0]]) for a, b > 0: rotation-like."""
-    w = math.sqrt(a * b)
-    wh = np.asarray(w * h)
-    c, s = np.cos(wh), np.sin(wh)
+def _piece_propagator(a, b, h):
+    """exp(h [[0, -a], [b, 0]]) for a, b > 0: rotation-like; elementwise."""
+    w = np.sqrt(a * b)
+    c, s = np.cos(w * h), np.sin(w * h)
     return c, -(a / w) * s, (b / w) * s  # entries (11=22, 12, 21)
 
 
 def _piece_rates(k: KProfile, alpha: float):
-    lefts, rights, k1v, k2v = k.pieces()
-    return lefts, rights, alpha / k2v, alpha * k1v
+    """Constant-rate cells (lefts, widths, alpha/k2, alpha k1) tiling [0, 2pi).
+
+    The one place the two kinds of weight differ: piecewise-constant k is cut
+    at its breakpoints, where it is exactly constant; smooth k is cut into
+    _CELLS_PER_GAP cells per node gap and read (linear interpolation) at each
+    cell midpoint, the exponential midpoint rule.
+    """
+    if k.is_piecewise:
+        lefts, rights, k1, k2 = k.pieces()
+    else:
+        g = k.grid
+        frac = np.arange(_CELLS_PER_GAP) / _CELLS_PER_GAP
+        lefts = (g.nodes[:, None] + g.spacings()[:, None] * frac).ravel()
+        rights = np.append(lefts[1:], g.nodes[0] + TWO_PI)
+        mids = 0.5 * (lefts + rights)
+        k1, k2 = k.k1.eval_at(mids), k.k2.eval_at(mids)
+    return lefts, rights - lefts, alpha / k2, alpha * k1
 
 
-def _rk4_nodes(k: KProfile, alpha: float, v0, substeps: int = 8):
-    """Fixed-step RK4 node to node for smooth weights; returns (2, n+1) states."""
-    g = k.grid
-    thetas = np.concatenate([g.nodes, [g.nodes[0] + TWO_PI]])
-    out = np.empty((2, thetas.size))
-    out[:, 0] = v0
+def _propagate(a, b, h, starts):
+    """States at every cell boundary, shape (cells + 1, 2, B), for the start
+    columns starts (2, B); the last entry is Phi(2pi) starts.
 
-    def rhs(t, v):
-        k1 = float(k.k1.eval_at(t))
-        k2 = float(k.k2.eval_at(t))
-        return np.array([-alpha / k2 * v[1], alpha * k1 * v[0]])
-
-    v = np.array(v0, dtype=float)
-    for j in range(thetas.size - 1):
-        h = (thetas[j + 1] - thetas[j]) / substeps
-        t = thetas[j]
-        for _ in range(substeps):
-            f1 = rhs(t, v)
-            f2 = rhs(t + h / 2, v + h / 2 * f1)
-            f3 = rhs(t + h / 2, v + h / 2 * f2)
-            f4 = rhs(t + h, v + h * f3)
-            v = v + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-            t += h
-        out[:, j + 1] = v
-    return out
+    Cell j maps its left state to its right one by its propagator P_j; the
+    prefix products P_j ... P_0 come by recursive doubling (log2(cells)
+    rounds of batched 2x2 products).
+    """
+    c, p12, p21 = _piece_propagator(a, b, h)
+    prefix = np.array([[c, p12], [p21, c]]).transpose(2, 0, 1).copy()
+    step = 1
+    while step < len(prefix):
+        prefix[step:] = prefix[step:] @ prefix[:-step]
+        step *= 2
+    return np.concatenate([starts[None], prefix @ starts])
 
 
 def solve_system(k: KProfile, alpha: float, initial=None) -> AngularStretching:
     """Integrate the coupled system over [0, 2pi] on k's grid.
 
-    Piecewise-constant weights use the exact propagator; smooth weights fall
-    back to fixed-step RK4 aligned to the grid.  Derivative samples come from
-    the system right-hand side, not finite differences.  With no explicit
+    Node values come from eval_system_solution; derivative samples from the
+    system right-hand side, not finite differences.  With no explicit
     initial data the solution starts at (1, 0) and is rescaled so
     max(|eta1|, |eta2|) = 1.
     """
@@ -323,13 +322,7 @@ def solve_system(k: KProfile, alpha: float, initial=None) -> AngularStretching:
     if v0.shape != (2,) or not np.any(v0):
         raise ValueError("initial data must be a nonzero pair")
     g = k.grid
-    if k.is_piecewise:
-        e1, e2, _, _ = eval_system_solution(k, alpha, v0, g.nodes)
-    else:
-        states = _rk4_nodes(k, alpha, v0)
-        e1, e2 = states[0, :-1], states[1, :-1]
-    d1 = -alpha / k.k2.values * e2
-    d2 = alpha * k.k1.values * e1
+    e1, e2, d1, d2 = eval_system_solution(k, alpha, v0, g.nodes)
     if normalize:
         scale = max(np.max(np.abs(e1)), np.max(np.abs(e2)))
         e1, e2, d1, d2 = e1 / scale, e2 / scale, d1 / scale, d2 / scale
@@ -339,49 +332,28 @@ def solve_system(k: KProfile, alpha: float, initial=None) -> AngularStretching:
 
 
 def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
-    """Exact solution samples at arbitrary angles (piecewise-constant k only).
+    """Solution samples at arbitrary angles, propagated from the state at the
+    start of the cell holding each angle (exact for piecewise-constant k).
 
-    Returns (eta1, eta2, eta1', eta2') arrays.  Derivatives at a breakpoint
-    take the right-limit weights, matching the segment convention.
+    Returns (eta1, eta2, eta1', eta2') arrays; the derivatives are the system
+    right-hand side with k read by eval_at, so at a breakpoint they take the
+    right-limit weights, matching the segment convention.
     """
-    if not k.is_piecewise:
-        raise ValueError("exact evaluation needs piecewise-constant weights")
-    lefts, rights, av, bv = _piece_rates(k, alpha)
-    # anchor state at each piece start
-    anchors = np.empty((2, lefts.size))
-    v = np.asarray(initial, dtype=float).copy()
-    for j in range(lefts.size):
-        anchors[:, j] = v
-        c, p12, p21 = _piece_propagator(av[j], bv[j], rights[j] - lefts[j])
-        v = np.array([c * v[0] + p12 * v[1], p21 * v[0] + c * v[1]])
+    lefts, h, av, bv = _piece_rates(k, alpha)
+    v0 = np.asarray(initial, dtype=float).reshape(2, 1)
+    anchors = _propagate(av, bv, h, v0)[:-1, :, 0]
     t = wrap_angle(np.asarray(thetas, dtype=float))
-    seg = np.clip(np.searchsorted(lefts, t + 1e-12, side="right") - 1, 0, lefts.size - 1)
-    e1 = np.empty_like(t)
-    e2 = np.empty_like(t)
-    for j in range(lefts.size):
-        m = seg == j
-        if not np.any(m):
-            continue
-        c, p12, p21 = _piece_propagator(av[j], bv[j], t[m] - lefts[j])
-        e1[m] = c * anchors[0, j] + p12 * anchors[1, j]
-        e2[m] = p21 * anchors[0, j] + c * anchors[1, j]
-    d1 = -av[seg] * e2
-    d2 = bv[seg] * e1
-    return e1, e2, d1, d2
+    cell = np.clip(np.searchsorted(lefts, t + 1e-12, side="right") - 1, 0, lefts.size - 1)
+    c, p12, p21 = _piece_propagator(av[cell], bv[cell], t - lefts[cell])
+    e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
+    e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
+    return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
 
 
 def monodromy(k: KProfile, alpha: float) -> np.ndarray:
     """Fundamental matrix over one period, Phi(2pi); det = 1 up to roundoff."""
-    if k.is_piecewise:
-        lefts, rights, av, bv = _piece_rates(k, alpha)
-        P = np.eye(2)
-        for j in range(lefts.size):
-            c, p12, p21 = _piece_propagator(av[j], bv[j], rights[j] - lefts[j])
-            P = np.array([[c, p12], [p21, c]]) @ P
-        return P
-    c1 = _rk4_nodes(k, alpha, (1.0, 0.0))[:, -1]
-    c2 = _rk4_nodes(k, alpha, (0.0, 1.0))[:, -1]
-    return np.column_stack([c1, c2])
+    _, h, av, bv = _piece_rates(k, alpha)
+    return _propagate(av, bv, h, np.eye(2))[-1]
 
 
 def phase_advance(k: KProfile, alpha: float, phi0):
@@ -389,59 +361,25 @@ def phase_advance(k: KProfile, alpha: float, phi0):
 
     Strictly increasing in alpha (the phase obeys phi' = alpha (k1 cos^2 phi
     + k2^{-1} sin^2 phi) > 0), which is what the exponent search bisects on.
-    Piecewise weights: exact via per-piece elliptic-rotation bookkeeping.
+    On a cell with rates (a, b) the scaled vector (sqrt(b) eta1, sqrt(a) eta2)
+    turns at the constant rate w = sqrt(ab), so the advance is the sum of w h
+    plus the change of arg v - arg(scaled v) across each cell, taken from the
+    boundary states of the same propagation monodromy uses.
     """
     phi0 = np.asarray(phi0, dtype=float)
-    if k.is_piecewise:
-        lefts, rights, av, bv = _piece_rates(k, alpha)
-        v1, v2 = np.cos(phi0), np.sin(phi0)
-        total = np.zeros_like(phi0)
-        for j in range(lefts.size):
-            a, b = av[j], bv[j]
-            h = rights[j] - lefts[j]
-            w = math.sqrt(a * b)
-            c, s = math.cos(w * h), math.sin(w * h)
-            u1 = c * v1 - (a / w) * s * v2
-            u2 = (b / w) * s * v1 + c * v2
-            sa, sb = math.sqrt(a), math.sqrt(b)
-            # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
-            c0 = np.arctan2(v2, v1) - np.arctan2(sa * v2, sb * v1)
-            c0 = (c0 + np.pi) % TWO_PI - np.pi
-            c1 = np.arctan2(u2, u1) - np.arctan2(sa * u2, sb * u1)
-            c1 = (c1 + np.pi) % TWO_PI - np.pi
-            total = total + w * h + c1 - c0
-            v1, v2 = u1, u2
-        return total if total.shape else float(total)
+    _, h, av, bv = _piece_rates(k, alpha)
+    starts = np.stack([np.cos(phi0), np.sin(phi0)]).reshape(2, -1)
+    states = _propagate(av, bv, h, starts)
+    sa, sb = np.sqrt(av)[:, None], np.sqrt(bv)[:, None]
 
-    # smooth weights: integrate the scalar phase equation directly
-    g = k.grid
-    thetas = np.concatenate([g.nodes, [g.nodes[0] + TWO_PI]])
-    k1n = np.concatenate([k.k1.values, [k.k1.values[0]]])
-    k2n = np.concatenate([k.k2.values, [k.k2.values[0]]])
+    def correction(v):
+        # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
+        c = np.arctan2(v[:, 1], v[:, 0]) - np.arctan2(sa * v[:, 1], sb * v[:, 0])
+        return (c + np.pi) % TWO_PI - np.pi
 
-    def rate(tl, tr, kl, kr, t, phi):
-        wgt = (t - tl) / (tr - tl)
-        kk1 = (1 - wgt) * kl[0] + wgt * kr[0]
-        kk2 = (1 - wgt) * kl[1] + wgt * kr[1]
-        return alpha * (kk1 * np.cos(phi) ** 2 + np.sin(phi) ** 2 / kk2)
-
-    phi = phi0.astype(float).copy() if phi0.shape else np.array([float(phi0)])
-    sub = 8
-    for j in range(thetas.size - 1):
-        tl, tr = thetas[j], thetas[j + 1]
-        kl = (k1n[j], k2n[j])
-        kr = (k1n[j + 1], k2n[j + 1])
-        h = (tr - tl) / sub
-        t = tl
-        for _ in range(sub):
-            f1 = rate(tl, tr, kl, kr, t, phi)
-            f2 = rate(tl, tr, kl, kr, t + h / 2, phi + h / 2 * f1)
-            f3 = rate(tl, tr, kl, kr, t + h / 2, phi + h / 2 * f2)
-            f4 = rate(tl, tr, kl, kr, t + h, phi + h * f3)
-            phi = phi + h / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
-            t += h
-    adv = phi - (phi0 if phi0.shape else float(phi0))
-    return adv if phi0.shape else float(adv[0])
+    turns = np.sum(correction(states[1:]) - correction(states[:-1]), axis=0)
+    total = np.sqrt(av * bv) @ h + turns
+    return total.reshape(phi0.shape) if phi0.shape else float(total[0])
 
 
 def _advance_extremum(k: KProfile, alpha: float, want_max: bool) -> float:

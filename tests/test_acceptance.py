@@ -228,7 +228,7 @@ def test_criterion_8_verification_suite(capsys):
         worst_slope = min(worst_slope, rep.slope)
     worst_exp = 0.0
     for f, alpha in [
-        (AngularStretching.identity(256), 1.0),
+        (AngularStretching.radial(1.0, 256), 1.0),
         (AngularStretching.radial(0.5, 256), 0.5),
         (build_family(4.0, 0.0, node_count=512).map_at, cd_params(4.0, 0.0)[1]),
     ]:

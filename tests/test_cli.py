@@ -104,6 +104,15 @@ def test_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_sweep_output_byte_identical(tmp_path):
+    argv = ["--command", "sweep", "--M", "0.5,2,4", "--tau", "0,1", "--format", "csv"] + FAST
+    outputs = []
+    for name in ("first.csv", "second.csv"):
+        assert run(argv + ["--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_coeff_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text(
@@ -175,6 +184,9 @@ def test_spec_errors_exit_two(capsys):
          "--weight-pieces", "600"],
         ["--command", "sharp", "--M", "1e300", "--tau", "0"],
         ["--command", "verify", "--alpha", "0.5", "--tolerance", "nan"],
+        # past the family's usable M range: merged arcs, |mu|+|nu| rounding to 1
+        ["--command", "sharp", "--M", "1e12", "--tau", "1", "--nodes", "256"],
+        ["--command", "sharp", "--M", "1e20", "--tau", "0"],
     ],
 )
 def test_library_limits_exit_two(argv, capsys):

@@ -254,7 +254,6 @@ def test_more_circles_never_improve_the_bound():
     wide = SweepConfig(
         circles=CFG.circles + (CircleSpec(0.2, 0.3, resolution=512),),
         weight_pieces=8,
-        resolution=512,
     )
     assert beta_estimate(pair, wide).bound <= single + 1e-12
 

@@ -1,6 +1,7 @@
 """The four-arc piecewise family and its closed-form profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ def test_cd_params_validation():
         cd_params(2.0, -0.1)
     with pytest.raises(ValueError):
         cd_params(2.0, 1.1)
+
+
+def test_build_family_rejects_m_beyond_float_range():
+    # at tau = 1 the weighted arcs shrink like pi/M; at tau = 0 |mu|+|nu|
+    # = (M - 1)/(M + 1) rounds to 1, and M^2 overflows at 1e300
+    for M, tau in ((1e12, 1.0), (1e20, 0.0), (1e300, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"M={M:g}, tau={tau:g}")):
+            build_family(M, tau, node_count=256)
+    build_family(1e8, 1.0, node_count=256)
+    build_family(1e9, 0.0, node_count=256)
 
 
 def test_junction_identity():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from beltbound.periodic_fields import TWO_PI, AngularGrid, PeriodicField
+from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField
 from beltbound.stretching import (
     AngularStretching,
     KProfile,
+    _piece_propagator,
+    _piece_rates,
     differential_quantities,
     discriminants,
     distortion_from_k,
@@ -34,6 +36,99 @@ def random_k(rng, pieces=4, node_count=256):
     k1 = rng.uniform(0.4, 3.0, pieces)
     k2 = rng.uniform(0.4, 3.0, pieces)
     return KProfile(PeriodicField.piecewise(g, k1), PeriodicField.piecewise(g, k2))
+
+
+def trig_k(coefs, node_count):
+    """Smooth k1, k2 = exp(trig polynomial) sampled on a uniform grid."""
+    g = AngularGrid.uniform(node_count)
+    fields = []
+    for coef in coefs:
+        j = np.arange(1, coef.shape[1] + 1)[:, None]
+        log_k = coef[0] @ np.cos(j * g.nodes) + coef[1] @ np.sin(j * g.nodes)
+        fields.append(PeriodicField(g, np.exp(log_k), SMOOTH))
+    return KProfile(*fields)
+
+
+def trig_coefficients(rng, harmonics=3, log_amplitude=0.4):
+    """Three harmonics per log-weight, coefficient norm 0.4 (the benchmark's maps)."""
+    coefs = []
+    for _ in range(2):
+        coef = rng.normal(size=(2, harmonics))
+        coefs.append(coef * log_amplitude / np.linalg.norm(coef))
+    return coefs
+
+
+# Frozen from the implementation before piecewise and smooth weights shared
+# one propagator (commit e22b207): the piecewise values came from its exact
+# per-piece loops, the smooth exponents from its fixed-step RK4 integrators.
+FROZEN_PIECEWISE = [  # random_k(default_rng(7)) x 3: monodromy at alpha 0.7, branch-1 alpha
+    ([[-0.9882604973871881, 0.2818002237422161],
+      [0.31095998359375715, -1.1005484847640092]], 1.228600339585924),
+    ([[1.1738978407342402, -0.20633510642956945],
+      [0.3671930739726385, 0.7873216441249876]], 0.6481204212763381),
+    ([[-0.45025357402126176, -0.7625265005930476],
+      [1.4268213415157125, 0.19542117951805327]], 0.5516027506944761),
+]
+FROZEN_SMOOTH_RK4 = [  # trig_coefficients(default_rng(201)) x 3: {nodes: alpha}
+    {16: 0.9065413195399346, 64: 0.897147954657585},
+    {16: 0.9407570393829796, 64: 0.9362868134959301},
+    {16: 0.8897100180656551, 64: 0.8818223952881826},
+]
+
+
+def test_piecewise_propagation_matches_frozen_values():
+    rng = np.random.default_rng(7)
+    for frozen_m, frozen_alpha in FROZEN_PIECEWISE:
+        k = random_k(rng)
+        m = monodromy(k, 0.7)
+        assert np.max(np.abs(m - frozen_m)) < 1e-13 * np.max(np.abs(frozen_m))
+        assert abs(find_periodic_alpha(k) - frozen_alpha) < 1e-13 * frozen_alpha
+
+
+def test_monodromy_matches_sequential_cell_product():
+    # reference for the recursive doubling: cell propagators applied one by one
+    rng = np.random.default_rng(3)
+    for k in (random_k(rng), trig_k(trig_coefficients(rng), 32)):
+        _, h, av, bv = _piece_rates(k, 0.9)
+        ref = np.eye(2)
+        for j in range(h.size):
+            c, p12, p21 = _piece_propagator(av[j], bv[j], h[j])
+            ref = np.array([[c, p12], [p21, c]]) @ ref
+        assert np.max(np.abs(monodromy(k, 0.9) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_smooth_alpha_near_rk4_and_periodic():
+    rng = np.random.default_rng(201)
+    for frozen in FROZEN_SMOOTH_RK4:
+        coefs = trig_coefficients(rng)
+        for n, tol in ((16, 3e-4), (64, 3e-5)):
+            k = trig_k(coefs, n)
+            a = find_periodic_alpha(k)
+            assert abs(a - frozen[n]) < tol, (n, a, frozen[n])
+            # phase search and monodromy follow one discrete flow
+            assert abs(np.trace(monodromy(k, a)) - 2.0) < 1e-12
+
+
+def test_smooth_phase_advance_ends_at_monodromy_image():
+    k = trig_k(trig_coefficients(np.random.default_rng(5)), 32)
+    phi0 = np.linspace(0.0, np.pi, 7)
+    for alpha in (0.4, 1.3):
+        end = monodromy(k, alpha) @ np.stack([np.cos(phi0), np.sin(phi0)])
+        turned = phi0 + phase_advance(k, alpha, phi0) - np.arctan2(end[1], end[0])
+        assert np.max(np.abs((turned + np.pi) % TWO_PI - np.pi)) < 1e-12
+
+
+def test_smooth_constant_weights_exact():
+    # constant k1 = 1/k2 = kc tagged smooth: alpha_n = n/kc, Phi = identity
+    for node_count in (16, 64):
+        g = AngularGrid.uniform(node_count)
+        for kc in (2.0, 5.0):
+            k = KProfile(PeriodicField(g, np.full(node_count, kc), SMOOTH),
+                         PeriodicField(g, np.full(node_count, 1.0 / kc), SMOOTH))
+            for n in (1, 2):
+                a = find_periodic_alpha(k, branch=n)
+                assert abs(a - n / kc) < 1e-12
+                assert abs(np.trace(monodromy(k, a)) - 2.0) < 1e-12
 
 
 def test_k_munu_round_trip():
@@ -134,13 +229,10 @@ def test_solution_closes_at_periodic_alpha():
 
 def test_radial_distortion_exact():
     # |z|^{alpha-1} z has distortion max(k, 1/k) with k = 1/alpha
-    for alpha in (0.25, 0.5, 0.75):
+    for alpha in (0.25, 0.5, 0.75, 1.0):
         s = AngularStretching.radial(alpha, node_count=128)
         _, _, dist = differential_quantities(s)
         assert np.max(np.abs(dist - 1.0 / alpha)) < 1e-14
-    s = AngularStretching.identity(128)
-    _, _, dist = differential_quantities(s)
-    assert np.max(np.abs(dist - 1.0)) < 1e-14
 
 
 def test_discriminant_forms_agree():

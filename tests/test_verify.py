@@ -18,7 +18,7 @@ from beltbound.verify import (
 
 def test_identity_map_zero_residual():
     pair = BeltramiPair.from_constant(0.0, 0.0)
-    rep = beltrami_residual(AngularStretching.identity(512), pair)
+    rep = beltrami_residual(AngularStretching.radial(1.0, 512), pair)
     assert rep.max_residual < 1e-12
 
 
@@ -156,7 +156,7 @@ def test_weak_form_warns_on_misaligned_breakpoints():
 
 
 def test_empirical_exponent_identity():
-    slope, diag = empirical_holder(AngularStretching.identity(256))
+    slope, diag = empirical_holder(AngularStretching.radial(1.0, 256))
     assert abs(slope - 1.0) < 0.01
     assert diag["r_squared"] > 0.9999
 
@@ -182,7 +182,7 @@ def test_empirical_exponent_scaling_invariance():
 
 def test_empirical_exponent_needs_four_scales():
     with pytest.raises(ValueError):
-        empirical_holder(AngularStretching.identity(64), scales=3)
+        empirical_holder(AngularStretching.radial(1.0, 64), scales=3)
 
 
 def test_polar_grid_validation_and_mask():
