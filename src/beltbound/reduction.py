@@ -5,7 +5,8 @@ A pair carries vectorized evaluators z -> mu(z), nu(z); when it was built
 from angular profiles (mu = -mu0(arg z) z/zbar, nu = -nu0(arg z)) it also
 keeps the profiles, which lets circle restrictions stay piecewise-exact.
 Matrix fields keep the rotational form R(theta) diag(k1,k2) R(theta)^T
-alongside entry evaluators for the same reason.
+alongside one entries evaluator z -> (a11, a12, a21, a22) for the same
+reason; the evaluator does the work its four entries share once per call.
 """
 
 from __future__ import annotations
@@ -198,17 +199,14 @@ class PairOnCircle:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientMatrixField:
-    """2x2 elliptic coefficient field, entrywise evaluators.
+    """2x2 elliptic coefficient field with one evaluator z -> (a11, a12, a21, a22).
 
     symmetric distinguishes the real-nu reduction; eig_bounds records sampled
     extremes of the symmetric part's eigenvalues.  k1/k2 are set when the
     field has the rotational form R(theta) diag(k1, k2) R(theta)^T.
     """
 
-    a11_fn: Callable
-    a12_fn: Callable
-    a21_fn: Callable
-    a22_fn: Callable
+    entries_fn: Callable
     symmetric: bool
     eig_bounds: tuple[float, float]
     k1: PeriodicField | None = None
@@ -226,12 +224,12 @@ class CoefficientMatrixField:
     def constant(cls, a11, a12, a21, a22) -> "CoefficientMatrixField":
         vals = tuple(float(v) for v in (a11, a12, a21, a22))
 
-        def make(v):
-            return lambda z: np.full(np.shape(z), v)
+        def entries_fn(z):
+            return tuple(np.full(np.shape(z), v) for v in vals)
 
         lo, hi = _sym_eigs(*[np.asarray(v) for v in vals])
         return cls(
-            *(make(v) for v in vals),
+            entries_fn,
             symmetric=(vals[1] == vals[2]),
             eig_bounds=(float(lo), float(hi)),
             constant_entries=vals,
@@ -245,51 +243,32 @@ class CoefficientMatrixField:
     def from_angular_k(cls, k: KProfile) -> "CoefficientMatrixField":
         """R(theta) diag(k1, k2) R(theta)^T as a planar field."""
 
-        def entry(which):
-            def fn(z):
-                theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
-                k1 = k.k1.eval_at(theta)
-                k2 = k.k2.eval_at(theta)
-                c, s = np.cos(theta), np.sin(theta)
-                if which == "11":
-                    return k1 * c * c + k2 * s * s
-                if which == "22":
-                    return k1 * s * s + k2 * c * c
-                return (k1 - k2) * c * s
-
-            return fn
+        def entries_fn(z):
+            theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
+            k1 = k.k1.eval_at(theta)
+            k2 = k.k2.eval_at(theta)
+            c, s = np.cos(theta), np.sin(theta)
+            off = (k1 - k2) * c * s
+            return k1 * c * c + k2 * s * s, off, off, k1 * s * s + k2 * c * c
 
         lo, hi = k.bounds()
-        off = entry("12")
-        return cls(
-            entry("11"),
-            off,
-            off,
-            entry("22"),
-            symmetric=True,
-            eig_bounds=(lo, hi),
-            k1=k.k1,
-            k2=k.k2,
-        )
+        return cls(entries_fn, symmetric=True, eig_bounds=(lo, hi), k1=k.k1, k2=k.k2)
 
     @classmethod
-    def from_callables(cls, a11_fn, a12_fn, a21_fn, a22_fn, domain_radius: float = 1.0) -> "CoefficientMatrixField":
+    def from_callables(cls, entries_fn, domain_radius: float = 1.0) -> "CoefficientMatrixField":
+        """Field of one vectorized z -> (a11, a12, a21, a22), sampled for its bounds."""
         zs = _sample_lattice(domain_radius)
-        e = [np.asarray(f(zs), dtype=float) for f in (a11_fn, a12_fn, a21_fn, a22_fn)]
+        e = [np.asarray(v, dtype=float) for v in entries_fn(zs)]
         lo, hi = _sym_eigs(*e)
         symmetric = bool(np.max(np.abs(e[1] - e[2])) < 1e-13)
-        return cls(a11_fn, a12_fn, a21_fn, a22_fn, symmetric=symmetric, eig_bounds=(float(lo), float(hi)))
+        return cls(entries_fn, symmetric=symmetric, eig_bounds=(float(lo), float(hi)))
 
     # -- evaluation ---------------------------------------------------------
 
     def entries(self, z):
+        """(a11, a12, a21, a22) float arrays at the points z."""
         z = np.asarray(z, dtype=complex)
-        return (
-            np.asarray(self.a11_fn(z), dtype=float),
-            np.asarray(self.a12_fn(z), dtype=float),
-            np.asarray(self.a21_fn(z), dtype=float),
-            np.asarray(self.a22_fn(z), dtype=float),
-        )
+        return tuple(np.asarray(v, dtype=float) for v in self.entries_fn(z))
 
     def det(self, z):
         a11, a12, a21, a22 = self.entries(z)
@@ -395,15 +374,12 @@ def beltrami_to_matrices(pair: BeltramiPair) -> MatrixReduction:
                 )
             return CoefficientMatrixField.from_angular_k(k)
 
-        def entry(i):
-            def fn(z):
-                mu = np.asarray(pair.mu_fn(z), dtype=complex)
-                nu = np.asarray(pair.nu_fn(z), dtype=complex)
-                return _pair_matrix_entries(mu, nu, tilde)[i]
+        def entries_fn(z):
+            mu = np.asarray(pair.mu_fn(z), dtype=complex)
+            nu = np.asarray(pair.nu_fn(z), dtype=complex)
+            return _pair_matrix_entries(mu, nu, tilde)
 
-            return fn
-
-        return CoefficientMatrixField.from_callables(*(entry(i) for i in range(4)))
+        return CoefficientMatrixField.from_callables(entries_fn)
 
     return MatrixReduction(build(False), build(True))
 
@@ -458,15 +434,12 @@ def normalize_matrix(m: CoefficientMatrixField) -> CoefficientMatrixField:
             )
         )
 
-    def entry(which):
-        def fn(z):
-            a11, a12, a21, a22 = m.entries(z)
-            det = a11 * a22 - a12 * a21
-            return {"11": a11, "12": a12, "21": a21, "22": a22}[which] / det
+    def entries_fn(z):
+        a11, a12, a21, a22 = m.entries(z)
+        det = a11 * a22 - a12 * a21
+        return a11 / det, a12 / det, a21 / det, a22 / det
 
-        return fn
-
-    return CoefficientMatrixField.from_callables(entry("11"), entry("12"), entry("21"), entry("22"))
+    return CoefficientMatrixField.from_callables(entries_fn)
 
 
 def angular_to_matrix(mu0: PeriodicField, nu0: PeriodicField) -> CoefficientMatrixField:

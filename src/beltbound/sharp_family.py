@@ -119,10 +119,13 @@ def _profile_samples(M: float, tau: float, c: float, d: float, theta):
     arg1 = rate1 * base - d * math.pi / 4.0
     arg2 = rate2 * (base - cut) - d * math.pi / 4.0
 
-    th1 = np.where(on1, np.sin(arg1), np.cos(arg2) / amp)
-    th2 = np.where(on1, -np.cos(arg1), amp * np.sin(arg2))
-    dth1 = np.where(on1, rate1 * np.cos(arg1), -rate2 * np.sin(arg2) / amp)
-    dth2 = np.where(on1, rate1 * np.sin(arg1), rate2 * amp * np.cos(arg2))
+    sin1, cos1 = np.sin(arg1), np.cos(arg1)
+    sin2, cos2 = np.sin(arg2), np.cos(arg2)
+
+    th1 = np.where(on1, sin1, cos2 / amp)
+    th2 = np.where(on1, -cos1, amp * sin2)
+    dth1 = np.where(on1, rate1 * cos1, -rate2 * sin2 / amp)
+    dth2 = np.where(on1, rate1 * sin1, rate2 * amp * cos2)
     return sign * th1, sign * th2, sign * dth1, sign * dth2
 
 

@@ -350,10 +350,30 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
 
 
+def _fundamental(k: KProfile, alpha: float):
+    """Cell widths and rates, and the fundamental matrices at every cell
+    boundary, shape (cells + 1, 2, 2); the last one is Phi(2pi)."""
+    _, h, av, bv = _piece_rates(k, alpha)
+    return h, av, bv, _propagate(av, bv, h, np.eye(2))
+
+
+def _advances(h, av, bv, fund, phis):
+    """Phase advances from the start directions phis (1-d); see phase_advance."""
+    states = fund @ np.stack([np.cos(phis), np.sin(phis)])
+    sa, sb = np.sqrt(av)[:, None], np.sqrt(bv)[:, None]
+
+    def correction(v):
+        # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
+        c = np.arctan2(v[:, 1], v[:, 0]) - np.arctan2(sa * v[:, 1], sb * v[:, 0])
+        return (c + np.pi) % TWO_PI - np.pi
+
+    turns = np.sum(correction(states[1:]) - correction(states[:-1]), axis=0)
+    return np.sqrt(av * bv) @ h + turns
+
+
 def monodromy(k: KProfile, alpha: float) -> np.ndarray:
     """Fundamental matrix over one period, Phi(2pi); det = 1 up to roundoff."""
-    _, h, av, bv = _piece_rates(k, alpha)
-    return _propagate(av, bv, h, np.eye(2))[-1]
+    return _fundamental(k, alpha)[3][-1]
 
 
 def phase_advance(k: KProfile, alpha: float, phi0):
@@ -367,18 +387,7 @@ def phase_advance(k: KProfile, alpha: float, phi0):
     boundary states of the same propagation monodromy uses.
     """
     phi0 = np.asarray(phi0, dtype=float)
-    _, h, av, bv = _piece_rates(k, alpha)
-    starts = np.stack([np.cos(phi0), np.sin(phi0)]).reshape(2, -1)
-    states = _propagate(av, bv, h, starts)
-    sa, sb = np.sqrt(av)[:, None], np.sqrt(bv)[:, None]
-
-    def correction(v):
-        # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
-        c = np.arctan2(v[:, 1], v[:, 0]) - np.arctan2(sa * v[:, 1], sb * v[:, 0])
-        return (c + np.pi) % TWO_PI - np.pi
-
-    turns = np.sum(correction(states[1:]) - correction(states[:-1]), axis=0)
-    total = np.sqrt(av * bv) @ h + turns
+    total = _advances(*_fundamental(k, alpha), phi0.reshape(-1))
     return total.reshape(phi0.shape) if phi0.shape else float(total[0])
 
 
@@ -389,23 +398,23 @@ def _advance_extremum(k: KProfile, alpha: float, want_max: bool) -> float:
     1/|Phi v|^2 (unimodular flow), so the advance is extremal exactly where
     |Phi v| = 1: on the intersection of the unit circle with the ellipse
     v' Phi'Phi v = 1.  That gives the two candidate directions in closed
-    form; no line search.
+    form; no line search.  One propagation serves both Phi and the advances.
     """
-    m = monodromy(k, alpha)
-    q = m.T @ m
-    evals, evecs = np.linalg.eigh(q)
+    h, av, bv, fund = _fundamental(k, alpha)
+    evals, evecs = np.linalg.eigh(fund[-1].T @ fund[-1])
     lam0, lam1 = float(evals[0]), float(evals[1])
     if lam1 - 1.0 < 1e-13 or 1.0 - lam0 < 1e-13:
         # |Phi v| = 1 identically (rotation): advance independent of phi0
-        return float(phase_advance(k, alpha, np.array(0.0)))
-    # unit vector c*e0 + s*e1 with lam0 c^2 + lam1 s^2 = 1
-    s2 = (1.0 - lam0) / (lam1 - lam0)
-    c = math.sqrt(1.0 - s2)
-    s = math.sqrt(s2)
-    dirs = np.stack([c * evecs[:, 0] + s * evecs[:, 1],
-                     c * evecs[:, 0] - s * evecs[:, 1]])
-    phis = np.arctan2(dirs[:, 1], dirs[:, 0])
-    vals = phase_advance(k, alpha, phis)
+        phis = np.zeros(1)
+    else:
+        # unit vector c*e0 + s*e1 with lam0 c^2 + lam1 s^2 = 1
+        s2 = (1.0 - lam0) / (lam1 - lam0)
+        c = math.sqrt(1.0 - s2)
+        s = math.sqrt(s2)
+        dirs = np.stack([c * evecs[:, 0] + s * evecs[:, 1],
+                         c * evecs[:, 0] - s * evecs[:, 1]])
+        phis = np.arctan2(dirs[:, 1], dirs[:, 0])
+    vals = _advances(h, av, bv, fund, phis)
     return float(np.max(vals) if want_max else np.min(vals))
 
 

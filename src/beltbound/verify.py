@@ -136,7 +136,7 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     elif callable(f):
         if pair.is_angular:
             counts = np.bincount(
-                [pair.mu0.grid.segment_of(x) for x in grid.angles.nodes],
+                pair.mu0.grid.segment_of(grid.angles.nodes),
                 minlength=pair.mu0.grid.breakpoints.size,
             )
             if np.min(counts) < 3:
@@ -161,54 +161,68 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
 # weak form on the annulus
 
 
+def _mesh_triangles(grid: PolarGrid, U):
+    """(centroid, area, hat gradients gx and gy per vertex, grad u_h) of the
+    mesh triangles, as arrays of shape (2, nr-1, na).
+
+    The quad with corners q0 = (i, j), q1 = (i+1, j), q2 = (i, j+1) and
+    q3 = (i+1, j+1) splits along its outward diagonal into the
+    counterclockwise triangles (q0, q1, q3) and (q0, q3, q2).
+    """
+    r, t = grid.radii, grid.angles.nodes
+    P = np.stack([r[:, None] * np.cos(t)[None, :], r[:, None] * np.sin(t)[None, :], U])
+    P = np.concatenate([P, P[:, :, :1]], axis=2)  # column na repeats column 0
+    q0, q1, q2, q3 = P[:, :-1, :-1], P[:, 1:, :-1], P[:, :-1, 1:], P[:, 1:, 1:]
+    W = np.stack([q1, q3, q2], axis=1)  # vertices 1, 2: (q1, q3) and (q3, q2)
+    x0, y0, u0 = q0[:, None]
+    x1, y1, u1 = W[:, :2]
+    x2, y2, u2 = W[:, 1:]
+    two_area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    gx = ((y1 - y2) / two_area, (y2 - y0) / two_area, (y0 - y1) / two_area)
+    gy = ((x2 - x1) / two_area, (x0 - x2) / two_area, (x1 - x0) / two_area)
+    grad_u = (u0 * gx[0] + u1 * gx[1] + u2 * gx[2], u0 * gy[0] + u1 * gy[1] + u2 * gy[2])
+    centroid = (x0 + x1 + x2 + 1j * (y0 + y1 + y2)) / 3.0
+    return centroid, 0.5 * two_area, gx, gy, grad_u
+
+
+def _to_vertices(v0, v1, v2):
+    """Per-triangle vertex values summed onto the (nr, na) mesh vertices."""
+    _, m, na = v0.shape
+    out = np.zeros((m + 1, na + 1))  # column na is column 0 again
+    out[:-1, :-1] += v0[0] + v0[1]
+    out[1:, :-1] += v1[0]
+    out[:-1, 1:] += v2[1]
+    out[1:, 1:] += v2[0] + v1[1]
+    out[:, 0] += out[:, na]
+    return out[:, :na]
+
+
 def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     """Assembled weak residuals int A grad(u_h) . grad(hat) per mesh vertex.
 
     The annulus is triangulated with straight triangles on the polar vertices
     and u is interpolated linearly per triangle, so planar affine functions
-    are reproduced exactly.  Returns (residual, normalizer) arrays over all
-    vertices; the normalizer accumulates absolute per-triangle contributions
-    and measures how much cancellation the residual represents.  The residual
-    array is linear in u and homogeneous of degree one in A.
+    are reproduced exactly.  Quad corners are array slices, A is evaluated
+    once at the centroids of both triangle families, and contributions
+    return to the vertices by one slice-add per quad corner.  Returns
+    (residual, normalizer) arrays over all vertices; the normalizer
+    accumulates absolute per-triangle contributions and measures how much
+    cancellation the residual represents.  The residual array is linear in u
+    and homogeneous of degree one in A.
     """
-    r = grid.radii
-    t = grid.angles.nodes
-    nr, na = r.size, t.size
+    nr, na = grid.radii.size, grid.angles.node_count
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    x = r[:, None] * np.cos(t)[None, :]
-    y = r[:, None] * np.sin(t)[None, :]
-    rows = np.arange(nr - 1)[:, None] * np.ones(na, dtype=int)[None, :]
-    cols = np.ones(nr - 1, dtype=int)[:, None] * np.arange(na)[None, :]
-    cols1 = (cols + 1) % na
-    quad = [(rows, cols), (rows + 1, cols), (rows, cols1), (rows + 1, cols1)]
-    # each quad splits along the outward diagonal, both triangles oriented
-    # counterclockwise
-    triangles = ((0, 1, 3), (0, 3, 2))
-    R = np.zeros((nr, na))
-    S = np.zeros((nr, na))
-    for tri in triangles:
-        idx = [quad[k] for k in tri]
-        xs = [x[i] for i in idx]
-        ys = [y[i] for i in idx]
-        us = [U[i] for i in idx]
-        two_area = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
-        gx = [(ys[1] - ys[2]) / two_area, (ys[2] - ys[0]) / two_area, (ys[0] - ys[1]) / two_area]
-        gy = [(xs[2] - xs[1]) / two_area, (xs[0] - xs[2]) / two_area, (xs[1] - xs[0]) / two_area]
-        gux = sum(u * g for u, g in zip(us, gx))
-        guy = sum(u * g for u, g in zip(us, gy))
-        zc = (xs[0] + xs[1] + xs[2] + 1j * (ys[0] + ys[1] + ys[2])) / 3.0
-        a11, a12, a21, a22 = a.entries(zc)
-        if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
-            raise ValueError("coefficient matrix is not positive definite on the mesh")
-        fx = a11 * gux + a12 * guy
-        fy = a21 * gux + a22 * guy
-        area = 0.5 * two_area
-        flux_mag = np.hypot(fx, fy)
-        for k in range(3):
-            np.add.at(R, idx[k], area * (fx * gx[k] + fy * gy[k]))
-            np.add.at(S, idx[k], area * flux_mag * np.hypot(gx[k], gy[k]))
+    centroid, area, gx, gy, (gux, guy) = _mesh_triangles(grid, U)
+    a11, a12, a21, a22 = a.entries(centroid)
+    if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
+        raise ValueError("coefficient matrix is not positive definite on the mesh")
+    fx = a11 * gux + a12 * guy
+    fy = a21 * gux + a22 * guy
+    flux_mag = np.hypot(fx, fy)
+    R = _to_vertices(*(area * (fx * gx[k] + fy * gy[k]) for k in range(3)))
+    S = _to_vertices(*(area * flux_mag * np.hypot(gx[k], gy[k]) for k in range(3)))
     return R, S
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltbound.periodic_fields import PIECEWISE, SMOOTH, AngularGrid, CircleSpec, PeriodicField, TWO_PI
 from beltbound.reduction import (
@@ -197,3 +199,76 @@ def test_radial_stretch_constants():
 def test_matrix_field_rejects_nonpositive():
     with pytest.raises(ValueError):
         CoefficientMatrixField.constant(1.0, 2.0, 2.0, 1.0)  # eigenvalues -1, 3
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of the shared work per entries call
+
+
+class Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.fn(z)
+
+
+def test_callable_pair_reduction_evaluates_pair_once():
+    mu_fn = Counted(lambda z: 0.2 * z + 0.1j)
+    nu_fn = Counted(lambda z: 0.1 * np.conj(z) + 0.05)
+    red = beltrami_to_matrices(BeltramiPair.from_callables(mu_fn, nu_fn))
+    z = np.array([0.3 + 0.1j, -0.2j, 0.5])
+    for m in (red.B, red.B_tilde):
+        mu_fn.calls = nu_fn.calls = 0
+        m.entries(z)
+        assert (mu_fn.calls, nu_fn.calls) == (1, 1)
+
+
+def test_normalize_matrix_evaluates_parent_once():
+    entries_fn = Counted(
+        lambda z: (2.0 + np.real(z), np.full(z.shape, 0.3), np.full(z.shape, 0.1), 1.5 + np.imag(z))
+    )
+    m = CoefficientMatrixField.from_callables(entries_fn)
+    mh = normalize_matrix(m)
+    entries_fn.calls = 0
+    mh.entries(np.array([0.2 + 0.3j, -0.4]))
+    assert entries_fn.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# properties over random callable fields and pairs
+
+sample_points = 0.95 * np.exp(1j * np.linspace(0.0, 5.0, 11)) * np.linspace(0.1, 1.0, 11)
+
+
+def random_matrix_field(c):
+    """Positive definite (possibly nonsymmetric) field on the unit disk."""
+    return CoefficientMatrixField.from_callables(
+        lambda z: (1.5 + c[0] * np.real(z), c[1] + c[2] * np.imag(z),
+                   c[1] + c[3] * np.real(z), 1.2 + c[4] * np.abs(z) ** 2 + c[5] * np.imag(z))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6))
+def test_normalize_matrix_callable_field_properties(c):
+    m = random_matrix_field(c)
+    mh = normalize_matrix(m)
+    det = m.det(sample_points)
+    assert np.max(np.abs(mh.det(sample_points) * det - 1.0)) < 1e-12
+    for e, eh in zip(m.entries(sample_points), mh.entries(sample_points)):
+        assert np.max(np.abs(eh - e / det)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.lists(st.floats(-0.1, 0.1), min_size=6, max_size=6))
+def test_callable_pair_round_trip(c):
+    # |mu| + |nu| < 0.6 on the unit disk
+    mu0, mu1, nu0 = complex(c[0], c[1]), complex(c[2], c[3]), complex(c[4], c[5])
+    pair = BeltramiPair.from_callables(lambda z: mu0 + mu1 * z, lambda z: nu0 + 0.1 * np.conj(z))
+    back = matrix_to_beltrami(beltrami_to_matrices(pair).B)
+    assert np.max(np.abs(back.mu_fn(sample_points) - pair.mu_fn(sample_points))) < 1e-12
+    assert np.max(np.abs(back.nu_fn(sample_points) - pair.nu_fn(sample_points))) < 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltbound.periodic_fields import TWO_PI
 from beltbound.reduction import BeltramiPair, CoefficientMatrixField, beltrami_to_matrices
@@ -120,12 +122,8 @@ def test_weak_vector_homogeneity():
     z = g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]
     vals = np.real(fam.map_at(z))
     r1, _ = weak_residual_vector(vals, red.B, g)
-    e = red.B.entries
     scaled = CoefficientMatrixField.from_callables(
-        lambda zz: 3.0 * e(zz)[0],
-        lambda zz: 3.0 * e(zz)[1],
-        lambda zz: 3.0 * e(zz)[2],
-        lambda zz: 3.0 * e(zz)[3],
+        lambda zz: tuple(3.0 * v for v in red.B.entries(zz))
     )
     r3, _ = weak_residual_vector(vals, scaled, g)
     assert np.max(np.abs(r3 - 3.0 * r1)) < 1e-12
@@ -136,10 +134,7 @@ def test_weak_form_rejects_indefinite_matrix():
     # a11 = Re z changes sign on the annulus
     g = PolarGrid.annulus(radius_count=8, node_count=64)
     bad = CoefficientMatrixField(
-        lambda z: np.real(z),
-        lambda z: np.zeros(np.shape(z)),
-        lambda z: np.zeros(np.shape(z)),
-        lambda z: np.ones(np.shape(z)),
+        lambda z: (np.real(z), np.zeros(np.shape(z)), np.zeros(np.shape(z)), np.ones(np.shape(z))),
         symmetric=True,
         eig_bounds=(0.5, 2.0),
     )
@@ -194,3 +189,122 @@ def test_polar_grid_validation_and_mask():
     refined = g.refined()
     assert refined.angles.node_count == 2 * g.angles.node_count
     assert refined.radii[0] == g.radii[0] and refined.radii[-1] == g.radii[-1]
+
+
+# ---------------------------------------------------------------------------
+# the slice assembly against the scatter assembly it replaced
+
+
+def add_at_assembly(u_vals, a, grid):
+    """Weak residual assembly by fancy-index corner gathers, one coefficient
+    evaluation per triangle family and np.add.at scatters."""
+    r = grid.radii
+    t = grid.angles.nodes
+    nr, na = r.size, t.size
+    U = np.asarray(u_vals, dtype=float)
+    x = r[:, None] * np.cos(t)[None, :]
+    y = r[:, None] * np.sin(t)[None, :]
+    rows = np.arange(nr - 1)[:, None] * np.ones(na, dtype=int)[None, :]
+    cols = np.ones(nr - 1, dtype=int)[:, None] * np.arange(na)[None, :]
+    cols1 = (cols + 1) % na
+    quad = [(rows, cols), (rows + 1, cols), (rows, cols1), (rows + 1, cols1)]
+    R = np.zeros((nr, na))
+    S = np.zeros((nr, na))
+    for tri in ((0, 1, 3), (0, 3, 2)):
+        idx = [quad[k] for k in tri]
+        xs = [x[i] for i in idx]
+        ys = [y[i] for i in idx]
+        us = [U[i] for i in idx]
+        two_area = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
+        gx = [(ys[1] - ys[2]) / two_area, (ys[2] - ys[0]) / two_area, (ys[0] - ys[1]) / two_area]
+        gy = [(xs[2] - xs[1]) / two_area, (xs[0] - xs[2]) / two_area, (xs[1] - xs[0]) / two_area]
+        gux = sum(u * g for u, g in zip(us, gx))
+        guy = sum(u * g for u, g in zip(us, gy))
+        zc = (xs[0] + xs[1] + xs[2] + 1j * (ys[0] + ys[1] + ys[2])) / 3.0
+        a11, a12, a21, a22 = a.entries(zc)
+        fx = a11 * gux + a12 * guy
+        fy = a21 * gux + a22 * guy
+        area = 0.5 * two_area
+        flux_mag = np.hypot(fx, fy)
+        for k in range(3):
+            np.add.at(R, idx[k], area * (fx * gx[k] + fy * gy[k]))
+            np.add.at(S, idx[k], area * flux_mag * np.hypot(gx[k], gy[k]))
+    return R, S
+
+
+def assert_matches_reference(u, a, grid):
+    z = grid.radii[:, None] * np.exp(1j * grid.angles.nodes)[None, :]
+    vals = u(z)
+    R, S = weak_residual_vector(vals, a, grid)
+    R_ref, S_ref = add_at_assembly(vals, a, grid)
+    scale = np.max(S_ref)
+    assert np.max(np.abs(R - R_ref)) <= 1e-13 * scale
+    assert np.max(np.abs(S - S_ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("M, tau", [(2.0, 0.0), (1.5, 0.5), (3.0, 1.0)])
+def test_weak_vector_matches_reference_on_sharp_family(M, tau):
+    fam = build_family(M, tau, node_count=512)
+    red = beltrami_to_matrices(fam.pair())
+    g = PolarGrid.annulus(radius_count=8, node_count=64, breakpoints=fam.breakpoints)
+    for _ in range(3):
+        assert_matches_reference(lambda z: np.real(fam.map_at(z)), red.B, g)
+        assert_matches_reference(lambda z: np.imag(fam.map_at(z)), red.B_tilde, g)
+        g = g.refined()
+
+
+def test_weak_vector_matches_reference_on_plain_fields():
+    # no breakpoints: a uniform angular grid
+    g = PolarGrid.annulus(r_min=0.3, r_max=0.9, radius_count=9, node_count=80)
+    harmonic = lambda z: np.real(np.exp(z))
+    assert_matches_reference(harmonic, CoefficientMatrixField.identity(), g)
+    field = CoefficientMatrixField.from_callables(
+        lambda z: (2.0 + np.real(z), 0.3 * np.imag(z), 0.3 * np.imag(z) - 0.1, 1.5 + np.abs(z) ** 2)
+    )
+    assert_matches_reference(harmonic, field, g)
+
+
+def test_weak_vector_evaluates_field_once():
+    calls = []
+    identity = CoefficientMatrixField.identity()
+
+    def entries_fn(z):
+        calls.append(np.shape(z))
+        return identity.entries(z)
+
+    field = CoefficientMatrixField(entries_fn, symmetric=True, eig_bounds=(1.0, 1.0))
+    g = PolarGrid.annulus(radius_count=6, node_count=32, breakpoints=[1.0, 3.0])
+    weak_residual_vector(np.ones((6, 32)), field, g)
+    assert calls == [(2, 5, 32)]
+
+
+@st.composite
+def meshes(draw):
+    r_min = draw(st.floats(0.1, 0.6))
+    nr = draw(st.integers(3, 12))
+    na = draw(st.integers(4, 24)) * 4
+    bks = draw(st.lists(st.floats(0.0, TWO_PI - 1e-3), max_size=3))
+    return PolarGrid.annulus(r_min=r_min, r_max=1.0, radius_count=nr, node_count=na,
+                             breakpoints=bks or None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=meshes(), seed=st.integers(0, 2**32 - 1), c=st.floats(0.1, 10.0),
+       scale=st.floats(0.1, 10.0))
+def test_weak_vector_linear_in_u_and_homogeneous_in_a(grid, seed, c, scale):
+    rng = np.random.default_rng(seed)
+    shape = (grid.radii.size, grid.angles.node_count)
+    u, v = rng.normal(size=shape), rng.normal(size=shape)
+    coef = rng.uniform(-0.3, 0.3, 4)
+    a = CoefficientMatrixField.from_callables(
+        lambda z: (1.5 + coef[0] * np.real(z), coef[1] + coef[2] * np.imag(z),
+                   coef[1] - coef[2] * np.imag(z), 1.2 + coef[3] * np.abs(z) ** 2)
+    )
+    scaled = CoefficientMatrixField.from_callables(lambda z: tuple(scale * e for e in a.entries(z)))
+    ru, su = weak_residual_vector(u, a, grid)
+    rv, sv = weak_residual_vector(v, a, grid)
+    rw, _ = weak_residual_vector(u + c * v, a, grid)
+    assert np.max(np.abs(rw - (ru + c * rv))) <= 1e-12 * (np.max(su) + c * np.max(sv))
+    rs, ss = weak_residual_vector(u, scaled, grid)
+    assert np.max(np.abs(rs - scale * ru)) <= 1e-12 * scale * np.max(su)
+    assert np.max(np.abs(ss - scale * su)) <= 1e-12 * scale * np.max(su)
