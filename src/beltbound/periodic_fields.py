@@ -37,7 +37,10 @@ _MERGE_TOL = 1e-12
 
 
 def wrap_angle(theta):
-    """Map angles into [0, 2pi)."""
+    """Map angles into [0, 2pi], and into [0, 2pi) but for one case: np.mod
+    rounds a negative angle closer to 0 than half an ulp of 2pi (-1e-20,
+    say) up to exactly 2pi.  The lookups below read 2pi as 0.
+    """
     return np.mod(theta, TWO_PI)
 
 
@@ -107,12 +110,17 @@ class AngularGrid:
 
     def segment_of(self, theta) -> np.ndarray:
         """Index of the breakpoint segment containing each angle."""
-        t = wrap_angle(np.asarray(theta, dtype=float))
-        return np.clip(
+        return self.segment_of_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
+
+    def segment_of_wrapped(self, t) -> np.ndarray:
+        """segment_of for angles already wrapped by wrap_angle; 2pi, which
+        np.mod returns for angles just below 0, lies in segment 0."""
+        seg = np.clip(
             np.searchsorted(self.breakpoints, t + _MERGE_TOL, side="right") - 1,
             0,
             self.breakpoints.size - 1,
         )
+        return np.where(t == TWO_PI, 0, seg)
 
     def same_layout(self, other: "AngularGrid") -> bool:
         return self.nodes.size == other.nodes.size and np.array_equal(
@@ -176,9 +184,13 @@ class PeriodicField:
 
     def eval_at(self, theta) -> np.ndarray:
         """Evaluate off-node: step lookup (piecewise) or periodic linear interp."""
-        t = wrap_angle(np.asarray(theta, dtype=float))
+        return self.eval_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
+
+    def eval_wrapped(self, t) -> np.ndarray:
+        """eval_at for angles already wrapped by wrap_angle, so that a caller
+        which needs the wrapped angle itself wraps it only once."""
         if self.kind == PIECEWISE:
-            return self.piece_values()[self.grid.segment_of(t)]
+            return self.piece_values()[self.grid.segment_of_wrapped(t)]
         xp = np.concatenate([self.grid.nodes, [self.grid.nodes[0] + TWO_PI]])
         fp = np.concatenate([self.values, [self.values[0]]])
         if np.iscomplexobj(fp):

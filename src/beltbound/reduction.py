@@ -109,11 +109,11 @@ class BeltramiPair:
         def mu_fn(z):
             z = np.asarray(z, dtype=complex)
             theta = wrap_angle(np.angle(z))
-            return -mu0.eval_at(theta) * np.exp(2j * theta)
+            return -mu0.eval_wrapped(theta) * np.exp(2j * theta)
 
         def nu_fn(z):
             theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
-            return -nu0.eval_at(theta) + 0j
+            return -nu0.eval_wrapped(theta) + 0j
 
         kappa = float(np.max(np.abs(mu0.values) + np.abs(nu0.values)))
         return cls(mu_fn, nu_fn, real_nu=True, kappa=kappa, mu0=mu0, nu0=nu0)
@@ -245,8 +245,8 @@ class CoefficientMatrixField:
 
         def entries_fn(z):
             theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
-            k1 = k.k1.eval_at(theta)
-            k2 = k.k2.eval_at(theta)
+            k1 = k.k1.eval_wrapped(theta)
+            k2 = k.k2.eval_wrapped(theta)
             c, s = np.cos(theta), np.sin(theta)
             off = (k1 - k2) * c * s
             return k1 * c * c + k2 * s * s, off, off, k1 * s * s + k2 * c * c

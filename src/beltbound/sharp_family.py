@@ -200,7 +200,7 @@ class ScalarAngularMap:
         r = np.abs(z)
         out = np.zeros(z.shape, dtype=float)
         nz = r > 0
-        vals = self.profile.eval_at(wrap_angle(np.angle(z[nz])))
+        vals = self.profile.eval_wrapped(wrap_angle(np.angle(z[nz])))
         out[nz] = r[nz] ** self.alpha * np.real(vals)
         return out if out.shape else float(out)
 

@@ -180,7 +180,8 @@ class AngularStretching:
         return self.eta1.grid
 
     def profile_at(self, theta) -> np.ndarray:
-        return self.eta1.eval_at(theta) + 1j * self.eta2.eval_at(theta)
+        t = wrap_angle(np.asarray(theta, dtype=float))
+        return self.eta1.eval_wrapped(t) + 1j * self.eta2.eval_wrapped(t)
 
 
 def eval_stretching(s: AngularStretching, z):
@@ -189,8 +190,7 @@ def eval_stretching(s: AngularStretching, z):
     if np.any(z == 0):
         raise ValueError("stretching is evaluated on z != 0 (it extends by 0 at the origin)")
     r = np.abs(z)
-    theta = wrap_angle(np.angle(z))
-    out = r**s.alpha * s.profile_at(theta)
+    out = r**s.alpha * s.profile_at(np.angle(z))
     return out if out.shape else complex(out)
 
 
@@ -270,13 +270,14 @@ def _piece_propagator(a, b, h):
     return c, -(a / w) * s, (b / w) * s  # entries (11=22, 12, 21)
 
 
-def _piece_rates(k: KProfile, alpha: float):
-    """Constant-rate cells (lefts, widths, alpha/k2, alpha k1) tiling [0, 2pi).
+def _cells(k: KProfile):
+    """Constant-weight cells (lefts, widths, k1, k2) tiling [0, 2pi).
 
     The one place the two kinds of weight differ: piecewise-constant k is cut
     at its breakpoints, where it is exactly constant; smooth k is cut into
     _CELLS_PER_GAP cells per node gap and read (linear interpolation) at each
-    cell midpoint, the exponential midpoint rule.
+    cell midpoint, the exponential midpoint rule.  The cells do not depend on
+    alpha, so the exponent search builds them once.
     """
     if k.is_piecewise:
         lefts, rights, k1, k2 = k.pieces()
@@ -287,7 +288,13 @@ def _piece_rates(k: KProfile, alpha: float):
         rights = np.append(lefts[1:], g.nodes[0] + TWO_PI)
         mids = 0.5 * (lefts + rights)
         k1, k2 = k.k1.eval_at(mids), k.k2.eval_at(mids)
-    return lefts, rights - lefts, alpha / k2, alpha * k1
+    return lefts, rights - lefts, k1, k2
+
+
+def _piece_rates(cells, alpha: float):
+    """(lefts, widths, alpha/k2, alpha k1) of the cells of _cells at alpha."""
+    lefts, h, k1, k2 = cells
+    return lefts, h, alpha / k2, alpha * k1
 
 
 def _propagate(a, b, h, starts):
@@ -339,7 +346,7 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     right-hand side with k read by eval_at, so at a breakpoint they take the
     right-limit weights, matching the segment convention.
     """
-    lefts, h, av, bv = _piece_rates(k, alpha)
+    lefts, h, av, bv = _piece_rates(_cells(k), alpha)
     v0 = np.asarray(initial, dtype=float).reshape(2, 1)
     anchors = _propagate(av, bv, h, v0)[:-1, :, 0]
     t = wrap_angle(np.asarray(thetas, dtype=float))
@@ -350,10 +357,11 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
 
 
-def _fundamental(k: KProfile, alpha: float):
-    """Cell widths and rates, and the fundamental matrices at every cell
-    boundary, shape (cells + 1, 2, 2); the last one is Phi(2pi)."""
-    _, h, av, bv = _piece_rates(k, alpha)
+def _fundamental(cells, alpha: float):
+    """Cell widths and rates (alpha/k2, alpha k1) for the cells of _cells,
+    and the fundamental matrices at every cell boundary, shape
+    (cells + 1, 2, 2); the last one is Phi(2pi)."""
+    _, h, av, bv = _piece_rates(cells, alpha)
     return h, av, bv, _propagate(av, bv, h, np.eye(2))
 
 
@@ -373,7 +381,7 @@ def _advances(h, av, bv, fund, phis):
 
 def monodromy(k: KProfile, alpha: float) -> np.ndarray:
     """Fundamental matrix over one period, Phi(2pi); det = 1 up to roundoff."""
-    return _fundamental(k, alpha)[3][-1]
+    return _fundamental(_cells(k), alpha)[3][-1]
 
 
 def phase_advance(k: KProfile, alpha: float, phi0):
@@ -387,11 +395,11 @@ def phase_advance(k: KProfile, alpha: float, phi0):
     boundary states of the same propagation monodromy uses.
     """
     phi0 = np.asarray(phi0, dtype=float)
-    total = _advances(*_fundamental(k, alpha), phi0.reshape(-1))
+    total = _advances(*_fundamental(_cells(k), alpha), phi0.reshape(-1))
     return total.reshape(phi0.shape) if phi0.shape else float(total[0])
 
 
-def _advance_extremum(k: KProfile, alpha: float, want_max: bool) -> float:
+def _advance_extremum(cells, alpha: float, want_max: bool) -> float:
     """max or min over start directions of the one-period phase advance.
 
     The end direction depends on the start direction with derivative
@@ -400,7 +408,7 @@ def _advance_extremum(k: KProfile, alpha: float, want_max: bool) -> float:
     v' Phi'Phi v = 1.  That gives the two candidate directions in closed
     form; no line search.  One propagation serves both Phi and the advances.
     """
-    h, av, bv, fund = _fundamental(k, alpha)
+    h, av, bv, fund = _fundamental(cells, alpha)
     evals, evecs = np.linalg.eigh(fund[-1].T @ fund[-1])
     lam0, lam1 = float(evals[0]), float(evals[1])
     if lam1 - 1.0 < 1e-13 or 1.0 - lam0 < 1e-13:
@@ -418,8 +426,9 @@ def _advance_extremum(k: KProfile, alpha: float, want_max: bool) -> float:
     return float(np.max(vals) if want_max else np.min(vals))
 
 
-def _edge_root(k: KProfile, winding: int, want_max: bool, alpha_max: float) -> float:
-    """alpha where the extremal phase advance equals 2 pi winding."""
+def _edge_root(k: KProfile, cells, winding: int, want_max: bool, alpha_max: float) -> float:
+    """alpha where the extremal phase advance equals 2 pi winding; cells are
+    _cells(k)."""
     target = TWO_PI * winding
     vmin_field = np.minimum(k.k1.values, 1.0 / k.k2.values)
     vmax_field = np.maximum(k.k1.values, 1.0 / k.k2.values)
@@ -436,7 +445,7 @@ def _edge_root(k: KProfile, winding: int, want_max: bool, alpha_max: float) -> f
     hi = min(hi, alpha_max)
 
     def g(al):
-        return _advance_extremum(k, al, want_max) - target
+        return _advance_extremum(cells, al, want_max) - target
 
     glo, ghi = g(lo), g(hi)
     while glo > 0.0:
@@ -457,12 +466,13 @@ def periodic_alpha_table(k: KProfile, branches: int, alpha_max: float = 50.0):
     (which coincide when the interval is degenerate, e.g. constant weights).
     Entries are dicts {alpha, winding, edge}.
     """
+    cells = _cells(k)
     table = []
     w = 0
     while len(table) < branches:
         w += 1
-        left = _edge_root(k, w, want_max=True, alpha_max=alpha_max)
-        right = _edge_root(k, w, want_max=False, alpha_max=alpha_max)
+        left = _edge_root(k, cells, w, want_max=True, alpha_max=alpha_max)
+        right = _edge_root(k, cells, w, want_max=False, alpha_max=alpha_max)
         if right - left <= 1e-10 * max(1.0, right):
             table.append({"alpha": left, "winding": w, "edge": "degenerate"})
         else:

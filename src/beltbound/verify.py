@@ -30,7 +30,12 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
     """Annulus mesh: geometric radii, angular nodes, and arcs to skip when
-    derivatives are evaluated pointwise (coefficient jump neighborhoods)."""
+    derivatives are evaluated pointwise (coefficient jump neighborhoods).
+
+    The radii must be geometric (consecutive ratios equal to 1e-12
+    relative), as annulus and refined build them: each ring of the mesh is
+    then a scaled copy of the first, which the weak-form assembly relies on.
+    """
 
     radii: np.ndarray
     angles: AngularGrid
@@ -42,6 +47,9 @@ class PolarGrid:
             raise ValueError("need at least 3 radii")
         if r[0] <= 0 or np.any(np.diff(r) <= 0):
             raise ValueError("radii must be positive and increasing")
+        ratios = r[1:] / r[:-1]
+        if np.max(np.abs(ratios - ratios[0])) > 1e-12 * ratios[0]:
+            raise ValueError("radii must be geometric (equal consecutive ratios)")
         object.__setattr__(self, "radii", r)
 
     @classmethod
@@ -161,28 +169,40 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
 # weak form on the annulus
 
 
-def _mesh_triangles(grid: PolarGrid, U):
-    """(centroid, area, hat gradients gx and gy per vertex, grad u_h) of the
-    mesh triangles, as arrays of shape (2, nr-1, na).
+def _triangle_vertices(V):
+    """Per-vertex values (v0, v1, v2) of both triangle families of the mesh
+    whose vertex values V have shape (..., rows, na).
 
     The quad with corners q0 = (i, j), q1 = (i+1, j), q2 = (i, j+1) and
     q3 = (i+1, j+1) splits along its outward diagonal into the
-    counterclockwise triangles (q0, q1, q3) and (q0, q3, q2).
+    counterclockwise triangles (q0, q1, q3) and (q0, q3, q2); the families
+    are stacked on the third axis from the end, so v1 and v2 have shape
+    (..., 2, rows-1, na) and v0, shared, (..., 1, rows-1, na).
     """
-    r, t = grid.radii, grid.angles.nodes
-    P = np.stack([r[:, None] * np.cos(t)[None, :], r[:, None] * np.sin(t)[None, :], U])
-    P = np.concatenate([P, P[:, :, :1]], axis=2)  # column na repeats column 0
-    q0, q1, q2, q3 = P[:, :-1, :-1], P[:, 1:, :-1], P[:, :-1, 1:], P[:, 1:, 1:]
-    W = np.stack([q1, q3, q2], axis=1)  # vertices 1, 2: (q1, q3) and (q3, q2)
-    x0, y0, u0 = q0[:, None]
-    x1, y1, u1 = W[:, :2]
-    x2, y2, u2 = W[:, 1:]
+    V = np.concatenate([V, V[..., :1]], axis=-1)  # column na repeats column 0
+    q0, q1, q2, q3 = V[..., :-1, :-1], V[..., 1:, :-1], V[..., :-1, 1:], V[..., 1:, 1:]
+    W = np.stack([q1, q3, q2], axis=-3)  # vertices 1, 2: (q1, q3) and (q3, q2)
+    return q0[..., None, :, :], W[..., :2, :, :], W[..., 1:, :, :]
+
+
+def _unit_ring(grid: PolarGrid):
+    """(centroid, area, hat gradients gx and gy per vertex) of the triangles
+    between radii 1 and q = r1/r0, as arrays of shape (2, 1, na).
+
+    On a geometric mesh the triangles between r_i and r_{i+1} are r_i times
+    these: centroids scale by r_i, areas by r_i^2, hat gradients by 1/r_i.
+    """
+    q = grid.radii[1] / grid.radii[0]
+    t = grid.angles.nodes
+    rows = np.array([[1.0], [q]])
+    (x0, y0), (x1, y1), (x2, y2) = _triangle_vertices(
+        np.stack([rows * np.cos(t), rows * np.sin(t)])
+    )
     two_area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     gx = ((y1 - y2) / two_area, (y2 - y0) / two_area, (y0 - y1) / two_area)
     gy = ((x2 - x1) / two_area, (x0 - x2) / two_area, (x1 - x0) / two_area)
-    grad_u = (u0 * gx[0] + u1 * gx[1] + u2 * gx[2], u0 * gy[0] + u1 * gy[1] + u2 * gy[2])
     centroid = (x0 + x1 + x2 + 1j * (y0 + y1 + y2)) / 3.0
-    return centroid, 0.5 * two_area, gx, gy, grad_u
+    return centroid, 0.5 * two_area, gx, gy
 
 
 def _to_vertices(v0, v1, v2):
@@ -202,27 +222,39 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
 
     The annulus is triangulated with straight triangles on the polar vertices
     and u is interpolated linearly per triangle, so planar affine functions
-    are reproduced exactly.  Quad corners are array slices, A is evaluated
-    once at the centroids of both triangle families, and contributions
-    return to the vertices by one slice-add per quad corner.  Returns
-    (residual, normalizer) arrays over all vertices; the normalizer
-    accumulates absolute per-triangle contributions and measures how much
-    cancellation the residual represents.  The residual array is linear in u
-    and homogeneous of degree one in A.
+    are reproduced exactly.  Returns (residual, normalizer) arrays over all
+    vertices; the normalizer accumulates absolute per-triangle contributions
+    and measures how much cancellation the residual represents.  The
+    residual array is linear in u and homogeneous of degree one in A.
+
+    The assembly is scale-free and needs the geometric radii PolarGrid
+    enforces: on the ring between r_i and r_{i+1} the triangle area scales by
+    r_i^2 and each hat gradient by 1/r_i, so area g_k . A g_l and
+    area |g_k| |A grad u_h| do not depend on r_i.  The geometry is therefore
+    computed once, on the unit ring of _unit_ring, and so is A when it
+    depends on arg z only (angular or constant fields); any other field is
+    evaluated at every ring's centroids.  Only the products with the samples
+    of u run over the whole mesh, and contributions return to the vertices
+    by one slice-add per quad corner.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    centroid, area, gx, gy, (gux, guy) = _mesh_triangles(grid, U)
-    a11, a12, a21, a22 = a.entries(centroid)
+    centroid, area, gx, gy = _unit_ring(grid)
+    angular = a.k1 is not None or a.constant_entries is not None
+    a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
         raise ValueError("coefficient matrix is not positive definite on the mesh")
-    fx = a11 * gux + a12 * guy
-    fy = a21 * gux + a22 * guy
+    # r_i times the flux A grad(u_h): the vertex values of u against A g
+    agx = [a11 * gx[m] + a12 * gy[m] for m in range(3)]
+    agy = [a21 * gx[m] + a22 * gy[m] for m in range(3)]
+    u0, u1, u2 = _triangle_vertices(U)
+    fx = u0 * agx[0] + u1 * agx[1] + u2 * agx[2]
+    fy = u0 * agy[0] + u1 * agy[1] + u2 * agy[2]
     flux_mag = np.hypot(fx, fy)
-    R = _to_vertices(*(area * (fx * gx[k] + fy * gy[k]) for k in range(3)))
-    S = _to_vertices(*(area * flux_mag * np.hypot(gx[k], gy[k]) for k in range(3)))
+    R = _to_vertices(*(fx * (area * gx[k]) + fy * (area * gy[k]) for k in range(3)))
+    S = _to_vertices(*(flux_mag * (area * np.hypot(gx[k], gy[k])) for k in range(3)))
     return R, S
 
 

@@ -25,6 +25,22 @@ def test_wrap_angle_range():
     assert np.allclose(np.exp(1j * w), np.exp(1j * t))
 
 
+def test_wrapped_lookups_read_two_pi_as_zero():
+    # np.mod rounds -1e-20 up to exactly 2pi; the lookups read that as 0
+    assert wrap_angle(-1e-20) == TWO_PI
+    g = AngularGrid.with_breakpoints(64, [1.0, 2.5, 4.0])
+    pw = PeriodicField.piecewise(g, [1.0, 2.0, 3.0, 4.0])
+    sm = PeriodicField(g, 2.0 + np.cos(g.nodes))
+    angles = np.concatenate([[0.0, -0.0, -1e-20, TWO_PI, 3 * TWO_PI], g.breakpoints])
+    t = wrap_angle(angles)
+    assert np.array_equal(g.segment_of_wrapped(t), [0, 0, 0, 0, 0, 0, 1, 2, 3])
+    assert np.array_equal(g.segment_of(angles), g.segment_of_wrapped(t))
+    for f in (pw, sm):
+        assert np.array_equal(f.eval_wrapped(t), f.eval_at(angles))
+        assert np.array_equal(f.eval_wrapped(t), f.eval_at(t))
+        assert f.eval_wrapped(wrap_angle(-1e-20)) == f.eval_at(0.0)
+
+
 def test_merge_breakpoints_dedup_and_anchor():
     out = merge_breakpoints([1.0, 2.0], [2.0 + 1e-14, 5.0])
     assert out[0] == 0.0

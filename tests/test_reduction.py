@@ -227,6 +227,43 @@ def test_callable_pair_reduction_evaluates_pair_once():
         assert (mu_fn.calls, nu_fn.calls) == (1, 1)
 
 
+def _edge_points(breakpoints):
+    """Points at angles 0, -0.0, -1e-20, 2pi and on every breakpoint."""
+    t = np.concatenate([[0.0, -0.0, -1e-20, TWO_PI], breakpoints])
+    z = 0.7 * (np.cos(t) + 1j * np.sin(t))
+    return np.concatenate([z, [0.7 + 0.0j, 0.7 - 0.0j, 0.7 - 1e-20j]])
+
+
+def test_angular_evaluators_wrap_once_bitwise():
+    # the evaluators wrap arg z once and read the profiles without wrapping
+    # again; outputs equal the wrap-then-eval_at reference bit for bit,
+    # including at -1e-20, which np.mod rounds up to 2pi
+    rng = np.random.default_rng(11)
+    smooth_grid = AngularGrid.uniform(64)
+    smooth = KProfile(PeriodicField(smooth_grid, 1.2 + np.sin(smooth_grid.nodes)),
+                      PeriodicField(smooth_grid, 1.5 + np.cos(2 * smooth_grid.nodes)))
+    for k in (KProfile.piecewise([0.0, 1.0, 2.5, 4.0], rng.uniform(0.3, 3.0, 4),
+                                 rng.uniform(0.3, 3.0, 4), 256), smooth):
+        z = np.concatenate([_edge_points(k.grid.breakpoints),
+                            rng.normal(size=64) + 1j * rng.normal(size=64)])
+        theta = np.mod(np.angle(z), TWO_PI)
+        k1, k2 = k.k1.eval_at(theta), k.k2.eval_at(theta)
+        c, s = np.cos(theta), np.sin(theta)
+        off = (k1 - k2) * c * s
+        ref = (k1 * c * c + k2 * s * s, off, off, k1 * s * s + k2 * c * c)
+        got = CoefficientMatrixField.from_angular_k(k).entries(z)
+        for e, e_ref in zip(got, ref):
+            assert np.array_equal(e, e_ref)
+    fam = build_family(2.0, 0.5, node_count=256)
+    pair = fam.pair()
+    z = _edge_points(fam.breakpoints)
+    theta = np.mod(np.angle(z), TWO_PI)
+    assert np.array_equal(pair.mu_fn(z), -pair.mu0.eval_at(theta) * np.exp(2j * theta))
+    assert np.array_equal(pair.nu_fn(z), -pair.nu0.eval_at(theta) + 0j)
+    # -1e-20 reads the first arc, as 0 does
+    assert pair.nu_fn(0.7 - 1e-20j) == pair.nu_fn(0.7)
+
+
 def test_normalize_matrix_evaluates_parent_once():
     entries_fn = Counted(
         lambda z: (2.0 + np.real(z), np.full(z.shape, 0.3), np.full(z.shape, 0.1), 1.5 + np.imag(z))

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import beltbound.stretching as stretching_module
 from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField
 from beltbound.stretching import (
     AngularStretching,
     KProfile,
+    _cells,
     _piece_propagator,
     _piece_rates,
     differential_quantities,
@@ -85,11 +87,28 @@ def test_piecewise_propagation_matches_frozen_values():
         assert abs(find_periodic_alpha(k) - frozen_alpha) < 1e-13 * frozen_alpha
 
 
+def test_exponent_search_builds_cells_once(monkeypatch):
+    # only the alpha scaling of the rates changes between search steps
+    built = []
+    cells = stretching_module._cells
+
+    def counted(k):
+        built.append(k)
+        return cells(k)
+
+    monkeypatch.setattr(stretching_module, "_cells", counted)
+    rng = np.random.default_rng(5)
+    for k in (random_k(rng), trig_k(trig_coefficients(rng), 16)):
+        built.clear()
+        find_periodic_alpha(k, branch=2)
+        assert built == [k]
+
+
 def test_monodromy_matches_sequential_cell_product():
     # reference for the recursive doubling: cell propagators applied one by one
     rng = np.random.default_rng(3)
     for k in (random_k(rng), trig_k(trig_coefficients(rng), 32)):
-        _, h, av, bv = _piece_rates(k, 0.9)
+        _, h, av, bv = _piece_rates(_cells(k), 0.9)
         ref = np.eye(2)
         for j in range(h.size):
             c, p12, p21 = _piece_propagator(av[j], bv[j], h[j])

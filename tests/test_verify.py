@@ -1,14 +1,16 @@
 """Equation residuals, weak-form assembly, and exponent measurement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltbound.periodic_fields import TWO_PI
+from beltbound.periodic_fields import TWO_PI, AngularGrid, PeriodicField
 from beltbound.reduction import BeltramiPair, CoefficientMatrixField, beltrami_to_matrices
 from beltbound.sharp_family import build_family, build_maps
-from beltbound.stretching import AngularStretching
+from beltbound.stretching import AngularStretching, KProfile
 from beltbound.verify import (
     PolarGrid,
     beltrami_residual,
@@ -191,6 +193,16 @@ def test_polar_grid_validation_and_mask():
     assert refined.radii[0] == g.radii[0] and refined.radii[-1] == g.radii[-1]
 
 
+def test_polar_grid_rejects_non_geometric_radii():
+    angles = PolarGrid.annulus().angles
+    with pytest.raises(ValueError, match="geometric"):
+        PolarGrid(np.array([0.3, 0.5, 0.9]), angles)
+    with pytest.raises(ValueError, match="geometric"):
+        PolarGrid(np.geomspace(0.25, 1.0, 12) * (1.0 + 1e-9 * np.arange(12) ** 2), angles)
+    PolarGrid(np.geomspace(0.25, 1.0, 12), angles)
+    PolarGrid(np.array([0.3, 0.6, 1.2]), angles)
+
+
 # ---------------------------------------------------------------------------
 # the slice assembly against the scatter assembly it replaced
 
@@ -278,6 +290,26 @@ def test_weak_vector_evaluates_field_once():
     assert calls == [(2, 5, 32)]
 
 
+def test_weak_vector_evaluates_angular_field_once_per_column():
+    # an arg-z-only field is read on one ring of centroids, whatever nr is
+    fam = build_family(1.5, 0.5, node_count=256)
+    B = beltrami_to_matrices(fam.pair()).B
+    assert B.k1 is not None
+    calls = []
+
+    def entries_fn(z):
+        calls.append(np.shape(z))
+        return B.entries_fn(z)
+
+    field = dataclasses.replace(B, entries_fn=entries_fn)
+    shapes = []
+    for nr in (4, 9, 17):
+        g = PolarGrid.annulus(radius_count=nr, node_count=32, breakpoints=fam.breakpoints)
+        weak_residual_vector(np.ones((nr, g.angles.node_count)), field, g)
+        shapes.append((2, 1, g.angles.node_count))
+    assert calls == shapes
+
+
 @st.composite
 def meshes(draw):
     r_min = draw(st.floats(0.1, 0.6))
@@ -308,3 +340,29 @@ def test_weak_vector_linear_in_u_and_homogeneous_in_a(grid, seed, c, scale):
     rs, ss = weak_residual_vector(u, scaled, grid)
     assert np.max(np.abs(rs - scale * ru)) <= 1e-12 * scale * np.max(su)
     assert np.max(np.abs(ss - scale * su)) <= 1e-12 * scale * np.max(su)
+
+
+@settings(max_examples=25, deadline=None)
+@given(r_min=st.floats(0.05, 0.8), nr=st.integers(3, 12), na=st.integers(4, 24),
+       lam=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1), smooth=st.booleans())
+def test_weak_vector_scale_free_for_angular_fields(r_min, nr, na, lam, seed, smooth):
+    # (R, S) of a field of arg z alone do not change when the annulus is scaled
+    rng = np.random.default_rng(seed)
+    bks = [0.0, 1.0, 2.5, 4.0]
+    if smooth:
+        grid = AngularGrid.uniform(64)
+        log_k = rng.normal(size=(2, 2)) @ np.stack([np.cos(grid.nodes), np.sin(grid.nodes)])
+        k = KProfile(PeriodicField(grid, np.exp(0.3 * log_k[0])),
+                     PeriodicField(grid, np.exp(0.3 * log_k[1])))
+    else:
+        k = KProfile.piecewise(bks, rng.uniform(0.3, 3.0, 4), rng.uniform(0.3, 3.0, 4), 64)
+    a = CoefficientMatrixField.from_angular_k(k)
+    base = PolarGrid.annulus(r_min=r_min, r_max=1.0, radius_count=nr, node_count=4 * na,
+                             breakpoints=bks)
+    scaled = PolarGrid.annulus(r_min=lam * r_min, r_max=lam, radius_count=nr,
+                               node_count=4 * na, breakpoints=bks)
+    U = rng.normal(size=(nr, base.angles.node_count))
+    R, S = weak_residual_vector(U, a, base)
+    R_lam, S_lam = weak_residual_vector(U, a, scaled)
+    assert np.max(np.abs(R_lam - R)) <= 1e-13 * np.max(S)
+    assert np.max(np.abs(S_lam - S)) <= 1e-13 * np.max(S)
