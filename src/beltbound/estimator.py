@@ -11,10 +11,11 @@ and the exponent bound is the reciprocal of the sup over circles of the inf
 over weights.  The inf runs over a concrete candidate set: the constant
 pair, a closed-form pair that collapses the arctan term to 1, and the
 piecewise-constant pair aligned to the coefficient arcs that minimises the
-value.  In log-weights that minimisation is convex, so it is one
-deterministic SLSQP solve of a smooth epigraph form per circle; the value of
-the weights it returns is recomputed exactly.  Any candidate set gives a
-valid bound; richer sets tighten it.
+value.  That minimum is exact: the best weights clip D/(phi psi) into a
+window [m, M], on which the value has closed form, and one batched Newton
+solve finds the few candidate minima per cell of a grid over the windows
+(see _solve_weights); the value of the returned weights is recomputed
+exactly.  Any candidate set gives a valid bound; richer sets tighten it.
 
 Weights are reduced to one value per arc (coefficient breakpoints merged
 with a uniform subdivision), so the objective needs only per-arc integrals
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .periodic_fields import (
     PIECEWISE,
@@ -39,7 +39,6 @@ from .periodic_fields import (
     CircleSpec,
     PeriodicField,
     field_extrema,
-    merge_breakpoints,
     periodic_mean,
 )
 from .reduction import (
@@ -222,11 +221,11 @@ def _arctan_term(ratio: float, power: float = 0.25) -> float:
 
 def _arc_value(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> float:
     """Objective for per-arc constant weights; exact given the arc reduction."""
-    num = math.sqrt(np.max(phi) / np.min(psi)) * float(
-        np.sum(np.sqrt(psi / phi) * data.arc_integrals)
+    num = math.sqrt(phi.max() / psi.min()) * float(
+        (np.sqrt(psi / phi) * data.arc_integrals).sum()
     ) / TWO_PI
     prod = phi * psi
-    ratio = float(np.min(data.arc_dmin / prod) / np.max(data.arc_dmax / prod))
+    ratio = float((data.arc_dmin / prod).min() / (data.arc_dmax / prod).max())
     return num / _arctan_term(ratio)
 
 
@@ -242,88 +241,99 @@ def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
                       PeriodicField(I.grid, sq / iv, I.kind))
 
 
-def _epigraph(data: _CircleData):
-    """Smooth convex epigraph form of log(_arc_value) in log-weights.
-
-    Variables v = (x, y, a, b, m, M): x = log phi and y = log psi per arc, and
-    auxiliaries a >= max x, b <= min y, m <= min(log dmin - x - y),
-    M >= max(log dmax - x - y), written as G v + h >= 0.  The objective
-
-        (a - b)/2 + log(sum T exp((y - x)/2) / 2pi) - log((4/pi) arctan(e^{(m-M)/4}))
-
-    is convex (a log-sum-exp plus a convex decreasing function of m - M) and
-    equals log(_arc_value) wherever the auxiliaries are tight.
-    """
-    n = data.arc_lefts.size
-    log_t = np.log(data.arc_integrals)
-    log_dmin, log_dmax = np.log(data.arc_dmin), np.log(data.arc_dmax)
-    eye, zero = np.eye(n), np.zeros((n, n))
-    one, nil = np.ones((n, 1)), np.zeros((n, 1))
-    G = np.block([
-        [-eye, zero, one, nil, nil, nil],  # a - x_j
-        [zero, eye, nil, -one, nil, nil],  # y_j - b
-        [-eye, -eye, nil, nil, -one, nil],  # log dmin_j - x_j - y_j - m
-        [eye, eye, nil, nil, nil, one],  # M - log dmax_j + x_j + y_j
-    ])
-    h = np.concatenate([np.zeros(2 * n), log_dmin, -log_dmax])
-    const = math.log(TWO_PI * 4.0 / math.pi)
-
-    def objective(v):
-        x, y = v[:n], v[n:2 * n]
-        a, b, m, M = v[2 * n:]
-        z = log_t + 0.5 * (y - x)
-        zmax = float(np.max(z))
-        e = np.exp(z - zmax)
-        total = float(np.sum(e))
-        # m - M <= 0 on the feasible set; the clamp only guards exp overflow
-        s = min(m - M, 0.0)
-        u = math.exp(0.25 * s)
-        h_u = math.atan(u) / u if u > 1e-8 else 1.0  # arctan(u)/u, -> 1 as u -> 0
-        val = 0.5 * (a - b) + zmax + math.log(total) - const - 0.25 * s - math.log(h_u)
-        grad = np.empty_like(v)
-        w = e / total
-        grad[:n] = -0.5 * w
-        grad[n:2 * n] = 0.5 * w
-        dg = -0.25 / (h_u * (1.0 + u * u))
-        grad[2 * n:] = (0.5, -0.5, dg, -dg)
-        return val, grad
-
-    start = np.concatenate([np.zeros(2 * n + 2), [np.min(log_dmin), np.max(log_dmax)]])
-    return objective, G, h, start
+_BLOCK = 1 << 14  # grid cells per block of rows
+_NEWTON_STEPS = 3
+# candidate kinds: edge of fixed X, edge of fixed Y, cell; X = scale * w**power
+_EDGE = np.array([True, True, False])[:, None, None]
+_X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None]
 
 
 def _solve_weights(data: _CircleData):
-    """One SLSQP solve of the per-arc weight problem from the constant pair.
+    """Exact minimum of the per-arc weight problem, through its clip window.
 
-    The reported value is always the exact _arc_value of the returned
-    weights; the solver's own objective only steers.  When the solve does not
-    beat the constant start, the start is kept.  Returns the value, the
-    weights, the objective+gradient call count, the SLSQP exit status and the
-    optimality residual |epigraph objective - log value| at the returned point.
+    The value does not change when phi and psi are scaled apart, so take
+    max phi = 1 = min psi.  Clipping D/(phi psi) into a window [m, M] with
+    p = clip(1, dmax/M, dmin/m), phi = min(1, p), psi = max(1, p) is best, at
+
+        F = (T + sum_{dmax_j > M} T_j (sqrt(dmax_j/M) - 1)
+               + sum_{dmin_j < m} T_j (sqrt(m/dmin_j) - 1)) / (8 arctan w),
+
+    w = (m/M)^{1/4} <= w0 = min(dmin/dmax)^{1/4}.  In X = M^{-1/2}, Y = m^{1/2}
+    (w^2 = XY) the sorted dmax and dmin cut the plane into cells on which the
+    numerator is N = C + A1 X + B1 Y; F only falls from M > max dmax or
+    m < min dmin towards them or onto w = w0.  A cell's stationary point
+    solves h(w) = (1 + w^2) arctan w - w = C/(2 sqrt(A1 B1)) at
+    X = w sqrt(B1/A1); clipped to w <= w0 it is also the minimum on that
+    line.  Along a grid line of fixed X, F falls while e(w) =
+    2w(1 + w^2) arctan w - w^2 < (N - B1 Y) X/B1 (fixed Y likewise), so the
+    root clipped to an edge's feasible part is its minimum: a vertex or a
+    crossing of w = w0 included.  One batched Newton solve per block of grid
+    rows gives these feasible windows; each is scored with the exact F.
+    Returns the exact _arc_value of the best one's weights (or of the unit
+    pair when that is not beaten), the weights, the candidate count, where
+    the optimum lies ("interior", "edge", "vertex", "boundary" or
+    "constant") and the relative gap between F and the returned value.
     """
-    n = data.arc_lefts.size
-    objective, G, h, v0 = _epigraph(data)
-    evals = 0
-
-    def counted(v):
-        nonlocal evals
-        evals += 1
-        return objective(v)
-
-    res = minimize(
-        counted, v0, jac=True, method="SLSQP",
-        constraints={"type": "ineq", "fun": lambda v: G @ v + h, "jac": lambda v: G},
-        # at the default ftol (1e-6) SLSQP stops up to ~1e-8 above the minimum
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    ones = np.ones(n)
-    best_v, best_val = v0, _arc_value(data, ones, ones)
-    val = _arc_value(data, np.exp(res.x[:n]), np.exp(res.x[n:2 * n]))
-    if val < best_val:  # False for a NaN value too
-        best_v, best_val = res.x, val
-    residual = abs(float(objective(best_v)[0]) - math.log(best_val))
-    phi, psi = np.exp(best_v[:n]), np.exp(best_v[n:2 * n])
-    return best_val, phi, psi, evals, int(res.status), residual
+    T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
+    total = float(T.sum())
+    w0 = float((dmin / dmax).min()) ** 0.25
+    Mk, mk = np.unique(dmax), np.unique(dmin)
+    iM, im = np.searchsorted(Mk, dmax), np.searchsorted(mk, dmin)
+    # clipped from above for M just below Mk[i]: dmax >= Mk[i], sums A[i];
+    # from below for m just above mk[l]: dmin <= mk[l], sums B[l + 1]
+    A1 = np.append(np.cumsum(np.bincount(iM, T * np.sqrt(dmax))[::-1])[::-1], 0.0)
+    A0 = np.append(np.cumsum(np.bincount(iM, T)[::-1])[::-1], 0.0)
+    B1 = np.concatenate([[0.0], np.cumsum(np.bincount(im, T / np.sqrt(dmin)))])
+    B0 = np.concatenate([[0.0], np.cumsum(np.bincount(im, T))])
+    X, Y = Mk**-0.5, np.sqrt(mk)  # grid lines; cell (i, l) is [X[i], Xhi[i]] x [Y[l], Yhi[l]]
+    Xhi, Yhi = np.concatenate([[np.inf], X[:-1]]), np.append(Y[1:], np.inf)
+    best = (math.inf, Mk[-1], mk[0], 0, w0, w0, w0)  # the unit pair's corner
+    rows = max(1, _BLOCK // Y.size)
+    for i0 in range(0, X.size, rows):
+        s = slice(i0, min(i0 + rows, X.size))
+        x, xhi, a1, a0 = X[s, None], Xhi[s, None], A1[s, None], A0[s, None]
+        r = np.sqrt(a1 / B1[1:])
+        w = np.sqrt(x * Y)
+        lo = np.array([w, w, np.maximum(x * r, Y / r)])
+        top = np.minimum(np.array(
+            [np.sqrt(x * Yhi), np.sqrt(xhi * Y), np.minimum(xhi * r, Yhi / r)]), w0)
+        target = np.array([
+            (total + A1[1:][s, None] * x - A0[1:][s, None] - B0[1:]) * x / B1[1:],
+            (total + B1[:-1] * Y - B0[:-1] - a0) * Y / a1,
+            (total - a0 - B0[1:]) / (2.0 * np.sqrt(a1 * B1[1:])),
+        ])
+        scale = np.empty_like(lo)
+        scale[0], scale[1], scale[2] = x, 1.0 / Y, 1.0 / r
+        # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
+        # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
+        t = np.abs(target)
+        v = np.where(_EDGE, np.sqrt(2.0 * t / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * t))),
+                     np.cbrt(t / (math.pi / 2.0 - 1.0)))
+        for _ in range(_NEWTON_STEPS):
+            v = np.minimum(np.maximum(v, lo), top)
+            at = np.arctan(v)
+            q = (1.0 + v * v) * at
+            g = np.where(_EDGE, 2.0 * v * q - v * v, q - v) - target
+            v -= g / np.where(_EDGE, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
+        v = np.minimum(np.maximum(v, lo), top)
+        xs = scale * v**_X_POWER
+        ys = v * v / xs
+        i = np.searchsorted(Mk, xs**-2.0)
+        l = np.searchsorted(mk, ys * ys, side="right")
+        f = (total + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
+        k = np.unravel_index(np.argmin(f), f.shape)
+        if f[k] < best[0]:
+            best = (float(f[k]), xs[k] ** -2.0, ys[k] ** 2, k[0], v[k], lo[k], top[k])
+    f_best, M, m, kind, v, v_lo, v_top = best
+    where = ("boundary" if v >= w0 else "interior" if kind > 1
+             else "vertex" if v in (v_lo, v_top) else "edge")
+    p = np.minimum(np.maximum(1.0, dmax / M), dmin / m)
+    phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
+    ones = np.ones(p.size)
+    value, unit = _arc_value(data, phi, psi), _arc_value(data, ones, ones)
+    if not value < unit:  # True for a NaN value too
+        value, phi, psi, where = unit, ones, ones, "constant"
+    return value, phi, psi, 3 * X.size * Y.size, where, abs(f_best - value) / value
 
 
 def _piecewise_pair(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> WeightPair:
@@ -509,7 +519,11 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
 
 
 def classical_bound(pair: BeltramiPair) -> float:
-    """Reciprocal of the distortion sup (1+|mu|+|nu|)/(1-|mu|-|nu|)."""
+    """Reciprocal of the distortion sup (1+|mu|+|nu|)/(1-|mu|-|nu|).
+
+    kappa = sup |mu| + |nu| is exact for angular pairs; for a callable pair it
+    is sampled on a fixed 12 x 96 polar lattice, so the bound can be optimistic.
+    """
     return (1.0 - pair.kappa) / (1.0 + pair.kappa)
 
 

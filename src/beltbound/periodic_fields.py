@@ -24,7 +24,6 @@ __all__ = [
     "periodic_mean",
     "field_extrema",
     "CircleSpec",
-    "restrict_to_circle",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -253,15 +252,3 @@ class CircleSpec:
         """(points z on the circle, outward unit normals e^{it}) at grid nodes."""
         n = np.exp(1j * grid.nodes)
         return complex(self.center) + self.radius * n, n
-
-
-def restrict_to_circle(obj, circle: CircleSpec):
-    """Sample a coefficient pair or matrix field along a circle.
-
-    Dispatches to obj.on_circle; see reduction.BeltramiPair.on_circle and
-    reduction.CoefficientMatrixField.on_circle for the returned samples.
-    """
-    on_circle = getattr(obj, "on_circle", None)
-    if on_circle is None:
-        raise TypeError(f"cannot restrict object of type {type(obj).__name__} to a circle")
-    return on_circle(circle)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic_fields import (
-    PIECEWISE,
     SMOOTH,
     AngularGrid,
     PeriodicField,
@@ -116,16 +115,14 @@ def _profile_samples(M: float, tau: float, c: float, d: float, theta):
     # classify against the same rounded junction values the grid carries, so
     # breakpoint nodes land on their own arc (right-limit convention)
     on1 = t < np.where(half, math.pi + cut, cut)
-    arg1 = rate1 * base - d * math.pi / 4.0
-    arg2 = rate2 * (base - cut) - d * math.pi / 4.0
+    # each point keeps one arc's argument, so one sin/cos pair serves both
+    arg = np.where(on1, rate1 * base, rate2 * (base - cut)) - d * math.pi / 4.0
+    sn, cs = np.sin(arg), np.cos(arg)
 
-    sin1, cos1 = np.sin(arg1), np.cos(arg1)
-    sin2, cos2 = np.sin(arg2), np.cos(arg2)
-
-    th1 = np.where(on1, sin1, cos2 / amp)
-    th2 = np.where(on1, -cos1, amp * sin2)
-    dth1 = np.where(on1, rate1 * cos1, -rate2 * sin2 / amp)
-    dth2 = np.where(on1, rate1 * sin1, rate2 * amp * cos2)
+    th1 = np.where(on1, sn, cs / amp)
+    th2 = np.where(on1, -cs, amp * sn)
+    dth1 = np.where(on1, rate1 * cs, -rate2 * sn / amp)
+    dth2 = np.where(on1, rate1 * sn, rate2 * amp * cs)
     return sign * th1, sign * th2, sign * dth1, sign * dth2
 
 

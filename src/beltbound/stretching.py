@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .periodic_fields import (
     PIECEWISE,
@@ -456,6 +455,7 @@ def _edge_root(k: KProfile, cells, winding: int, want_max: bool, alpha_max: floa
             f"winding-{winding} root not bracketed in ({lo:g}, {hi:g}]: "
             f"advance extremum reaches {ghi + target:g} < {target:g}"
         )
+    from scipy.optimize import brentq  # most of the package's import time: load on use
     return float(brentq(g, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
 
 

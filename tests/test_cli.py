@@ -31,8 +31,9 @@ def test_estimate_radial_payload(capsys):
     assert doc["ordering"]["beta_ge_corollary"]
     assert doc["report"]["certified_value"] >= doc["report"]["sup_value"] - 1e-12
     for rec in doc["report"]["per_circle"]:
-        assert rec["solver_status"] == 0
-        assert 0.0 <= rec["optimality_residual"] < 1e-8
+        # D is constant for the radial stretch, so no clip window beats the unit pair
+        assert rec["solver_status"] == "constant"
+        assert 0.0 <= rec["optimality_residual"] < 1e-12
 
 
 def test_sharp_payload(capsys):

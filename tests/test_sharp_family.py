@@ -6,8 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from beltbound.periodic_fields import TWO_PI
-from beltbound.sharp_family import build_family, build_maps, build_matrix, cd_params
+from beltbound.periodic_fields import TWO_PI, wrap_angle
+from beltbound.sharp_family import (
+    _profile_samples,
+    build_family,
+    build_maps,
+    build_matrix,
+    cd_params,
+)
 from beltbound.stretching import differential_quantities, eval_stretching, injectivity_check
 
 # frozen targets: d = (4/pi) arctan M^{-(1-tau)/2} evaluated independently
@@ -144,6 +150,41 @@ def test_maps_agree_with_exact_evaluation():
     assert np.max(np.abs(exact - interp)) < 1e-5  # linear interp between nodes
     assert np.max(np.abs(scalar(z) - np.real(exact))) < 1e-5
     assert scalar(np.array([0.0]))[0] == 0.0
+
+
+def two_pair_profile_samples(M, tau, c, d, theta):
+    """The profiles with sin and cos taken of both arc arguments at every point."""
+    t = wrap_angle(np.asarray(theta, dtype=float))
+    half = t >= math.pi
+    base = np.where(half, t - math.pi, t)
+    sign = np.where(half, -1.0, 1.0)
+    amp = M ** ((1.0 - tau) / 2.0)
+    rate1, rate2, cut = d / c, d * M**tau / c, c * math.pi / 2.0
+    on1 = t < np.where(half, math.pi + cut, cut)
+    arg1 = rate1 * base - d * math.pi / 4.0
+    arg2 = rate2 * (base - cut) - d * math.pi / 4.0
+    sin1, cos1, sin2, cos2 = np.sin(arg1), np.cos(arg1), np.sin(arg2), np.cos(arg2)
+    th1 = np.where(on1, sin1, cos2 / amp)
+    th2 = np.where(on1, -cos1, amp * sin2)
+    dth1 = np.where(on1, rate1 * cos1, -rate2 * sin2 / amp)
+    dth2 = np.where(on1, rate1 * sin1, rate2 * amp * cos2)
+    return sign * th1, sign * th2, sign * dth1, sign * dth2
+
+
+def test_profile_samples_bitwise_equal_to_two_pair_form():
+    rng = np.random.default_rng(7)
+    for M, tau in [(2.0, 0.0), (1.5, 1.0), (3.0, 0.5), (40.0, 0.3)]:
+        fam = build_family(M, tau, node_count=256)
+        bks = np.array(fam.breakpoints)
+        angles = np.concatenate([
+            rng.uniform(-TWO_PI, 2 * TWO_PI, 2000),
+            fam.grid.nodes,
+            bks, np.nextafter(bks, -np.inf), np.nextafter(bks, np.inf),
+        ])
+        got = _profile_samples(M, tau, fam.c, fam.d, angles)
+        want = two_pair_profile_samples(M, tau, fam.c, fam.d, angles)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_family_map_is_injective_and_orientation_preserving():

@@ -1,17 +1,23 @@
-"""The convex weight solve against the coordinate descent it replaced.
+"""The window solve of the per-arc weight problem against the solvers it replaced.
 
-The reference below is the randomised multistart coordinate descent in
-log-weights that the estimator used before the epigraph solve.  On a fixed
+Two references live here.  `descend` is the randomised multistart coordinate
+descent in log-weights that the estimator used first; `slsqp_reference` is
+the SLSQP solve of a smooth epigraph form that followed it.  On a fixed
 corpus (criterion 6's generator plus two disk-lattice sweeps, whose
-off-centre circles carry smooth restrictions) the solve must never return a
-larger per-circle value, and its epigraph must be tight at the weights it
-returns.
+off-centre circles carry smooth restrictions) and on random arc sets the
+window solve must never return a larger per-circle value than either, and
+its closed-form value must be tight at the weights it returns.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 from test_acceptance import random_angular_pair
 
 from beltbound.estimator import (
@@ -19,9 +25,14 @@ from beltbound.estimator import (
     _arc_reduce,
     _arc_value,
     _beta_fields,
+    _CircleData,
     _solve_weights,
+    beta_estimate,
 )
-from beltbound.periodic_fields import PIECEWISE, SMOOTH
+from beltbound.periodic_fields import PIECEWISE, SMOOTH, TWO_PI, AngularGrid, PeriodicField
+from beltbound.reduction import BeltramiPair
+
+STATUSES = {"interior", "edge", "vertex", "boundary", "constant"}
 
 
 def descend(data, rng, multistarts=8, sweeps=40):
@@ -60,6 +71,86 @@ def descend(data, rng, multistarts=8, sweeps=40):
     return best_val, np.exp(best_x[:n]), np.exp(best_x[n:])
 
 
+def epigraph(data):
+    """Smooth convex epigraph form of log(_arc_value) in log-weights.
+
+    Variables v = (x, y, a, b, m, M): x = log phi and y = log psi per arc, and
+    auxiliaries a >= max x, b <= min y, m <= min(log dmin - x - y),
+    M >= max(log dmax - x - y), written as G v + h >= 0.  The objective
+
+        (a - b)/2 + log(sum T exp((y - x)/2) / 2pi) - log((4/pi) arctan(e^{(m-M)/4}))
+
+    is convex (a log-sum-exp plus a convex decreasing function of m - M) and
+    equals log(_arc_value) wherever the auxiliaries are tight.
+    """
+    n = data.arc_lefts.size
+    log_t = np.log(data.arc_integrals)
+    log_dmin, log_dmax = np.log(data.arc_dmin), np.log(data.arc_dmax)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    one, nil = np.ones((n, 1)), np.zeros((n, 1))
+    G = np.block([
+        [-eye, zero, one, nil, nil, nil],  # a - x_j
+        [zero, eye, nil, -one, nil, nil],  # y_j - b
+        [-eye, -eye, nil, nil, -one, nil],  # log dmin_j - x_j - y_j - m
+        [eye, eye, nil, nil, nil, one],  # M - log dmax_j + x_j + y_j
+    ])
+    h = np.concatenate([np.zeros(2 * n), log_dmin, -log_dmax])
+    const = math.log(TWO_PI * 4.0 / math.pi)
+
+    def objective(v):
+        x, y = v[:n], v[n:2 * n]
+        a, b, m, M = v[2 * n:]
+        z = log_t + 0.5 * (y - x)
+        zmax = float(np.max(z))
+        e = np.exp(z - zmax)
+        total = float(np.sum(e))
+        # m - M <= 0 on the feasible set; the clamp only guards exp overflow
+        s = min(m - M, 0.0)
+        u = math.exp(0.25 * s)
+        h_u = math.atan(u) / u if u > 1e-8 else 1.0  # arctan(u)/u, -> 1 as u -> 0
+        val = 0.5 * (a - b) + zmax + math.log(total) - const - 0.25 * s - math.log(h_u)
+        grad = np.empty_like(v)
+        w = e / total
+        grad[:n] = -0.5 * w
+        grad[n:2 * n] = 0.5 * w
+        dg = -0.25 / (h_u * (1.0 + u * u))
+        grad[2 * n:] = (0.5, -0.5, dg, -dg)
+        return val, grad
+
+    start = np.concatenate([np.zeros(2 * n + 2), [np.min(log_dmin), np.max(log_dmax)]])
+    return objective, G, h, start
+
+
+def slsqp_reference(data):
+    """One SLSQP solve of the epigraph form from the constant pair.
+
+    The value is the exact _arc_value of the returned weights, or of the
+    constant start when the solve does not beat it.  Returns the value and
+    the weights.
+    """
+    n = data.arc_lefts.size
+    objective, G, h, v0 = epigraph(data)
+    res = minimize(
+        objective, v0, jac=True, method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda v: G @ v + h, "jac": lambda v: G},
+        # at the default ftol (1e-6) SLSQP stops up to ~1e-8 above the minimum
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    ones = np.ones(n)
+    best = (_arc_value(data, ones, ones), ones, ones)
+    phi, psi = np.exp(res.x[:n]), np.exp(res.x[n:2 * n])
+    val = _arc_value(data, phi, psi)
+    if val < best[0]:  # False for a NaN value too
+        best = (val, phi, psi)
+    return best
+
+
+def arcs(T, dmin, dmax):
+    n = len(T)
+    return _CircleData(None, None, None, None, np.zeros(n), np.asarray(T, dtype=float),
+                       np.asarray(dmin, dtype=float), np.asarray(dmax, dtype=float))
+
+
 def _reduced_circles(pair, cfg):
     return [_arc_reduce(c, *_beta_fields(pair, c, cfg)) for c in cfg.circles]
 
@@ -88,8 +179,77 @@ def test_solve_never_looser_than_descent(corpus):
         assert value == _arc_value(data, phi, psi)
 
 
-def test_epigraph_tight_at_returned_weights(corpus):
+def test_solve_never_looser_than_slsqp(corpus):
+    for idx, (data, (value, *_)) in enumerate(corpus):
+        reference = slsqp_reference(data)[0]
+        assert value <= reference * (1.0 + 1e-12), (idx, value, reference)
+
+
+def test_window_value_tight_at_returned_weights(corpus):
+    # the closed-form value at the best window is the exact value of its weights
     for idx, (_, (_, _, _, evals, status, residual)) in enumerate(corpus):
-        assert residual < 1e-8, (idx, residual)
-        assert isinstance(status, int)
-        assert evals >= 1
+        assert residual < 1e-12, (idx, residual)
+        assert status in STATUSES
+        assert isinstance(evals, int) and evals >= 3
+
+
+arc_sets = st.lists(
+    st.tuples(
+        st.floats(0.01, 10.0),  # T
+        st.floats(-3.0, 3.0),  # log dmin
+        st.sampled_from([0.0, 0.01, 0.3, 3.0]),  # spread scale; 0 gives dmin = dmax
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=arc_sets, c=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_window_solve_properties(rows, c, seed):
+    T, log_lo, scale, frac = (np.array(col) for col in zip(*rows))
+    dmin = np.exp(log_lo)
+    dmax = dmin * np.exp(scale * frac)
+    data = arcs(T, dmin, dmax)
+    value, phi, psi, *_ = _solve_weights(data)
+    assert value == _arc_value(data, phi, psi)
+    assert value <= slsqp_reference(data)[0] * (1.0 + 1e-12)
+    scaled = _solve_weights(arcs(T, c * dmin, c * dmax))[0]
+    assert scaled == pytest.approx(value, rel=1e-12, abs=0.0)
+    perm = np.random.default_rng(seed).permutation(T.size)
+    permuted = _solve_weights(arcs(T[perm], dmin[perm], dmax[perm]))[0]
+    assert permuted == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_weight_pieces_change_nothing_on_piecewise_data():
+    # the optimal weights are constant on each coefficient arc, so subdividing
+    # the arcs further leaves every per-circle minimum where it was
+    rng = np.random.default_rng(6)  # criterion 6's stream
+    for _ in range(12):
+        pair = random_angular_pair(rng, node_count=1024)
+        sups = [beta_estimate(pair, SweepConfig.origin(resolution=1024, weight_pieces=p)).sup_value
+                for p in (1, 4, 16, 64)]
+        assert max(sups) - min(sups) <= 1e-12 * min(sups), sups
+
+
+def test_thousand_arc_circle_time_and_memory():
+    nodes, pieces = 4096, 1024
+    grid = AngularGrid.uniform(nodes)
+    th = grid.nodes
+    pair = BeltramiPair.from_angular(PeriodicField(grid, 0.45 * np.sin(th) ** 2, SMOOTH),
+                                     PeriodicField(grid, 0.35 * np.cos(3 * th), SMOOTH))
+    cfg = SweepConfig.origin(resolution=nodes, weight_pieces=pieces)
+    data = _reduced_circles(pair, cfg)[0]
+    assert data.arc_lefts.size == pieces
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        value, phi, psi, *_ = _solve_weights(data)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 3.0
+    assert peak < 100e6
+    assert value == _arc_value(data, phi, psi)
