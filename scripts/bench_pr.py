@@ -1,6 +1,6 @@
 """Write one JSON record of how fast this checkout is, for comparing changes.
 
-    python3 scripts/bench_pr.py --out BENCH_<n>.json [--seed 7] [--seconds 30]
+    python3 scripts/bench_pr.py --out BENCH_<n>.json
 
 Run from anywhere inside a source checkout.  The record holds:
 
@@ -13,7 +13,8 @@ Run from anywhere inside a source checkout.  The record holds:
   warm-up, with their exit codes;
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
-  ``--trace 1``, each with the run's attempted/failed counts.
+  ``--trace 1``, each with the run's attempted/failed counts, at seed
+  ``SEED`` and ``BENCHMARK.json``'s ``run_seconds``, the same in every record.
 
 The benchmark runs as a subprocess and nothing under ``benchmark/`` is
 edited; ``--trace 1`` writes its spans to ``benchmark/out/`` as usual.
@@ -47,6 +48,7 @@ README_COMMANDS = (
      "--out", "scan.csv"],
 )
 README_REPEATS = 5
+SEED = 7
 
 
 def src_lines():
@@ -96,10 +98,10 @@ def readme_commands():
     return out
 
 
-def benchmark(workload, seed, seconds, trace):
+def benchmark(workload, seconds, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -118,9 +120,6 @@ def main(argv=None):
         spec = json.load(fh)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="path of the JSON record to write")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                   help="timed-loop length of each --trace 0 benchmark run")
     args = p.parse_args(argv)
 
     # Linux carries a process's peak RSS across fork and exec, so the
@@ -130,8 +129,8 @@ def main(argv=None):
     for w in spec["workloads"]:
         name = w["name"]
         record["workloads"][name] = {
-            "end_to_end": benchmark(name, args.seed, args.seconds, 0),
-            "per_layer": benchmark(name, args.seed, args.seconds, 1),
+            "end_to_end": benchmark(name, spec["run_seconds"], 0),
+            "per_layer": benchmark(name, spec["run_seconds"], 1),
         }
     record["tier1"] = tier1()
     record["readme_commands"] = readme_commands()
@@ -139,7 +138,7 @@ def main(argv=None):
 
     record["context"] = {"python": platform.python_version(), "numpy": numpy.__version__,
                          "machine": platform.machine(), "nproc": os.cpu_count(),
-                         "seed": args.seed, "seconds": args.seconds}
+                         "seed": SEED, "seconds": spec["run_seconds"]}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -287,23 +287,23 @@ def _solve_weights(data: _CircleData):
     B0 = np.concatenate([[0.0], np.cumsum(np.bincount(im, T))])
     X, Y = Mk**-0.5, np.sqrt(mk)  # grid lines; cell (i, l) is [X[i], Xhi[i]] x [Y[l], Yhi[l]]
     Xhi, Yhi = np.concatenate([[np.inf], X[:-1]]), np.append(Y[1:], np.inf)
-    best = (math.inf, Mk[-1], mk[0], 0, w0, w0, w0)  # the unit pair's corner
+    best = (math.inf, Mk[-1], mk[0], 2, w0)  # the unit pair's corner
     rows = max(1, _BLOCK // Y.size)
     for i0 in range(0, X.size, rows):
         s = slice(i0, min(i0 + rows, X.size))
         x, xhi, a1, a0 = X[s, None], Xhi[s, None], A1[s, None], A0[s, None]
         r = np.sqrt(a1 / B1[1:])
         w = np.sqrt(x * Y)
-        lo = np.array([w, w, np.maximum(x * r, Y / r)])
+        side = np.array([x * r, Y / r, xhi * r, Yhi / r])  # where a cell root clips
+        lo = np.array([w, w, np.maximum(side[0], side[1])])
         top = np.minimum(np.array(
-            [np.sqrt(x * Yhi), np.sqrt(xhi * Y), np.minimum(xhi * r, Yhi / r)]), w0)
+            [np.sqrt(x * Yhi), np.sqrt(xhi * Y), np.minimum(side[2], side[3])]), w0)
         target = np.array([
             (total + A1[1:][s, None] * x - A0[1:][s, None] - B0[1:]) * x / B1[1:],
             (total + B1[:-1] * Y - B0[:-1] - a0) * Y / a1,
             (total - a0 - B0[1:]) / (2.0 * np.sqrt(a1 * B1[1:])),
         ])
-        scale = np.empty_like(lo)
-        scale[0], scale[1], scale[2] = x, 1.0 / Y, 1.0 / r
+        scale = np.array(np.broadcast_arrays(x, 1.0 / Y, 1.0 / r))
         # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
         # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
         t = np.abs(target)
@@ -318,15 +318,17 @@ def _solve_weights(data: _CircleData):
         v = np.minimum(np.maximum(v, lo), top)
         xs = scale * v**_X_POWER
         ys = v * v / xs
-        i = np.searchsorted(Mk, xs**-2.0)
-        l = np.searchsorted(mk, ys * ys, side="right")
+        i, l = np.searchsorted(Mk, xs**-2.0), np.searchsorted(mk, ys * ys, side="right")
         f = (total + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
         k = np.unravel_index(np.argmin(f), f.shape)
         if f[k] < best[0]:
-            best = (float(f[k]), xs[k] ** -2.0, ys[k] ** 2, k[0], v[k], lo[k], top[k])
-    f_best, M, m, kind, v, v_lo, v_top = best
-    where = ("boundary" if v >= w0 else "interior" if kind > 1
-             else "vertex" if v in (v_lo, v_top) else "edge")
+            # grid lines the point sits on, to rounding: an edge's ends are
+            # vertices; a cell's root clipped onto a side or corner is on 1 or 2
+            ends = np.array([lo[k], top[k]]) if k[0] < 2 else side[:, k[1], k[2]]
+            on = (k[0] < 2) + np.count_nonzero(abs(ends - v[k]) <= 1e-12 * v[k])
+            best = (float(f[k]), xs[k] ** -2.0, ys[k] ** 2, on, v[k])
+    f_best, M, m, on, v = best
+    where = "boundary" if v >= w0 else ("interior", "edge", "vertex")[min(on, 2)]
     p = np.minimum(np.maximum(1.0, dmax / M), dmin / m)
     phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
     ones = np.ones(p.size)
