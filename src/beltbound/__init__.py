@@ -7,114 +7,33 @@ stretching (profile systems, exponent shooting, distortion), reduction
 (first-order pairs <-> divergence-form matrices), sharp_family (the two-arc
 extremal construction), estimator (weighted circle functionals and exponent
 bounds), verify (independent residual and exponent checks), cli (front end).
+
+The package namespace holds the functions of the README example and the
+types they take or return; everything else is imported from its module.
 """
 
-from .estimator import (
-    ExponentReport,
-    SweepConfig,
-    WeightPair,
-    beta_estimate,
-    circle_integrand,
-    classical_bound,
-    corollary_bound,
-    gamma_estimate,
-    mu_zero_bound,
-    nu_zero_bound,
-    remark_weights,
-    weighted_objective,
-)
-from .periodic_fields import (
-    AngularGrid,
-    CircleSpec,
-    PeriodicField,
-    periodic_mean,
-    periodic_quadrature,
-)
-from .reduction import (
-    BeltramiPair,
-    CoefficientMatrixField,
-    EllipticityError,
-    MatrixReduction,
-    angular_to_matrix,
-    beltrami_to_matrices,
-    matrix_to_beltrami,
-    normalize_matrix,
-)
-from .sharp_family import SharpFamily, build_family, build_maps, build_matrix, cd_params
-from .stretching import (
-    AngularStretching,
-    KProfile,
-    distortion_from_k,
-    eval_stretching,
-    find_periodic_alpha,
-    injectivity_check,
-    k_from_munu,
-    monodromy,
-    munu_from_k,
-    periodic_alpha_table,
-    phase_advance,
-    sl_weak_residuals,
-    solve_system,
-)
-from .verify import (
-    PolarGrid,
-    ResidualReport,
-    beltrami_residual,
-    empirical_holder,
-    weak_form_residual,
-    weak_residual_vector,
-)
+from .estimator import ExponentReport, SweepConfig, beta_estimate
+from .periodic_fields import CircleSpec
+from .reduction import BeltramiPair
+from .sharp_family import ScalarAngularMap, SharpFamily, build_family, build_maps
+from .stretching import AngularStretching
+from .verify import PolarGrid, ResidualReport, beltrami_residual, empirical_holder
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularGrid",
     "AngularStretching",
     "BeltramiPair",
     "CircleSpec",
-    "CoefficientMatrixField",
-    "EllipticityError",
     "ExponentReport",
-    "KProfile",
-    "MatrixReduction",
-    "PeriodicField",
     "PolarGrid",
     "ResidualReport",
+    "ScalarAngularMap",
     "SharpFamily",
     "SweepConfig",
-    "WeightPair",
-    "angular_to_matrix",
     "beltrami_residual",
-    "beltrami_to_matrices",
     "beta_estimate",
     "build_family",
     "build_maps",
-    "build_matrix",
-    "cd_params",
-    "circle_integrand",
-    "classical_bound",
-    "corollary_bound",
-    "distortion_from_k",
     "empirical_holder",
-    "eval_stretching",
-    "find_periodic_alpha",
-    "gamma_estimate",
-    "injectivity_check",
-    "k_from_munu",
-    "matrix_to_beltrami",
-    "monodromy",
-    "mu_zero_bound",
-    "munu_from_k",
-    "normalize_matrix",
-    "nu_zero_bound",
-    "periodic_alpha_table",
-    "periodic_mean",
-    "periodic_quadrature",
-    "phase_advance",
-    "remark_weights",
-    "sl_weak_residuals",
-    "solve_system",
-    "weak_form_residual",
-    "weak_residual_vector",
-    "weighted_objective",
 ]

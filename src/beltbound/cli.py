@@ -158,8 +158,8 @@ def build_spec(argv) -> JobSpec:
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                fields.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                fields.update(_config_fields(json.load(fh)))
+        except (OSError, ValueError) as exc:  # unreadable, not JSON, not UTF-8
             raise SpecError(f"cannot read config {args.config}: {exc}") from exc
     for key in ("command", "M", "tau", "alpha", "coeff_file", "circles", "radii",
                 "weight_pieces", "nodes", "out", "format", "tolerance",
@@ -174,14 +174,44 @@ def build_spec(argv) -> JobSpec:
             v = fields[key]
             if isinstance(v, str):
                 fields[key] = _float_list(v)
-            elif isinstance(v, (int, float)):
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
                 fields[key] = (float(v),)
-            else:
+            elif isinstance(v, list) and all(_is_number(x) for x in v):
                 fields[key] = tuple(float(x) for x in v)
+            else:
+                raise SpecError(f"{key} must be a number or a list of numbers, got {v!r}")
     unknown = set(fields) - set(JobSpec.__dataclass_fields__)
     if unknown:
         raise SpecError(f"unknown config fields: {sorted(unknown)}")
     return JobSpec(**fields)
+
+
+# the JSON type of each config field: what its flag parses to
+_CONFIG_TYPES = {"command": str, "alpha": float, "coeff_file": str, "circles": int,
+                 "weight_pieces": int, "nodes": int, "out": str, "format": str,
+                 "tolerance": float, "corrupt_mu": bool}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_json_type(v, kind) -> bool:
+    if kind is float:
+        return _is_number(v)
+    return isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+
+
+def _config_fields(doc) -> dict:
+    """The job fields of a config file; null means absent."""
+    if not isinstance(doc, dict):
+        raise SpecError("a config file holds one JSON object of job fields")
+    fields = {k: v for k, v in doc.items() if v is not None}
+    for key, v in fields.items():
+        if key in _CONFIG_TYPES and not _is_json_type(v, _CONFIG_TYPES[key]):
+            raise SpecError(f"config field {key} must be a JSON "
+                            f"{_CONFIG_TYPES[key].__name__}, got {v!r}")
+    return fields
 
 
 def _load_coeff_file(path: str, node_count: int) -> BeltramiPair:

@@ -1,33 +1,36 @@
 """Holder-exponent lower bounds from circle averages.
 
 Every bound here has the same shape: on each circle, a positive integrand I
-and a determinant-ratio field D are formed from the coefficients; a weight
-pair (phi, psi) scales them into
+and a determinant-ratio field D are formed from the coefficients (a Beltrami
+pair for beta, a symmetric matrix field for gamma); a weight pair (phi, psi)
+scales them into
 
     value(phi, psi) = sqrt(sup phi / inf psi) * mean(sqrt(psi/phi) * I)
                       / ((4/pi) * arctan( (inf D/(phi psi)) / (sup D/(phi psi)) )^{1/4}),
 
 and the exponent bound is the reciprocal of the sup over circles of the inf
-over weights.  The inf runs over a concrete candidate set: the constant
-pair, a closed-form pair that collapses the arctan term to 1, and the
-piecewise-constant pair aligned to the coefficient arcs that minimises the
-value.  That minimum is exact: the best weights clip D/(phi psi) into a
-window [m, M], on which the value has closed form, and one batched Newton
-solve finds the few candidate minima per cell of a grid over the windows
-(see _solve_weights); the value of the returned weights is recomputed
-exactly.  Any candidate set gives a valid bound; richer sets tighten it.
+over weights.  Each circle scores three weight families once: the unit pair
+(its values alone give the corollary bound), a closed-form pair that
+collapses the arctan term to 1 (the certified value), and the per-arc pair
+that minimises the value.  That minimum is exact: the best weights clip
+D/(phi psi) into a window [m, M], on which the value has closed form, and
+one batched Newton solve finds the few candidate minima per cell of a grid
+over the windows (see _solve_weights); the value of the returned weights is
+recomputed exactly.  Any candidate set gives a valid bound; richer sets
+tighten it.
 
-Weights are reduced to one value per arc (coefficient breakpoints merged
-with a uniform subdivision), so the objective needs only per-arc integrals
-and extrema of I and D; those are exact for piecewise-constant coefficient
-data and trapezoid-accurate for smooth data.
+Weights are constant on arcs: the coefficient breakpoints merged with
+SweepConfig.weight_pieces uniform arcs.  One reduction, _arc_reduce, turns I
+and D into per-arc integrals and extrema over node gaps for
+piecewise-constant and smooth data alike; the kinds differ only in a gap's
+right-end value (periodic_fields.gap_right_values).  The reduction is exact
+for piecewise-constant data and trapezoid-accurate for smooth data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .periodic_fields import (
     CircleSpec,
     PeriodicField,
     field_extrema,
+    gap_right_values,
     periodic_mean,
 )
 from .reduction import (
@@ -64,12 +68,13 @@ __all__ = [
     "mu_zero_bound",
 ]
 
-_RATIO_FLOOR = 1e-15  # arctan ratio clamp; degenerate constant fields hit 0/0
+# the weight families every circle scores; on a tie the first one wins
+_FAMILIES = ("constant", "remark", "piecewise")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightPair:
-    """Positive weight functions on a circle with recorded extrema."""
+    """Positive weight functions on a circle."""
 
     phi: PeriodicField
     psi: PeriodicField
@@ -86,31 +91,26 @@ class WeightPair:
     def constant(cls, grid: AngularGrid, phi: float = 1.0, psi: float = 1.0) -> "WeightPair":
         return cls(PeriodicField.constant(grid, phi), PeriodicField.constant(grid, psi))
 
-    def bounds(self):
-        return field_extrema(self.phi), field_extrema(self.psi)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Circle sweep and weight-search settings.
+    """The circles of a sweep and the arcs its weights are constant on.
 
-    weight_family picks the candidate classes: "constant", "remark",
-    "piecewise", or "all".  weight_pieces is the uniform subdivision merged
-    into the coefficient arcs for the piecewise class.  Each circle is
-    sampled at its own CircleSpec.resolution.
+    Every circle scores the same weight families (families()).  The
+    weight_pieces uniform arcs are merged into each circle's coefficient
+    breakpoints.  On piecewise-constant data the best weights are already
+    constant on the coefficient arcs, so weight_pieces matters only for
+    smooth data.  Each circle is sampled at its own CircleSpec.resolution.
     """
 
     circles: tuple[CircleSpec, ...]
     weight_pieces: int = 16
-    weight_family: str = "all"
 
     def __post_init__(self):
         if not self.circles:
             raise ValueError("at least one circle is required")
         if self.weight_pieces < 1:
             raise ValueError(f"weight_pieces must be >= 1, got {self.weight_pieces}")
-        if self.weight_family not in ("constant", "remark", "piecewise", "all"):
-            raise ValueError(f"unknown weight family {self.weight_family!r}")
 
     @classmethod
     def origin(cls, radius: float = 0.5, resolution: int = 2048, **kw) -> "SweepConfig":
@@ -140,9 +140,7 @@ class SweepConfig:
         return cls(circles=tuple(circles), **kw)
 
     def families(self) -> tuple[str, ...]:
-        if self.weight_family == "all":
-            return ("constant", "remark", "piecewise")
-        return (self.weight_family,)
+        return _FAMILIES
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +159,7 @@ class ExponentReport:
     def corollary(self) -> float:
         """The unit-weights bound from this sweep's constant-pair values;
         equal to corollary_bound on the same pair and config."""
-        values = [r["constant_value"] for r in self.per_circle]
-        if None in values:
-            raise ValueError("the sweep did not evaluate the constant family")
-        return _bound_of(max(values))
+        return _bound_of(max(r["constant_value"] for r in self.per_circle))
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +171,30 @@ class _CircleData:
     """Integrand/det-ratio fields on one circle plus their arc reduction."""
 
     circle: CircleSpec
-    grid: AngularGrid
     integrand: PeriodicField
     det_ratio: PeriodicField
-    arc_lefts: np.ndarray
     arc_integrals: np.ndarray  # per-arc integral of I
     arc_dmin: np.ndarray
     arc_dmax: np.ndarray
 
 
-def _arc_reduce(circle, grid, I: PeriodicField, D: PeriodicField) -> _CircleData:
-    lefts = grid.breakpoints
-    rights = np.concatenate([lefts[1:], [TWO_PI]])
-    n_arcs = lefts.size
-    T = np.empty(n_arcs)
-    dmin = np.empty(n_arcs)
-    dmax = np.empty(n_arcs)
-    starts = grid.segment_starts
-    ends = np.concatenate([starts[1:], [grid.node_count]])
+def _arc_reduce(circle: CircleSpec, I: PeriodicField, D: PeriodicField) -> _CircleData:
+    """Per-arc trapezoid integral of I and extrema of D over the node gaps,
+    split at the grid's breakpoints."""
+    grid, starts = I.grid, I.grid.segment_starts
     iv, dv = I.values.real, D.values
-    for j in range(n_arcs):
-        sl = slice(starts[j], ends[j])
-        if I.kind == PIECEWISE:
-            T[j] = iv[starts[j]] * (rights[j] - lefts[j])
-        else:
-            # closed trapezoid: append the next arc's first node as the
-            # right-endpoint sample
-            nodes = np.concatenate([grid.nodes[sl], [rights[j]]])
-            right_val = iv[ends[j] % grid.node_count]
-            vals = np.concatenate([iv[sl], [right_val]])
-            T[j] = np.sum(np.diff(nodes) * 0.5 * (vals[:-1] + vals[1:]))
-        if D.kind == PIECEWISE:
-            dmin[j] = dmax[j] = dv[starts[j]]
-        else:
-            seg = np.concatenate([dv[sl], [dv[ends[j] % grid.node_count]]])
-            dmin[j], dmax[j] = np.min(seg), np.max(seg)
-    return _CircleData(circle, grid, I, D, lefts, T, dmin, dmax)
+    ir, dr = gap_right_values(I).real, gap_right_values(D)
+    T = np.add.reduceat(grid.spacings() * 0.5 * (iv + ir), starts)
+    dmin = np.minimum.reduceat(np.minimum(dv, dr), starts)
+    dmax = np.maximum.reduceat(np.maximum(dv, dr), starts)
+    return _CircleData(circle, I, D, T, dmin, dmax)
 
 
 def _arctan_term(ratio: float, power: float = 0.25) -> float:
-    r = min(max(ratio, _RATIO_FLOOR), 1.0)
-    return (4.0 / math.pi) * math.atan(r**power)
+    # ratio is a min over a max, so <= 1; it is taken as is, with no floor, so
+    # a tiny ratio gives the large true value (for the unit pair and every
+    # clip window it is at least ((1 - kappa)/(1 + kappa))^4 > 0)
+    return (4.0 / math.pi) * math.atan(ratio**power)
 
 
 def _arc_value(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> float:
@@ -229,16 +207,25 @@ def _arc_value(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> float:
     return num / _arctan_term(ratio)
 
 
-def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
-    """Closed-form pair phi = I sqrt(D), psi = sqrt(D)/I.
+def _unit_value(data: _CircleData) -> float:
+    ones = np.ones(data.arc_integrals.size)
+    return _arc_value(data, ones, ones)
+
+
+def _remark_weights(I: PeriodicField, D: PeriodicField):
+    """Closed-form per-node pair phi = I sqrt(D), psi = sqrt(D)/I.
 
     Pointwise sqrt(psi/phi) I = 1 and phi psi = D, so the objective collapses
     to sqrt(sup phi / inf psi); no quadrature error enters.
     """
     iv = I.values.real
     sq = np.sqrt(D.values)
-    return WeightPair(PeriodicField(I.grid, iv * sq, I.kind),
-                      PeriodicField(I.grid, sq / iv, I.kind))
+    return iv * sq, sq / iv
+
+
+def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
+    phi, psi = _remark_weights(I, D)
+    return WeightPair(PeriodicField(I.grid, phi, I.kind), PeriodicField(I.grid, psi, I.kind))
 
 
 _BLOCK = 1 << 14  # grid cells per block of rows
@@ -248,7 +235,7 @@ _EDGE = np.array([True, True, False])[:, None, None]
 _X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None]
 
 
-def _solve_weights(data: _CircleData):
+def _solve_weights(data: _CircleData, unit: float):
     """Exact minimum of the per-arc weight problem, through its clip window.
 
     The value does not change when phi and psi are scaled apart, so take
@@ -269,10 +256,10 @@ def _solve_weights(data: _CircleData):
     root clipped to an edge's feasible part is its minimum: a vertex or a
     crossing of w = w0 included.  One batched Newton solve per block of grid
     rows gives these feasible windows; each is scored with the exact F.
-    Returns the exact _arc_value of the best one's weights (or of the unit
-    pair when that is not beaten), the weights, the candidate count, where
-    the optimum lies ("interior", "edge", "vertex", "boundary" or
-    "constant") and the relative gap between F and the returned value.
+    Returns the exact _arc_value of the best one's weights (or unit, the
+    unit pair's value, when that is not beaten), the weights, the candidate
+    count, where the optimum lies ("interior", "edge", "vertex", "boundary"
+    or "constant") and the relative gap between F and the returned value.
     """
     T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
     total = float(T.sum())
@@ -331,46 +318,35 @@ def _solve_weights(data: _CircleData):
     where = "boundary" if v >= w0 else ("interior", "edge", "vertex")[min(on, 2)]
     p = np.minimum(np.maximum(1.0, dmax / M), dmin / m)
     phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
-    ones = np.ones(p.size)
-    value, unit = _arc_value(data, phi, psi), _arc_value(data, ones, ones)
+    value = _arc_value(data, phi, psi)
     if not value < unit:  # True for a NaN value too
-        value, phi, psi, where = unit, ones, ones, "constant"
+        value, phi, psi, where = unit, np.ones(p.size), np.ones(p.size), "constant"
     return value, phi, psi, 3 * X.size * Y.size, where, abs(f_best - value) / value
 
 
-def _piecewise_pair(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> WeightPair:
-    return WeightPair(
-        PeriodicField.piecewise(data.grid, phi), PeriodicField.piecewise(data.grid, psi)
-    )
+def _evaluate_circle(data: _CircleData):
+    """Score each family once on one circle and keep the smallest value.
 
-
-def _evaluate_circle(data: _CircleData, cfg: SweepConfig) -> dict:
-    candidates = []
-    fams = cfg.families()
-    if "constant" in fams:
-        ones = np.ones(data.arc_lefts.size)
-        candidates.append(
-            ("constant", _arc_value(data, ones, ones), lambda: WeightPair.constant(data.grid))
-        )
-    if "remark" in fams:
-        w = _remark_pair(data.integrand, data.det_ratio)
-        value = math.sqrt(float(np.max(w.phi.values)) / float(np.min(w.psi.values)))
-        candidates.append(("remark", value, lambda: w))
-    evals, status, residual = 0, None, None
-    if "piecewise" in fams:
-        v, phi, psi, evals, status, residual = _solve_weights(data)
-        candidates.append(("piecewise", v, lambda: _piecewise_pair(data, phi, psi)))
-    name, val, make = min(candidates, key=lambda c: c[1])
-    return {
-        "circle": data.circle,
-        "value": val,
-        "family": name,
-        "weights": make(),
+    Returns the per-circle row and the per-arc window weights, which only
+    the attaining circle turns into a WeightPair.
+    """
+    unit = _unit_value(data)
+    rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
+    remark = math.sqrt(float(np.max(rphi)) / float(np.min(rpsi)))
+    window, phi, psi, evals, status, residual = _solve_weights(data, unit)
+    family, value = min(zip(_FAMILIES, (unit, remark, window)), key=lambda c: c[1])
+    row = {
+        "center": data.circle.center,
+        "radius": data.circle.radius,
+        "value": value,
+        "family": family,
         "evaluations": evals,
         "solver_status": status,
         "optimality_residual": residual,
-        "all_values": {c[0]: c[1] for c in candidates},
+        "constant_value": unit,
+        "remark_value": remark,
     }
+    return row, phi, psi
 
 
 def _bound_of(sup_value: float) -> float:
@@ -379,35 +355,27 @@ def _bound_of(sup_value: float) -> float:
     return min(1.0, 1.0 / sup_value)
 
 
-def _assemble(records, cfg: SweepConfig) -> ExponentReport:
-    sup_rec = max(records, key=lambda r: r["value"])
-    sup_value = sup_rec["value"]
-    certified = max(r["all_values"].get("remark", math.nan) for r in records)
+def _assemble(circles, evaluated, cfg: SweepConfig) -> ExponentReport:
+    rows = tuple(row for row, _, _ in evaluated)
+    k = max(range(len(rows)), key=lambda i: rows[i]["value"])
+    data, (row, phi, psi) = circles[k], evaluated[k]
+    grid = data.integrand.grid
+    if row["family"] == "constant":
+        weights = WeightPair.constant(grid)
+    elif row["family"] == "remark":
+        weights = _remark_pair(data.integrand, data.det_ratio)
+    else:
+        weights = WeightPair(PeriodicField.piecewise(grid, phi),
+                             PeriodicField.piecewise(grid, psi))
     return ExponentReport(
-        bound=_bound_of(sup_value),
-        sup_value=sup_value,
-        attaining_circle=sup_rec["circle"],
-        attaining_weights=sup_rec["weights"],
-        per_circle=tuple(
-            {
-                "center": r["circle"].center,
-                "radius": r["circle"].radius,
-                "value": r["value"],
-                "family": r["family"],
-                "evaluations": r["evaluations"],
-                "solver_status": r["solver_status"],
-                "optimality_residual": r["optimality_residual"],
-                "constant_value": r["all_values"].get("constant"),
-            }
-            for r in records
-        ),
-        certified_value=certified,
+        bound=_bound_of(row["value"]),
+        sup_value=row["value"],
+        attaining_circle=data.circle,
+        attaining_weights=weights,
+        per_circle=rows,
+        certified_value=max(r["remark_value"] for r in rows),
         config=cfg,
     )
-
-
-def _uniform_boundaries(p: int) -> np.ndarray:
-    return TWO_PI * np.arange(p) / p
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +388,10 @@ def _joint_kind(*fields) -> str:
 
 def _pair_fields(on: PairOnCircle):
     """(I, D) of a pair restriction: I = (|1-nbar^2 mu|^2 - nu^2)/sqrt(rad) with
-    rad = (1-(|mu|+nu)^2)(1-(|mu|-nu)^2), D = ((1-nu)^2-|mu|^2)/((1+nu)^2-|mu|^2)."""
+    rad = (1-(|mu|+nu)^2)(1-(|mu|-nu)^2), D = ((1-nu)^2-|mu|^2)/((1+nu)^2-|mu|^2);
+    defined for real nu only."""
+    if not on.real_nu:
+        raise ValueError("the circle functional requires real nu")
     mu_abs = np.abs(on.nbar2mu.values)
     nu = on.nu.values.real
     num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
@@ -445,22 +416,16 @@ def _matrix_fields(on: MatrixOnCircle):
     return PeriodicField(on.grid, nAn / np.sqrt(det), kind), PeriodicField(on.grid, det, kind)
 
 
-def _beta_fields(pair: BeltramiPair, circle: CircleSpec, cfg: SweepConfig):
-    on = pair.on_circle(circle, _uniform_boundaries(cfg.weight_pieces))
-    return (on.grid, *_pair_fields(on))
+def _reduced(source, fields, cfg: SweepConfig) -> list:
+    """Restrict source to every sweep circle, with the weight-arc boundaries
+    as extra breakpoints, and reduce fields(restriction) = (I, D) to arcs."""
+    arcs = TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
+    return [_arc_reduce(c, *fields(source.on_circle(c, arcs))) for c in cfg.circles]
 
 
-def _gamma_fields(m: CoefficientMatrixField, circle: CircleSpec, cfg: SweepConfig):
-    on = m.on_circle(circle, _uniform_boundaries(cfg.weight_pieces))
-    return (on.grid, *_matrix_fields(on))
-
-
-def _sweep(fields_of: Callable, cfg: SweepConfig) -> ExponentReport:
-    records = []
-    for circle in cfg.circles:
-        grid, I, D = fields_of(circle)
-        records.append(_evaluate_circle(_arc_reduce(circle, grid, I, D), cfg))
-    return _assemble(records, cfg)
+def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
+    circles = _reduced(source, fields, cfg)
+    return _assemble(circles, [_evaluate_circle(d) for d in circles], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +434,20 @@ def _sweep(fields_of: Callable, cfg: SweepConfig) -> ExponentReport:
 
 def beta_estimate(pair: BeltramiPair, cfg: SweepConfig) -> ExponentReport:
     """Exponent lower bound for a coefficient pair with real nu."""
-    if not pair.real_nu:
-        raise ValueError("estimation requires real nu")
-    return _sweep(lambda c: _beta_fields(pair, c, cfg), cfg)
+    return _sweep(pair, _pair_fields, cfg)
 
 
 def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentReport:
     """Exponent lower bound for a symmetric elliptic matrix field."""
     if not m.symmetric:
         raise ValueError("estimation requires a symmetric matrix field")
-    return _sweep(lambda c: _gamma_fields(m, c, cfg), cfg)
+    return _sweep(m, _matrix_fields, cfg)
 
 
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """The unit-weights bound: same sweep, constant pair only."""
-    return beta_estimate(pair, replace(cfg, weight_family="constant")).bound
+    """The unit-weights bound: beta_estimate's circles and arc reduction,
+    scored with the constant pair only; equal to its report's corollary."""
+    return _bound_of(max(_unit_value(d) for d in _reduced(pair, _pair_fields, cfg)))
 
 
 def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
@@ -501,14 +465,14 @@ def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
 
 
 def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """Simplified bound for mu = 0, taken literally as a sup over circles of
-    (4/pi) arctan of the square root of the (1-nu)/(1+nu) spread.
+    """Simplified bound for mu = 0: over the worst circle, (4/pi) arctan of
+    the square root of the (1-nu)/(1+nu) spread.
 
-    A circle on which nu is constant contributes 1, so sweeps mixing circle
-    geometries report the most optimistic circle; origin-centered sweeps on
-    angular data reproduce the spread of the full field.
+    With mu = 0 the integrand is 1, so this is the corollary bound circle by
+    circle: a circle on which nu is constant contributes 1, and on angular
+    data the origin circle, which sees every value of nu, is the worst.
     """
-    best = 0.0
+    worst = 1.0
     for circle in cfg.circles:
         on = pair.on_circle(circle)
         if np.max(np.abs(on.mu.values)) > 1e-14:
@@ -516,8 +480,8 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
         nu = on.nu.values.real
         g = (1.0 - nu) / (1.0 + nu)
         ratio = float(np.min(g) / np.max(g))
-        best = max(best, _arctan_term(ratio, power=0.5))
-    return best
+        worst = min(worst, _arctan_term(ratio, power=0.5))
+    return worst
 
 
 def classical_bound(pair: BeltramiPair) -> float:
@@ -538,15 +502,11 @@ def remark_weights(on: PairOnCircle) -> WeightPair:
     ratio, and the weighted integrand is identically 1, leaving
     sqrt(sup phi / inf psi) <= sup of the distortion.
     """
-    if not on.real_nu:
-        raise ValueError("remark weights require real nu")
     return _remark_pair(*_pair_fields(on))
 
 
 def circle_integrand(on: PairOnCircle, weights: WeightPair) -> PeriodicField:
     """sqrt(psi/phi) times the coefficient integrand, per node."""
-    if not on.real_nu:
-        raise ValueError("the integrand is defined for real nu")
     I, _ = _pair_fields(on)
     w = np.sqrt(weights.psi.values.real / weights.phi.values.real)
     return PeriodicField(on.grid, w * I.values, SMOOTH)

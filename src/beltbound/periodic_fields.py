@@ -20,6 +20,7 @@ __all__ = [
     "merge_breakpoints",
     "AngularGrid",
     "PeriodicField",
+    "gap_right_values",
     "periodic_quadrature",
     "periodic_mean",
     "field_extrema",
@@ -197,18 +198,23 @@ class PeriodicField:
         return np.interp(t, xp, fp)
 
 
-def periodic_quadrature(field: PeriodicField):
-    """Integral over one period.
+def gap_right_values(field: PeriodicField) -> np.ndarray:
+    """The field's value at the right end of each node gap, the last gap
+    closing at 2pi: the node's own value for piecewise-constant fields, which
+    are constant on every gap, and the next node's for smooth fields.  This is
+    the only place where per-gap integrals and extrema tell the kinds apart.
+    """
+    return field.values if field.kind == PIECEWISE else np.roll(field.values, -1)
 
-    Piecewise-constant fields: exact (left-value times gap).  Smooth fields:
+
+def periodic_quadrature(field: PeriodicField):
+    """Integral over one period: the trapezoid over every node gap.
+
+    Piecewise-constant fields: exact (left value times gap).  Smooth fields:
     cyclic trapezoid, O(h^2) in the largest node gap, spectral for smooth
     periodic data on uniform grids.
     """
-    h = field.grid.spacings()
-    v = field.values
-    if field.kind == PIECEWISE:
-        return np.sum(h * v)
-    return 0.5 * np.sum(h * (v + np.roll(v, -1)))
+    return 0.5 * np.sum(field.grid.spacings() * (field.values + gap_right_values(field)))
 
 
 def periodic_mean(field: PeriodicField):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from beltbound.cli import JobSpec, SpecError, build_spec, run
@@ -260,3 +261,116 @@ def test_build_spec_parses_lists_and_validates():
         JobSpec(command="estimate", M=(2.0,), tau=(0.0,), circles=0)
     with pytest.raises(SpecError):
         JobSpec(command="sharp", M=(2.0,), tau=(0.0, 1.0)).single_M_tau()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random commands, sources, extreme flag values, malformed files
+
+FUZZ_COEFF = {
+    "good": '{"breakpoints": [0, 1.5, 3, 4.5], "mu0": [0, 0.3, 0, 0.3], "nu0": [0.1, 0, 0.1, 0]}',
+    "mu_zero": '{"breakpoints": [0, 1, 2.5, 4], "mu0": [0, 0, 0, 0], "nu0": [0.5, -0.3, 0.1, -0.6]}',
+    "nu_zero": '{"breakpoints": [0, 2], "mu0": [0.2, -0.4], "nu0": [0, 0]}',
+    "constant": '{"breakpoints": [0], "mu0": [0], "nu0": [0]}',
+    "near_one": '{"breakpoints": [0, 3], "mu0": [0, 0], "nu0": [0.999999999999, -0.999999999999]}',
+    "unsorted": '{"breakpoints": [3, -1, 7, 100], "mu0": [0.1, 0.2, 0.3, 0], "nu0": [0, 0.1, 0.2, 0]}',
+    "duplicate": '{"breakpoints": [1, 1, 1.0000000000001], "mu0": [0.1, 0.2, 0.3], "nu0": [0, 0.1, 0.2]}',
+    "tiny": '{"breakpoints": [0, 1e-300], "mu0": [1e-300, 0], "nu0": [0, -1e-300]}',
+    "many": json.dumps({"breakpoints": list(np.linspace(0, 6.2, 40)), "mu0": [0.1] * 40,
+                        "nu0": [0.2] * 40}),
+    "not_elliptic": '{"breakpoints": [0], "mu0": [0.8], "nu0": [0.3]}',
+    "huge": '{"breakpoints": [0, 1e308], "mu0": [1e308, 0], "nu0": [0, 0]}',
+    "nan": '{"breakpoints": [0, NaN], "mu0": [0.1, NaN], "nu0": [0, 0]}',
+    "infinity": '{"breakpoints": [0, 1], "mu0": [Infinity, 0], "nu0": [0, 0]}',
+    "mismatch": '{"breakpoints": [0, 1], "mu0": [0.1], "nu0": [0, 0.1]}',
+    "empty_lists": '{"breakpoints": [], "mu0": [], "nu0": []}',
+    "missing_key": '{"breakpoints": [0], "mu0": [0.1]}',
+    "wrong_types": '{"breakpoints": ["a"], "mu0": null, "nu0": [[0]]}',
+    "top_list": "[1, 2, 3]",
+    "not_json": "breakpoints: 0",
+    "empty_file": "",
+}
+FUZZ_CONFIG = {
+    "good": '{"command": "estimate", "alpha": 0.5, "nodes": 32, "weight_pieces": 2}',
+    "unknown": '{"command": "estimate", "alhpa": 0.5}',
+    "top_list": "[1]",
+    "bad_list": '{"command": "sweep", "M": [2, "a"]}',
+    "dict_M": '{"command": "sweep", "M": {"a": 1}}',
+    "string_numbers": '{"command": "estimate", "alpha": "0.5", "nodes": "64"}',
+    "float_nodes": '{"command": "estimate", "alpha": 0.5, "nodes": 64.5}',
+    "fd_paths": '{"command": "estimate", "coeff_file": 0, "out": 1}',
+    "nulls": '{"command": "estimate", "alpha": 0.5, "nodes": null, "tolerance": null}',
+}
+# (values that parse, values that should be refused) per flag
+FUZZ_FLAGS = {
+    "--alpha": (["0.5", "1", "0.25", "1e-300"], ["0", "-1", "nan", "inf", "1.5", "x"]),
+    "--M": (["1.5", "3", "1.000000000001", "1e10", "2,4"], ["1e300", "0.5", "nan", "-inf", "", "1,x"]),
+    "--tau": (["0", "1", "0.5", "0,1"], ["-0.1", "1.1", "nan"]),
+    # well-formed files (one of them not elliptic), then malformed ones
+    "--coeff-file": (list(FUZZ_COEFF)[:10], list(FUZZ_COEFF)[10:] + ["no_such_file"]),
+    "--config": (["good", "nulls"], list(FUZZ_CONFIG)[1:-1]),
+    "--nodes": (["16", "17", "32", "64"], ["8", "-4", "x", "1e3"]),
+    "--weight-pieces": (["1", "2", "4"], ["0", "1000000", "x"]),
+    "--circles": (["1", "2"], ["0", "x"]),
+    "--radii": (["0.5", "0.1,0.9", "1e-300", "1e300"], ["0", "-1", "nan", "inf", "0.5,,x"]),
+    "--tolerance": (["1e-8", "1e300", "1e-300"], ["0", "nan", "inf"]),
+    "--format": (["json", "csv"], ["xml"]),
+}
+# the sources each command takes; a draw mostly keeps to them
+FUZZ_SOURCES = {"estimate": ("--alpha", "--M", "--coeff-file"), "sharp": ("--M",),
+                "verify": ("--alpha", "--M"), "sweep": ("--M",), "bogus": ("--alpha",)}
+
+
+def _fuzz_argv(rng, files):
+    def pick(flag):
+        good, bad = FUZZ_FLAGS[flag]
+        values = bad if rng.random() < 0.15 else good
+        v = values[rng.integers(len(values))]
+        return files.get((flag, v), v)
+
+    command = list(FUZZ_SOURCES)[rng.choice(5, p=[0.35, 0.15, 0.15, 0.3, 0.05])]
+    sources = FUZZ_SOURCES[command] if rng.random() < 0.85 else FUZZ_SOURCES["estimate"]
+    argv = ["--command", command]
+    for source in rng.permutation(sources)[:rng.choice([0, 1, 1, 1, 1, 1, 2])]:
+        argv += [str(source), pick(str(source))]
+        if source == "--M" and rng.random() < 0.8:
+            argv += ["--tau", pick("--tau")]
+    for flag in ("--nodes", "--weight-pieces", "--circles", "--radii", "--tolerance",
+                 "--format", "--config"):
+        if rng.random() < 0.2:
+            argv += [flag, pick(flag)]
+    for flag, default in (("--nodes", "64"), ("--weight-pieces", "4")):
+        if flag not in argv:
+            argv += [flag, default]
+    if rng.random() < 0.1:
+        argv.append("--corrupt-mu")
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+def test_cli_fuzz_keeps_exit_contract(tmp_path, capsys):
+    files = {}
+    for flag, table in (("--coeff-file", FUZZ_COEFF), ("--config", FUZZ_CONFIG)):
+        for name, text in table.items():
+            path = tmp_path / f"{flag[2:]}-{name}.json"
+            path.write_text(text)
+            files[(flag, name)] = str(path)
+    files[("--coeff-file", "no_such_file")] = str(tmp_path / "missing" / "pair.json")
+    rng = np.random.default_rng(20061)
+    codes = []
+    for _ in range(200):
+        argv = _fuzz_argv(rng, files)
+        try:
+            code = run(argv)
+        except Exception as exc:  # the exit-code contract forbids any escape
+            pytest.fail(f"{argv} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        if code == 0 and "csv" not in argv:
+            json.loads(out, parse_constant=_refuse_constant)
+        codes.append(code)
+    # the draw reaches every outcome, not only the refusals
+    assert set(codes) == {0, 2, 3, 4}

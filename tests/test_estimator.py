@@ -20,6 +20,7 @@ from beltbound.periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
+    field_extrema,
 )
 from beltbound.reduction import (
     BeltramiPair,
@@ -144,7 +145,7 @@ def test_remark_weights_contract():
         pair = random_angular_pair(rng)
         on = pair.on_circle(CircleSpec(0.0, 0.5, resolution=512))
         w = remark_weights(on)
-        (phi_lo, phi_hi), (psi_lo, psi_hi) = w.bounds()
+        (phi_lo, phi_hi), (psi_lo, psi_hi) = field_extrema(w.phi), field_extrema(w.psi)
         assert phi_lo > 0 and psi_lo > 0
         K = pair.distortion_bound()
         assert phi_hi / psi_lo <= K**2 + 1e-10
@@ -222,6 +223,22 @@ def test_corollary_equals_mu_zero_for_origin_sweep():
     fam = build_family(3.0, 0.0, node_count=512)
     pair = fam.pair()
     assert abs(corollary_bound(pair, CFG) - mu_zero_bound(pair, CFG)) < 1e-12
+
+
+def test_mu_zero_takes_the_worst_circle():
+    # a small circle inside the constant-nu arc [1, 2.5) contributes 1; the
+    # origin circle sees every value of nu and sets the bound, as it sets the
+    # corollary bound (with mu = 0 the integrand is 1, circle by circle)
+    pair = BeltramiPair.from_profiles([0.0, 1.0, 2.5, 4.0], [0.0] * 4,
+                                      [0.5, -0.3, 0.1, -0.6], node_count=512)
+    small = CircleSpec(0.5 * np.exp(1.75j), 0.05, resolution=512)
+    on = pair.on_circle(small)
+    assert np.ptp(on.nu.values.real) == 0.0
+    cfg = SweepConfig(circles=CFG.circles + (small,), weight_pieces=8)
+    assert mu_zero_bound(pair, SweepConfig(circles=(small,))) == 1.0
+    assert mu_zero_bound(pair, cfg) < 0.5
+    assert abs(mu_zero_bound(pair, cfg) - corollary_bound(pair, cfg)) < 1e-12
+    assert abs(mu_zero_bound(pair, cfg) - mu_zero_bound(pair, CFG)) < 1e-12
 
 
 def test_bounds_live_in_unit_interval():

@@ -1,8 +1,11 @@
-"""The window solve of the per-arc weight problem against the solvers it replaced.
+"""The window solve of the per-arc weight problem against the solvers it
+replaced, and the arc reduction against the loop it replaced.
 
-Two references live here.  `descend` is the randomised multistart coordinate
-descent in log-weights that the estimator used first; `slsqp_reference` is
-the SLSQP solve of a smooth epigraph form that followed it.  On a fixed
+Three references live here.  `descend` is the randomised multistart
+coordinate descent in log-weights that the estimator used first;
+`slsqp_reference` is the SLSQP solve of a smooth epigraph form that followed
+it; `arc_reduce_loop` is the per-arc loop, one branch per field kind, that
+the gap reduction replaced.  On a fixed
 corpus (criterion 6's generator plus two disk-lattice sweeps, whose
 off-centre circles carry smooth restrictions) and on random arc sets the
 window solve must never return a larger per-circle value than either, and
@@ -21,11 +24,12 @@ from test_acceptance import random_angular_pair
 
 from beltbound.estimator import (
     SweepConfig,
-    _arc_reduce,
     _arc_value,
-    _beta_fields,
     _CircleData,
+    _pair_fields,
+    _reduced,
     _solve_weights,
+    _unit_value,
     beta_estimate,
 )
 from beltbound.periodic_fields import PIECEWISE, SMOOTH, TWO_PI, AngularGrid, PeriodicField
@@ -36,7 +40,7 @@ STATUSES = {"interior", "edge", "vertex", "boundary", "constant"}
 
 def descend(data, rng, multistarts=8, sweeps=40):
     """Coordinate descent in log-weights, multiplicative steps, multistarts."""
-    n = data.arc_lefts.size
+    n = data.arc_integrals.size
     best_val = math.inf
     best_x = np.zeros(2 * n)
 
@@ -82,7 +86,7 @@ def epigraph(data):
     is convex (a log-sum-exp plus a convex decreasing function of m - M) and
     equals log(_arc_value) wherever the auxiliaries are tight.
     """
-    n = data.arc_lefts.size
+    n = data.arc_integrals.size
     log_t = np.log(data.arc_integrals)
     log_dmin, log_dmax = np.log(data.arc_dmin), np.log(data.arc_dmax)
     eye, zero = np.eye(n), np.zeros((n, n))
@@ -127,7 +131,7 @@ def slsqp_reference(data):
     constant start when the solve does not beat it.  Returns the value and
     the weights.
     """
-    n = data.arc_lefts.size
+    n = data.arc_integrals.size
     objective, G, h, v0 = epigraph(data)
     res = minimize(
         objective, v0, jac=True, method="SLSQP",
@@ -144,14 +148,44 @@ def slsqp_reference(data):
     return best
 
 
+def arc_reduce_loop(I, D):
+    """Per-arc integral of I and extrema of D, one arc and one kind branch at
+    a time: piecewise data take the left value times the arc length, smooth
+    data a closed trapezoid through the next arc's first node."""
+    grid = I.grid
+    lefts = grid.breakpoints
+    rights = np.concatenate([lefts[1:], [TWO_PI]])
+    starts = grid.segment_starts
+    ends = np.concatenate([starts[1:], [grid.node_count]])
+    iv, dv = I.values.real, D.values
+    T, dmin, dmax = (np.empty(lefts.size) for _ in range(3))
+    for j in range(lefts.size):
+        sl = slice(starts[j], ends[j])
+        if I.kind == PIECEWISE:
+            T[j] = iv[starts[j]] * (rights[j] - lefts[j])
+        else:
+            nodes = np.concatenate([grid.nodes[sl], [rights[j]]])
+            vals = np.concatenate([iv[sl], [iv[ends[j] % grid.node_count]]])
+            T[j] = np.sum(np.diff(nodes) * 0.5 * (vals[:-1] + vals[1:]))
+        if D.kind == PIECEWISE:
+            dmin[j] = dmax[j] = dv[starts[j]]
+        else:
+            seg = np.concatenate([dv[sl], [dv[ends[j] % grid.node_count]]])
+            dmin[j], dmax[j] = np.min(seg), np.max(seg)
+    return T, dmin, dmax
+
+
 def arcs(T, dmin, dmax):
-    n = len(T)
-    return _CircleData(None, None, None, None, np.zeros(n), np.asarray(T, dtype=float),
+    return _CircleData(None, None, None, np.asarray(T, dtype=float),
                        np.asarray(dmin, dtype=float), np.asarray(dmax, dtype=float))
 
 
+def solve(data):
+    return _solve_weights(data, _unit_value(data))
+
+
 def _reduced_circles(pair, cfg):
-    return [_arc_reduce(c, *_beta_fields(pair, c, cfg)) for c in cfg.circles]
+    return _reduced(pair, _pair_fields, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +201,7 @@ def corpus():
         circles += _reduced_circles(pair, lattice)
     kinds = {d.integrand.kind for d in circles}
     assert kinds == {PIECEWISE, SMOOTH}
-    return [(d, _solve_weights(d)) for d in circles]
+    return [(d, solve(d)) for d in circles]
 
 
 def test_solve_never_looser_than_descent(corpus):
@@ -201,9 +235,42 @@ def test_clipped_cell_root_reports_its_grid_vertex(T, dmin, dmax):
     # the best window is the corner (max dmax, min dmin); a cell's stationary
     # point clipped onto that corner wins here by rounding, and is reported
     # where it lies, not as the interior of its cell
-    value, phi, psi, _, status, _ = _solve_weights(arcs(T, dmin, dmax))
+    value, phi, psi, _, status, _ = solve(arcs(T, dmin, dmax))
     assert status == "vertex"
     assert np.allclose(phi, 1.0, rtol=0.0, atol=1e-12) and np.allclose(psi, 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_tiny_window_ratio_scored_exactly():
+    # min dmin / max dmax = 1e-23: the unit pair's arctan term is taken at
+    # the true ratio, not raised to a floor, so the window beats it
+    data = arcs([1, 1, 1], [1e-20, 1, 1e3], [1e-20, 1, 1e3])
+    value, phi, psi, _, status, residual = solve(data)
+    assert status == "edge"
+    assert value == pytest.approx(142790.88003229036, rel=1e-12)
+    assert value < _unit_value(data)
+    assert value == _arc_value(data, phi, psi)
+    assert residual < 1e-12
+
+
+def test_gap_reduction_matches_arc_loop(corpus):
+    # the corpus holds piecewise (origin) and smooth (off-centre) circles
+    for idx, (data, _) in enumerate(corpus):
+        T, dmin, dmax = arc_reduce_loop(data.integrand, data.det_ratio)
+        assert np.max(np.abs(data.arc_integrals - T) / T) <= 1e-14, idx
+        assert np.array_equal(data.arc_dmin, dmin) and np.array_equal(data.arc_dmax, dmax), idx
+
+
+def test_gap_reduction_matches_arc_loop_on_smooth_origin_data():
+    grid = AngularGrid.uniform(512)
+    th = grid.nodes
+    pair = BeltramiPair.from_angular(PeriodicField(grid, 0.45 * np.sin(th) ** 2, SMOOTH),
+                                     PeriodicField(grid, 0.35 * np.cos(3 * th), SMOOTH))
+    for pieces in (1, 7, 64):
+        data = _reduced_circles(pair, SweepConfig.origin(resolution=512, weight_pieces=pieces))[0]
+        assert data.integrand.kind == SMOOTH
+        T, dmin, dmax = arc_reduce_loop(data.integrand, data.det_ratio)
+        assert np.max(np.abs(data.arc_integrals - T) / T) <= 1e-14, pieces
+        assert np.array_equal(data.arc_dmin, dmin) and np.array_equal(data.arc_dmax, dmax)
 
 
 arc_sets = st.lists(
@@ -225,13 +292,13 @@ def test_window_solve_properties(rows, c, seed):
     dmin = np.exp(log_lo)
     dmax = dmin * np.exp(scale * frac)
     data = arcs(T, dmin, dmax)
-    value, phi, psi, *_ = _solve_weights(data)
+    value, phi, psi, *_ = solve(data)
     assert value == _arc_value(data, phi, psi)
     assert value <= slsqp_reference(data)[0] * (1.0 + 1e-12)
-    scaled = _solve_weights(arcs(T, c * dmin, c * dmax))[0]
+    scaled = solve(arcs(T, c * dmin, c * dmax))[0]
     assert scaled == pytest.approx(value, rel=1e-12, abs=0.0)
     perm = np.random.default_rng(seed).permutation(T.size)
-    permuted = _solve_weights(arcs(T[perm], dmin[perm], dmax[perm]))[0]
+    permuted = solve(arcs(T[perm], dmin[perm], dmax[perm]))[0]
     assert permuted == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
@@ -255,10 +322,10 @@ def test_thousand_arc_circle_memory():
                                      PeriodicField(grid, 0.35 * np.cos(3 * th), SMOOTH))
     cfg = SweepConfig.origin(resolution=nodes, weight_pieces=pieces)
     data = _reduced_circles(pair, cfg)[0]
-    assert data.arc_lefts.size == pieces
+    assert data.arc_integrals.size == pieces
     tracemalloc.start()
     try:
-        value, phi, psi, *_ = _solve_weights(data)
+        value, phi, psi, *_ = solve(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
