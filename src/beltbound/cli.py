@@ -323,6 +323,10 @@ def _circle_payload(c: CircleSpec) -> dict:
     return {"center": complex(c.center), "radius": c.radius, "resolution": c.resolution}
 
 
+_CIRCLE_KEYS = ("center", "radius", "value", "family", "evaluations", "solver_status",
+                "optimality_residual", "nodes", "arcs")
+
+
 def _report_payload(report) -> dict:
     w = report.attaining_weights
     lo_phi, hi_phi = w.phi.values.min(), w.phi.values.max()
@@ -337,18 +341,7 @@ def _report_payload(report) -> dict:
             "psi_range": [float(lo_psi), float(hi_psi)],
         },
         "circle_count": len(report.per_circle),
-        "per_circle": [
-            {
-                "center": rec["center"],
-                "radius": rec["radius"],
-                "value": rec["value"],
-                "family": rec["family"],
-                "evaluations": rec["evaluations"],
-                "solver_status": rec["solver_status"],
-                "optimality_residual": rec["optimality_residual"],
-            }
-            for rec in report.per_circle
-        ],
+        "per_circle": [{key: rec[key] for key in _CIRCLE_KEYS} for rec in report.per_circle],
     }
 
 

@@ -25,6 +25,10 @@ and D into per-arc integrals and extrema over node gaps for
 piecewise-constant and smooth data alike; the kinds differ only in a gap's
 right-end value (periodic_fields.gap_right_values).  The reduction is exact
 for piecewise-constant data and trapezoid-accurate for smooth data.
+
+A sweep makes one pass per grid: the circles of one resolution, origin-centred
+or not, are restricted, reduced and solved together (_restrictions), each
+circle's row as it would be alone.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .periodic_fields import (
     CircleSpec,
     PeriodicField,
     field_extrema,
+    gap_integrals,
     gap_right_values,
     periodic_mean,
 )
@@ -49,8 +54,8 @@ from .reduction import (
     BeltramiPair,
     CoefficientMatrixField,
     EllipticityError,
-    MatrixOnCircle,
-    PairOnCircle,
+    MatrixOnCircles,
+    PairOnCircles,
 )
 
 __all__ = [
@@ -163,14 +168,14 @@ class ExponentReport:
 
 
 # ---------------------------------------------------------------------------
-# per-circle machinery
+# per-batch machinery: the circles of one grid
 
 
 @dataclass(frozen=True, eq=False)
-class _CircleData:
-    """Integrand/det-ratio fields on one circle plus their arc reduction."""
+class _CircleBatch:
+    """Integrand/det-ratio fields on circles of one grid, and their arc reduction."""
 
-    circle: CircleSpec
+    circles: tuple
     integrand: PeriodicField
     det_ratio: PeriodicField
     arc_integrals: np.ndarray  # per-arc integral of I
@@ -178,37 +183,36 @@ class _CircleData:
     arc_dmax: np.ndarray
 
 
-def _arc_reduce(circle: CircleSpec, I: PeriodicField, D: PeriodicField) -> _CircleData:
+def _arc_reduce(circles, I: PeriodicField, D: PeriodicField) -> _CircleBatch:
     """Per-arc trapezoid integral of I and extrema of D over the node gaps,
     split at the grid's breakpoints."""
-    grid, starts = I.grid, I.grid.segment_starts
-    iv, dv = I.values.real, D.values
-    ir, dr = gap_right_values(I).real, gap_right_values(D)
-    T = np.add.reduceat(grid.spacings() * 0.5 * (iv + ir), starts)
-    dmin = np.minimum.reduceat(np.minimum(dv, dr), starts)
-    dmax = np.maximum.reduceat(np.maximum(dv, dr), starts)
-    return _CircleData(circle, I, D, T, dmin, dmax)
+    starts = I.grid.segment_starts
+    dv, dr = D.values, gap_right_values(D)
+    T = np.add.reduceat(gap_integrals(I), starts, axis=-1)
+    dmin = np.minimum.reduceat(np.minimum(dv, dr), starts, axis=-1)
+    dmax = np.maximum.reduceat(np.maximum(dv, dr), starts, axis=-1)
+    return _CircleBatch(tuple(circles), I, D, T, dmin, dmax)
 
 
-def _arctan_term(ratio: float, power: float = 0.25) -> float:
+def _arctan_term(ratio, power: float = 0.25) -> np.ndarray:
     # ratio is a min over a max, so <= 1; it is taken as is, with no floor, so
     # a tiny ratio gives the large true value (for the unit pair and every
-    # clip window it is at least ((1 - kappa)/(1 + kappa))^4 > 0)
-    return (4.0 / math.pi) * math.atan(ratio**power)
+    # clip window it is at least ((1 - kappa)/(1 + kappa))^4 > 0).  libm
+    # (float pow, math.atan) rounds alike whatever numpy's SIMD dispatch.
+    return np.array([(4.0 / math.pi) * math.atan(r**power) for r in ratio.tolist()])
 
 
-def _arc_value(data: _CircleData, phi: np.ndarray, psi: np.ndarray) -> float:
-    """Objective for per-arc constant weights; exact given the arc reduction."""
-    num = math.sqrt(phi.max() / psi.min()) * float(
-        (np.sqrt(psi / phi) * data.arc_integrals).sum()
-    ) / TWO_PI
+def _arc_value(data: _CircleBatch, phi, psi) -> np.ndarray:
+    """Objective of per-arc constant weights (a row per circle); exact given the arcs."""
+    num = np.sqrt(phi.max(axis=-1) / psi.min(axis=-1)) * (
+        np.sqrt(psi / phi) * data.arc_integrals).sum(axis=-1) / TWO_PI
     prod = phi * psi
-    ratio = float((data.arc_dmin / prod).min() / (data.arc_dmax / prod).max())
+    ratio = (data.arc_dmin / prod).min(axis=-1) / (data.arc_dmax / prod).max(axis=-1)
     return num / _arctan_term(ratio)
 
 
-def _unit_value(data: _CircleData) -> float:
-    ones = np.ones(data.arc_integrals.size)
+def _unit_value(data: _CircleBatch) -> np.ndarray:
+    ones = np.ones(data.arc_integrals.shape[-1])
     return _arc_value(data, ones, ones)
 
 
@@ -228,15 +232,25 @@ def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
     return WeightPair(PeriodicField(I.grid, phi, I.kind), PeriodicField(I.grid, psi, I.kind))
 
 
-_BLOCK = 1 << 14  # grid cells per block of rows
+def _keys(rows, values) -> np.ndarray:
+    """Complex keys rows + i values, which numpy orders by row, then value."""
+    keys = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(values)), dtype=complex)
+    keys.real, keys.imag = rows, values
+    return keys
+
+
+_BLOCK = 1 << 14  # grid cells per block, across circles
 _NEWTON_STEPS = 3
 # candidate kinds: edge of fixed X, edge of fixed Y, cell; X = scale * w**power
-_EDGE = np.array([True, True, False])[:, None, None]
-_X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None]
+_EDGE = np.array([True, True, False])[:, None, None, None]
+_X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None, None]
+# a window must beat the unit pair by _TIE: at its corner they tie to ulps
+_TIE = 1e-14
 
 
-def _solve_weights(data: _CircleData, unit: float):
-    """Exact minimum of the per-arc weight problem, through its clip window.
+def _solve_weights(data: _CircleBatch, unit):
+    """Exact minimum of the per-arc weight problem, through its clip window,
+    on every circle of data at once (unit: the unit pair's values).
 
     The value does not change when phi and psi are scaled apart, so take
     max phi = 1 = min psi.  Clipping D/(phi psi) into a window [m, M] with
@@ -255,127 +269,118 @@ def _solve_weights(data: _CircleData, unit: float):
     2w(1 + w^2) arctan w - w^2 < (N - B1 Y) X/B1 (fixed Y likewise), so the
     root clipped to an edge's feasible part is its minimum: a vertex or a
     crossing of w = w0 included.  One batched Newton solve per block of grid
-    rows gives these feasible windows; each is scored with the exact F.
-    Returns the exact _arc_value of the best one's weights (or unit, the
-    unit pair's value, when that is not beaten), the weights, the candidate
-    count, where the optimum lies ("interior", "edge", "vertex", "boundary"
-    or "constant") and the relative gap between F and the returned value.
+    rows of all circles (padded to the most lines) gives these feasible
+    windows; each is scored with the exact F, ties going to the first in
+    (kind, row, column) order.  Per circle, returns the exact _arc_value of
+    the best one's weights (or unit, unless beaten by more than _TIE), the
+    weights, the candidate count, where the optimum lies ("interior",
+    "edge", "vertex", "boundary" or "constant") and the relative gap between
+    F and the returned value.
     """
     T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
-    total = float(T.sum())
-    w0 = float((dmin / dmax).min()) ** 0.25
-    Mk, mk = np.unique(dmax), np.unique(dmin)
-    iM, im = np.searchsorted(Mk, dmax), np.searchsorted(mk, dmin)
-    # clipped from above for M just below Mk[i]: dmax >= Mk[i], sums A[i];
-    # from below for m just above mk[l]: dmin <= mk[l], sums B[l + 1]
-    A1 = np.append(np.cumsum(np.bincount(iM, T * np.sqrt(dmax))[::-1])[::-1], 0.0)
-    A0 = np.append(np.cumsum(np.bincount(iM, T)[::-1])[::-1], 0.0)
-    B1 = np.concatenate([[0.0], np.cumsum(np.bincount(im, T / np.sqrt(dmin)))])
-    B0 = np.concatenate([[0.0], np.cumsum(np.bincount(im, T))])
-    X, Y = Mk**-0.5, np.sqrt(mk)  # grid lines; cell (i, l) is [X[i], Xhi[i]] x [Y[l], Yhi[l]]
-    Xhi, Yhi = np.concatenate([[np.inf], X[:-1]]), np.append(Y[1:], np.inf)
-    best = (math.inf, Mk[-1], mk[0], 2, w0)  # the unit pair's corner
-    rows = max(1, _BLOCK // Y.size)
-    for i0 in range(0, X.size, rows):
-        s = slice(i0, min(i0 + rows, X.size))
-        x, xhi, a1, a0 = X[s, None], Xhi[s, None], A1[s, None], A0[s, None]
-        r = np.sqrt(a1 / B1[1:])
-        w = np.sqrt(x * Y)
-        side = np.array([x * r, Y / r, xhi * r, Yhi / r])  # where a cell root clips
-        lo = np.array([w, w, np.maximum(side[0], side[1])])
-        top = np.minimum(np.array(
-            [np.sqrt(x * Yhi), np.sqrt(xhi * Y), np.minimum(side[2], side[3])]), w0)
-        target = np.array([
-            (total + A1[1:][s, None] * x - A0[1:][s, None] - B0[1:]) * x / B1[1:],
-            (total + B1[:-1] * Y - B0[:-1] - a0) * Y / a1,
-            (total - a0 - B0[1:]) / (2.0 * np.sqrt(a1 * B1[1:])),
-        ])
-        scale = np.array(np.broadcast_arrays(x, 1.0 / Y, 1.0 / r))
-        # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
-        # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
-        t = np.abs(target)
-        v = np.where(_EDGE, np.sqrt(2.0 * t / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * t))),
-                     np.cbrt(t / (math.pi / 2.0 - 1.0)))
-        for _ in range(_NEWTON_STEPS):
+    C, n = T.shape
+    w0 = np.array([r**0.25 for r in (dmin / dmax).min(axis=-1).tolist()])  # libm pow
+    # grid lines: each circle's distinct dmax (side 0) and dmin (side 1),
+    # sorted, padded with inf; rank: each arc's line, its arcs in arc order
+    D = np.stack([dmax, dmin])
+    order, s = np.argsort(D, axis=-1, kind="stable"), np.sort(D, axis=-1)
+    new = np.diff(s, axis=-1, prepend=0.0) != 0.0
+    rank = np.cumsum(new, axis=-1) - 1
+    (nX, nY) = counts = rank[..., -1] + 1
+    KX, KY = counts.max(axis=1)
+    lines = np.sort(np.where(new, s, np.inf), axis=-1)[..., :max(KX, KY)]
+    # clipped from above for M just below line i: dmax >= Mk[i], sums A[i]
+    # (A[nX] = 0); from below for m just above line l: dmin <= mk[l], B[l + 1]
+    base = np.arange(2 * C).reshape(2, C, 1) * n
+    w = np.array([[T * np.sqrt(dmax), T / np.sqrt(dmin)], [T, T]]).reshape(2, -1)
+    sums = np.array([np.bincount((rank + base).ravel(), v, minlength=2 * C * n)
+                     for v in w[:, (order + base).ravel()]]).reshape(2, 2, C, n)
+    zero = np.zeros((2, C, 1))
+    A = np.concatenate([np.cumsum(sums[:, 0, :, ::-1], axis=-1)[..., ::-1], zero], axis=-1)
+    B = np.concatenate([zero, np.cumsum(sums[:, 1], axis=-1)], axis=-1)
+    # a window's key (circle, value) counts its lines (pads sit at circle + 1/2)
+    circle = np.arange(C)[:, None, None]
+    KM, Km = _keys(circle[:, 0] + 0.5 * np.isinf(lines), lines).reshape(2, -1)
+    (A1, A0), (B1, B0) = (a[..., :lines.shape[-1] + 1].reshape(2, -1) for a in (A, B))
+    X, Y = lines[0, :, :KX] ** -0.5, np.sqrt(lines[1, :, :KY])  # cell: [X, Xhi] x [Y, Yhi]
+    Xhi = np.concatenate([np.full((C, 1), np.inf), X[:, :-1]], axis=1)
+    y, yhi = Y[:, None], np.concatenate([Y[:, 1:], np.full((C, 1), np.inf)], axis=1)[:, None]
+    (b1, b0), (b1l, b0l) = B[:, :, None, 1:KY + 1], B[:, :, None, :KY]  # B[l + 1], B[l]
+    tot, w0c = T.sum(axis=-1)[:, None, None], w0[:, None, None]
+    col_ok = np.arange(KY) < nY[:, None, None]
+    # per circle: F, key, X, Y, w, lines it sits on; from the unit pair's corner
+    best = np.array([np.full(C, np.inf), np.zeros(C), np.ones(C), np.ones(C), w0, np.full(C, 2.0)])
+    rows = max(1, _BLOCK // (C * KY))
+    for i0 in range(0, KX, rows):
+        i1 = min(i0 + rows, KX)
+        x, xhi = X[:, i0:i1, None], Xhi[:, i0:i1, None]
+        (a1, a0), (a1n, a0n) = A[:, :, i0:i1, None], A[:, :, i0 + 1:i1 + 1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # padded cells
+            r = np.sqrt(a1 / b1)
+            w = np.sqrt(x * y)
+            side = np.array([x * r, y / r, xhi * r, yhi / r])  # where a cell root clips
+            lo = np.array([w, w, np.maximum(side[0], side[1])])
+            top = np.minimum(np.array(
+                [np.sqrt(x * yhi), np.sqrt(xhi * y), np.minimum(side[2], side[3])]), w0c)
+            target = np.array([
+                (tot + a1n * x - a0n - b0) * x / b1,
+                (tot + b1l * y - b0l - a0) * y / a1,
+                (tot - a0 - b0) / (2.0 * np.sqrt(a1 * b1)),
+            ])
+            scale = np.empty((3, *r.shape))
+            scale[0], scale[1], scale[2] = x, 1.0 / y, 1.0 / r
+            # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
+            # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
+            t = np.abs(target)
+            v = np.where(_EDGE, np.sqrt(2.0 * t / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * t))),
+                         np.cbrt(t / (math.pi / 2.0 - 1.0)))
+            for _ in range(_NEWTON_STEPS):
+                v = np.minimum(np.maximum(v, lo), top)
+                at = np.arctan(v)
+                q = (1.0 + v * v) * at
+                g = np.where(_EDGE, 2.0 * v * q - v * v, q - v) - target
+                v -= g / np.where(_EDGE, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
             v = np.minimum(np.maximum(v, lo), top)
-            at = np.arctan(v)
-            q = (1.0 + v * v) * at
-            g = np.where(_EDGE, 2.0 * v * q - v * v, q - v) - target
-            v -= g / np.where(_EDGE, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
-        v = np.minimum(np.maximum(v, lo), top)
-        xs = scale * v**_X_POWER
-        ys = v * v / xs
-        i, l = np.searchsorted(Mk, xs**-2.0), np.searchsorted(mk, ys * ys, side="right")
-        f = (total + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
-        k = np.unravel_index(np.argmin(f), f.shape)
-        if f[k] < best[0]:
-            # grid lines the point sits on, to rounding: an edge's ends are
-            # vertices; a cell's root clipped onto a side or corner is on 1 or 2
-            ends = np.array([lo[k], top[k]]) if k[0] < 2 else side[:, k[1], k[2]]
-            on = (k[0] < 2) + np.count_nonzero(abs(ends - v[k]) <= 1e-12 * v[k])
-            best = (float(f[k]), xs[k] ** -2.0, ys[k] ** 2, on, v[k])
-    f_best, M, m, on, v = best
-    where = "boundary" if v >= w0 else ("interior", "edge", "vertex")[min(on, 2)]
-    p = np.minimum(np.maximum(1.0, dmax / M), dmin / m)
+            # a full exponent array: with a broadcast one, numpy's power
+            # switches to a differently rounded loop past 4096 elements
+            xs = scale * v ** np.broadcast_to(_X_POWER, v.shape).copy()
+            ys = v * v / xs
+            i = np.searchsorted(KM, _keys(circle, xs**-2.0)) + circle
+            l = np.searchsorted(Km, _keys(circle, ys * ys), side="right") + circle
+            f = (tot + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
+        f = np.where((np.arange(i0, i1)[:, None] < nX[:, None, None]) & col_ok, f, np.inf)
+        # each circle's first smallest F in the block, in (kind, row, column) order
+        kind, lr, lc = np.unravel_index(f.swapaxes(0, 1).reshape(C, -1).argmin(axis=1),
+                                        (3, i1 - i0, KY))
+        pick = (kind, np.arange(C), lr, lc)
+        fk, xk, yk, vk, lok, topk = (a[pick] for a in (f, xs, ys, v, lo, top))
+        # grid lines the point sits on, to rounding: an edge's ends are
+        # vertices; a cell's root clipped onto a side or corner is on 1 or 2
+        ends = np.where(kind < 2, [lok, topk, np.nan * vk, np.nan * vk], side[:, pick[1], lr, lc])
+        on = (kind < 2) + np.count_nonzero(np.abs(ends - vk) <= 1e-12 * vk, axis=0)
+        row = np.array([fk, (kind * KX + i0 + lr) * KY + lc, xk, yk, vk, on])
+        won = (fk < best[0]) | ((fk == best[0]) & (row[1] < best[1]))
+        best[:, won] = row[:, won]
+    f_best, _, xs, ys, v, on = best
+    where = np.where(v >= w0, "boundary",
+                     np.array(["interior", "edge", "vertex"])[np.minimum(on, 2).astype(int)])
+    # the window's ends through libm pow, one circle at a time, like w0
+    found = f_best < np.inf
+    M = np.where(found, [x**-2.0 for x in xs], dmax.max(axis=-1))
+    m = np.where(found, [y**2 for y in ys], dmin.min(axis=-1))
+    p = np.minimum(np.maximum(1.0, dmax / M[:, None]), dmin / m[:, None])
     phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
     value = _arc_value(data, phi, psi)
-    if not value < unit:  # True for a NaN value too
-        value, phi, psi, where = unit, np.ones(p.size), np.ones(p.size), "constant"
-    return value, phi, psi, 3 * X.size * Y.size, where, abs(f_best - value) / value
-
-
-def _evaluate_circle(data: _CircleData):
-    """Score each family once on one circle and keep the smallest value.
-
-    Returns the per-circle row and the per-arc window weights, which only
-    the attaining circle turns into a WeightPair.
-    """
-    unit = _unit_value(data)
-    rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
-    remark = math.sqrt(float(np.max(rphi)) / float(np.min(rpsi)))
-    window, phi, psi, evals, status, residual = _solve_weights(data, unit)
-    family, value = min(zip(_FAMILIES, (unit, remark, window)), key=lambda c: c[1])
-    row = {
-        "center": data.circle.center,
-        "radius": data.circle.radius,
-        "value": value,
-        "family": family,
-        "evaluations": evals,
-        "solver_status": status,
-        "optimality_residual": residual,
-        "constant_value": unit,
-        "remark_value": remark,
-    }
-    return row, phi, psi
+    kept = ~(value < unit * (1.0 - _TIE))  # True for a NaN value too
+    value = np.where(kept, unit, value)
+    phi[kept], psi[kept], where[kept] = 1.0, 1.0, "constant"
+    return value, phi, psi, 3 * nX * nY, where, np.abs(f_best - value) / value
 
 
 def _bound_of(sup_value: float) -> float:
     # a Holder exponent never exceeds 1; values below 1 only arise when the
     # sweep omits the small near-constant circles that realize 1
     return min(1.0, 1.0 / sup_value)
-
-
-def _assemble(circles, evaluated, cfg: SweepConfig) -> ExponentReport:
-    rows = tuple(row for row, _, _ in evaluated)
-    k = max(range(len(rows)), key=lambda i: rows[i]["value"])
-    data, (row, phi, psi) = circles[k], evaluated[k]
-    grid = data.integrand.grid
-    if row["family"] == "constant":
-        weights = WeightPair.constant(grid)
-    elif row["family"] == "remark":
-        weights = _remark_pair(data.integrand, data.det_ratio)
-    else:
-        weights = WeightPair(PeriodicField.piecewise(grid, phi),
-                             PeriodicField.piecewise(grid, psi))
-    return ExponentReport(
-        bound=_bound_of(row["value"]),
-        sup_value=row["value"],
-        attaining_circle=data.circle,
-        attaining_weights=weights,
-        per_circle=rows,
-        certified_value=max(r["remark_value"] for r in rows),
-        config=cfg,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,7 @@ def _joint_kind(*fields) -> str:
     return PIECEWISE if all(f.kind == PIECEWISE for f in fields) else SMOOTH
 
 
-def _pair_fields(on: PairOnCircle):
+def _pair_fields(on: PairOnCircles):
     """(I, D) of a pair restriction: I = (|1-nbar^2 mu|^2 - nu^2)/sqrt(rad) with
     rad = (1-(|mu|+nu)^2)(1-(|mu|-nu)^2), D = ((1-nu)^2-|mu|^2)/((1+nu)^2-|mu|^2);
     defined for real nu only."""
@@ -397,7 +402,7 @@ def _pair_fields(on: PairOnCircle):
     num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
     rad = (1.0 - (mu_abs + nu) ** 2) * (1.0 - (mu_abs - nu) ** 2)
     if np.any(rad <= 0):
-        j = int(np.argmin(rad))
+        j = int(np.argmin(rad)) % on.grid.node_count
         raise EllipticityError(
             f"integrand radicand <= 0 at node {j} (|mu|+|nu| reaches 1 on the circle)"
         )
@@ -406,7 +411,7 @@ def _pair_fields(on: PairOnCircle):
     return PeriodicField(on.grid, num / np.sqrt(rad), kind), PeriodicField(on.grid, dvals, kind)
 
 
-def _matrix_fields(on: MatrixOnCircle):
+def _matrix_fields(on: MatrixOnCircles):
     """(I, D) of a matrix restriction: I = nAn/sqrt(det), D = det."""
     nAn = on.nAn.values
     det = on.det.values
@@ -416,16 +421,62 @@ def _matrix_fields(on: MatrixOnCircle):
     return PeriodicField(on.grid, nAn / np.sqrt(det), kind), PeriodicField(on.grid, det, kind)
 
 
+def _restrictions(source, circles, extra_breakpoints=None) -> list:
+    """(positions in circles, source.on_circles) per group sharing a grid."""
+    groups = {}
+    for k, c in enumerate(circles):
+        groups.setdefault((c.resolution, c.origin_centered), []).append(k)
+    return [(idx, source.on_circles([circles[k] for k in idx], extra_breakpoints))
+            for idx in groups.values()]
+
+
 def _reduced(source, fields, cfg: SweepConfig) -> list:
-    """Restrict source to every sweep circle, with the weight-arc boundaries
-    as extra breakpoints, and reduce fields(restriction) = (I, D) to arcs."""
+    """Restrict source to the sweep circles, weight-arc boundaries as extra
+    breakpoints, and reduce fields(restriction) = (I, D) to arcs, per grid."""
     arcs = TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
-    return [_arc_reduce(c, *fields(source.on_circle(c, arcs))) for c in cfg.circles]
+    return [(idx, _arc_reduce(on.circles, *fields(on)))
+            for idx, on in _restrictions(source, cfg.circles, arcs)]
 
 
 def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
-    circles = _reduced(source, fields, cfg)
-    return _assemble(circles, [_evaluate_circle(d) for d in circles], cfg)
+    """Score each family once on every circle and keep the smallest value."""
+    rows, batches = [None] * len(cfg.circles), []
+    for idx, data in _reduced(source, fields, cfg):
+        unit = _unit_value(data)
+        rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
+        remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
+        window, phi, psi, evals, status, residual = _solve_weights(data, unit)
+        scores = np.array([unit, remark, window])
+        family = scores.argmin(axis=0)  # on a tie the first of _FAMILIES
+        columns = {key: col.tolist() for key, col in {
+            "value": scores[family, np.arange(len(idx))], "family": np.array(_FAMILIES)[family],
+            "evaluations": evals, "solver_status": status, "optimality_residual": residual,
+            "constant_value": unit, "remark_value": remark}.items()}
+        for r, (k, circle) in enumerate(zip(idx, data.circles)):
+            rows[k] = {"center": circle.center, "radius": circle.radius,
+                       **{key: col[r] for key, col in columns.items()},
+                       "nodes": data.integrand.grid.node_count, "arcs": data.arc_dmin.shape[-1]}
+        batches.append((idx, data, phi, psi))
+    k = max(range(len(rows)), key=lambda i: rows[i]["value"])
+    idx, data, phi, psi = next(b for b in batches if k in b[0])
+    r, row, grid = idx.index(k), rows[k], data.integrand.grid
+    if row["family"] == "constant":
+        weights = WeightPair.constant(grid)
+    elif row["family"] == "remark":
+        weights = _remark_pair(*(PeriodicField(grid, f.values[r], f.kind)
+                                 for f in (data.integrand, data.det_ratio)))
+    else:
+        weights = WeightPair(PeriodicField.piecewise(grid, phi[r]),
+                             PeriodicField.piecewise(grid, psi[r]))
+    return ExponentReport(
+        bound=_bound_of(row["value"]),
+        sup_value=row["value"],
+        attaining_circle=data.circles[r],
+        attaining_weights=weights,
+        per_circle=tuple(rows),
+        certified_value=max(r["remark_value"] for r in rows),
+        config=cfg,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +498,19 @@ def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentRepor
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate's circles and arc reduction,
     scored with the constant pair only; equal to its report's corollary."""
-    return _bound_of(max(_unit_value(d) for d in _reduced(pair, _pair_fields, cfg)))
+    return _bound_of(max(float(_unit_value(d).max()) for _, d in _reduced(pair, _pair_fields, cfg)))
 
 
 def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """Simplified bound for nu = 0: reciprocal of the sup over circles of
     the mean of |1 - nbar^2 mu|^2 / (1 - |mu|^2)."""
     sup = 0.0
-    for circle in cfg.circles:
-        on = pair.on_circle(circle)
+    for _, on in _restrictions(pair, cfg.circles):
         if np.max(np.abs(on.nu.values)) > 1e-14:
             raise ValueError("nu_zero_bound requires nu = 0")
         mu_abs = np.abs(on.nbar2mu.values)
         vals = np.abs(1.0 - on.nbar2mu.values) ** 2 / (1.0 - mu_abs**2)
-        sup = max(sup, periodic_mean(PeriodicField(on.grid, vals, on.nbar2mu.kind)))
+        sup = max(sup, float(np.max(periodic_mean(PeriodicField(on.grid, vals, on.nbar2mu.kind)))))
     return min(1.0, 1.0 / sup)
 
 
@@ -473,14 +523,12 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     data the origin circle, which sees every value of nu, is the worst.
     """
     worst = 1.0
-    for circle in cfg.circles:
-        on = pair.on_circle(circle)
-        if np.max(np.abs(on.mu.values)) > 1e-14:
+    for _, on in _restrictions(pair, cfg.circles):
+        if np.max(np.abs(on.nbar2mu.values)) > 1e-14:  # |nbar^2 mu| = |mu|
             raise ValueError("mu_zero_bound requires mu = 0")
         nu = on.nu.values.real
         g = (1.0 - nu) / (1.0 + nu)
-        ratio = float(np.min(g) / np.max(g))
-        worst = min(worst, _arctan_term(ratio, power=0.5))
+        worst = min(worst, float(_arctan_term(g.min(axis=-1) / g.max(axis=-1), power=0.5).min()))
     return worst
 
 
@@ -493,7 +541,7 @@ def classical_bound(pair: BeltramiPair) -> float:
     return (1.0 - pair.kappa) / (1.0 + pair.kappa)
 
 
-def remark_weights(on: PairOnCircle) -> WeightPair:
+def remark_weights(on: PairOnCircles) -> WeightPair:
     """Closed-form weight pair making the arctan term exactly 1.
 
     phi = I sqrt(D) = (|1-nbar^2 mu|^2 - nu^2)/((1+nu)^2 - |mu|^2) and
@@ -505,7 +553,7 @@ def remark_weights(on: PairOnCircle) -> WeightPair:
     return _remark_pair(*_pair_fields(on))
 
 
-def circle_integrand(on: PairOnCircle, weights: WeightPair) -> PeriodicField:
+def circle_integrand(on: PairOnCircles, weights: WeightPair) -> PeriodicField:
     """sqrt(psi/phi) times the coefficient integrand, per node."""
     I, _ = _pair_fields(on)
     w = np.sqrt(weights.psi.values.real / weights.phi.values.real)
@@ -513,15 +561,15 @@ def circle_integrand(on: PairOnCircle, weights: WeightPair) -> PeriodicField:
 
 
 def weighted_objective(on, weights: WeightPair) -> float:
-    """Node-level objective for explicit weights on one circle restriction.
+    """Node-level objective for explicit weights on one circle's restriction.
 
     Accepts either a coefficient-pair restriction or a matrix restriction;
     extrema and means are taken over the sampled nodes.
     """
-    I, D = _matrix_fields(on) if isinstance(on, MatrixOnCircle) else _pair_fields(on)
+    I, D = _matrix_fields(on) if isinstance(on, MatrixOnCircles) else _pair_fields(on)
     phi = weights.phi.values.real
     psi = weights.psi.values.real
-    mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I.values, I.kind))
+    mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I.values, I.kind)).item()
     prod = D.values / (phi * psi)
-    ratio = float(np.min(prod) / np.max(prod))
-    return math.sqrt(np.max(phi) / np.min(psi)) * mean / _arctan_term(ratio)
+    ratio = np.min(prod) / np.max(prod)
+    return math.sqrt(np.max(phi) / np.min(psi)) * mean / _arctan_term(np.array([ratio]))[0]

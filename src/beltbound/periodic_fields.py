@@ -21,10 +21,12 @@ __all__ = [
     "AngularGrid",
     "PeriodicField",
     "gap_right_values",
+    "gap_integrals",
     "periodic_quadrature",
     "periodic_mean",
     "field_extrema",
     "CircleSpec",
+    "circle_points",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -95,9 +97,9 @@ class AngularGrid:
         rights = np.concatenate([bks[1:], [TWO_PI]])
         lengths = rights - bks
         counts = np.maximum(1, np.rint(node_count * lengths / TWO_PI).astype(int))
-        chunks = [b + ln * np.arange(m) / m for b, ln, m in zip(bks, lengths, counts)]
-        nodes = np.concatenate(chunks)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        seg = np.repeat(np.arange(bks.size), counts)
+        nodes = bks[seg] + lengths[seg] * (np.arange(seg.size) - starts[seg]) / counts[seg]
         return cls(nodes, bks, starts)
 
     @property
@@ -115,11 +117,7 @@ class AngularGrid:
     def segment_of_wrapped(self, t) -> np.ndarray:
         """segment_of for angles already wrapped by wrap_angle; 2pi, which
         np.mod returns for angles just below 0, lies in segment 0."""
-        seg = np.clip(
-            np.searchsorted(self.breakpoints, t + _MERGE_TOL, side="right") - 1,
-            0,
-            self.breakpoints.size - 1,
-        )
+        seg = np.maximum(np.searchsorted(self.breakpoints, t + _MERGE_TOL, side="right") - 1, 0)
         return np.where(t == TWO_PI, 0, seg)
 
     def same_layout(self, other: "AngularGrid") -> bool:
@@ -134,7 +132,8 @@ class PeriodicField:
 
     kind is SMOOTH (continuous between and across breakpoints) or PIECEWISE
     (constant between consecutive breakpoints; node values within a segment
-    all agree and jumps sit exactly on breakpoints).
+    all agree and jumps sit exactly on breakpoints).  Samples run along the
+    last axis; a leading axis stacks restrictions to circles of one grid.
     """
 
     grid: AngularGrid
@@ -143,13 +142,13 @@ class PeriodicField:
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        if vals.shape != (self.grid.node_count,):
+        if vals.shape[-1:] != (self.grid.node_count,):
             raise ValueError(
                 f"expected {self.grid.node_count} samples, got shape {vals.shape}"
             )
         bad = ~np.isfinite(vals)
         if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
+            idx = int(np.flatnonzero(bad)[0]) % self.grid.node_count
             raise ValueError(f"non-finite sample at node {idx} (theta={self.grid.nodes[idx]:.6f})")
         if self.kind not in (SMOOTH, PIECEWISE):
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -204,17 +203,22 @@ def gap_right_values(field: PeriodicField) -> np.ndarray:
     are constant on every gap, and the next node's for smooth fields.  This is
     the only place where per-gap integrals and extrema tell the kinds apart.
     """
-    return field.values if field.kind == PIECEWISE else np.roll(field.values, -1)
+    return field.values if field.kind == PIECEWISE else np.roll(field.values, -1, axis=-1)
+
+
+def gap_integrals(field: PeriodicField) -> np.ndarray:
+    """Trapezoid integral over each node gap (exact for piecewise fields)."""
+    return field.grid.spacings() * 0.5 * (field.values + gap_right_values(field))
 
 
 def periodic_quadrature(field: PeriodicField):
-    """Integral over one period: the trapezoid over every node gap.
+    """Integral over one period: the sum of the gap integrals.
 
-    Piecewise-constant fields: exact (left value times gap).  Smooth fields:
-    cyclic trapezoid, O(h^2) in the largest node gap, spectral for smooth
-    periodic data on uniform grids.
+    Piecewise-constant fields: exact.  Smooth fields: cyclic trapezoid, O(h^2)
+    in the largest node gap, spectral for smooth periodic data on uniform
+    grids.
     """
-    return 0.5 * np.sum(field.grid.spacings() * (field.values + gap_right_values(field)))
+    return np.sum(gap_integrals(field), axis=-1)
 
 
 def periodic_mean(field: PeriodicField):
@@ -254,7 +258,10 @@ class CircleSpec:
             return AngularGrid.uniform(self.resolution)
         return AngularGrid.with_breakpoints(self.resolution, breakpoints)
 
-    def points(self, grid: AngularGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(points z on the circle, outward unit normals e^{it}) at grid nodes."""
-        n = np.exp(1j * grid.nodes)
-        return complex(self.center) + self.radius * n, n
+
+def circle_points(circles, grid: AngularGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(points z, row c on circles[c], and outward normals e^{it}) at grid nodes."""
+    n = np.exp(1j * grid.nodes)
+    centers = np.array([complex(c.center) for c in circles])[:, None]
+    radii = np.array([float(c.radius) for c in circles])[:, None]
+    return centers + radii * n, n

@@ -22,8 +22,7 @@ from .periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
-    field_extrema,
-    merge_breakpoints,
+    circle_points,
     wrap_angle,
 )
 from .stretching import KProfile, k_from_munu, munu_from_k
@@ -31,9 +30,9 @@ from .stretching import KProfile, k_from_munu, munu_from_k
 __all__ = [
     "EllipticityError",
     "BeltramiPair",
-    "PairOnCircle",
+    "PairOnCircles",
     "CoefficientMatrixField",
-    "MatrixOnCircle",
+    "MatrixOnCircles",
     "MatrixReduction",
     "beltrami_to_matrices",
     "matrix_to_beltrami",
@@ -46,6 +45,22 @@ _ELL_TOL = 1e-10
 
 class EllipticityError(ValueError):
     """|mu| + |nu| reaches 1 (or a matrix field loses positivity)."""
+
+
+def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
+    """The grid circles share and their points z (C, N): for origin circles of
+    angular data, the coefficients' breakpoints too and no points (None)."""
+    angular = angular_breakpoints is not None
+    if angular and any(c.through_origin() for c in circles):
+        raise ValueError("angular coefficients: circle must not pass through the origin")
+    key = {(c.resolution, angular and c.origin_centered) for c in circles}
+    if len(key) > 1:
+        raise ValueError("the circles of one batch must share one grid")
+    if angular and circles[0].origin_centered:
+        extra = () if extra_breakpoints is None else (extra_breakpoints,)
+        return circles[0].grid(np.concatenate([*angular_breakpoints, *extra])), None
+    grid = circles[0].grid(extra_breakpoints)
+    return grid, circle_points(circles, grid)[0]
 
 
 def _sample_lattice(radius: float = 1.0, n_r: int = 12, n_t: int = 96) -> np.ndarray:
@@ -155,44 +170,42 @@ class BeltramiPair:
         """sup of (1 + |mu| + |nu|)/(1 - |mu| - |nu|) over the samples."""
         return (1.0 + self.kappa) / (1.0 - self.kappa)
 
-    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "PairOnCircle":
-        """Coefficient samples along a circle; see PairOnCircle.
+    def on_circles(self, circles, extra_breakpoints=None) -> "PairOnCircles":
+        """Coefficient samples along circles that share one grid.
 
         extra_breakpoints forces additional grid breakpoints (weight-arc
         boundaries, typically) so downstream arc reductions stay exact.
+        Origin-centred circles of an angular pair also sit on the profiles'
+        breakpoints (piecewise-exact); others read mu_fn, nu_fn in one call.
         """
-        extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        if self.is_angular and circle.through_origin():
-            raise ValueError("angular coefficients: circle must not pass through the origin")
-        if self.is_angular and circle.origin_centered:
-            bks = merge_breakpoints(self.mu0.grid.breakpoints, self.nu0.grid.breakpoints, *extra)
-            grid = circle.grid(bks)
+        bks = (self.mu0.grid.breakpoints, self.nu0.grid.breakpoints) if self.is_angular else None
+        grid, z = _batch_grid(circles, extra_breakpoints, bks)
+        if z is None:
             t = grid.nodes
-            n = np.exp(1j * t)
-            m0 = self.mu0.eval_at(t)
-            n0 = self.nu0.eval_at(t)
-            mu = PeriodicField(grid, -m0 * np.exp(2j * t), SMOOTH)
-            nu = PeriodicField(grid, -n0 + 0j, self.nu0.kind)
-            nbar2mu = PeriodicField(grid, -m0 + 0j, self.mu0.kind)
+            nu, nbar2mu = -self.nu0.eval_wrapped(t) + 0j, -self.mu0.eval_wrapped(t) + 0j
+            nu, nbar2mu = (np.repeat(v[None], len(circles), axis=0) for v in (nu, nbar2mu))
+            kinds = (self.nu0.kind, self.mu0.kind)
         else:
-            grid = circle.grid(merge_breakpoints(*extra) if extra else None)
-            z, n = circle.points(grid)
-            mu = PeriodicField(grid, np.asarray(self.mu_fn(z), dtype=complex), SMOOTH)
-            nu = PeriodicField(grid, np.asarray(self.nu_fn(z), dtype=complex), SMOOTH)
-            nbar2mu = PeriodicField(grid, np.conj(n) ** 2 * mu.values, SMOOTH)
-        normal = PeriodicField(grid, np.exp(1j * grid.nodes), SMOOTH)
-        return PairOnCircle(circle, grid, mu, nu, normal, nbar2mu, self.real_nu)
+            flat = z.ravel()  # the evaluators see one flat array, as for one circle
+            mu = PeriodicField(grid, np.asarray(self.mu_fn(flat), dtype=complex).reshape(z.shape))
+            nu = np.asarray(self.nu_fn(flat), dtype=complex).reshape(z.shape)
+            nbar2mu = np.conj(np.exp(1j * grid.nodes)) ** 2 * mu.values
+            kinds = (SMOOTH, SMOOTH)
+        return PairOnCircles(tuple(circles), grid, PeriodicField(grid, nu, kinds[0]),
+                             PeriodicField(grid, nbar2mu, kinds[1]), self.real_nu)
+
+    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "PairOnCircles":
+        """Coefficient samples along one circle: on_circles of a batch of one."""
+        return self.on_circles((circle,), extra_breakpoints)
 
 
 @dataclass(frozen=True, eq=False)
-class PairOnCircle:
-    """Per-node samples of a pair along a circle, plus the outward normal."""
+class PairOnCircles:
+    """Samples of a pair along circles of one grid; row c is on circles[c]."""
 
-    circle: CircleSpec
+    circles: tuple
     grid: AngularGrid
-    mu: PeriodicField
     nu: PeriodicField
-    normal: PeriodicField
     nbar2mu: PeriodicField  # conj(n)^2 mu, piecewise-exact for angular pairs
     real_nu: bool
 
@@ -274,58 +287,38 @@ class CoefficientMatrixField:
         a11, a12, a21, a22 = self.entries(z)
         return a11 * a22 - a12 * a21
 
-    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircle":
-        """Samples along a circle with the normal-direction form and determinant."""
-        extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        rotational = self.k1 is not None
-        if rotational and circle.through_origin():
-            raise ValueError("angular matrix field: circle must not pass through the origin")
-        if rotational and circle.origin_centered:
-            bks = merge_breakpoints(self.k1.grid.breakpoints, self.k2.grid.breakpoints, *extra)
-            grid = circle.grid(bks)
-            t = grid.nodes
-            k1 = self.k1.eval_at(t)
-            k2 = self.k2.eval_at(t)
+    def on_circles(self, circles, extra_breakpoints=None) -> "MatrixOnCircles":
+        """Normal-direction form and determinant along circles that share
+        one grid; the layout is that of BeltramiPair.on_circles."""
+        bks = None if self.k1 is None else (self.k1.grid.breakpoints, self.k2.grid.breakpoints)
+        grid, z = _batch_grid(circles, extra_breakpoints, bks)
+        if z is None:
+            k1 = self.k1.eval_wrapped(grid.nodes)
+            k2 = self.k2.eval_wrapped(grid.nodes)
             kind = self.k1.kind if self.k1.kind == self.k2.kind else SMOOTH
-            c, s = np.cos(t), np.sin(t)
-            a11 = PeriodicField(grid, k1 * c * c + k2 * s * s, SMOOTH)
-            a22 = PeriodicField(grid, k1 * s * s + k2 * c * c, SMOOTH)
-            a12 = PeriodicField(grid, (k1 - k2) * c * s, SMOOTH)
-            nAn = PeriodicField(grid, k1, kind)
-            det = PeriodicField(grid, k1 * k2, kind)
-            return MatrixOnCircle(circle, grid, a11, a12, a12, a22,
-                                  PeriodicField(grid, np.exp(1j * t), SMOOTH), nAn, det,
-                                  self.symmetric)
-        grid = circle.grid(merge_breakpoints(*extra) if extra else None)
-        z, n = circle.points(grid)
-        a11, a12, a21, a22 = self.entries(z)
-        c, s = n.real, n.imag
-        nAn = a11 * c * c + (a12 + a21) * c * s + a22 * s * s
-        det = a11 * a22 - a12 * a21
-        return MatrixOnCircle(
-            circle,
-            grid,
-            PeriodicField(grid, a11, SMOOTH),
-            PeriodicField(grid, a12, SMOOTH),
-            PeriodicField(grid, a21, SMOOTH),
-            PeriodicField(grid, a22, SMOOTH),
-            PeriodicField(grid, n, SMOOTH),
-            PeriodicField(grid, nAn, SMOOTH),
-            PeriodicField(grid, det, SMOOTH),
-            self.symmetric,
-        )
+            nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
+        else:
+            a11, a12, a21, a22 = (v.reshape(z.shape) for v in self.entries(z.ravel()))
+            n = np.exp(1j * grid.nodes)
+            c, s = n.real, n.imag
+            nAn = a11 * c * c + (a12 + a21) * c * s + a22 * s * s
+            det = a11 * a22 - a12 * a21
+            kind = SMOOTH
+        return MatrixOnCircles(tuple(circles), grid, PeriodicField(grid, nAn, kind),
+                               PeriodicField(grid, det, kind), self.symmetric)
+
+    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
+        """Samples along one circle: on_circles of a batch of one."""
+        return self.on_circles((circle,), extra_breakpoints)
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixOnCircle:
-    circle: CircleSpec
+class MatrixOnCircles:
+    """<n, A n> and det A along circles of one grid; row c is on circles[c]."""
+
+    circles: tuple
     grid: AngularGrid
-    a11: PeriodicField
-    a12: PeriodicField
-    a21: PeriodicField
-    a22: PeriodicField
-    normal: PeriodicField
-    nAn: PeriodicField  # <n, A n>
+    nAn: PeriodicField
     det: PeriodicField
     symmetric: bool
 

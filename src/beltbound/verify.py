@@ -186,23 +186,31 @@ def _triangle_vertices(V):
 
 
 def _unit_ring(grid: PolarGrid):
-    """(centroid, area, hat gradients gx and gy per vertex) of the triangles
-    between radii 1 and q = r1/r0, as arrays of shape (2, 1, na).
+    """(centroid, hat gradients (gx, gy) per vertex, and the same times the
+    triangle's area) of the triangles between radii 1 and q = r1/r0, as
+    arrays of shape (2, 1, na).
 
     On a geometric mesh the triangles between r_i and r_{i+1} are r_i times
     these: centroids scale by r_i, areas by r_i^2, hat gradients by 1/r_i.
+    Edges are closed-form, radial (q - 1) e_j and angular 2 sin(h_j/2) times
+    the mid-angle tangent (vertex differences lose about two digits).
     """
     q = grid.radii[1] / grid.radii[0]
-    t = grid.angles.nodes
-    rows = np.array([[1.0], [q]])
-    (x0, y0), (x1, y1), (x2, y2) = _triangle_vertices(
-        np.stack([rows * np.cos(t), rows * np.sin(t)])
-    )
-    two_area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    gx = ((y1 - y2) / two_area, (y2 - y0) / two_area, (y0 - y1) / two_area)
-    gy = ((x2 - x1) / two_area, (x0 - x2) / two_area, (x1 - x0) / two_area)
+    t, h = grid.angles.nodes, grid.angles.spacings()
+    c, s = np.cos(t), np.sin(t)
+    (x0, y0), (x1, y1), (x2, y2) = _triangle_vertices(np.stack([[c, c * q], [s, s * q]]))
+    chord, mid = 2.0 * np.sin(0.5 * h), t + 0.5 * h
+    ang = np.array([-chord * np.sin(mid), chord * np.cos(mid)])  # e_{j+1} - e_j
+    rad = (q - 1.0) * np.array([c, s])  # q e_j - e_j
+    diag = rad + q * ang  # q e_{j+1} - e_j
+    # (x, y) of the edges P1 - P0, P2 - P0, P2 - P1 of (q0, q1, q3) and (q0, q3, q2)
+    e01, e02 = np.stack([rad, diag], 1)[:, :, None], np.stack([diag, ang], 1)[:, :, None]
+    e12 = np.stack([q * ang, -np.roll(rad, -1, axis=-1)], 1)[:, :, None]
+    area = 0.5 * (e01[0] * e02[1] - e01[1] * e02[0])
+    hx = (-0.5 * e12[1], 0.5 * e02[1], -0.5 * e01[1])  # area times the hat gradients
+    hy = (0.5 * e12[0], -0.5 * e02[0], 0.5 * e01[0])
     centroid = (x0 + x1 + x2 + 1j * (y0 + y1 + y2)) / 3.0
-    return centroid, 0.5 * two_area, gx, gy
+    return centroid, ([v / area for v in hx], [v / area for v in hy]), (hx, hy)
 
 
 def _to_vertices(v0, v1, v2):
@@ -241,20 +249,22 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    centroid, area, gx, gy = _unit_ring(grid)
+    centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     angular = a.k1 is not None or a.constant_entries is not None
     a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
         raise ValueError("coefficient matrix is not positive definite on the mesh")
-    # r_i times the flux A grad(u_h): the vertex values of u against A g
-    agx = [a11 * gx[m] + a12 * gy[m] for m in range(3)]
-    agy = [a21 * gx[m] + a22 * gy[m] for m in range(3)]
+    # r_i times the flux A grad(u_h), from differences of u (g0 = -g1 - g2)
+    agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
+    agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
     u0, u1, u2 = _triangle_vertices(U)
-    fx = u0 * agx[0] + u1 * agx[1] + u2 * agx[2]
-    fy = u0 * agy[0] + u1 * agy[1] + u2 * agy[2]
+    d1, d2 = u1 - u0, u2 - u0
+    fx = d1 * agx[0] + d2 * agx[1]
+    fy = d1 * agy[0] + d2 * agy[1]
+    del d1, d2  # two mesh-sized arrays fewer at the peak
     flux_mag = np.hypot(fx, fy)
-    R = _to_vertices(*(fx * (area * gx[k]) + fy * (area * gy[k]) for k in range(3)))
-    S = _to_vertices(*(flux_mag * (area * np.hypot(gx[k], gy[k])) for k in range(3)))
+    R = _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
+    S = _to_vertices(*(flux_mag * np.hypot(hx[k], hy[k]) for k in range(3)))
     return R, S
 
 

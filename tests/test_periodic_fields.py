@@ -10,6 +10,7 @@ from beltbound.periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
+    circle_points,
     field_extrema,
     merge_breakpoints,
     periodic_mean,
@@ -125,7 +126,7 @@ def test_field_extrema_piecewise():
 def test_circle_spec_geometry():
     c = CircleSpec(0.0, 0.5, resolution=256)
     assert c.origin_centered and not c.through_origin()
-    z, normals = c.points(c.grid())
+    z, normals = circle_points((c,), c.grid())
     assert np.allclose(np.abs(z), 0.5)
     assert np.allclose(np.abs(normals), 1.0)
     off = CircleSpec(0.3 + 0.1j, 0.2, resolution=256)

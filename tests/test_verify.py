@@ -366,3 +366,70 @@ def test_weak_vector_scale_free_for_angular_fields(r_min, nr, na, lam, seed, smo
     R_lam, S_lam = weak_residual_vector(U, a, scaled)
     assert np.max(np.abs(R_lam - R)) <= 1e-13 * np.max(S)
     assert np.max(np.abs(S_lam - S)) <= 1e-13 * np.max(S)
+
+
+# ---------------------------------------------------------------------------
+# the assembly against an extended-precision one
+
+
+def longdouble_assembly(u_vals, a, grid):
+    """The weak residual assembly in np.longdouble, by corner gathers as in
+    add_at_assembly: vertex coordinates, edges, fluxes and the sums onto the
+    vertices carry extended precision; u and the coefficient are the same
+    double samples."""
+    ld = np.longdouble
+    r, t = grid.radii.astype(ld), grid.angles.nodes.astype(ld)
+    nr, na = r.size, t.size
+    U = np.asarray(u_vals, dtype=float).astype(ld)
+    x, y = r[:, None] * np.cos(t)[None, :], r[:, None] * np.sin(t)[None, :]
+    rows = np.arange(nr - 1)[:, None] * np.ones(na, dtype=int)[None, :]
+    cols = np.ones(nr - 1, dtype=int)[:, None] * np.arange(na)[None, :]
+    quad = [(rows, cols), (rows + 1, cols), (rows, (cols + 1) % na), (rows + 1, (cols + 1) % na)]
+    R, S = np.zeros((nr, na), ld), np.zeros((nr, na), ld)
+    for tri in ((0, 1, 3), (0, 3, 2)):
+        idx = [quad[k] for k in tri]
+        xs, ys, us = ([v[i] for i in idx] for v in (x, y, U))
+        two_area = (xs[1] - xs[0]) * (ys[2] - ys[0]) - (ys[1] - ys[0]) * (xs[2] - xs[0])
+        gx = [(ys[1] - ys[2]) / two_area, (ys[2] - ys[0]) / two_area, (ys[0] - ys[1]) / two_area]
+        gy = [(xs[2] - xs[1]) / two_area, (xs[0] - xs[2]) / two_area, (xs[1] - xs[0]) / two_area]
+        gux, guy = sum(u * g for u, g in zip(us, gx)), sum(u * g for u, g in zip(us, gy))
+        zc = (sum(xs) / 3).astype(float) + 1j * (sum(ys) / 3).astype(float)
+        a11, a12, a21, a22 = (np.asarray(e, dtype=float).astype(ld) for e in a.entries(zc))
+        fx, fy = a11 * gux + a12 * guy, a21 * gux + a22 * guy
+        area = two_area / 2
+        for k in range(3):
+            np.add.at(R, idx[k], area * (fx * gx[k] + fy * gy[k]))
+            np.add.at(S, idx[k], area * np.sqrt(fx * fx + fy * fy) * np.sqrt(gx[k] ** 2 + gy[k] ** 2))
+    return R, S
+
+
+def longdouble_slope(u, a, grid, refinements):
+    """weak_form_residual's refinement slope, from longdouble_assembly."""
+    sizes, values = [], []
+    for k in range(refinements + 1):
+        grid = grid.refined() if k else grid
+        z = grid.radii[:, None] * np.exp(1j * grid.angles.nodes)[None, :]
+        R, S = longdouble_assembly(np.asarray(u(z), dtype=float), a, grid)
+        interior = slice(1, grid.radii.size - 1)
+        values.append(float(np.max(np.abs(R[interior])) / np.max(S[interior])))
+        sizes.append(grid.angles.node_count)
+    return float(-np.polyfit(np.log(np.asarray(sizes, float)), np.log(values), 1)[0])
+
+
+def test_weak_form_matches_longdouble_reference():
+    # the weak residual of an exact solution is 1e-8 to 1e-5 of max S, so its
+    # refinement slope magnifies rounding in (R, S); closed-form edges and
+    # fluxes from differences of u keep (R, S) within a few ulps of max S
+    fam = build_family(2.0, 0.0, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    u = lambda z: np.real(fam.map_at(z))  # noqa: E731
+    g = PolarGrid.annulus(radius_count=6, node_count=64, breakpoints=fam.breakpoints)
+    assert abs(weak_form_residual(u, B, g, refinements=2).slope - longdouble_slope(u, B, g, 2)) <= 1e-9
+    # the maps workload's mesh, where the finest residual is 4e-8 of max S
+    g = PolarGrid.annulus(radius_count=16, node_count=256, breakpoints=fam.breakpoints)
+    vals = u(g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :])
+    R, S = weak_residual_vector(vals, B, g)
+    R_ref, S_ref = longdouble_assembly(vals, B, g)
+    scale = float(np.max(S_ref))
+    assert float(np.max(np.abs(R - R_ref))) <= 4e-15 * scale
+    assert float(np.max(np.abs(S - S_ref))) <= 2e-15 * scale

@@ -10,10 +10,15 @@ corpus (criterion 6's generator plus two disk-lattice sweeps, whose
 off-centre circles carry smooth restrictions) and on random arc sets the
 window solve must never return a larger per-circle value than either, and
 its closed-form value must be tight at the weights it returns.
+
+The estimator works on batches of circles that share a grid; the helpers
+below hand it batches of one circle and unpack that circle's row, and the
+batch tests check that a circle's row does not depend on its batch.
 """
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,17 +28,27 @@ from scipy.optimize import minimize
 from test_acceptance import random_angular_pair
 
 from beltbound.estimator import (
+    _FAMILIES,
     SweepConfig,
     _arc_value,
-    _CircleData,
+    _CircleBatch,
     _pair_fields,
     _reduced,
+    _remark_weights,
     _solve_weights,
     _unit_value,
     beta_estimate,
+    gamma_estimate,
 )
-from beltbound.periodic_fields import PIECEWISE, SMOOTH, TWO_PI, AngularGrid, PeriodicField
-from beltbound.reduction import BeltramiPair
+from beltbound.periodic_fields import (
+    PIECEWISE,
+    SMOOTH,
+    TWO_PI,
+    AngularGrid,
+    CircleSpec,
+    PeriodicField,
+)
+from beltbound.reduction import BeltramiPair, beltrami_to_matrices
 
 STATUSES = {"interior", "edge", "vertex", "boundary", "constant"}
 
@@ -45,7 +60,7 @@ def descend(data, rng, multistarts=8, sweeps=40):
     best_x = np.zeros(2 * n)
 
     def value_of(x):
-        return _arc_value(data, np.exp(x[:n]), np.exp(x[n:]))
+        return arc_value(data, np.exp(x[:n]), np.exp(x[n:]))
 
     starts = [np.zeros(2 * n)]
     for _ in range(max(0, multistarts - 1)):
@@ -87,8 +102,8 @@ def epigraph(data):
     equals log(_arc_value) wherever the auxiliaries are tight.
     """
     n = data.arc_integrals.size
-    log_t = np.log(data.arc_integrals)
-    log_dmin, log_dmax = np.log(data.arc_dmin), np.log(data.arc_dmax)
+    log_t = np.log(data.arc_integrals[0])
+    log_dmin, log_dmax = np.log(data.arc_dmin[0]), np.log(data.arc_dmax[0])
     eye, zero = np.eye(n), np.zeros((n, n))
     one, nil = np.ones((n, 1)), np.zeros((n, 1))
     G = np.block([
@@ -140,18 +155,20 @@ def slsqp_reference(data):
         options={"maxiter": 500, "ftol": 1e-14},
     )
     ones = np.ones(n)
-    best = (_arc_value(data, ones, ones), ones, ones)
+    best = (arc_value(data, ones, ones), ones, ones)
     phi, psi = np.exp(res.x[:n]), np.exp(res.x[n:2 * n])
-    val = _arc_value(data, phi, psi)
+    val = arc_value(data, phi, psi)
     if val < best[0]:  # False for a NaN value too
         best = (val, phi, psi)
     return best
 
 
-def arc_reduce_loop(I, D):
-    """Per-arc integral of I and extrema of D, one arc and one kind branch at
-    a time: piecewise data take the left value times the arc length, smooth
-    data a closed trapezoid through the next arc's first node."""
+def arc_reduce_loop(data):
+    """Per-arc integral of I and extrema of D on a batch of one circle, one
+    arc and one kind branch at a time: piecewise data take the left value
+    times the arc length, smooth data a closed trapezoid through the next
+    arc's first node."""
+    I, D = (PeriodicField(f.grid, f.values[0], f.kind) for f in (data.integrand, data.det_ratio))
     grid = I.grid
     lefts = grid.breakpoints
     rights = np.concatenate([lefts[1:], [TWO_PI]])
@@ -176,16 +193,26 @@ def arc_reduce_loop(I, D):
 
 
 def arcs(T, dmin, dmax):
-    return _CircleData(None, None, None, np.asarray(T, dtype=float),
-                       np.asarray(dmin, dtype=float), np.asarray(dmax, dtype=float))
+    """A batch of one circle with the given arc reduction and no samples."""
+    row = (np.asarray(v, dtype=float)[None, :] for v in (T, dmin, dmax))
+    return _CircleBatch((None,), None, None, *row)
+
+
+def arc_value(data, phi, psi):
+    """_arc_value of one circle's weights on a batch of one."""
+    return float(_arc_value(data, phi, psi)[0])
 
 
 def solve(data):
-    return _solve_weights(data, _unit_value(data))
+    """_solve_weights on a batch of one, unpacked to the circle's row:
+    value, phi, psi, candidate count, status, residual."""
+    value, phi, psi, evals, where, residual = _solve_weights(data, _unit_value(data))
+    return float(value[0]), phi[0], psi[0], int(evals[0]), str(where[0]), float(residual[0])
 
 
 def _reduced_circles(pair, cfg):
-    return _reduced(pair, _pair_fields, cfg)
+    """A batch of one per sweep circle, in sweep order."""
+    return [_reduced(pair, _pair_fields, replace(cfg, circles=(c,)))[0][1] for c in cfg.circles]
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +236,7 @@ def test_solve_never_looser_than_descent(corpus):
         reference, _, _ = descend(data, np.random.default_rng(1009 * idx))
         assert value <= reference * (1.0 + 1e-12), (idx, value, reference)
         # the reported value is the exact objective of the returned weights
-        assert value == _arc_value(data, phi, psi)
+        assert value == arc_value(data, phi, psi)
 
 
 def test_solve_never_looser_than_slsqp(corpus):
@@ -234,10 +261,15 @@ def test_window_value_tight_at_returned_weights(corpus):
 def test_clipped_cell_root_reports_its_grid_vertex(T, dmin, dmax):
     # the best window is the corner (max dmax, min dmin); a cell's stationary
     # point clipped onto that corner wins here by rounding, and is reported
-    # where it lies, not as the interior of its cell
-    value, phi, psi, _, status, _ = solve(arcs(T, dmin, dmax))
+    # where it lies, not as the interior of its cell.  Against an unbeatable
+    # unit value the window's own label shows; against the true one the
+    # window ties the unit pair to rounding, and the unit pair is kept
+    data = arcs(T, dmin, dmax)
+    value, phi, psi, _, status, _ = (v[0] for v in _solve_weights(data, np.array([np.inf])))
     assert status == "vertex"
     assert np.allclose(phi, 1.0, rtol=0.0, atol=1e-12) and np.allclose(psi, 1.0, rtol=0.0, atol=1e-12)
+    assert value == pytest.approx(_unit_value(data)[0], rel=1e-14, abs=0.0)
+    assert solve(data)[4] == "constant"
 
 
 def test_tiny_window_ratio_scored_exactly():
@@ -247,17 +279,17 @@ def test_tiny_window_ratio_scored_exactly():
     value, phi, psi, _, status, residual = solve(data)
     assert status == "edge"
     assert value == pytest.approx(142790.88003229036, rel=1e-12)
-    assert value < _unit_value(data)
-    assert value == _arc_value(data, phi, psi)
+    assert value < _unit_value(data)[0]
+    assert value == arc_value(data, phi, psi)
     assert residual < 1e-12
 
 
 def test_gap_reduction_matches_arc_loop(corpus):
     # the corpus holds piecewise (origin) and smooth (off-centre) circles
     for idx, (data, _) in enumerate(corpus):
-        T, dmin, dmax = arc_reduce_loop(data.integrand, data.det_ratio)
-        assert np.max(np.abs(data.arc_integrals - T) / T) <= 1e-14, idx
-        assert np.array_equal(data.arc_dmin, dmin) and np.array_equal(data.arc_dmax, dmax), idx
+        T, dmin, dmax = arc_reduce_loop(data)
+        assert np.max(np.abs(data.arc_integrals[0] - T) / T) <= 1e-14, idx
+        assert np.array_equal(data.arc_dmin[0], dmin) and np.array_equal(data.arc_dmax[0], dmax), idx
 
 
 def test_gap_reduction_matches_arc_loop_on_smooth_origin_data():
@@ -268,9 +300,9 @@ def test_gap_reduction_matches_arc_loop_on_smooth_origin_data():
     for pieces in (1, 7, 64):
         data = _reduced_circles(pair, SweepConfig.origin(resolution=512, weight_pieces=pieces))[0]
         assert data.integrand.kind == SMOOTH
-        T, dmin, dmax = arc_reduce_loop(data.integrand, data.det_ratio)
-        assert np.max(np.abs(data.arc_integrals - T) / T) <= 1e-14, pieces
-        assert np.array_equal(data.arc_dmin, dmin) and np.array_equal(data.arc_dmax, dmax)
+        T, dmin, dmax = arc_reduce_loop(data)
+        assert np.max(np.abs(data.arc_integrals[0] - T) / T) <= 1e-14, pieces
+        assert np.array_equal(data.arc_dmin[0], dmin) and np.array_equal(data.arc_dmax[0], dmax)
 
 
 arc_sets = st.lists(
@@ -293,7 +325,7 @@ def test_window_solve_properties(rows, c, seed):
     dmax = dmin * np.exp(scale * frac)
     data = arcs(T, dmin, dmax)
     value, phi, psi, *_ = solve(data)
-    assert value == _arc_value(data, phi, psi)
+    assert value == arc_value(data, phi, psi)
     assert value <= slsqp_reference(data)[0] * (1.0 + 1e-12)
     scaled = solve(arcs(T, c * dmin, c * dmax))[0]
     assert scaled == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -331,3 +363,86 @@ def test_thousand_arc_circle_memory():
         tracemalloc.stop()
     assert peak < 100e6
     assert value == _arc_value(data, phi, psi)
+
+
+def test_thousand_arc_sweep_memory():
+    # the bound above holds for a batch of 8 such circles: a block spans every
+    # circle's rows and holds no more cells than one circle's block
+    nodes, pieces = 4096, 1024
+    grid = AngularGrid.uniform(nodes)
+    th = grid.nodes
+    pair = BeltramiPair.from_angular(PeriodicField(grid, 0.45 * np.sin(th) ** 2, SMOOTH),
+                                     PeriodicField(grid, 0.35 * np.cos(3 * th), SMOOTH))
+    circles = tuple(CircleSpec(0.05 * np.exp(0.8j * k), 0.5, resolution=nodes) for k in range(8))
+    (_, data), = _reduced(pair, _pair_fields, SweepConfig(circles=circles, weight_pieces=pieces))
+    assert data.arc_integrals.shape == (8, pieces)
+    tracemalloc.start()
+    try:
+        value, phi, psi, *_ = _solve_weights(data, _unit_value(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert np.array_equal(value, _arc_value(data, phi, psi))
+
+
+def _random_circles(rng, count):
+    """An origin circle and off-centre circles, at two resolutions."""
+    circles = [CircleSpec(0.0, float(rng.uniform(0.2, 0.9)), resolution=128)]
+    for _ in range(count):
+        center = complex(rng.uniform(0.05, 0.6) * np.exp(1j * rng.uniform(0.0, TWO_PI)))
+        circles.append(CircleSpec(center, float(rng.uniform(0.05, 0.95) * abs(center)),
+                                  resolution=int(rng.choice([128, 192]))))
+    rng.shuffle(circles)
+    return tuple(circles)
+
+
+def _callable_pair():
+    return BeltramiPair.from_callables(lambda z: 0.3 * np.exp(1j * z.real) * np.abs(z),
+                                       lambda z: 0.2 * np.cos(3.0 * z.imag) + 0j)
+
+
+def test_sweep_rows_do_not_depend_on_the_batch():
+    # a circle's row is bitwise the row of its one-circle sweep, whatever
+    # circles share its batch and in whatever order they come
+    rng = np.random.default_rng(8)
+    for trial in range(9):
+        pair = random_angular_pair(rng, node_count=256) if trial % 3 else _callable_pair()
+        cfg = SweepConfig(circles=_random_circles(rng, int(rng.integers(2, 9))),
+                          weight_pieces=int(rng.integers(1, 9)))
+        if trial % 3 == 2:
+            B = beltrami_to_matrices(pair).B
+            sweep = lambda c: gamma_estimate(B, c)  # noqa: E731
+        else:
+            sweep = lambda c: beta_estimate(pair, c)  # noqa: E731
+        rows = sweep(cfg).per_circle
+        for circle, row in zip(cfg.circles, rows):
+            assert row == sweep(replace(cfg, circles=(circle,))).per_circle[0], (trial, circle)
+
+
+def _family(unit, remark, window):
+    return _FAMILIES[int(np.argmin([unit, remark, window]))]
+
+
+def test_arc_order_changes_no_label(corpus):
+    # summing T in another order moves values by ulps; a window that ties
+    # the unit pair to rounding stays the unit pair, so no label flips.  The
+    # corpus plus lattice circles with one or two weight arcs, where windows
+    # at the unit pair's corner are common
+    lattice = SweepConfig.disk_lattice(radius_count=2, resolution=256, weight_pieces=2)
+    rng = np.random.default_rng(15)
+    circles = [d for d, _ in corpus]
+    for _ in range(4):
+        circles += _reduced_circles(random_angular_pair(rng, node_count=256), lattice)
+    for idx, data in enumerate(circles):
+        rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
+        remark = math.sqrt(rphi.max() / rpsi.min())
+        perm = rng.permutation(data.arc_integrals.shape[1])
+        labels = []
+        for d in (data, arcs(*(a[0, perm] for a in (data.arc_integrals, data.arc_dmin,
+                                                      data.arc_dmax)))):
+            value, *_, status, _ = solve(d)
+            labels.append((_family(_unit_value(d)[0], remark, value), status, value))
+        (fam, status, value), (pfam, pstatus, pvalue) = labels
+        assert (pfam, pstatus) == (fam, status), idx
+        assert abs(pvalue - value) <= 1e-15 * value, idx
