@@ -28,7 +28,8 @@ for piecewise-constant data and trapezoid-accurate for smooth data.
 
 A sweep makes one pass per grid: the circles of one resolution, origin-centred
 or not, are restricted, reduced and solved together (_restrictions), each
-circle's row as it would be alone.
+circle's row as it would be alone.  A grid with more than _PASS_POINTS sample
+points takes several passes, made one at a time.
 """
 
 from __future__ import annotations
@@ -421,26 +422,35 @@ def _matrix_fields(on: MatrixOnCircles):
     return PeriodicField(on.grid, nAn / np.sqrt(det), kind), PeriodicField(on.grid, det, kind)
 
 
-def _restrictions(source, circles, extra_breakpoints=None) -> list:
-    """(positions in circles, source.on_circles) per group sharing a grid."""
+# sample points a pass restricts at most, so that a sweep's memory does not
+# grow with its circle count; the README and benchmark sweeps are one pass
+_PASS_POINTS = 1 << 16
+
+
+def _restrictions(source, circles, extra_breakpoints=None):
+    """(positions in circles, source.on_circles) per pass, lazily: the circles
+    of one grid, at most _PASS_POINTS sample points at a time."""
     groups = {}
     for k, c in enumerate(circles):
         groups.setdefault((c.resolution, c.origin_centered), []).append(k)
-    return [(idx, source.on_circles([circles[k] for k in idx], extra_breakpoints))
-            for idx in groups.values()]
+    for (resolution, _), idx in groups.items():
+        size = max(1, _PASS_POINTS // resolution)
+        for part in (idx[i:i + size] for i in range(0, len(idx), size)):
+            yield part, source.on_circles([circles[k] for k in part], extra_breakpoints)
 
 
-def _reduced(source, fields, cfg: SweepConfig) -> list:
+def _reduced(source, fields, cfg: SweepConfig):
     """Restrict source to the sweep circles, weight-arc boundaries as extra
-    breakpoints, and reduce fields(restriction) = (I, D) to arcs, per grid."""
+    breakpoints, and reduce fields(restriction) = (I, D) to arcs, per pass."""
     arcs = TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
-    return [(idx, _arc_reduce(on.circles, *fields(on)))
-            for idx, on in _restrictions(source, cfg.circles, arcs)]
+    return ((idx, _arc_reduce(on.circles, *fields(on)))
+            for idx, on in _restrictions(source, cfg.circles, arcs))
 
 
 def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
-    """Score each family once on every circle and keep the smallest value."""
-    rows, batches = [None] * len(cfg.circles), []
+    """Score each family once on every circle and keep the smallest value;
+    of the passes, only the one holding the worst circle so far is kept."""
+    rows, worst = [None] * len(cfg.circles), None
     for idx, data in _reduced(source, fields, cfg):
         unit = _unit_value(data)
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
@@ -456,18 +466,19 @@ def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
             rows[k] = {"center": circle.center, "radius": circle.radius,
                        **{key: col[r] for key, col in columns.items()},
                        "nodes": data.integrand.grid.node_count, "arcs": data.arc_dmin.shape[-1]}
-        batches.append((idx, data, phi, psi))
-    k = max(range(len(rows)), key=lambda i: rows[i]["value"])
-    idx, data, phi, psi = next(b for b in batches if k in b[0])
-    r, row, grid = idx.index(k), rows[k], data.integrand.grid
+            key = (rows[k]["value"], -k)  # the largest value, the first on a tie
+            if worst is None or key > worst[0]:
+                worst = (key, k, data, r, phi[r], psi[r])
+    _, k, data, r, phi, psi = worst
+    row, grid = rows[k], data.integrand.grid
     if row["family"] == "constant":
         weights = WeightPair.constant(grid)
     elif row["family"] == "remark":
         weights = _remark_pair(*(PeriodicField(grid, f.values[r], f.kind)
                                  for f in (data.integrand, data.det_ratio)))
     else:
-        weights = WeightPair(PeriodicField.piecewise(grid, phi[r]),
-                             PeriodicField.piecewise(grid, psi[r]))
+        weights = WeightPair(PeriodicField.piecewise(grid, phi),
+                             PeriodicField.piecewise(grid, psi))
     return ExponentReport(
         bound=_bound_of(row["value"]),
         sup_value=row["value"],

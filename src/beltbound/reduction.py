@@ -1,12 +1,16 @@
 """Coefficient pairs (mu, nu), elliptic matrix fields, and the reduction
 between the first-order equation and its divergence-form counterparts.
 
-A pair carries vectorized evaluators z -> mu(z), nu(z); when it was built
-from angular profiles (mu = -mu0(arg z) z/zbar, nu = -nu0(arg z)) it also
-keeps the profiles, which lets circle restrictions stay piecewise-exact.
-Matrix fields keep the rotational form R(theta) diag(k1,k2) R(theta)^T
-alongside one entries evaluator z -> (a11, a12, a21, a22) for the same
-reason; the evaluator does the work its four entries share once per call.
+Each field has one of two representations.  Every pair carries vectorized
+evaluators z -> mu(z), nu(z); when it was built from angular profiles
+(mu = -mu0(arg z) z/zbar, nu = -nu0(arg z)) it also keeps the profiles,
+which lets circle restrictions stay piecewise-exact.  Matrix fields keep the
+rotational form R(theta) diag(k1,k2) R(theta)^T alongside one entries
+evaluator z -> (a11, a12, a21, a22) for the same reason; the evaluator does
+the work its four entries share once per call.  A field without profiles is
+pointwise: constant fields are pointwise fields whose constructors know
+their kappa or eigenvalue bounds exactly.  Each conversion between pairs and
+matrices has one branch per representation.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "beltrami_to_matrices",
     "matrix_to_beltrami",
     "normalize_matrix",
-    "angular_to_matrix",
 ]
 
 _ELL_TOL = 1e-10
@@ -63,10 +66,11 @@ def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
     return grid, circle_points(circles, grid)[0]
 
 
-def _sample_lattice(radius: float = 1.0, n_r: int = 12, n_t: int = 96) -> np.ndarray:
-    r = np.geomspace(0.02, 0.98, n_r) * radius
-    t = 2 * np.pi * np.arange(n_t) / n_t
-    return (r[:, None] * np.exp(1j * t[None, :])).ravel()
+# the 12 x 96 polar lattice in the unit disk where callable fields are sampled
+# for their kappa, eigenvalue bounds and symmetry; built once, read-only
+_LATTICE = (np.geomspace(0.02, 0.98, 12)[:, None]
+            * np.exp(1j * (2 * np.pi * np.arange(96) / 96))[None, :]).ravel()
+_LATTICE.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +87,6 @@ class BeltramiPair:
     kappa: float
     mu0: PeriodicField | None = None
     nu0: PeriodicField | None = None
-    constants: tuple | None = None  # (mu, nu) when spatially constant
 
     def __post_init__(self):
         if not np.isfinite(self.kappa):
@@ -105,13 +108,7 @@ class BeltramiPair:
         def nu_fn(z):
             return np.full(np.shape(z), nu)
 
-        return cls(
-            mu_fn,
-            nu_fn,
-            real_nu=(nu.imag == 0.0),
-            kappa=abs(mu) + abs(nu),
-            constants=(mu, nu),
-        )
+        return cls(mu_fn, nu_fn, real_nu=(nu.imag == 0.0), kappa=abs(mu) + abs(nu))
 
     @classmethod
     def from_angular(cls, mu0: PeriodicField, nu0: PeriodicField) -> "BeltramiPair":
@@ -142,10 +139,9 @@ class BeltramiPair:
         )
 
     @classmethod
-    def from_callables(cls, mu_fn, nu_fn, real_nu: bool | None = None, domain_radius: float = 1.0) -> "BeltramiPair":
-        zs = _sample_lattice(domain_radius)
-        mu_s = np.asarray(mu_fn(zs), dtype=complex)
-        nu_s = np.asarray(nu_fn(zs), dtype=complex)
+    def from_callables(cls, mu_fn, nu_fn, real_nu: bool | None = None) -> "BeltramiPair":
+        mu_s = np.asarray(mu_fn(_LATTICE), dtype=complex)
+        nu_s = np.asarray(nu_fn(_LATTICE), dtype=complex)
         if real_nu is None:
             real_nu = bool(np.max(np.abs(nu_s.imag)) < 1e-14)
         kappa = float(np.max(np.abs(mu_s) + np.abs(nu_s)))
@@ -224,7 +220,6 @@ class CoefficientMatrixField:
     eig_bounds: tuple[float, float]
     k1: PeriodicField | None = None
     k2: PeriodicField | None = None
-    constant_entries: tuple | None = None
 
     def __post_init__(self):
         lo, hi = self.eig_bounds
@@ -241,12 +236,7 @@ class CoefficientMatrixField:
             return tuple(np.full(np.shape(z), v) for v in vals)
 
         lo, hi = _sym_eigs(*[np.asarray(v) for v in vals])
-        return cls(
-            entries_fn,
-            symmetric=(vals[1] == vals[2]),
-            eig_bounds=(float(lo), float(hi)),
-            constant_entries=vals,
-        )
+        return cls(entries_fn, symmetric=(vals[1] == vals[2]), eig_bounds=(lo, hi))
 
     @classmethod
     def identity(cls) -> "CoefficientMatrixField":
@@ -268,10 +258,9 @@ class CoefficientMatrixField:
         return cls(entries_fn, symmetric=True, eig_bounds=(lo, hi), k1=k.k1, k2=k.k2)
 
     @classmethod
-    def from_callables(cls, entries_fn, domain_radius: float = 1.0) -> "CoefficientMatrixField":
+    def from_callables(cls, entries_fn) -> "CoefficientMatrixField":
         """Field of one vectorized z -> (a11, a12, a21, a22), sampled for its bounds."""
-        zs = _sample_lattice(domain_radius)
-        e = [np.asarray(v, dtype=float) for v in entries_fn(zs)]
+        e = [np.asarray(v, dtype=float) for v in entries_fn(_LATTICE)]
         lo, hi = _sym_eigs(*e)
         symmetric = bool(np.max(np.abs(e[1] - e[2])) < 1e-13)
         return cls(entries_fn, symmetric=symmetric, eig_bounds=(float(lo), float(hi)))
@@ -352,21 +341,11 @@ def beltrami_to_matrices(pair: BeltramiPair) -> MatrixReduction:
     """Divergence-form reduction: Re(f) solves div(B grad u) = 0, Im(f) the
     B-tilde equation.  For real nu both are symmetric and B_tilde = B/det B.
     """
+    if pair.is_angular:
+        B = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
+        return MatrixReduction(B, normalize_matrix(B))
 
     def build(tilde: bool) -> CoefficientMatrixField:
-        if pair.constants is not None:
-            mu, nu = pair.constants
-            e = _pair_matrix_entries(np.asarray(mu), np.asarray(nu), tilde)
-            return CoefficientMatrixField.constant(*e)
-        if pair.is_angular:
-            k = k_from_munu(pair.mu0, pair.nu0)
-            if tilde:
-                k = KProfile(
-                    PeriodicField(k.k2.grid, 1.0 / k.k2.values, k.k2.kind),
-                    PeriodicField(k.k1.grid, 1.0 / k.k1.values, k.k1.kind),
-                )
-            return CoefficientMatrixField.from_angular_k(k)
-
         def entries_fn(z):
             mu = np.asarray(pair.mu_fn(z), dtype=complex)
             nu = np.asarray(pair.nu_fn(z), dtype=complex)
@@ -377,55 +356,37 @@ def beltrami_to_matrices(pair: BeltramiPair) -> MatrixReduction:
     return MatrixReduction(build(False), build(True))
 
 
+def _munu_of_entries(b11, b12, b21, b22):
+    """(mu, nu) of matrix entries: the formulas of matrix_to_beltrami."""
+    det = b11 * b22 - b12 * b21
+    den = 1.0 + (b11 + b22) + det
+    return -(b11 - b22 + 1j * (b12 + b21)) / den, (1.0 - det + 1j * (b12 - b21)) / den
+
+
 def matrix_to_beltrami(m: CoefficientMatrixField) -> BeltramiPair:
     """Recover (mu, nu) from a matrix field.
 
     mu = -(b11 - b22 + i(b12 + b21)) / (1 + tr + det),
     nu = (1 - det + i(b12 - b21)) / (1 + tr + det).
     """
-    if m.constant_entries is not None:
-        b11, b12, b21, b22 = (np.asarray(v) for v in m.constant_entries)
-        tr, det = b11 + b22, b11 * b22 - b12 * b21
-        den = 1.0 + tr + det
-        mu = -(b11 - b22 + 1j * (b12 + b21)) / den
-        nu = (1.0 - det + 1j * (b12 - b21)) / den
-        return BeltramiPair.from_constant(complex(mu), complex(nu))
     if m.k1 is not None:
-        mu0, nu0 = munu_from_k(KProfile(m.k1, m.k2))
-        return BeltramiPair.from_angular(mu0, nu0)
-
-    def mu_fn(z):
-        b11, b12, b21, b22 = m.entries(z)
-        den = 1.0 + b11 + b22 + b11 * b22 - b12 * b21
-        return -(b11 - b22 + 1j * (b12 + b21)) / den
-
-    def nu_fn(z):
-        b11, b12, b21, b22 = m.entries(z)
-        den = 1.0 + b11 + b22 + b11 * b22 - b12 * b21
-        return (1.0 - (b11 * b22 - b12 * b21) + 1j * (b12 - b21)) / den
-
-    return BeltramiPair.from_callables(mu_fn, nu_fn, real_nu=m.symmetric)
+        return BeltramiPair.from_angular(*munu_from_k(KProfile(m.k1, m.k2)))
+    return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z))[0],
+                                       lambda z: _munu_of_entries(*m.entries(z))[1],
+                                       real_nu=m.symmetric)
 
 
 def normalize_matrix(m: CoefficientMatrixField) -> CoefficientMatrixField:
     """A / det A.  The circle functional gives the same value for both fields
     (swap the weight pair (phi, psi) for (1/psi, 1/phi)), so either one can
-    feed the exponent estimate.
+    feed the exponent estimate.  Of the rotational form it is the form with
+    (k1, k2) replaced by (1/k2, 1/k1).
     """
-    if m.constant_entries is not None:
-        a11, a12, a21, a22 = m.constant_entries
-        det = a11 * a22 - a12 * a21
-        if det <= 0:
-            raise EllipticityError(f"determinant {det} not positive")
-        return CoefficientMatrixField.constant(a11 / det, a12 / det, a21 / det, a22 / det)
     if m.k1 is not None:
-        grid = m.k1.grid
-        return CoefficientMatrixField.from_angular_k(
-            KProfile(
-                PeriodicField(grid, 1.0 / m.k2.values, m.k2.kind),
-                PeriodicField(grid, 1.0 / m.k1.values, m.k1.kind),
-            )
-        )
+        return CoefficientMatrixField.from_angular_k(KProfile(
+            PeriodicField(m.k2.grid, 1.0 / m.k2.values, m.k2.kind),
+            PeriodicField(m.k1.grid, 1.0 / m.k1.values, m.k1.kind),
+        ))
 
     def entries_fn(z):
         a11, a12, a21, a22 = m.entries(z)
@@ -433,8 +394,3 @@ def normalize_matrix(m: CoefficientMatrixField) -> CoefficientMatrixField:
         return a11 / det, a12 / det, a21 / det, a22 / det
 
     return CoefficientMatrixField.from_callables(entries_fn)
-
-
-def angular_to_matrix(mu0: PeriodicField, nu0: PeriodicField) -> CoefficientMatrixField:
-    """Matrix field of an angular pair through the weight profiles."""
-    return CoefficientMatrixField.from_angular_k(k_from_munu(mu0, nu0))

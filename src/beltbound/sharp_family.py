@@ -29,7 +29,7 @@ from .periodic_fields import (
     merge_breakpoints,
     wrap_angle,
 )
-from .reduction import _ELL_TOL, BeltramiPair, CoefficientMatrixField
+from .reduction import _ELL_TOL, BeltramiPair
 from .stretching import AngularStretching, KProfile
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ScalarAngularMap",
     "cd_params",
     "build_family",
-    "build_matrix",
     "build_maps",
 ]
 
@@ -178,11 +177,6 @@ def build_family(M: float, tau: float, node_count: int = 2048) -> SharpFamily:
         mu0=PeriodicField.piecewise(grid, [0.0, mu_hi, 0.0, mu_hi]),
         nu0=PeriodicField.piecewise(grid, [0.0, nu_hi, 0.0, nu_hi]),
     )
-
-
-def build_matrix(family: SharpFamily) -> CoefficientMatrixField:
-    """Rotational matrix field of the family's weights; det = k1 k2 per arc."""
-    return CoefficientMatrixField.from_angular_k(family.k)
 
 
 @dataclass(frozen=True, eq=False)

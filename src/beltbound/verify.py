@@ -240,7 +240,7 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     r_i^2 and each hat gradient by 1/r_i, so area g_k . A g_l and
     area |g_k| |A grad u_h| do not depend on r_i.  The geometry is therefore
     computed once, on the unit ring of _unit_ring, and so is A when it
-    depends on arg z only (angular or constant fields); any other field is
+    depends on arg z only (angular fields); any other field is
     evaluated at every ring's centroids.  Only the products with the samples
     of u run over the whole mesh, and contributions return to the vertices
     by one slice-add per quad corner.
@@ -250,8 +250,7 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
-    angular = a.k1 is not None or a.constant_entries is not None
-    a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
+    a11, a12, a21, a22 = a.entries(centroid if a.k1 is not None else grid.radii[:-1, None] * centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
         raise ValueError("coefficient matrix is not positive definite on the mesh")
     # r_i times the flux A grad(u_h), from differences of u (g0 = -g1 - g2)

@@ -137,7 +137,8 @@ def test_criterion_5_reduction_identities(capsys):
         nu = rng.uniform(-0.9, 0.9) * (0.97 - r_mu)
         pair = BeltramiPair.from_constant(mu, nu)
         red = beltrami_to_matrices(pair)
-        bmu, bnu = matrix_to_beltrami(red.B).constants
+        back = matrix_to_beltrami(red.B)
+        bmu, bnu = back.mu_fn(z)[0], back.nu_fn(z)[0]
         worst_rt = max(worst_rt, abs(bmu - mu), abs(bnu - nu))
         b = np.array(red.B.entries(z)).reshape(2, 2)
         bt = np.array(red.B_tilde.entries(z)).reshape(2, 2)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     run(argv)
     assert capsys.readouterr().out == first
+
+
+def test_large_lattice_sweep_memory(capsys):
+    # 1,601 circles in two grids: the sweep restricts a bounded number of
+    # circles at a time and keeps one pass alive, so its peak does not grow
+    # with the circle count (it was 126 MB when every pass was kept)
+    tracemalloc.start()
+    try:
+        code = run(["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "200"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(doc["report"]["per_circle"]) == 1601
+    assert peak < 20e6
 
 
 def test_sweep_output_byte_identical(tmp_path):

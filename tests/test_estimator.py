@@ -24,11 +24,12 @@ from beltbound.periodic_fields import (
 )
 from beltbound.reduction import (
     BeltramiPair,
-    angular_to_matrix,
+    CoefficientMatrixField,
     beltrami_to_matrices,
     normalize_matrix,
 )
 from beltbound.sharp_family import build_family
+from beltbound.stretching import k_from_munu
 
 # frozen: d = (4/pi) arctan M^{-1/2}
 D_M2 = 0.7836531040612146
@@ -158,7 +159,7 @@ def test_objective_equal_for_normalized_matrix():
     rng = np.random.default_rng(41)
     for _ in range(20):
         pair = random_angular_pair(rng)
-        m = angular_to_matrix(pair.mu0, pair.nu0)
+        m = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
         mh = normalize_matrix(m)
         circle = CircleSpec(0.0, 0.6, resolution=512)
         on_a = m.on_circle(circle)

@@ -10,7 +10,6 @@ from beltbound.reduction import (
     BeltramiPair,
     CoefficientMatrixField,
     EllipticityError,
-    angular_to_matrix,
     beltrami_to_matrices,
     matrix_to_beltrami,
     normalize_matrix,
@@ -46,12 +45,14 @@ def test_trivial_pair_gives_identity_matrices():
 
 
 def test_constant_round_trip():
+    # a pointwise pair: its (mu, nu) read at a point
     rng = np.random.default_rng(12)
+    z = np.array([0.2 - 0.3j])
     for _ in range(200):
         mu, nu = random_constant_pair(rng)
         red = beltrami_to_matrices(BeltramiPair.from_constant(mu, nu))
         back = matrix_to_beltrami(red.B)
-        bmu, bnu = back.constants
+        bmu, bnu = back.mu_fn(z)[0], back.nu_fn(z)[0]
         assert abs(bmu - mu) < 1e-12
         assert abs(bnu - nu) < 1e-12
 
@@ -115,8 +116,8 @@ def test_divergence_coupling_oracle():
 def test_angular_matrix_diagonalizes_along_normals():
     # rotation frame: <n, A n> = k1 and det A = k1 k2 on origin circles
     fam = build_family(2.0, 0.4, node_count=512)
-    m = angular_to_matrix(fam.mu0, fam.nu0)
     k = k_from_munu(fam.mu0, fam.nu0)
+    m = CoefficientMatrixField.from_angular_k(k)
     t = np.linspace(0.1, 6.2, 40)
     z = 0.5 * np.exp(1j * t)
     a11, a12, a21, a22 = m.entries(z)
@@ -141,7 +142,7 @@ def test_matrix_round_trip_through_pair():
 
 def test_normalize_matrix_det_inverse():
     fam = build_family(1.5, 0.5, node_count=256)
-    m = angular_to_matrix(fam.mu0, fam.nu0)
+    m = CoefficientMatrixField.from_angular_k(k_from_munu(fam.mu0, fam.nu0))
     mh = normalize_matrix(m)
     z = 0.4 * np.exp(1j * np.linspace(0.0, 6.0, 25))
     det = m.det(z)

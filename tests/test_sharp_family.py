@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from beltbound.periodic_fields import TWO_PI, wrap_angle
+from beltbound.reduction import CoefficientMatrixField
 from beltbound.sharp_family import (
     _profile_samples,
     build_family,
     build_maps,
-    build_matrix,
     cd_params,
 )
 from beltbound.stretching import differential_quantities, eval_stretching, injectivity_check
@@ -132,7 +132,7 @@ def test_pair_and_matrix_consistency():
     pair = fam.pair()
     assert pair.is_angular
     assert pair.distortion_bound() < np.inf
-    m = build_matrix(fam)
+    m = CoefficientMatrixField.from_angular_k(fam.k)
     z = 0.5 * np.exp(1j * np.linspace(0.1, 6.2, 30))
     det = m.det(z)
     k1 = fam.k.k1.eval_at(np.angle(z) % TWO_PI)

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from test_acceptance import random_angular_pair
 
+from beltbound import estimator
 from beltbound.estimator import (
     _FAMILIES,
     SweepConfig,
@@ -212,7 +213,7 @@ def solve(data):
 
 def _reduced_circles(pair, cfg):
     """A batch of one per sweep circle, in sweep order."""
-    return [_reduced(pair, _pair_fields, replace(cfg, circles=(c,)))[0][1] for c in cfg.circles]
+    return [next(_reduced(pair, _pair_fields, replace(cfg, circles=(c,))))[1] for c in cfg.circles]
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +419,25 @@ def test_sweep_rows_do_not_depend_on_the_batch():
         rows = sweep(cfg).per_circle
         for circle, row in zip(cfg.circles, rows):
             assert row == sweep(replace(cfg, circles=(circle,))).per_circle[0], (trial, circle)
+
+
+def test_sweep_report_does_not_depend_on_the_pass_size(monkeypatch):
+    # a grid split into passes of one to a few circles gives the report of
+    # one pass; at these seeds an off-centre circle attains the bound with
+    # remark (4) and piecewise (32) weights, which come from its pass's rows
+    cfg = SweepConfig.disk_lattice(radius_count=2, resolution=128, weight_pieces=4)
+    for seed in (4, 32):
+        pair = random_angular_pair(np.random.default_rng(seed), node_count=256)
+        whole = beta_estimate(pair, cfg)
+        for points in (1, 128, 3 * 128):
+            monkeypatch.setattr(estimator, "_PASS_POINTS", points)
+            split = beta_estimate(pair, cfg)
+            monkeypatch.undo()
+            assert split.per_circle == whole.per_circle, (seed, points)
+            assert split.attaining_circle == whole.attaining_circle
+            a, b = split.attaining_weights, whole.attaining_weights
+            assert np.array_equal(a.phi.values, b.phi.values)
+            assert np.array_equal(a.psi.values, b.psi.values)
 
 
 def _family(unit, remark, window):
