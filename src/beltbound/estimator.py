@@ -94,8 +94,9 @@ class WeightPair:
                 raise ValueError(f"{name} must be strictly positive, min = {lo:.3g}")
 
     @classmethod
-    def constant(cls, grid: AngularGrid, phi: float = 1.0, psi: float = 1.0) -> "WeightPair":
-        return cls(PeriodicField.constant(grid, phi), PeriodicField.constant(grid, psi))
+    def constant(cls, grid: AngularGrid) -> "WeightPair":
+        """The unit pair phi = psi = 1."""
+        return cls(PeriodicField.constant(grid, 1.0), PeriodicField.constant(grid, 1.0))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ SMOOTH = "smooth"
 PIECEWISE = "piecewise-constant"
 
 _MERGE_TOL = 1e-12
+_DUPLICATE_TOL = 1e-10  # breakpoints closer than this are one
 
 
 def wrap_angle(theta):
@@ -46,7 +47,7 @@ def wrap_angle(theta):
     return np.mod(theta, TWO_PI)
 
 
-def merge_breakpoints(*groups, tol: float = 1e-10) -> np.ndarray:
+def merge_breakpoints(*groups) -> np.ndarray:
     """Sorted union of breakpoint sets, removing near-duplicates.
 
     0 is always a member: grids anchor their first node there, which costs
@@ -59,10 +60,10 @@ def merge_breakpoints(*groups, tol: float = 1e-10) -> np.ndarray:
             continue
         pool.append(wrap_angle(np.atleast_1d(np.asarray(g, dtype=float))))
     merged = np.sort(np.concatenate(pool))
-    keep = np.concatenate([[True], np.diff(merged) > tol])
+    keep = np.concatenate([[True], np.diff(merged) > _DUPLICATE_TOL])
     out = merged[keep]
-    # a breakpoint within tol of 2pi collides with 0
-    if out.size > 1 and TWO_PI - out[-1] <= tol:
+    # a breakpoint that close to 2pi collides with 0
+    if out.size > 1 and TWO_PI - out[-1] <= _DUPLICATE_TOL:
         out = out[:-1]
     return out
 
@@ -250,8 +251,8 @@ class CircleSpec:
     def origin_centered(self) -> bool:
         return abs(self.center) < 1e-14 * max(1.0, self.radius)
 
-    def through_origin(self, tol: float = 1e-9) -> bool:
-        return abs(abs(complex(self.center)) - self.radius) <= tol * self.radius
+    def through_origin(self) -> bool:
+        return abs(abs(complex(self.center)) - self.radius) <= 1e-9 * self.radius
 
     def grid(self, breakpoints=None) -> AngularGrid:
         if breakpoints is None:

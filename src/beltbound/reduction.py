@@ -210,9 +210,11 @@ class PairOnCircles:
 class CoefficientMatrixField:
     """2x2 elliptic coefficient field with one evaluator z -> (a11, a12, a21, a22).
 
-    symmetric distinguishes the real-nu reduction; eig_bounds records sampled
-    extremes of the symmetric part's eigenvalues.  k1/k2 are set when the
-    field has the rotational form R(theta) diag(k1, k2) R(theta)^T.
+    Two representations: angular, with k1/k2 set, when the field has the
+    rotational form R(theta) diag(k1, k2) R(theta)^T; pointwise otherwise
+    (constant fields included).  symmetric distinguishes the real-nu
+    reduction; eig_bounds records the extremes of the symmetric part's
+    eigenvalues: exact for angular and constant fields, sampled for callables.
     """
 
     entries_fn: Callable

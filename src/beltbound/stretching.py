@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _CELLS_PER_GAP = 8  # constant-rate cells per node gap of a smooth weight pair
+_ALPHA_MAX = 50.0  # the exponent search looks for roots below this
 
 
 class RootSearchError(RuntimeError):
@@ -425,7 +426,7 @@ def _advance_extremum(cells, alpha: float, want_max: bool) -> float:
     return float(np.max(vals) if want_max else np.min(vals))
 
 
-def _edge_root(k: KProfile, cells, winding: int, want_max: bool, alpha_max: float) -> float:
+def _edge_root(k: KProfile, cells, winding: int, want_max: bool) -> float:
     """alpha where the extremal phase advance equals 2 pi winding; cells are
     _cells(k)."""
     target = TWO_PI * winding
@@ -436,12 +437,12 @@ def _edge_root(k: KProfile, cells, winding: int, want_max: bool, alpha_max: floa
     vmax = float(np.sum(h * vmax_field))
     lo = 0.9 * target / vmax
     hi = 1.1 * target / vmin
-    if lo > alpha_max:
+    if lo > _ALPHA_MAX:
         raise RootSearchError(
-            f"winding-{winding} root lies above alpha_max={alpha_max:g} "
+            f"winding-{winding} root lies above alpha_max={_ALPHA_MAX:g} "
             f"(needs alpha >= {target / vmax:g})"
         )
-    hi = min(hi, alpha_max)
+    hi = min(hi, _ALPHA_MAX)
 
     def g(al):
         return _advance_extremum(cells, al, want_max) - target
@@ -459,7 +460,7 @@ def _edge_root(k: KProfile, cells, winding: int, want_max: bool, alpha_max: floa
     return float(brentq(g, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
 
 
-def periodic_alpha_table(k: KProfile, branches: int, alpha_max: float = 50.0):
+def periodic_alpha_table(k: KProfile, branches: int):
     """Distinct exponents with a 2pi-periodic solution, smallest first.
 
     Each winding number contributes the two edges of its instability interval
@@ -471,8 +472,8 @@ def periodic_alpha_table(k: KProfile, branches: int, alpha_max: float = 50.0):
     w = 0
     while len(table) < branches:
         w += 1
-        left = _edge_root(k, cells, w, want_max=True, alpha_max=alpha_max)
-        right = _edge_root(k, cells, w, want_max=False, alpha_max=alpha_max)
+        left = _edge_root(k, cells, w, want_max=True)
+        right = _edge_root(k, cells, w, want_max=False)
         if right - left <= 1e-10 * max(1.0, right):
             table.append({"alpha": left, "winding": w, "edge": "degenerate"})
         else:
@@ -481,7 +482,7 @@ def periodic_alpha_table(k: KProfile, branches: int, alpha_max: float = 50.0):
     return table[:branches] if len(table) > branches else table
 
 
-def find_periodic_alpha(k: KProfile, branch: int = 1, alpha_max: float = 50.0) -> float:
+def find_periodic_alpha(k: KProfile, branch: int = 1) -> float:
     """n-th alpha (increasing) with Floquet multiplier 1, i.e. tr Phi = 2.
 
     Roots are located through the phase advance of the solution direction,
@@ -491,12 +492,7 @@ def find_periodic_alpha(k: KProfile, branch: int = 1, alpha_max: float = 50.0) -
     """
     if branch < 1:
         raise ValueError(f"branch must be >= 1, got {branch}")
-    table = periodic_alpha_table(k, branch, alpha_max=alpha_max)
-    if len(table) < branch:
-        raise RootSearchError(
-            f"only {len(table)} periodic exponents below alpha_max={alpha_max:g}"
-        )
-    return float(table[branch - 1]["alpha"])
+    return float(periodic_alpha_table(k, branch)[branch - 1]["alpha"])
 
 
 def injectivity_check(s: AngularStretching):

@@ -60,7 +60,6 @@ class PolarGrid:
         radius_count: int = 24,
         node_count: int = 512,
         breakpoints=None,
-        halo: float | None = None,
     ) -> "PolarGrid":
         radii = np.geomspace(r_min, r_max, radius_count)
         if breakpoints is None:
@@ -68,7 +67,7 @@ class PolarGrid:
             arcs = ()
         else:
             angles = AngularGrid.with_breakpoints(node_count, breakpoints)
-            h = halo if halo is not None else 1.5 * TWO_PI / node_count
+            h = 1.5 * TWO_PI / node_count  # the arcs skipped around each breakpoint
             arcs = tuple((b - h, b + h) for b in angles.breakpoints)
         return cls(radii, angles, arcs)
 
@@ -327,17 +326,18 @@ def weak_form_residual(
 # exponent from oscillation decay
 
 
-def empirical_holder(f, scales: int = 10, node_count: int = 512):
+def empirical_holder(f, scales: int = 10):
     """Fit of log max-oscillation over circles against log radius.
 
-    Radii are dyadic, 2^{-1} .. 2^{-scales}.  Returns (slope, diagnostics)
-    where diagnostics carries the fit quality and raw data.  For maps of the
-    form r^alpha * profile the slope recovers alpha.
+    Radii are dyadic, 2^{-1} .. 2^{-scales}, each circle sampled at 512
+    equally spaced angles.  Returns (slope, diagnostics) where diagnostics
+    carries the fit quality and raw data.  For maps of the form
+    r^alpha * profile the slope recovers alpha.
     """
     if scales < 4:
         raise ValueError(f"need at least 4 dyadic scales, got {scales}")
     radii = 2.0 ** -np.arange(1, scales + 1)
-    t = TWO_PI * np.arange(node_count) / node_count
+    t = TWO_PI * np.arange(512) / 512
     osc = np.empty(radii.size)
     for i, r in enumerate(radii):
         z = r * np.exp(1j * t)

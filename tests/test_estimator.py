@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltbound.estimator import (
     SweepConfig,
@@ -16,6 +18,7 @@ from beltbound.estimator import (
     weighted_objective,
 )
 from beltbound.periodic_fields import (
+    SMOOTH,
     TWO_PI,
     AngularGrid,
     CircleSpec,
@@ -29,7 +32,7 @@ from beltbound.reduction import (
     normalize_matrix,
 )
 from beltbound.sharp_family import build_family
-from beltbound.stretching import k_from_munu
+from beltbound.stretching import KProfile, k_from_munu
 
 # frozen: d = (4/pi) arctan M^{-1/2}
 D_M2 = 0.7836531040612146
@@ -290,3 +293,65 @@ def test_gamma_requires_symmetric_field():
     m = CoefficientMatrixField.constant(2.0, 0.3, -0.3, 1.0)
     with pytest.raises(ValueError):
         gamma_estimate(m, CFG)
+
+
+# ---------------------------------------------------------------------------
+# properties: gamma of A and of A/det A, beta and the origin circle's radius
+
+PROPERTY_SWEEPS = {
+    "origin": SweepConfig.origin(resolution=128, weight_pieces=4),
+    "lattice": SweepConfig.disk_lattice(radius_count=1, angle_count=4, resolution=128,
+                                        weight_pieces=4),
+}
+
+
+def random_symmetric_field(kind, rng):
+    """A symmetric elliptic field on the unit disk of one representation:
+    piecewise angular, constant, or a callable."""
+    if kind == "angular":
+        pieces = int(rng.integers(2, 6))
+        bks = np.concatenate([[0.0], np.sort(rng.uniform(0.4, TWO_PI - 0.4, pieces - 1))])
+        k1, k2 = rng.uniform(0.3, 3.0, (2, pieces))
+        return CoefficientMatrixField.from_angular_k(KProfile.piecewise(bks, k1, k2, 128))
+    if kind == "constant":
+        a11, a22 = rng.uniform(0.3, 3.0, 2)
+        a12 = rng.uniform(-0.9, 0.9) * np.sqrt(a11 * a22)
+        return CoefficientMatrixField.constant(a11, a12, a12, a22)
+    c = rng.uniform(-0.3, 0.3, 5)
+    return CoefficientMatrixField.from_callables(
+        lambda z: (1.5 + c[0] * np.real(z), c[1] + c[2] * np.imag(z),
+                   c[1] + c[2] * np.imag(z), 1.2 + c[3] * np.abs(z) ** 2 + c[4] * np.imag(z)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["angular", "constant", "callable"]),
+       sweep=st.sampled_from(sorted(PROPERTY_SWEEPS)), seed=st.integers(0, 2**32 - 1))
+def test_gamma_of_a_equals_gamma_of_a_over_det(kind, sweep, seed):
+    # I = nAn/sqrt(det) is the same for both fields and D is inverted, so
+    # the weight pair (1/psi, 1/phi) scores on A/det A what (phi, psi) does on A
+    m = random_symmetric_field(kind, np.random.default_rng(seed))
+    cfg = PROPERTY_SWEEPS[sweep]
+    a, h = gamma_estimate(m, cfg), gamma_estimate(normalize_matrix(m), cfg)
+    assert h.sup_value == pytest.approx(a.sup_value, rel=1e-12, abs=0.0)
+    assert h.bound == pytest.approx(a.bound, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), smooth=st.booleans(),
+       radii=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+def test_beta_of_angular_pair_ignores_origin_circle_radius(seed, smooth, radii):
+    # an origin circle of angular data reads the profiles at its grid nodes
+    # alone, so its row does not depend on the radius, bit for bit
+    rng = np.random.default_rng(seed)
+    pair = random_angular_pair(rng, node_count=128)
+    if smooth:
+        g = AngularGrid.uniform(64)
+        mu0, nu0 = 0.4 * np.tanh(rng.normal(size=(2, 2)) @ [np.cos(g.nodes), np.sin(g.nodes)])
+        pair = BeltramiPair.from_angular(PeriodicField(g, mu0, SMOOTH), PeriodicField(g, nu0, SMOOTH))
+    rows = []
+    for radius in radii:
+        report = beta_estimate(pair, SweepConfig.origin(radius=radius, resolution=128,
+                                                        weight_pieces=4))
+        row = dict(report.per_circle[0], radius=None)
+        rows.append((report.sup_value.hex(), row["value"].hex(), row))
+    assert rows[0] == rows[1]
