@@ -110,7 +110,7 @@ def test_determinism(capsys):
 def test_large_lattice_sweep_memory(capsys):
     # 1,601 circles in two grids: the sweep restricts a bounded number of
     # circles at a time and keeps one pass alive, so its peak does not grow
-    # with the circle count (it was 126 MB when every pass was kept)
+    # with the circle count
     tracemalloc.start()
     try:
         code = run(["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "200"])
