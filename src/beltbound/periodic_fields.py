@@ -17,6 +17,7 @@ __all__ = [
     "SMOOTH",
     "PIECEWISE",
     "wrap_angle",
+    "arg_of",
     "merge_breakpoints",
     "AngularGrid",
     "PeriodicField",
@@ -45,6 +46,14 @@ def wrap_angle(theta):
     say) up to exactly 2pi.  The lookups below read 2pi as 0.
     """
     return np.mod(theta, TWO_PI)
+
+
+def arg_of(z):
+    """wrap_angle(np.angle(z)), bitwise, without the division in np.mod:
+    np.angle lies in [-pi, pi], where adding 2pi or 0.0 rounds as np.mod
+    does (adding 0.0 also turns np.angle's -0.0 into np.mod's +0.0)."""
+    a = np.angle(z)
+    return a + TWO_PI * (a < 0)
 
 
 def merge_breakpoints(*groups) -> np.ndarray:

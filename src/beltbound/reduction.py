@@ -26,8 +26,8 @@ from .periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
+    arg_of,
     circle_points,
-    wrap_angle,
 )
 from .stretching import KProfile, k_from_munu, munu_from_k
 
@@ -119,13 +119,11 @@ class BeltramiPair:
             raise ValueError("mu0 and nu0 must share one grid layout")
 
         def mu_fn(z):
-            z = np.asarray(z, dtype=complex)
-            theta = wrap_angle(np.angle(z))
+            theta = arg_of(z)
             return -mu0.eval_wrapped(theta) * np.exp(2j * theta)
 
         def nu_fn(z):
-            theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
-            return -nu0.eval_wrapped(theta) + 0j
+            return -nu0.eval_wrapped(arg_of(z)) + 0j
 
         kappa = float(np.max(np.abs(mu0.values) + np.abs(nu0.values)))
         return cls(mu_fn, nu_fn, real_nu=True, kappa=kappa, mu0=mu0, nu0=nu0)
@@ -249,7 +247,7 @@ class CoefficientMatrixField:
         """R(theta) diag(k1, k2) R(theta)^T as a planar field."""
 
         def entries_fn(z):
-            theta = wrap_angle(np.angle(np.asarray(z, dtype=complex)))
+            theta = arg_of(z)
             k1 = k.k1.eval_wrapped(theta)
             k2 = k.k2.eval_wrapped(theta)
             c, s = np.cos(theta), np.sin(theta)

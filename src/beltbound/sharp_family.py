@@ -26,6 +26,7 @@ from .periodic_fields import (
     SMOOTH,
     AngularGrid,
     PeriodicField,
+    arg_of,
     merge_breakpoints,
     wrap_angle,
 )
@@ -85,27 +86,29 @@ class SharpFamily:
         return BeltramiPair.from_angular(self.mu0, self.nu0)
 
     def profiles_at(self, theta):
-        """Exact (theta1, theta2, theta1', theta2') at arbitrary angles."""
+        """Exact (theta1, theta2, theta1', theta2') at arbitrary angles, all
+        four built on the phase that _phase shares with map_at."""
         return _profile_samples(self.M, self.tau, self.c, self.d, theta)
 
     def map_at(self, z):
-        """Exact planar map |z|^alpha (theta1 + i theta2)(arg z), 0 at 0."""
+        """Exact planar map |z|^alpha (theta1 + i theta2)(arg z), 0 at 0: the
+        values of _phase without derivatives, its half-turn sign folded into
+        |z|^alpha."""
         z = np.asarray(z, dtype=complex)
-        th1, th2, _, _ = self.profiles_at(np.angle(z))
-        out = np.abs(z) ** self.alpha * (th1 + 1j * th2)
+        sign, th1, th2, _ = _phase(self.M, self.tau, self.c, self.d, arg_of(z))
+        out = sign * np.abs(z) ** self.alpha * (th1 + 1j * th2)
         return np.where(z == 0, 0.0, out)
 
 
-def _profile_samples(M: float, tau: float, c: float, d: float, theta):
-    """Closed-form (theta1, theta2, theta1', theta2') at the given angles.
+def _phase(M: float, tau: float, c: float, d: float, t):
+    """The closed form at angles t wrapped by wrap_angle: the half-turn sign,
+    theta1 and theta2 without it, and the parts their derivatives reuse.
 
     The second and fourth arcs repeat the first and second with a half-turn
     shift and a sign flip.
     """
-    t = wrap_angle(np.asarray(theta, dtype=float))
     half = t >= math.pi
     base = np.where(half, t - math.pi, t)
-    sign = np.where(half, -1.0, 1.0)
     amp = M ** ((1.0 - tau) / 2.0)  # amplitude split between the components
     rate1 = d / c
     rate2 = d * M**tau / c
@@ -117,9 +120,15 @@ def _profile_samples(M: float, tau: float, c: float, d: float, theta):
     # each point keeps one arc's argument, so one sin/cos pair serves both
     arg = np.where(on1, rate1 * base, rate2 * (base - cut)) - d * math.pi / 4.0
     sn, cs = np.sin(arg), np.cos(arg)
-
     th1 = np.where(on1, sn, cs / amp)
     th2 = np.where(on1, -cs, amp * sn)
+    return np.where(half, -1.0, 1.0), th1, th2, (on1, sn, cs, amp, rate1, rate2)
+
+
+def _profile_samples(M: float, tau: float, c: float, d: float, theta):
+    """Closed-form (theta1, theta2, theta1', theta2') at the given angles."""
+    t = wrap_angle(np.asarray(theta, dtype=float))
+    sign, th1, th2, (on1, sn, cs, amp, rate1, rate2) = _phase(M, tau, c, d, t)
     dth1 = np.where(on1, rate1 * cs, -rate2 * sn / amp)
     dth2 = np.where(on1, rate1 * sn, rate2 * amp * cs)
     return sign * th1, sign * th2, sign * dth1, sign * dth2
@@ -191,7 +200,7 @@ class ScalarAngularMap:
         r = np.abs(z)
         out = np.zeros(z.shape, dtype=float)
         nz = r > 0
-        vals = self.profile.eval_wrapped(wrap_angle(np.angle(z[nz])))
+        vals = self.profile.eval_wrapped(arg_of(z[nz]))
         out[nz] = r[nz] ** self.alpha * np.real(vals)
         return out if out.shape else float(out)
 

@@ -30,6 +30,7 @@ from .periodic_fields import (
     TWO_PI,
     AngularGrid,
     PeriodicField,
+    arg_of,
     field_extrema,
     wrap_angle,
 )
@@ -180,7 +181,10 @@ class AngularStretching:
         return self.eta1.grid
 
     def profile_at(self, theta) -> np.ndarray:
-        t = wrap_angle(np.asarray(theta, dtype=float))
+        return self.profile_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
+
+    def profile_wrapped(self, t) -> np.ndarray:
+        """profile_at for angles already wrapped by wrap_angle."""
         return self.eta1.eval_wrapped(t) + 1j * self.eta2.eval_wrapped(t)
 
 
@@ -190,7 +194,7 @@ def eval_stretching(s: AngularStretching, z):
     if np.any(z == 0):
         raise ValueError("stretching is evaluated on z != 0 (it extends by 0 at the origin)")
     r = np.abs(z)
-    out = r**s.alpha * s.profile_at(np.angle(z))
+    out = r**s.alpha * s.profile_wrapped(arg_of(z))
     return out if out.shape else complex(out)
 
 

@@ -151,8 +151,9 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
         z, dbar, dplus, t = _fd_derivatives(f, grid)
     else:
         raise TypeError("f must be an AngularStretching or a callable z -> f(z)")
-    mu = np.asarray(pair.mu_fn(z), dtype=complex)
-    nu = np.asarray(pair.nu_fn(z), dtype=complex)
+    zc = z[:1] if pair.is_angular else z  # angular coefficients: one ring, broadcast
+    mu = np.asarray(pair.mu_fn(zc), dtype=complex)
+    nu = np.asarray(pair.nu_fn(zc), dtype=complex)
     res = dbar - mu * dplus - nu * np.conj(dplus)
     keep = grid.angle_mask(t)
     scale = np.max(np.abs(dplus[:, keep])) + np.max(np.abs(dbar[:, keep]))
@@ -166,6 +167,8 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
 
 # ---------------------------------------------------------------------------
 # weak form on the annulus
+
+_BLOCK = 1 << 13  # mesh cells per ring block of the weak-form assembly
 
 
 def _triangle_vertices(V):
@@ -239,30 +242,37 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     r_i^2 and each hat gradient by 1/r_i, so area g_k . A g_l and
     area |g_k| |A grad u_h| do not depend on r_i.  The geometry is therefore
     computed once, on the unit ring of _unit_ring, and so is A when it
-    depends on arg z only (angular fields); any other field is
-    evaluated at every ring's centroids.  Only the products with the samples
-    of u run over the whole mesh, and contributions return to the vertices
-    by one slice-add per quad corner.
+    depends on arg z only (angular fields); any other field is evaluated once
+    at every ring's centroids.  Only the products with the samples of u run
+    over the whole mesh, in blocks of about _BLOCK cells of whole rings, so
+    their temporaries stay in cache; each block adds into its vertex rows by
+    one slice-add per quad corner (the row two blocks share gets both).
     """
     nr, na = grid.radii.size, grid.angles.node_count
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
+    angular = a.k1 is not None
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
-    a11, a12, a21, a22 = a.entries(centroid if a.k1 is not None else grid.radii[:-1, None] * centroid)
+    a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
         raise ValueError("coefficient matrix is not positive definite on the mesh")
     # r_i times the flux A grad(u_h), from differences of u (g0 = -g1 - g2)
     agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
     agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
-    u0, u1, u2 = _triangle_vertices(U)
-    d1, d2 = u1 - u0, u2 - u0
-    fx = d1 * agx[0] + d2 * agx[1]
-    fy = d1 * agy[0] + d2 * agy[1]
-    del d1, d2  # two mesh-sized arrays fewer at the peak
-    flux_mag = np.hypot(fx, fy)
-    R = _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
-    S = _to_vertices(*(flux_mag * np.hypot(hx[k], hy[k]) for k in range(3)))
+    hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
+    R, S = np.zeros((nr, na)), np.zeros((nr, na))
+    step = max(1, _BLOCK // na)
+    for i0 in range(0, nr - 1, step):
+        i1 = min(i0 + step, nr - 1)
+        ring = slice(None) if angular else slice(i0, i1)
+        u0, u1, u2 = _triangle_vertices(U[i0:i1 + 1])
+        d1, d2 = u1 - u0, u2 - u0
+        fx = d1 * agx[0][:, ring] + d2 * agx[1][:, ring]
+        fy = d1 * agy[0][:, ring] + d2 * agy[1][:, ring]
+        flux_mag = np.hypot(fx, fy)
+        R[i0:i1 + 1] += _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
+        S[i0:i1 + 1] += _to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
     return R, S
 
 
@@ -330,7 +340,8 @@ def empirical_holder(f, scales: int = 10):
     """Fit of log max-oscillation over circles against log radius.
 
     Radii are dyadic, 2^{-1} .. 2^{-scales}, each circle sampled at 512
-    equally spaced angles.  Returns (slope, diagnostics) where diagnostics
+    equally spaced angles; f is evaluated once, on the (scales, 512) array
+    of all those points.  Returns (slope, diagnostics) where diagnostics
     carries the fit quality and raw data.  For maps of the form
     r^alpha * profile the slope recovers alpha.
     """
@@ -338,11 +349,9 @@ def empirical_holder(f, scales: int = 10):
         raise ValueError(f"need at least 4 dyadic scales, got {scales}")
     radii = 2.0 ** -np.arange(1, scales + 1)
     t = TWO_PI * np.arange(512) / 512
-    osc = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        z = r * np.exp(1j * t)
-        vals = eval_stretching(f, z) if isinstance(f, AngularStretching) else f(z)
-        osc[i] = np.max(np.abs(vals))
+    z = radii[:, None] * np.exp(1j * t)[None, :]
+    vals = eval_stretching(f, z) if isinstance(f, AngularStretching) else f(z)
+    osc = np.max(np.abs(vals), axis=1)
     if np.any(osc <= 0):
         raise ValueError("oscillation vanished on a circle; cannot fit an exponent")
     x, y = np.log(radii), np.log(osc)

@@ -211,6 +211,29 @@ def test_beta_dominates_classical():
         assert beta_estimate(pair, CFG).bound >= classical_bound(pair) - 1e-12
 
 
+@st.composite
+def criterion_6_pairs(draw):
+    """Piecewise pairs as criterion 6 draws them, with 2-8 arcs on 256 nodes:
+    |mu0| + |nu0| shrunk onto a random cap in [0.3, 0.85] on each arc."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = draw(st.integers(2, 8))
+    bks = np.concatenate([[0.0], np.sort(rng.uniform(0.3, TWO_PI - 0.3, pieces - 1))])
+    mu0, nu0 = rng.uniform(-0.6, 0.6, (2, pieces))
+    total = np.abs(mu0) + np.abs(nu0)
+    shrink = np.minimum(1.0, rng.uniform(0.3, 0.85, pieces) / np.maximum(total, 1e-9))
+    return BeltramiPair.from_profiles(bks, mu0 * shrink, nu0 * shrink, node_count=256)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=criterion_6_pairs())
+def test_beta_is_a_bound_above_corollary_and_classical(pair):
+    cfg = SweepConfig.origin(resolution=256, weight_pieces=8)
+    beta = beta_estimate(pair, cfg).bound
+    assert 0.0 < beta <= 1.0
+    assert beta >= corollary_bound(pair, cfg) - 1e-12
+    assert beta >= classical_bound(pair) - 1e-12
+
+
 def test_corollary_equals_nu_zero_when_nu_vanishes():
     rng = np.random.default_rng(59)
     for _ in range(10):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltbound.periodic_fields import (
     PIECEWISE,
@@ -10,6 +12,7 @@ from beltbound.periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
+    arg_of,
     circle_points,
     field_extrema,
     merge_breakpoints,
@@ -40,6 +43,21 @@ def test_wrapped_lookups_read_two_pi_as_zero():
         assert np.array_equal(f.eval_wrapped(t), f.eval_at(angles))
         assert np.array_equal(f.eval_wrapped(t), f.eval_at(t))
         assert f.eval_wrapped(wrap_angle(-1e-20)) == f.eval_at(0.0)
+
+
+ARG_EDGE_CASES = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                  complex(1.0, -1e-300), complex(1.0, -5e-324), complex(2.0, -1e-15),
+                  -1 + 0j, complex(-1.0, -0.0), complex(np.nan, 0.0), complex(0.0, np.nan),
+                  complex(-np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, -0.0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=40))
+def test_arg_of_is_bitwise_wrapped_angle(zs):
+    z = np.array(zs + ARG_EDGE_CASES, dtype=complex)
+    want = wrap_angle(np.angle(z))
+    assert np.array_equal(arg_of(z).view(np.uint64), want.view(np.uint64))
+    assert arg_of(complex(1.0, -1e-300)) == TWO_PI  # the one angle wrapped to 2pi
 
 
 def test_merge_breakpoints_dedup_and_anchor():

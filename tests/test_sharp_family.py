@@ -187,6 +187,33 @@ def test_profile_samples_bitwise_equal_to_two_pair_form():
             np.testing.assert_array_equal(g, w)
 
 
+def profiles_map_at(fam, z):
+    """map_at from all four closed-form profiles, the derivatives unused."""
+    z = np.asarray(z, dtype=complex)
+    th1, th2, _, _ = fam.profiles_at(np.angle(z))
+    out = np.abs(z) ** fam.alpha * (th1 + 1j * th2)
+    return np.where(z == 0, 0.0, out)
+
+
+def test_map_at_bitwise_equal_to_profiles_form():
+    rng = np.random.default_rng(11)
+    for M, tau in [(2.0, 0.0), (1.5, 1.0), (3.0, 0.5), (40.0, 0.3)]:
+        fam = build_family(M, tau, node_count=256)
+        bks = np.array(fam.breakpoints)
+        angles = np.concatenate([
+            rng.uniform(-math.pi, math.pi, 2000), fam.grid.nodes,
+            bks, np.nextafter(bks, -np.inf), np.nextafter(bks, np.inf),
+        ])
+        radii = rng.uniform(1e-3, 3.0, angles.size)
+        z = np.concatenate([radii * np.exp(1j * angles), radii[:4] * np.cos(angles[:4]),
+                            [0j, complex(-0.0, -0.0), -1.0 + 0j, complex(-1.0, -0.0),
+                             complex(1.0, -1e-300)]])
+        for pts in (z, z.reshape(-1, 3)):
+            got, want = fam.map_at(pts), profiles_map_at(fam, pts)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_family_map_is_injective_and_orientation_preserving():
     for M, tau in [(2.0, 0.0), (1.5, 1.0), (3.0, 0.5)]:
         fam = build_family(M, tau, node_count=512)

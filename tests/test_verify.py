@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beltbound import verify
 from beltbound.periodic_fields import TWO_PI, AngularGrid, PeriodicField
 from beltbound.reduction import BeltramiPair, CoefficientMatrixField, beltrami_to_matrices
 from beltbound.sharp_family import build_family, build_maps
-from beltbound.stretching import AngularStretching, KProfile
+from beltbound.stretching import AngularStretching, KProfile, eval_stretching
 from beltbound.verify import (
     PolarGrid,
     beltrami_residual,
@@ -69,6 +70,30 @@ def test_residual_scale_invariance():
     c = 3.7 - 1.2j
     r2 = beltrami_residual(lambda z: c * np.abs(z) ** -0.5 * z, pair, g)
     assert abs(r1.max_residual - r2.max_residual) < 1e-13
+
+
+def test_residual_reads_angular_pair_on_one_ring():
+    # mu and nu of an angular pair depend on arg z alone: one ring of the
+    # annulus, broadcast over the radii, whichever route gives the derivatives
+    fam = build_family(1.5, 0.5, node_count=512)
+    stretch, _ = build_maps(fam)
+    pair = fam.pair()
+    calls = []
+
+    def counted(fn, name):
+        def wrapped(z):
+            calls.append((name, np.shape(z)))
+            return fn(z)
+        return wrapped
+
+    spy = dataclasses.replace(pair, mu_fn=counted(pair.mu_fn, "mu"),
+                              nu_fn=counted(pair.nu_fn, "nu"))
+    g = PolarGrid.annulus(radius_count=12, node_count=256, breakpoints=fam.breakpoints)
+    # the closed-form route samples at the stretching's own 512 nodes
+    for f, na, tol in ((stretch, 512, 1e-8), (fam.map_at, 256, 1e-3)):
+        calls.clear()
+        assert beltrami_residual(f, spy, g).max_residual < tol
+        assert calls == [("mu", (1, na)), ("nu", (1, na))]
 
 
 def test_too_coarse_grid_raises():
@@ -177,6 +202,37 @@ def test_empirical_exponent_scaling_invariance():
     assert abs(s1 - s2) < 1e-12
 
 
+def looped_empirical_holder(f, scales=10):
+    """empirical_holder with one evaluation of f per circle."""
+    radii = 2.0 ** -np.arange(1, scales + 1)
+    t = TWO_PI * np.arange(512) / 512
+    osc = np.empty(radii.size)
+    for i, r in enumerate(radii):
+        z = r * np.exp(1j * t)
+        vals = eval_stretching(f, z) if isinstance(f, AngularStretching) else f(z)
+        osc[i] = np.max(np.abs(vals))
+    x, y = np.log(radii), np.log(osc)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res, ss_tot = float(np.sum((y - fitted) ** 2)), float(np.sum((y - np.mean(y)) ** 2))
+    return float(slope), {"r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+                          "radii": radii, "oscillation": osc, "intercept": float(intercept)}
+
+
+def test_empirical_exponent_bitwise_equal_to_per_circle_loop():
+    fam = build_family(3.0, 0.5, node_count=512)
+    stretch, _ = build_maps(fam)
+    for f, scales in [(stretch, 10), (fam.map_at, 10), (AngularStretching.radial(0.5, 256), 6),
+                      (lambda z: np.abs(z) ** 0.7 * np.cos(3 * np.angle(z)), 12)]:
+        slope, diag = empirical_holder(f, scales)
+        ref_slope, ref = looped_empirical_holder(f, scales)
+        assert slope.hex() == ref_slope.hex()
+        assert diag["r_squared"].hex() == ref["r_squared"].hex()
+        assert diag["intercept"].hex() == ref["intercept"].hex()
+        assert np.array_equal(diag["oscillation"], ref["oscillation"])
+        assert np.array_equal(diag["radii"], ref["radii"])
+
+
 def test_empirical_exponent_needs_four_scales():
     with pytest.raises(ValueError):
         empirical_holder(AngularStretching.radial(1.0, 64), scales=3)
@@ -274,6 +330,21 @@ def test_weak_vector_matches_reference_on_plain_fields():
         lambda z: (2.0 + np.real(z), 0.3 * np.imag(z), 0.3 * np.imag(z) - 0.1, 1.5 + np.abs(z) ** 2)
     )
     assert_matches_reference(harmonic, field, g)
+
+
+def test_weak_vector_matches_reference_across_ring_blocks():
+    # 39 rings of 512 cells are three blocks of the assembly: two shared rows
+    g = PolarGrid.annulus(radius_count=40, node_count=512)
+    assert (g.radii.size - 1) * g.angles.node_count > 2 * verify._BLOCK
+    fam = build_family(2.0, 0.5, node_count=512)
+    fg = PolarGrid.annulus(radius_count=40, node_count=512, breakpoints=fam.breakpoints)
+    B = beltrami_to_matrices(fam.pair()).B
+    assert_matches_reference(lambda z: np.real(fam.map_at(z)), B, fg)
+    field = CoefficientMatrixField.from_callables(
+        lambda z: (2.0 + np.real(z), 0.3 * np.imag(z), 0.3 * np.imag(z) - 0.1, 1.5 + np.abs(z) ** 2)
+    )
+    assert field.k1 is None
+    assert_matches_reference(lambda z: np.real(np.exp(z)) + np.imag(z) ** 3, field, g)
 
 
 def test_weak_vector_evaluates_field_once():
