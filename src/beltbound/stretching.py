@@ -18,6 +18,7 @@ roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -403,8 +404,8 @@ def phase_advance(k: KProfile, alpha: float, phi0):
     return total.reshape(phi0.shape) if phi0.shape else float(total[0])
 
 
-def _advance_extremum(cells, alpha: float, want_max: bool) -> float:
-    """max or min over start directions of the one-period phase advance.
+def _advance_extremum(cells, alpha: float) -> tuple[float, float]:
+    """(max, min) over start directions of the one-period phase advance.
 
     The end direction depends on the start direction with derivative
     1/|Phi v|^2 (unimodular flow), so the advance is extremal exactly where
@@ -427,41 +428,82 @@ def _advance_extremum(cells, alpha: float, want_max: bool) -> float:
                          c * evecs[:, 0] - s * evecs[:, 1]])
         phis = np.arctan2(dirs[:, 1], dirs[:, 0])
     vals = _advances(h, av, bv, fund, phis)
-    return float(np.max(vals) if want_max else np.min(vals))
+    return float(np.max(vals)), float(np.min(vals))
 
 
-def _edge_root(k: KProfile, cells, winding: int, want_max: bool) -> float:
-    """alpha where the extremal phase advance equals 2 pi winding; cells are
-    _cells(k)."""
+def _brent(f, a, b, fa, fb, xtol, rtol):
+    """Root of f in [a, b] from fa = f(a), fb = f(b) of opposite signs: Brent's
+    zeroin (1973, ch. 4) step for step as scipy.optimize.brentq runs it (same
+    tests, tolerance, 100-step cap), so the same float; NaN raises ValueError."""
+    if math.isnan(fa) or math.isnan(fb):
+        raise ValueError(f"function value is NaN at an end of [{a:.6g}, {b:.6g}]")
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or nan in C: no short step
+                stry = math.inf
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"function value is NaN at x={xcur:.6g}")
+    raise RootSearchError(f"root search did not converge in 100 steps; last x={xcur!r}")
+
+
+def _edge_roots(k: KProfile, cells, winding: int):
+    """alphas where the max and the min phase advance equal 2 pi winding (the
+    interval's left and right edges); cells are _cells(k).  One propagation
+    gives both extrema, so the edges share each alpha they both evaluate."""
     target = TWO_PI * winding
-    vmin_field = np.minimum(k.k1.values, 1.0 / k.k2.values)
-    vmax_field = np.maximum(k.k1.values, 1.0 / k.k2.values)
     h = k.grid.spacings()
-    vmin = float(np.sum(h * vmin_field))
-    vmax = float(np.sum(h * vmax_field))
+    vmin = float(np.sum(h * np.minimum(k.k1.values, 1.0 / k.k2.values)))
+    vmax = float(np.sum(h * np.maximum(k.k1.values, 1.0 / k.k2.values)))
     lo = 0.9 * target / vmax
-    hi = 1.1 * target / vmin
+    hi = min(1.1 * target / vmin, _ALPHA_MAX)
     if lo > _ALPHA_MAX:
         raise RootSearchError(
             f"winding-{winding} root lies above alpha_max={_ALPHA_MAX:g} "
             f"(needs alpha >= {target / vmax:g})"
         )
-    hi = min(hi, _ALPHA_MAX)
 
-    def g(al):
-        return _advance_extremum(cells, al, want_max) - target
+    @functools.cache
+    def g(al):  # (max, min) advance minus target
+        return tuple(v - target for v in _advance_extremum(cells, al))
 
-    glo, ghi = g(lo), g(hi)
-    while glo > 0.0:
-        lo *= 0.5
-        glo = g(lo)
-    if ghi < 0.0:
-        raise RootSearchError(
-            f"winding-{winding} root not bracketed in ({lo:g}, {hi:g}]: "
-            f"advance extremum reaches {ghi + target:g} < {target:g}"
-        )
-    from scipy.optimize import brentq  # most of the package's import time: load on use
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+    for edge in (0, 1):
+        a = lo
+        while g(a)[edge] > 0.0:
+            a *= 0.5
+        if g(hi)[edge] < 0.0:
+            raise RootSearchError(
+                f"winding-{winding} root not bracketed in ({a:g}, {hi:g}]: "
+                f"advance extremum reaches {g(hi)[edge] + target:g} < {target:g}"
+            )
+        yield _brent(lambda al: g(al)[edge], a, hi, g(a)[edge], g(hi)[edge],
+                     xtol=1e-15, rtol=4.0 * float(np.finfo(float).eps))
 
 
 def periodic_alpha_table(k: KProfile, branches: int):
@@ -476,8 +518,7 @@ def periodic_alpha_table(k: KProfile, branches: int):
     w = 0
     while len(table) < branches:
         w += 1
-        left = _edge_root(k, cells, w, want_max=True)
-        right = _edge_root(k, cells, w, want_max=False)
+        left, right = _edge_roots(k, cells, w)
         if right - left <= 1e-10 * max(1.0, right):
             table.append({"alpha": left, "winding": w, "edge": "degenerate"})
         else:

@@ -130,16 +130,19 @@ def _fd_derivatives(f, grid: PolarGrid):
 def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> ResidualReport:
     """Normalized residual of the first-order equation on an annulus.
 
-    Angular stretchings use exact polar derivatives at their native nodes
-    (machine-accurate, including at coefficient jumps, by the shared
-    right-limit convention).  Plain callables fall back to second-order
-    finite differences, with jump neighborhoods excluded.
+    Angular stretchings use exact polar derivatives at their native nodes, on
+    the unit ring for an angular pair (machine-accurate, including at jumps,
+    by the shared right-limit convention).  Plain callables fall back to
+    second-order finite differences, with jump neighborhoods excluded.
     """
     if grid is None:
         bks = pair.mu0.grid.breakpoints if pair.is_angular else None
         grid = PolarGrid.annulus(breakpoints=bks)
+    one_ring = isinstance(f, AngularStretching) and pair.is_angular
     if isinstance(f, AngularStretching):
-        z, dbar, dplus, t = _closed_form_derivatives(f, grid.radii)
+        # with an angular pair, dbar, dplus and the residual are r^(alpha-1)
+        # times a column factor, so the unit ring gives every maximum
+        z, dbar, dplus, t = _closed_form_derivatives(f, [1.0] if one_ring else grid.radii)
     elif callable(f):
         if pair.is_angular:
             counts = np.bincount(
@@ -158,9 +161,10 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     keep = grid.angle_mask(t)
     scale = np.max(np.abs(dplus[:, keep])) + np.max(np.abs(dbar[:, keep]))
     r_abs = np.abs(res[:, keep])
+    pw = grid.radii ** (f.alpha - 1.0) if one_ring else np.ones(1)  # per-ring factor
     return ResidualReport(
         max_residual=float(np.max(r_abs) / scale),
-        mean_residual=float(np.mean(r_abs) / scale),
+        mean_residual=float(np.mean(pw) / np.max(pw) * np.mean(r_abs) / scale),
         resolution=(grid.radii.size, grid.angles.node_count),
     )
 

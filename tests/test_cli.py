@@ -226,6 +226,36 @@ def test_module_entry_point():
     assert abs(json.loads(proc.stdout)["bounds"]["beta"] - 0.5) < 1e-9
 
 
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import numpy as np
+import beltbound, beltbound.cli
+from beltbound.periodic_fields import SMOOTH, AngularGrid, PeriodicField
+from beltbound.sharp_family import build_family
+from beltbound.stretching import KProfile, find_periodic_alpha
+
+fam = build_family(2.0, 0.5, node_count=1024)
+assert abs(find_periodic_alpha(fam.k) - fam.alpha) < 1e-9
+g = AngularGrid.uniform(16)
+k = KProfile(PeriodicField(g, np.exp(0.3 * np.cos(g.nodes)), SMOOTH),
+             PeriodicField(g, np.exp(0.2 * np.sin(2.0 * g.nodes)), SMOOTH))
+assert 0.0 < find_periodic_alpha(k) < 2.0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert beltbound.cli.run(["--command", "verify", "--M", "2", "--tau", "0.5"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is a test-only dependency: the exponent search and verify run on numpy
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_rejects_coeff_file_source(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"breakpoints": [0.0], "mu0": [0.2], "nu0": [0.0]}))

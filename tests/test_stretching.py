@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import beltbound.stretching as stretching_module
 from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField
+from beltbound.sharp_family import build_family
 from beltbound.stretching import (
     AngularStretching,
     KProfile,
+    RootSearchError,
+    _ALPHA_MAX,
+    _advance_extremum,
+    _brent,
     _cells,
     _piece_propagator,
     _piece_rates,
@@ -339,3 +347,155 @@ def test_solve_system_rejects_bad_input():
         solve_system(k, -1.0)
     with pytest.raises(ValueError):
         solve_system(k, 0.5, initial=(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# exponent search: the zeroin port and the shared bracket ends
+
+XTOL, RTOL = 1e-15, 4.0 * float(np.finfo(float).eps)  # the exponent search's tolerances
+
+
+def scipy_edge_root(k, cells, winding, want_max):
+    """The search of one interval edge as it ran on scipy's brentq: each edge
+    propagates its own bracket ends, and brentq evaluates them again."""
+    target = TWO_PI * winding
+    h = k.grid.spacings()
+    vmin = float(np.sum(h * np.minimum(k.k1.values, 1.0 / k.k2.values)))
+    vmax = float(np.sum(h * np.maximum(k.k1.values, 1.0 / k.k2.values)))
+    lo = 0.9 * target / vmax
+    hi = min(1.1 * target / vmin, _ALPHA_MAX)
+    assert lo <= _ALPHA_MAX
+
+    def g(al):
+        return _advance_extremum(cells, al)[0 if want_max else 1] - target
+
+    glo, ghi = g(lo), g(hi)
+    while glo > 0.0:
+        lo *= 0.5
+        glo = g(lo)
+    assert ghi >= 0.0
+    return float(brentq(g, lo, hi, xtol=XTOL, rtol=RTOL))
+
+
+def scipy_alpha_table(k, branches):
+    """periodic_alpha_table on scipy_edge_root."""
+    cells = _cells(k)
+    table = []
+    w = 0
+    while len(table) < branches:
+        w += 1
+        left = scipy_edge_root(k, cells, w, want_max=True)
+        right = scipy_edge_root(k, cells, w, want_max=False)
+        if right - left <= 1e-10 * max(1.0, right):
+            table.append({"alpha": left, "winding": w, "edge": "degenerate"})
+        else:
+            table.append({"alpha": left, "winding": w, "edge": "left"})
+            table.append({"alpha": right, "winding": w, "edge": "right"})
+    return table[:branches]
+
+
+@st.composite
+def increasing_functions(draw):
+    """x -> g(x) - g(root) for g = a x^3 + b tanh(c (x - s)) + d exp(e x),
+    nonnegative coefficients, and a bracket [root - left, root + right];
+    a zero width puts the exact root on a bracket end."""
+    pos = st.floats(0.0, 10.0)
+    a, b, d = draw(pos), draw(pos), draw(pos)
+    assume(a + b + d > 0.0)
+    c, s, e = draw(st.floats(0.1, 20.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-3.0, 3.0))
+    root = draw(st.floats(-3.0, 3.0))
+    width = st.one_of(st.just(0.0), st.floats(1e-12, 4.0))
+    left, right = draw(width), draw(width)
+    assume(left + right > 0.0)
+
+    def g(x):
+        return a * x**3 + b * math.tanh(c * (x - s)) + d * math.exp(e * x)
+
+    g_root = g(root)
+    return (lambda x: g(x) - g_root), root - left, root + right
+
+
+@settings(max_examples=300, deadline=None)
+@given(increasing_functions())
+def test_brent_bitwise_equal_to_scipy_brentq(case):
+    f, a, b = case
+    fa, fb = f(a), f(b)
+    assume(fa <= 0.0 <= fb)  # rounding can flatten g near the root
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        ref = brentq(counted, a, b, xtol=XTOL, rtol=RTOL)
+    except RuntimeError:  # 100 steps without convergence: the port stops there too
+        ref = None
+    ref_calls = calls[2:]  # brentq evaluates both ends first
+    calls.clear()
+    if ref is None:
+        with pytest.raises(RootSearchError, match="100 steps"):
+            _brent(counted, a, b, fa, fb, XTOL, RTOL)
+    else:
+        got = _brent(counted, a, b, fa, fb, XTOL, RTOL)
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+    assert calls == ref_calls  # the same iterates, step for step
+
+
+def test_brent_nan_cap_and_zero_denominator():
+    def step_at_sqrt2(x):
+        return 1.0 if x > math.sqrt(2.0) else -1.0
+
+    for f in (lambda x: math.nan if x > 1.2 else x - 1.5, lambda x: math.nan):
+        with pytest.raises(ValueError, match="NaN"):
+            _brent(f, 1.0, 2.0, -0.5, f(2.0), XTOL, RTOL)
+    with pytest.raises(ValueError, match="NaN"):
+        _brent(step_at_sqrt2, 1.0, 2.0, math.nan, 1.0, XTOL, RTOL)
+    # zero tolerance: the bracket stalls at two adjacent floats, never f = 0
+    with pytest.raises(RootSearchError, match="100 steps") as err:
+        _brent(step_at_sqrt2, 1.0, 2.0, -1.0, 1.0, 0.0, 0.0)
+    assert isinstance(err.value, RuntimeError)
+    assert _brent(step_at_sqrt2, 1.0, 2.0, -1.0, 1.0, XTOL, RTOL) == brentq(
+        step_at_sqrt2, 1.0, 2.0, xtol=XTOL, rtol=RTOL)
+    # products that underflow give the extrapolation a zero denominator
+    # (inf or nan in C, so a bisection step): same root, no exception
+    def tiny_cubic(x):
+        return 1e-250 * x**3
+
+    assert _brent(tiny_cubic, -1.0, 2.0, tiny_cubic(-1.0), tiny_cubic(2.0), XTOL, RTOL) == (
+        brentq(tiny_cubic, -1.0, 2.0, xtol=XTOL, rtol=RTOL))
+
+
+def reference_profiles():
+    rng = np.random.default_rng(61)
+    profiles = [random_k(rng) for _ in range(8)]
+    profiles += [trig_k(trig_coefficients(rng), n) for n in (16, 32, 64) for _ in range(3)]
+    profiles += [build_family(M, tau, node_count=512).k
+                 for M, tau in ((2.0, 0.5), (3.0, 1.0), (1.5, 0.0), (4.0, 0.3))]
+    profiles += [KProfile.constant(2.0, 0.5, node_count=64),
+                 KProfile.constant(1.5, 2.5, node_count=64)]
+    return profiles
+
+
+def test_alpha_table_bitwise_equal_to_scipy_search():
+    for k in reference_profiles():
+        assert periodic_alpha_table(k, 3) == scipy_alpha_table(k, 3)
+
+
+def test_edges_share_propagations(monkeypatch):
+    # a maps-style smooth profile: both edges reuse the shared bracket ends,
+    # and no end is propagated twice
+    k = trig_k(trig_coefficients(np.random.default_rng(201)), 16)
+    calls = []
+    propagate = stretching_module._propagate
+
+    def counted(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    monkeypatch.setattr(stretching_module, "_propagate", counted)
+    alpha = find_periodic_alpha(k)
+    shared = len(calls)
+    calls.clear()
+    assert scipy_alpha_table(k, 1)[0]["alpha"] == alpha
+    assert shared <= len(calls) - 6, (shared, len(calls))

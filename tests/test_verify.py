@@ -96,6 +96,42 @@ def test_residual_reads_angular_pair_on_one_ring():
         assert calls == [("mu", (1, na)), ("nu", (1, na))]
 
 
+def mesh_beltrami_residual(s, pair, grid):
+    """(max, mean) residual of an AngularStretching against an angular pair,
+    evaluated on every ring of the annulus: the form before the one-ring
+    closed form."""
+    z, dbar, dplus, t = verify._closed_form_derivatives(s, grid.radii)
+    mu = np.asarray(pair.mu_fn(z[:1]), dtype=complex)
+    nu = np.asarray(pair.nu_fn(z[:1]), dtype=complex)
+    res = dbar - mu * dplus - nu * np.conj(dplus)
+    keep = grid.angle_mask(t)
+    scale = np.max(np.abs(dplus[:, keep])) + np.max(np.abs(dbar[:, keep]))
+    r_abs = np.abs(res[:, keep])
+    return np.max(r_abs) / scale, np.mean(r_abs) / scale
+
+
+def test_one_ring_residual_matches_mesh_reference():
+    # each stretching against every family's equation: its own gives
+    # rounding noise, the others O(1) residuals; alpha = 1.7 puts the
+    # largest r^(alpha-1) on the outer ring
+    fams = [build_family(M, tau, node_count=512)
+            for M, tau in ((2.0, 0.5), (3.0, 1.0), (1.5, 0.0))]
+    stretches = [build_maps(fam)[0] for fam in fams]
+    stretches += [AngularStretching.radial(a, node_count=512) for a in (0.5, 1.7)]
+    for i, s in enumerate(stretches):
+        for j, fam in enumerate(fams):
+            for grid in (PolarGrid.annulus(breakpoints=fam.breakpoints),
+                         PolarGrid.annulus(0.3, 2.5, 9, 256, fam.breakpoints)):
+                rep = beltrami_residual(s, fam.pair(), grid)
+                mx, mean = mesh_beltrami_residual(s, fam.pair(), grid)
+                if i == j:
+                    assert rep.max_residual < 1e-14 and mx < 1e-14
+                else:
+                    assert mx > 1e-2
+                    assert abs(rep.max_residual - mx) <= 1e-14 * mx
+                    assert abs(rep.mean_residual - mean) <= 1e-14 * mean
+
+
 def test_too_coarse_grid_raises():
     # M large makes one smooth arc much shorter than the rest
     fam = build_family(16.0, 0.5, node_count=512)
