@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -130,7 +131,8 @@ def _float_list(text: str) -> tuple:
         raise SpecError(f"bad numeric list {text!r}") from exc
 
 
-def build_spec(argv) -> JobSpec:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="beltbound",
         description="Exponent bounds and extremal mappings for planar "
@@ -152,7 +154,11 @@ def build_spec(argv) -> JobSpec:
     p.add_argument("--corrupt-mu", action="store_true", default=None,
                    help="negative control: flip the sign of mu before verifying "
                    "(no effect when mu vanishes identically)")
-    args = p.parse_args(argv)
+    return p
+
+
+def build_spec(argv) -> JobSpec:
+    args = _parser().parse_args(argv)
 
     fields: dict = {}
     if args.config is not None:

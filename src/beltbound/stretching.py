@@ -19,6 +19,7 @@ roundoff.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -474,9 +475,9 @@ def _brent(f, a, b, fa, fb, xtol, rtol):
 
 
 def _edge_roots(k: KProfile, cells, winding: int):
-    """alphas where the max and the min phase advance equal 2 pi winding (the
-    interval's left and right edges); cells are _cells(k).  One propagation
-    gives both extrema, so the edges share each alpha they both evaluate."""
+    """alphas where the max and the min phase advance equal 2 pi winding, each
+    solved when read: the left edge, then the right one unless they coincide
+    (degenerate); cells are _cells(k).  The edges share each propagation."""
     target = TWO_PI * winding
     h = k.grid.spacings()
     vmin = float(np.sum(h * np.minimum(k.k1.values, 1.0 / k.k2.values)))
@@ -502,8 +503,11 @@ def _edge_roots(k: KProfile, cells, winding: int):
                 f"winding-{winding} root not bracketed in ({a:g}, {hi:g}]: "
                 f"advance extremum reaches {g(hi)[edge] + target:g} < {target:g}"
             )
-        yield _brent(lambda al: g(al)[edge], a, hi, g(a)[edge], g(hi)[edge],
-                     xtol=1e-15, rtol=4.0 * float(np.finfo(float).eps))
+        root = _brent(lambda al: g(al)[edge], a, hi, g(a)[edge], g(hi)[edge],
+                      xtol=1e-15, rtol=4.0 * float(np.finfo(float).eps))
+        if edge == 0 or root - left > 1e-10 * max(1.0, root):
+            yield root
+        left = root
 
 
 def periodic_alpha_table(k: KProfile, branches: int):
@@ -511,20 +515,17 @@ def periodic_alpha_table(k: KProfile, branches: int):
 
     Each winding number contributes the two edges of its instability interval
     (which coincide when the interval is degenerate, e.g. constant weights).
-    Entries are dicts {alpha, winding, edge}.
+    Entries are dicts {alpha, winding, edge}.  Solves both edges of every
+    winding up to the last entry's, so any of them may raise RootSearchError.
     """
     cells = _cells(k)
     table = []
-    w = 0
-    while len(table) < branches:
-        w += 1
-        left, right = _edge_roots(k, cells, w)
-        if right - left <= 1e-10 * max(1.0, right):
-            table.append({"alpha": left, "winding": w, "edge": "degenerate"})
-        else:
-            table.append({"alpha": left, "winding": w, "edge": "left"})
-            table.append({"alpha": right, "winding": w, "edge": "right"})
-    return table[:branches] if len(table) > branches else table
+    for w in itertools.count(1):
+        if len(table) >= branches:
+            return table[:branches]
+        edges = list(_edge_roots(k, cells, w))
+        labels = ("left", "right") if len(edges) == 2 else ("degenerate",)
+        table += [{"alpha": a, "winding": w, "edge": e} for a, e in zip(edges, labels)]
 
 
 def find_periodic_alpha(k: KProfile, branch: int = 1) -> float:
@@ -533,11 +534,14 @@ def find_periodic_alpha(k: KProfile, branch: int = 1) -> float:
     Roots are located through the phase advance of the solution direction,
     which crosses 2 pi n transversally in alpha even where tr Phi - 2 only
     touches zero; that keeps degenerate (constant-weight) roots at full
-    precision.
+    precision.  Solves periodic_alpha_table's edges in order through entry n
+    only (branch 1: one edge), so no later edge can raise RootSearchError.
     """
     if branch < 1:
         raise ValueError(f"branch must be >= 1, got {branch}")
-    return float(periodic_alpha_table(k, branch)[branch - 1]["alpha"])
+    cells = _cells(k)
+    alphas = (a for w in itertools.count(1) for a in _edge_roots(k, cells, w))
+    return float(next(itertools.islice(alphas, branch - 1, None)))
 
 
 def injectivity_check(s: AngularStretching):

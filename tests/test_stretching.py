@@ -499,3 +499,53 @@ def test_edges_share_propagations(monkeypatch):
     calls.clear()
     assert scipy_alpha_table(k, 1)[0]["alpha"] == alpha
     assert shared <= len(calls) - 6, (shared, len(calls))
+
+
+def counting(monkeypatch, name):
+    """Replace stretching_module.<name> by a wrapper that logs one entry per call."""
+    calls = []
+    inner = getattr(stretching_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stretching_module, name, counted)
+    return calls
+
+
+def test_branch_search_is_table_entry():
+    # branch n is entry n of the table, bitwise, however few edges it solves
+    for k in reference_profiles():
+        ref = scipy_alpha_table(k, 3)
+        for n in (1, 2, 3):
+            alpha = find_periodic_alpha(k, n)
+            assert alpha == periodic_alpha_table(k, n)[n - 1]["alpha"] == ref[n - 1]["alpha"]
+        if np.ptp(k.k1.values) == 0.0 and np.ptp(k.k2.values) == 0.0:
+            assert ref[1]["winding"] == 2 and ref[1]["edge"] == "degenerate"
+
+
+def test_branch_search_solves_only_the_edges_it_needs(monkeypatch):
+    # a jump of k1 against k2 = 1 opens an interval at winding 1; with
+    # k2 = 1/k1 (test_periodic_alpha_table_gap_edges) every interval is
+    # degenerate, as it is for constant weights
+    g = AngularGrid.with_breakpoints(128, [0.0, np.pi])
+    gap = KProfile(PeriodicField.piecewise(g, [1.0, 3.0]), PeriodicField.piecewise(g, [1.0, 1.0]))
+    constant = KProfile.constant(2.0, 0.5)
+    assert [row["edge"] for row in periodic_alpha_table(gap, 2)] == ["left", "right"]
+    calls = counting(monkeypatch, "_brent")
+    for k, branch, brents in ((gap, 1, 1), (constant, 1, 1), (gap, 2, 2), (constant, 2, 3)):
+        calls.clear()
+        find_periodic_alpha(k, branch)
+        assert len(calls) == brents, (branch, len(calls))
+
+
+def test_branch_one_skips_the_right_edge(monkeypatch):
+    # scipy_edge_root propagates each bracket end twice, the shared cache once
+    k = trig_k(trig_coefficients(np.random.default_rng(201)), 16)
+    calls = counting(monkeypatch, "_propagate")
+    alpha = find_periodic_alpha(k)
+    lazy = len(calls)
+    calls.clear()
+    assert scipy_edge_root(k, _cells(k), 1, want_max=True) == alpha
+    assert lazy <= len(calls) - 2, (lazy, len(calls))
