@@ -32,7 +32,7 @@ from .estimator import (
 from .periodic_fields import CircleSpec
 from .reduction import BeltramiPair, EllipticityError, beltrami_to_matrices
 from .sharp_family import build_family, build_maps, cd_params
-from .stretching import AngularStretching
+from .stretching import AngularStretching, munu_from_k
 from .verify import PolarGrid, beltrami_residual, empirical_holder, weak_form_residual
 
 __all__ = ["JobSpec", "main", "run"]
@@ -372,10 +372,11 @@ def cmd_estimate(spec: JobSpec) -> int:
         "classical_slack": report.bound - classical,
     }
     if pair.is_angular:
-        if _vanishes(pair.mu0):
+        mu0, nu0 = munu_from_k(pair.k)
+        if _vanishes(mu0):
             bounds["mu_zero"] = mu_zero_bound(pair, cfg)
             diagnostics["mu_zero_gap"] = report.bound - bounds["mu_zero"]
-        if _vanishes(pair.nu0):
+        if _vanishes(nu0):
             bounds["nu_zero"] = nu_zero_bound(pair, cfg)
             diagnostics["nu_zero_gap"] = report.bound - bounds["nu_zero"]
     payload = {

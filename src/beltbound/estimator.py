@@ -1,18 +1,19 @@
 """Holder-exponent lower bounds from circle averages.
 
-Every bound here has the same shape: on each circle, a positive integrand I
-and a determinant-ratio field D are formed from the coefficients (a Beltrami
-pair for beta, a symmetric matrix field for gamma); a weight pair (phi, psi)
-scales them into
+Every bound here has the same shape: on each circle, a positive integrand
+I = <n, A n>/sqrt(det A) and a determinant-ratio field D = det A are formed
+from a symmetric matrix field A (_matrix_fields, the one place they are
+written); a weight pair (phi, psi) scales them into
 
     value(phi, psi) = sqrt(sup phi / inf psi) * mean(sqrt(psi/phi) * I)
                       / ((4/pi) * arctan( (inf D/(phi psi)) / (sup D/(phi psi)) )^{1/4}),
 
 and the exponent bound is the reciprocal of the sup over circles of the inf
-over weights.  Each circle scores three weight families once: the unit pair
-(its values alone give the corollary bound), a closed-form pair that
-collapses the arctan term to 1 (the certified value), and the per-arc pair
-that minimises the value.  That minimum is exact: the best weights clip
+over weights.  beta, for a pair with real nu, is gamma of the pair's
+reduction matrix B, which its on_circles restricts.  Each circle scores
+three weight families once: the unit pair (its values alone give the
+corollary bound), a closed-form pair that collapses the arctan term to 1
+(the certified value), and the per-arc pair that minimises the value.  That minimum is exact: the best weights clip
 D/(phi psi) into a window [m, M], on which the value has closed form, and
 one batched Newton solve finds the few candidate minima per cell of a grid
 over the windows (see _solve_weights); the value of the returned weights is
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic_fields import (
-    PIECEWISE,
     SMOOTH,
     TWO_PI,
     AngularGrid,
@@ -56,7 +56,6 @@ from .reduction import (
     CoefficientMatrixField,
     EllipticityError,
     MatrixOnCircles,
-    PairOnCircles,
 )
 
 __all__ = [
@@ -196,12 +195,12 @@ def _arc_reduce(circles, I: PeriodicField, D: PeriodicField) -> _CircleBatch:
     return _CircleBatch(tuple(circles), I, D, T, dmin, dmax)
 
 
-def _arctan_term(ratio, power: float = 0.25) -> np.ndarray:
+def _arctan_term(ratio) -> np.ndarray:
     # ratio is a min over a max, so <= 1; it is taken as is, with no floor, so
     # a tiny ratio gives the large true value (for the unit pair and every
     # clip window it is at least ((1 - kappa)/(1 + kappa))^4 > 0).  libm
     # (float pow, math.atan) rounds alike whatever numpy's SIMD dispatch.
-    return np.array([(4.0 / math.pi) * math.atan(r**power) for r in ratio.tolist()])
+    return np.array([(4.0 / math.pi) * math.atan(r**0.25) for r in ratio.tolist()])
 
 
 def _arc_value(data: _CircleBatch, phi, psi) -> np.ndarray:
@@ -389,37 +388,15 @@ def _bound_of(sup_value: float) -> float:
 # restrictions to (integrand, det-ratio) fields
 
 
-def _joint_kind(*fields) -> str:
-    return PIECEWISE if all(f.kind == PIECEWISE for f in fields) else SMOOTH
-
-
-def _pair_fields(on: PairOnCircles):
-    """(I, D) of a pair restriction: I = (|1-nbar^2 mu|^2 - nu^2)/sqrt(rad) with
-    rad = (1-(|mu|+nu)^2)(1-(|mu|-nu)^2), D = ((1-nu)^2-|mu|^2)/((1+nu)^2-|mu|^2);
-    defined for real nu only."""
-    if not on.real_nu:
-        raise ValueError("the circle functional requires real nu")
-    mu_abs = np.abs(on.nbar2mu.values)
-    nu = on.nu.values.real
-    num = np.abs(1.0 - on.nbar2mu.values) ** 2 - nu**2
-    rad = (1.0 - (mu_abs + nu) ** 2) * (1.0 - (mu_abs - nu) ** 2)
-    if np.any(rad <= 0):
-        j = int(np.argmin(rad)) % on.grid.node_count
-        raise EllipticityError(
-            f"integrand radicand <= 0 at node {j} (|mu|+|nu| reaches 1 on the circle)"
-        )
-    dvals = ((1.0 - nu) ** 2 - mu_abs**2) / ((1.0 + nu) ** 2 - mu_abs**2)
-    kind = _joint_kind(on.nbar2mu, on.nu)
-    return PeriodicField(on.grid, num / np.sqrt(rad), kind), PeriodicField(on.grid, dvals, kind)
-
-
 def _matrix_fields(on: MatrixOnCircles):
-    """(I, D) of a matrix restriction: I = nAn/sqrt(det), D = det."""
+    """(I, D) of a matrix restriction: I = nAn/sqrt(det), D = det.  The one
+    ellipticity check on circles: a pair whose |mu| + |nu| reaches 1 between
+    the samples of its kappa shows here as a B that is not positive."""
     nAn = on.nAn.values
     det = on.det.values
     if np.any(det <= 0) or np.any(nAn <= 0):
         raise EllipticityError("matrix field loses positivity on the circle")
-    kind = _joint_kind(on.nAn, on.det)
+    kind = on.nAn.kind  # nAn and det share one kind
     return PeriodicField(on.grid, nAn / np.sqrt(det), kind), PeriodicField(on.grid, det, kind)
 
 
@@ -440,19 +417,19 @@ def _restrictions(source, circles, extra_breakpoints=None):
             yield part, source.on_circles([circles[k] for k in part], extra_breakpoints)
 
 
-def _reduced(source, fields, cfg: SweepConfig):
+def _reduced(source, cfg: SweepConfig):
     """Restrict source to the sweep circles, weight-arc boundaries as extra
-    breakpoints, and reduce fields(restriction) = (I, D) to arcs, per pass."""
+    breakpoints, and reduce the restriction's (I, D) to arcs, per pass."""
     arcs = TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
-    return ((idx, _arc_reduce(on.circles, *fields(on)))
+    return ((idx, _arc_reduce(on.circles, *_matrix_fields(on)))
             for idx, on in _restrictions(source, cfg.circles, arcs))
 
 
-def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
+def _sweep(source, cfg: SweepConfig) -> ExponentReport:
     """Score each family once on every circle and keep the smallest value;
     of the passes, only the one holding the worst circle so far is kept."""
     rows, worst = [None] * len(cfg.circles), None
-    for idx, data in _reduced(source, fields, cfg):
+    for idx, data in _reduced(source, cfg):
         unit = _unit_value(data)
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
         remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
@@ -495,52 +472,67 @@ def _sweep(source, fields, cfg: SweepConfig) -> ExponentReport:
 # public bounds
 
 
+def _real_nu(pair: BeltramiPair) -> BeltramiPair:
+    if not pair.real_nu:
+        raise ValueError("the circle functional requires real nu")
+    return pair
+
+
 def beta_estimate(pair: BeltramiPair, cfg: SweepConfig) -> ExponentReport:
-    """Exponent lower bound for a coefficient pair with real nu."""
-    return _sweep(pair, _pair_fields, cfg)
+    """Exponent lower bound for a coefficient pair with real nu: the
+    gamma_estimate of its reduction matrix B."""
+    return _sweep(_real_nu(pair), cfg)
 
 
 def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentReport:
     """Exponent lower bound for a symmetric elliptic matrix field."""
     if not m.symmetric:
         raise ValueError("estimation requires a symmetric matrix field")
-    return _sweep(m, _matrix_fields, cfg)
+    return _sweep(m, cfg)
 
 
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate's circles and arc reduction,
     scored with the constant pair only; equal to its report's corollary."""
-    return _bound_of(max(float(_unit_value(d).max()) for _, d in _reduced(pair, _pair_fields, cfg)))
+    return _bound_of(max(float(_unit_value(d).max()) for _, d in _reduced(_real_nu(pair), cfg)))
+
+
+_UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0
 
 
 def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """Simplified bound for nu = 0: reciprocal of the sup over circles of
-    the mean of |1 - nbar^2 mu|^2 / (1 - |mu|^2)."""
+    the mean of I, which is |1 - nbar^2 mu|^2 / (1 - |mu|^2) there.
+
+    For real nu, D = ((1-nu)^2 - |mu|^2)/((1+nu)^2 - |mu|^2) is 1 only at
+    nu = 0, where the arctan term is 1 and this is the corollary value
+    circle by circle.  A pointwise B's det sums entry products up to K^2 (K
+    the distortion bound), so D = 1 is tested to _UNIT_TOL K^2.
+    """
+    tol = _UNIT_TOL * pair.distortion_bound() ** 2
     sup = 0.0
-    for _, on in _restrictions(pair, cfg.circles):
-        if np.max(np.abs(on.nu.values)) > 1e-14:
+    for _, on in _restrictions(_real_nu(pair), cfg.circles):
+        I, D = _matrix_fields(on)
+        if np.max(np.abs(D.values - 1.0)) > tol:
             raise ValueError("nu_zero_bound requires nu = 0")
-        mu_abs = np.abs(on.nbar2mu.values)
-        vals = np.abs(1.0 - on.nbar2mu.values) ** 2 / (1.0 - mu_abs**2)
-        sup = max(sup, float(np.max(periodic_mean(PeriodicField(on.grid, vals, on.nbar2mu.kind)))))
-    return min(1.0, 1.0 / sup)
+        sup = max(sup, float(np.max(periodic_mean(I))))
+    return _bound_of(sup)
 
 
 def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """Simplified bound for mu = 0: over the worst circle, (4/pi) arctan of
-    the square root of the (1-nu)/(1+nu) spread.
+    """Simplified bound for mu = 0: over the worst circle, the arctan term
+    of inf D / sup D, (4/pi) arctan of the root of the (1-nu)/(1+nu) spread.
 
-    With mu = 0 the integrand is 1, so this is the corollary bound circle by
+    mu = 0 shows as I = 1, where this is the corollary value circle by
     circle: a circle on which nu is constant contributes 1, and on angular
     data the origin circle, which sees every value of nu, is the worst.
     """
     worst = 1.0
-    for _, on in _restrictions(pair, cfg.circles):
-        if np.max(np.abs(on.nbar2mu.values)) > 1e-14:  # |nbar^2 mu| = |mu|
+    for _, on in _restrictions(_real_nu(pair), cfg.circles):
+        I, D = _matrix_fields(on)
+        if np.max(np.abs(I.values - 1.0)) > _UNIT_TOL:
             raise ValueError("mu_zero_bound requires mu = 0")
-        nu = on.nu.values.real
-        g = (1.0 - nu) / (1.0 + nu)
-        worst = min(worst, float(_arctan_term(g.min(axis=-1) / g.max(axis=-1), power=0.5).min()))
+        worst = min(worst, float(_arctan_term(D.values.min(axis=-1) / D.values.max(axis=-1)).min()))
     return worst
 
 
@@ -553,32 +545,27 @@ def classical_bound(pair: BeltramiPair) -> float:
     return (1.0 - pair.kappa) / (1.0 + pair.kappa)
 
 
-def remark_weights(on: PairOnCircles) -> WeightPair:
+def remark_weights(on: MatrixOnCircles) -> WeightPair:
     """Closed-form weight pair making the arctan term exactly 1.
 
-    phi = I sqrt(D) = (|1-nbar^2 mu|^2 - nu^2)/((1+nu)^2 - |mu|^2) and
-    psi = sqrt(D)/I = ((1-nu)^2 - |mu|^2)/(|1-nbar^2 mu|^2 - nu^2), since
-    rad = ((1-nu)^2 - |mu|^2)((1+nu)^2 - |mu|^2); their product is the det
-    ratio, and the weighted integrand is identically 1, leaving
+    phi = I sqrt(D) = nAn and psi = sqrt(D)/I = det/nAn; their product is the
+    det ratio, and the weighted integrand is identically 1, leaving
     sqrt(sup phi / inf psi) <= sup of the distortion.
     """
-    return _remark_pair(*_pair_fields(on))
+    return _remark_pair(*_matrix_fields(on))
 
 
-def circle_integrand(on: PairOnCircles, weights: WeightPair) -> PeriodicField:
+def circle_integrand(on: MatrixOnCircles, weights: WeightPair) -> PeriodicField:
     """sqrt(psi/phi) times the coefficient integrand, per node."""
-    I, _ = _pair_fields(on)
+    I, _ = _matrix_fields(on)
     w = np.sqrt(weights.psi.values.real / weights.phi.values.real)
     return PeriodicField(on.grid, w * I.values, SMOOTH)
 
 
-def weighted_objective(on, weights: WeightPair) -> float:
-    """Node-level objective for explicit weights on one circle's restriction.
-
-    Accepts either a coefficient-pair restriction or a matrix restriction;
-    extrema and means are taken over the sampled nodes.
-    """
-    I, D = _matrix_fields(on) if isinstance(on, MatrixOnCircles) else _pair_fields(on)
+def weighted_objective(on: MatrixOnCircles, weights: WeightPair) -> float:
+    """Node-level objective for explicit weights on one circle's restriction;
+    extrema and means are taken over the sampled nodes."""
+    I, D = _matrix_fields(on)
     phi = weights.phi.values.real
     psi = weights.psi.values.real
     mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I.values, I.kind)).item()

@@ -1,16 +1,18 @@
 """Coefficient pairs (mu, nu), elliptic matrix fields, and the reduction
 between the first-order equation and its divergence-form counterparts.
 
-Each field has one of two representations.  Every pair carries vectorized
-evaluators z -> mu(z), nu(z); when it was built from angular profiles
-(mu = -mu0(arg z) z/zbar, nu = -nu0(arg z)) it also keeps the profiles,
-which lets circle restrictions stay piecewise-exact.  Matrix fields keep the
-rotational form R(theta) diag(k1,k2) R(theta)^T alongside one entries
-evaluator z -> (a11, a12, a21, a22) for the same reason; the evaluator does
-the work its four entries share once per call.  A field without profiles is
-pointwise: constant fields are pointwise fields whose constructors know
-their kappa or eigenvalue bounds exactly.  Each conversion between pairs and
-matrices has one branch per representation.
+Each field has one of two representations.  An angular field stores one
+KProfile k of weights (k1, k2) and nothing else: as a matrix field it is
+R(theta) diag(k1, k2) R(theta)^T, and as a pair it is the pair whose
+reduction matrix B that is, mu = -mu0(arg z) z/zbar, nu = -nu0(arg z) with
+(mu0, nu0) = munu_from_k(k), so both interpolate k linearly between its
+nodes.  Origin circles read k at their nodes, which keeps them
+piecewise-exact.  A pointwise field keeps vectorized evaluators only (a pair
+z -> mu(z), nu(z), a matrix one z -> (a11, a12, a21, a22) that does the work
+its four entries share once per call); constant fields are pointwise fields
+whose constructors know their kappa or eigenvalue bounds exactly.  A pair
+restricts to circles as its matrix B does, so every circle functional reads
+one restriction type, MatrixOnCircles.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from .periodic_fields import (
     arg_of,
     circle_points,
 )
-from .stretching import KProfile, k_from_munu, munu_from_k
+from .stretching import KProfile, k_from_munu, munu_from_k, munu_values
 
 __all__ = [
     "EllipticityError",
     "BeltramiPair",
-    "PairOnCircles",
     "CoefficientMatrixField",
     "MatrixOnCircles",
     "MatrixReduction",
@@ -50,6 +51,15 @@ class EllipticityError(ValueError):
     """|mu| + |nu| reaches 1 (or a matrix field loses positivity)."""
 
 
+def _check_kappa(kappa: float) -> None:
+    """Refuse kappa = sup |mu| + |nu| when it is not finite or comes within
+    _ELL_TOL of 1."""
+    if not np.isfinite(kappa):
+        raise EllipticityError("non-finite coefficient samples")
+    if kappa >= 1.0 - _ELL_TOL:
+        raise EllipticityError(f"ellipticity violation: sup(|mu|+|nu|) = {kappa:.12g} >= 1")
+
+
 def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
     """The grid circles share and their points z (C, N): for origin circles of
     angular data, the coefficients' breakpoints too and no points (None)."""
@@ -61,7 +71,7 @@ def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
         raise ValueError("the circles of one batch must share one grid")
     if angular and circles[0].origin_centered:
         extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        return circles[0].grid(np.concatenate([*angular_breakpoints, *extra])), None
+        return circles[0].grid(np.concatenate([angular_breakpoints, *extra])), None
     grid = circles[0].grid(extra_breakpoints)
     return grid, circle_points(circles, grid)[0]
 
@@ -77,24 +87,19 @@ _LATTICE.flags.writeable = False
 class BeltramiPair:
     """Coefficients of d_bar f = mu df + nu conj(df) with recorded ellipticity.
 
-    kappa is the (sampled) sup of |mu| + |nu|; construction rejects
-    kappa >= 1 - 1e-10 instead of clamping.
+    kappa is the sup of |mu| + |nu|, sampled for callables and exact
+    otherwise; construction rejects kappa >= 1 - 1e-10 instead of clamping.
+    An angular pair stores its weights k (see the module docstring).
     """
 
     mu_fn: Callable
     nu_fn: Callable
     real_nu: bool
     kappa: float
-    mu0: PeriodicField | None = None
-    nu0: PeriodicField | None = None
+    k: KProfile | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa):
-            raise EllipticityError("non-finite coefficient samples")
-        if self.kappa >= 1.0 - _ELL_TOL:
-            raise EllipticityError(
-                f"ellipticity violation: sup(|mu|+|nu|) = {self.kappa:.12g} >= 1"
-            )
+        _check_kappa(self.kappa)
 
     # -- constructors -------------------------------------------------------
 
@@ -112,21 +117,34 @@ class BeltramiPair:
 
     @classmethod
     def from_angular(cls, mu0: PeriodicField, nu0: PeriodicField) -> "BeltramiPair":
-        """mu(z) = -mu0(arg z) z/zbar, nu(z) = -nu0(arg z); real profiles."""
-        if not (mu0.is_real and nu0.is_real):
-            raise TypeError("angular profiles must be real")
-        if not mu0.grid.same_layout(nu0.grid):
-            raise ValueError("mu0 and nu0 must share one grid layout")
+        """mu(z) = -mu0(arg z) z/zbar, nu(z) = -nu0(arg z) from real profiles
+        on one grid layout, stored as their weights k_from_munu(mu0, nu0)."""
+        _check_kappa(float(np.max(np.abs(mu0.values) + np.abs(nu0.values))))
+        return cls.from_angular_k(k_from_munu(mu0, nu0))
+
+    @classmethod
+    def from_angular_k(cls, k: KProfile) -> "BeltramiPair":
+        """The angular pair whose reduction matrix is R(theta) diag(k1, k2)
+        R(theta)^T: its evaluators apply munu_values to k read at arg z.
+
+        kappa is exact: |mu0| + |nu0| = (K - 1)/(K + 1) with K the largest of
+        k1, k2, 1/k1 and 1/k2, and both k and 1/k peak at a node.
+        """
+
+        def munu(z):
+            theta = arg_of(z)
+            return theta, *munu_values(k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta))
 
         def mu_fn(z):
-            theta = arg_of(z)
-            return -mu0.eval_wrapped(theta) * np.exp(2j * theta)
+            theta, mu0, _ = munu(z)
+            return -mu0 * np.exp(2j * theta)
 
         def nu_fn(z):
-            return -nu0.eval_wrapped(arg_of(z)) + 0j
+            return -munu(z)[2] + 0j
 
-        kappa = float(np.max(np.abs(mu0.values) + np.abs(nu0.values)))
-        return cls(mu_fn, nu_fn, real_nu=True, kappa=kappa, mu0=mu0, nu0=nu0)
+        lo, hi = k.bounds()
+        K = max(hi, 1.0 / lo)
+        return cls(mu_fn, nu_fn, real_nu=True, kappa=(K - 1.0) / (K + 1.0), k=k)
 
     @classmethod
     def from_profiles(cls, breakpoints, mu0_pieces, nu0_pieces, node_count: int = 2048) -> "BeltramiPair":
@@ -147,68 +165,45 @@ class BeltramiPair:
 
     @classmethod
     def radial_stretch(cls, alpha: float, node_count: int = 2048) -> "BeltramiPair":
-        """Coefficients of |z|^{alpha-1} z: mu0 = (1-alpha)/(1+alpha), nu = 0."""
+        """Coefficients of |z|^{alpha-1} z: mu0 = (1-alpha)/(1+alpha), nu = 0,
+        whose weights are k = (1/alpha, alpha)."""
         if not (0 < alpha <= 1):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-        g = AngularGrid.uniform(node_count)
-        mu0 = PeriodicField.constant(g, (1.0 - alpha) / (1.0 + alpha))
-        return cls.from_angular(mu0, PeriodicField.constant(g, 0.0))
+        return cls.from_angular_k(KProfile.constant(1.0 / alpha, alpha, node_count))
 
     # -- derived quantities -------------------------------------------------
 
     @property
     def is_angular(self) -> bool:
-        return self.mu0 is not None
+        return self.k is not None
+
+    @property
+    def mu0(self) -> PeriodicField:  # of an angular pair, as nu0
+        return munu_from_k(self.k)[0]
+
+    @property
+    def nu0(self) -> PeriodicField:
+        return munu_from_k(self.k)[1]
 
     def distortion_bound(self) -> float:
         """sup of (1 + |mu| + |nu|)/(1 - |mu| - |nu|) over the samples."""
         return (1.0 + self.kappa) / (1.0 - self.kappa)
 
-    def on_circles(self, circles, extra_breakpoints=None) -> "PairOnCircles":
-        """Coefficient samples along circles that share one grid.
+    def on_circles(self, circles, extra_breakpoints=None) -> "MatrixOnCircles":
+        """The reduction matrix B (beltrami_to_matrices) along circles that
+        share one grid: every circle functional of the pair is one of B."""
+        return _reduction_matrix(self).on_circles(circles, extra_breakpoints)
 
-        extra_breakpoints forces additional grid breakpoints (weight-arc
-        boundaries, typically) so downstream arc reductions stay exact.
-        Origin-centred circles of an angular pair also sit on the profiles'
-        breakpoints (piecewise-exact); others read mu_fn, nu_fn in one call.
-        """
-        bks = (self.mu0.grid.breakpoints, self.nu0.grid.breakpoints) if self.is_angular else None
-        grid, z = _batch_grid(circles, extra_breakpoints, bks)
-        if z is None:
-            t = grid.nodes
-            nu, nbar2mu = -self.nu0.eval_wrapped(t) + 0j, -self.mu0.eval_wrapped(t) + 0j
-            nu, nbar2mu = (np.repeat(v[None], len(circles), axis=0) for v in (nu, nbar2mu))
-            kinds = (self.nu0.kind, self.mu0.kind)
-        else:
-            flat = z.ravel()  # the evaluators see one flat array, as for one circle
-            mu = PeriodicField(grid, np.asarray(self.mu_fn(flat), dtype=complex).reshape(z.shape))
-            nu = np.asarray(self.nu_fn(flat), dtype=complex).reshape(z.shape)
-            nbar2mu = np.conj(np.exp(1j * grid.nodes)) ** 2 * mu.values
-            kinds = (SMOOTH, SMOOTH)
-        return PairOnCircles(tuple(circles), grid, PeriodicField(grid, nu, kinds[0]),
-                             PeriodicField(grid, nbar2mu, kinds[1]), self.real_nu)
-
-    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "PairOnCircles":
-        """Coefficient samples along one circle: on_circles of a batch of one."""
+    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
+        """B along one circle: on_circles of a batch of one."""
         return self.on_circles((circle,), extra_breakpoints)
-
-
-@dataclass(frozen=True, eq=False)
-class PairOnCircles:
-    """Samples of a pair along circles of one grid; row c is on circles[c]."""
-
-    circles: tuple
-    grid: AngularGrid
-    nu: PeriodicField
-    nbar2mu: PeriodicField  # conj(n)^2 mu, piecewise-exact for angular pairs
-    real_nu: bool
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientMatrixField:
     """2x2 elliptic coefficient field with one evaluator z -> (a11, a12, a21, a22).
 
-    Two representations: angular, with k1/k2 set, when the field has the
+    Two representations: angular, with k set, when the field has the
     rotational form R(theta) diag(k1, k2) R(theta)^T; pointwise otherwise
     (constant fields included).  symmetric distinguishes the real-nu
     reduction; eig_bounds records the extremes of the symmetric part's
@@ -218,8 +213,7 @@ class CoefficientMatrixField:
     entries_fn: Callable
     symmetric: bool
     eig_bounds: tuple[float, float]
-    k1: PeriodicField | None = None
-    k2: PeriodicField | None = None
+    k: KProfile | None = None
 
     def __post_init__(self):
         lo, hi = self.eig_bounds
@@ -254,8 +248,7 @@ class CoefficientMatrixField:
             off = (k1 - k2) * c * s
             return k1 * c * c + k2 * s * s, off, off, k1 * s * s + k2 * c * c
 
-        lo, hi = k.bounds()
-        return cls(entries_fn, symmetric=True, eig_bounds=(lo, hi), k1=k.k1, k2=k.k2)
+        return cls(entries_fn, symmetric=True, eig_bounds=k.bounds(), k=k)
 
     @classmethod
     def from_callables(cls, entries_fn) -> "CoefficientMatrixField":
@@ -277,15 +270,27 @@ class CoefficientMatrixField:
         return a11 * a22 - a12 * a21
 
     def on_circles(self, circles, extra_breakpoints=None) -> "MatrixOnCircles":
-        """Normal-direction form and determinant along circles that share
-        one grid; the layout is that of BeltramiPair.on_circles."""
-        bks = None if self.k1 is None else (self.k1.grid.breakpoints, self.k2.grid.breakpoints)
-        grid, z = _batch_grid(circles, extra_breakpoints, bks)
+        """<n, A n> and det A along circles that share one grid, row c on
+        circles[c], with outward normals n at the grid nodes.
+
+        extra_breakpoints forces additional grid breakpoints (weight-arc
+        boundaries, typically) so downstream arc reductions stay exact.  An
+        angular field reads k at arg z, where <n, A n> = k1 cos^2 + k2 sin^2
+        of the normal's angle to z and det A = k1 k2; on origin circles that
+        angle is 0 (<n, A n> = k1) and the grid holds k's breakpoints
+        (piecewise-exact).  A pointwise field is evaluated in one call.
+        """
+        k = self.k
+        grid, z = _batch_grid(circles, extra_breakpoints, None if k is None else k.grid.breakpoints)
         if z is None:
-            k1 = self.k1.eval_wrapped(grid.nodes)
-            k2 = self.k2.eval_wrapped(grid.nodes)
-            kind = self.k1.kind if self.k1.kind == self.k2.kind else SMOOTH
+            k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
+            kind = PIECEWISE if k.is_piecewise else SMOOTH
+        elif k is not None:
+            theta = arg_of(z)
+            k1, k2 = k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta)
+            c, s = np.cos(grid.nodes - theta), np.sin(grid.nodes - theta)
+            nAn, det, kind = k1 * c * c + k2 * s * s, k1 * k2, SMOOTH
         else:
             a11, a12, a21, a22 = (v.reshape(z.shape) for v in self.entries(z.ravel()))
             n = np.exp(1j * grid.nodes)
@@ -294,7 +299,7 @@ class CoefficientMatrixField:
             det = a11 * a22 - a12 * a21
             kind = SMOOTH
         return MatrixOnCircles(tuple(circles), grid, PeriodicField(grid, nAn, kind),
-                               PeriodicField(grid, det, kind), self.symmetric)
+                               PeriodicField(grid, det, kind))
 
     def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
         """Samples along one circle: on_circles of a batch of one."""
@@ -309,7 +314,6 @@ class MatrixOnCircles:
     grid: AngularGrid
     nAn: PeriodicField
     det: PeriodicField
-    symmetric: bool
 
 
 def _sym_eigs(a11, a12, a21, a22):
@@ -337,23 +341,26 @@ def _pair_matrix_entries(mu, nu, tilde: bool):
     return m11 / den, upper / den, lower / den, m22 / den
 
 
+def _reduction_matrix(pair: BeltramiPair, tilde: bool = False) -> CoefficientMatrixField:
+    """B (tilde=False) or B-tilde of a pair; an angular pair's B is the
+    rotational form of its k, and B-tilde = B/det B."""
+    if pair.is_angular:
+        B = CoefficientMatrixField.from_angular_k(pair.k)
+        return normalize_matrix(B) if tilde else B
+
+    def entries_fn(z):
+        mu = np.asarray(pair.mu_fn(z), dtype=complex)
+        nu = np.asarray(pair.nu_fn(z), dtype=complex)
+        return _pair_matrix_entries(mu, nu, tilde)
+
+    return CoefficientMatrixField.from_callables(entries_fn)
+
+
 def beltrami_to_matrices(pair: BeltramiPair) -> MatrixReduction:
     """Divergence-form reduction: Re(f) solves div(B grad u) = 0, Im(f) the
     B-tilde equation.  For real nu both are symmetric and B_tilde = B/det B.
     """
-    if pair.is_angular:
-        B = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
-        return MatrixReduction(B, normalize_matrix(B))
-
-    def build(tilde: bool) -> CoefficientMatrixField:
-        def entries_fn(z):
-            mu = np.asarray(pair.mu_fn(z), dtype=complex)
-            nu = np.asarray(pair.nu_fn(z), dtype=complex)
-            return _pair_matrix_entries(mu, nu, tilde)
-
-        return CoefficientMatrixField.from_callables(entries_fn)
-
-    return MatrixReduction(build(False), build(True))
+    return MatrixReduction(_reduction_matrix(pair), _reduction_matrix(pair, tilde=True))
 
 
 def _munu_of_entries(b11, b12, b21, b22):
@@ -369,8 +376,8 @@ def matrix_to_beltrami(m: CoefficientMatrixField) -> BeltramiPair:
     mu = -(b11 - b22 + i(b12 + b21)) / (1 + tr + det),
     nu = (1 - det + i(b12 - b21)) / (1 + tr + det).
     """
-    if m.k1 is not None:
-        return BeltramiPair.from_angular(*munu_from_k(KProfile(m.k1, m.k2)))
+    if m.k is not None:
+        return BeltramiPair.from_angular_k(m.k)
     return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z))[0],
                                        lambda z: _munu_of_entries(*m.entries(z))[1],
                                        real_nu=m.symmetric)
@@ -382,11 +389,9 @@ def normalize_matrix(m: CoefficientMatrixField) -> CoefficientMatrixField:
     feed the exponent estimate.  Of the rotational form it is the form with
     (k1, k2) replaced by (1/k2, 1/k1).
     """
-    if m.k1 is not None:
+    if m.k is not None:
         return CoefficientMatrixField.from_angular_k(KProfile(
-            PeriodicField(m.k2.grid, 1.0 / m.k2.values, m.k2.kind),
-            PeriodicField(m.k1.grid, 1.0 / m.k1.values, m.k1.kind),
-        ))
+            *(PeriodicField(f.grid, 1.0 / f.values, f.kind) for f in (m.k.k2, m.k.k1))))
 
     def entries_fn(z):
         a11, a12, a21, a22 = m.entries(z)

@@ -83,7 +83,7 @@ class SharpFamily:
         return self.theta1.grid
 
     def pair(self) -> BeltramiPair:
-        return BeltramiPair.from_angular(self.mu0, self.nu0)
+        return BeltramiPair.from_angular_k(self.k)
 
     def profiles_at(self, theta):
         """Exact (theta1, theta2, theta1', theta2') at arbitrary angles, all

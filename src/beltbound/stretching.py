@@ -43,6 +43,7 @@ __all__ = [
     "RootSearchError",
     "k_from_munu",
     "munu_from_k",
+    "munu_values",
     "eval_stretching",
     "differential_quantities",
     "discriminants",
@@ -130,12 +131,15 @@ def k_from_munu(mu0: PeriodicField, nu0: PeriodicField) -> KProfile:
     return KProfile(k1, k2)
 
 
+def munu_values(k1, k2):
+    """(mu0, nu0) of weight values, elementwise: the inverse of k_from_munu."""
+    den = 1.0 + k1 + k2 + k1 * k2
+    return (k1 - k2) / den, (k1 * k2 - 1.0) / den
+
+
 def munu_from_k(k: KProfile) -> tuple[PeriodicField, PeriodicField]:
     """Inverse of k_from_munu; output satisfies |mu0|+|nu0| < 1."""
-    a, b = k.k1.values, k.k2.values
-    den = 1.0 + a + b + a * b
-    mu0 = (a - b) / den
-    nu0 = (a * b - 1.0) / den
+    mu0, nu0 = munu_values(k.k1.values, k.k2.values)
     if np.max(np.abs(mu0) + np.abs(nu0)) >= 1.0 - 1e-12:
         raise ValueError("recovered (mu0, nu0) violates ellipticity")
     kind = PIECEWISE if k.is_piecewise else SMOOTH

@@ -136,7 +136,7 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     second-order finite differences, with jump neighborhoods excluded.
     """
     if grid is None:
-        bks = pair.mu0.grid.breakpoints if pair.is_angular else None
+        bks = pair.k.grid.breakpoints if pair.is_angular else None
         grid = PolarGrid.annulus(breakpoints=bks)
     one_ring = isinstance(f, AngularStretching) and pair.is_angular
     if isinstance(f, AngularStretching):
@@ -146,8 +146,8 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     elif callable(f):
         if pair.is_angular:
             counts = np.bincount(
-                pair.mu0.grid.segment_of(grid.angles.nodes),
-                minlength=pair.mu0.grid.breakpoints.size,
+                pair.k.grid.segment_of(grid.angles.nodes),
+                minlength=pair.k.grid.breakpoints.size,
             )
             if np.min(counts) < 3:
                 raise ValueError("grid too coarse: fewer than 3 nodes in a smooth piece")
@@ -256,7 +256,7 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    angular = a.k1 is not None
+    angular = a.k is not None
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
@@ -294,8 +294,8 @@ def weak_form_residual(
     formulation sees them).  With refinements > 0 and callable u, the mesh is
     doubled that many times and the report carries the log-log slope.
     """
-    if a.k1 is not None:
-        bk = a.k1.grid.breakpoints
+    if a.k is not None:
+        bk = a.k.grid.breakpoints
         gbk = grid.angles.breakpoints
         if any(np.min(np.abs(wrap_angle(b - gbk + np.pi) - np.pi)) > 1e-9 for b in bk):
             warnings.warn("coefficient breakpoints not aligned with the angular mesh",

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_acceptance import random_angular_pair as criterion_6_pair
 
 from beltbound.estimator import (
     SweepConfig,
@@ -28,6 +29,7 @@ from beltbound.periodic_fields import (
 from beltbound.reduction import (
     BeltramiPair,
     CoefficientMatrixField,
+    EllipticityError,
     beltrami_to_matrices,
     normalize_matrix,
 )
@@ -104,6 +106,17 @@ def test_nu_zero_rejects_nonzero_nu():
     pair = BeltramiPair.from_constant(0.0, 0.2)
     with pytest.raises(ValueError):
         nu_zero_bound(pair, CFG)
+
+
+def test_nu_zero_accepts_callable_pair_with_large_mu():
+    # det B of a pointwise pair with nu = 0 is 1 only to rounding that grows
+    # with the distortion (7e-14 at |mu| = 0.9): still nu = 0, still the
+    # corollary value
+    for r in (0.5, 0.9, 0.97):
+        pair = BeltramiPair.from_callables(lambda z, r=r: r * np.exp(3j * np.angle(z)),
+                                           lambda z: np.zeros_like(z))
+        cfg = SweepConfig(circles=(CircleSpec(0.1 + 0.2j, 0.5, resolution=512),), weight_pieces=8)
+        assert nu_zero_bound(pair, cfg) == pytest.approx(corollary_bound(pair, cfg), rel=1e-12)
 
 
 def test_mu_zero_constant_nu_is_one():
@@ -185,6 +198,14 @@ def test_objective_equal_for_normalized_matrix():
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
 
+def smooth_angular_pair(rng, node_count):
+    """Smooth profiles with |mu0| + |nu0| <= 0.8: two harmonics through tanh."""
+    g = AngularGrid.uniform(node_count)
+    harmonics = np.array([np.cos(g.nodes), np.sin(g.nodes), np.cos(2 * g.nodes), np.sin(2 * g.nodes)])
+    mu0, nu0 = 0.4 * np.tanh(rng.normal(size=(2, 4)) @ harmonics)
+    return BeltramiPair.from_angular(PeriodicField(g, mu0, SMOOTH), PeriodicField(g, nu0, SMOOTH))
+
+
 def test_beta_equals_gamma_of_reduction_matrix():
     rng = np.random.default_rng(43)
     for _ in range(5):
@@ -193,6 +214,62 @@ def test_beta_equals_gamma_of_reduction_matrix():
         b = beta_estimate(pair, CFG).bound
         gm = gamma_estimate(m, CFG).bound
         assert abs(b - gm) < 1e-10
+    # smooth profiles whose node count is not the circle's: the pair and B
+    # interpolate the same k, on origin and off-centre circles alike
+    lattice = SweepConfig.disk_lattice(radius_count=1, angle_count=4, resolution=512,
+                                       weight_pieces=8)
+    for node_count in (64, 256):
+        pair = smooth_angular_pair(rng, node_count)
+        m = beltrami_to_matrices(pair).B
+        for cfg in (CFG, lattice):
+            b, gm = beta_estimate(pair, cfg), gamma_estimate(m, cfg)
+            assert b.bound == pytest.approx(gm.bound, rel=1e-12, abs=0.0)
+            assert b.sup_value == pytest.approx(gm.sup_value, rel=1e-12, abs=0.0)
+
+
+# beta's sup_value before pairs stored their coefficients as k alone, for
+# criterion 6's pairs (test_acceptance.random_angular_pair, seeds 0-5, 256
+# nodes), the sharp family and the radial stretch: piecewise data keeps its
+# bounds to rounding
+FROZEN_SWEEPS = {
+    "origin": SweepConfig.origin(resolution=256, weight_pieces=8),
+    "lattice": SweepConfig.disk_lattice(radius_count=1, angle_count=4, resolution=128,
+                                        weight_pieces=4),
+}
+FROZEN_CRITERION_6 = {
+    (0, "origin"): 2.7874930056449094, (0, "lattice"): 3.8304923312819747,
+    (1, "origin"): 0.942792439195269, (1, "lattice"): 0.9945687712179965,
+    (2, "origin"): 1.0652507726940073, (2, "lattice"): 1.6409680132709892,
+    (3, "origin"): 1.0024733739458749, (3, "lattice"): 1.1197721144242698,
+    (4, "origin"): 2.5005955363268444, (4, "lattice"): 3.019576870147289,
+    (5, "origin"): 1.1802106095963136, (5, "lattice"): 1.4620468002162565,
+}
+
+
+def test_beta_frozen_on_piecewise_data():
+    for (seed, sweep), value in FROZEN_CRITERION_6.items():
+        pair = criterion_6_pair(np.random.default_rng(seed), node_count=256)
+        got = beta_estimate(pair, FROZEN_SWEEPS[sweep]).sup_value
+        assert got == pytest.approx(value, rel=1e-12, abs=0.0), (seed, sweep)
+    for M, tau, value in ((2.0, 0.5, 1.3160336219585527), (3.0, 1.0, 1.5)):
+        got = beta_estimate(build_family(M, tau, node_count=512).pair(), CFG).sup_value
+        assert got == pytest.approx(value, rel=1e-12, abs=0.0), (M, tau)
+    got = beta_estimate(BeltramiPair.radial_stretch(0.5, node_count=512), CFG).sup_value
+    assert got == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+
+def test_ellipticity_past_the_sampling_lattice():
+    # kappa = 0.53 on the 12 x 96 lattice callables are sampled on, but
+    # |mu| = 1.2 |z|^40 passes 1 near the unit circle: B is not positive
+    # there, and every circle bound refuses the pair
+    pair = BeltramiPair.from_callables(lambda z: 1.2 * np.abs(z) ** 40 + 0j,
+                                       lambda z: np.zeros_like(z))
+    assert pair.kappa < 0.6
+    for circle in (CircleSpec(0.0, 0.9999), CircleSpec(0.3, 0.6999)):
+        cfg = SweepConfig(circles=(circle,))
+        for bound in (beta_estimate, corollary_bound, nu_zero_bound):
+            with pytest.raises(EllipticityError):
+                bound(pair, cfg)
 
 
 def test_beta_dominates_constant_weight_family():
@@ -222,6 +299,33 @@ def criterion_6_pairs(draw):
     total = np.abs(mu0) + np.abs(nu0)
     shrink = np.minimum(1.0, rng.uniform(0.3, 0.85, pieces) / np.maximum(total, 1e-9))
     return BeltramiPair.from_profiles(bks, mu0 * shrink, nu0 * shrink, node_count=256)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(2, 8), shift=st.floats(0.0, TWO_PI))
+def test_origin_circle_ignores_rotation_of_the_breakpoints(seed, pieces, shift):
+    # a criterion 6 pair turned by shift about the origin: its origin circle
+    # sees the same arcs, so scores the same.  0 stays a breakpoint, so the
+    # piece that wraps past 2pi is prepended there
+    rng = np.random.default_rng(seed)
+    bks = np.concatenate([[0.0], np.sort(rng.uniform(0.3, TWO_PI - 0.3, pieces - 1))])
+    mu0, nu0 = rng.uniform(-0.6, 0.6, (2, pieces))
+    total = np.abs(mu0) + np.abs(nu0)
+    shrink = np.minimum(1.0, rng.uniform(0.3, 0.85, pieces) / np.maximum(total, 1e-9))
+    mu0, nu0 = mu0 * shrink, nu0 * shrink
+    turned = np.mod(bks + shift, TWO_PI)
+    assume(np.min(np.minimum(turned, TWO_PI - turned)) > 1e-6)
+    order = np.argsort(turned)
+    first = order[-1]  # the piece that starts last and wraps through 0
+    rotated = BeltramiPair.from_profiles(np.concatenate([[0.0], turned[order]]),
+                                         np.concatenate([[mu0[first]], mu0[order]]),
+                                         np.concatenate([[nu0[first]], nu0[order]]),
+                                         node_count=256)
+    cfg = SweepConfig.origin(resolution=256, weight_pieces=8)
+    row = beta_estimate(BeltramiPair.from_profiles(bks, mu0, nu0, node_count=256), cfg).per_circle[0]
+    turned_row = beta_estimate(rotated, cfg).per_circle[0]
+    for key in ("constant_value", "value"):
+        assert turned_row[key] == pytest.approx(row[key], rel=1e-12, abs=0.0), key
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,7 +364,7 @@ def test_mu_zero_takes_the_worst_circle():
                                       [0.5, -0.3, 0.1, -0.6], node_count=512)
     small = CircleSpec(0.5 * np.exp(1.75j), 0.05, resolution=512)
     on = pair.on_circle(small)
-    assert np.ptp(on.nu.values.real) == 0.0
+    assert np.ptp(on.det.values) == 0.0
     cfg = SweepConfig(circles=CFG.circles + (small,), weight_pieces=8)
     assert mu_zero_bound(pair, SweepConfig(circles=(small,))) == 1.0
     assert mu_zero_bound(pair, cfg) < 0.5

@@ -158,11 +158,11 @@ def test_on_circle_kinds():
     fam = build_family(2.0, 0.5, node_count=512)
     pair = fam.pair()
     on = pair.on_circle(CircleSpec(0.0, 0.5, resolution=512))
-    assert on.nbar2mu.kind == PIECEWISE
-    assert on.nu.kind == PIECEWISE
+    assert on.nAn.kind == PIECEWISE
+    assert on.det.kind == PIECEWISE
     # off-center circles see smoothly rotating normals
     on = pair.on_circle(CircleSpec(0.2 + 0.1j, 0.3, resolution=512))
-    assert on.nbar2mu.kind == SMOOTH
+    assert on.nAn.kind == SMOOTH
     with pytest.raises(ValueError):
         pair.on_circle(CircleSpec(0.25, 0.25, resolution=512))
 

@@ -224,7 +224,8 @@ def test_find_periodic_alpha_constant_weights():
 
 
 def test_periodic_alpha_table_gap_edges():
-    # non-constant weights open an instability interval: two roots per winding
+    # k2 = 1/k1 on both half-circles: every instability interval is
+    # degenerate, one root per winding, as for constant weights
     g = AngularGrid.with_breakpoints(128, [0.0, np.pi])
     k = KProfile(
         PeriodicField.piecewise(g, [1.0, 3.0]),
@@ -237,6 +238,16 @@ def test_periodic_alpha_table_gap_edges():
     for row in table:
         m = monodromy(k, row["alpha"])
         assert abs(np.trace(m) - 2.0) < 1e-8
+    # a jump of k1 against k2 = 1 opens an interval at every winding: both
+    # edges are roots, the left one first
+    gap = KProfile(PeriodicField.piecewise(g, [1.0, 3.0]), PeriodicField.piecewise(g, [1.0, 1.0]))
+    table = periodic_alpha_table(gap, branches=4)
+    assert [row["edge"] for row in table] == ["left", "right", "left", "right"]
+    assert [row["winding"] for row in table] == [1, 1, 2, 2]
+    expected = (0.6874058946488585, 0.781261426523646, 1.400944239060873, 1.5262155669433353)
+    for row, alpha in zip(table, expected):
+        assert abs(row["alpha"] - alpha) < 1e-12
+        assert abs(np.trace(monodromy(gap, row["alpha"])) - 2.0) < 1e-8
 
 
 def test_solution_closes_at_periodic_alpha():

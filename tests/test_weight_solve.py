@@ -33,7 +33,6 @@ from beltbound.estimator import (
     SweepConfig,
     _arc_value,
     _CircleBatch,
-    _pair_fields,
     _reduced,
     _remark_weights,
     _solve_weights,
@@ -213,7 +212,7 @@ def solve(data):
 
 def _reduced_circles(pair, cfg):
     """A batch of one per sweep circle, in sweep order."""
-    return [next(_reduced(pair, _pair_fields, replace(cfg, circles=(c,))))[1] for c in cfg.circles]
+    return [next(_reduced(pair, replace(cfg, circles=(c,))))[1] for c in cfg.circles]
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +374,7 @@ def test_thousand_arc_sweep_memory():
     pair = BeltramiPair.from_angular(PeriodicField(grid, 0.45 * np.sin(th) ** 2, SMOOTH),
                                      PeriodicField(grid, 0.35 * np.cos(3 * th), SMOOTH))
     circles = tuple(CircleSpec(0.05 * np.exp(0.8j * k), 0.5, resolution=nodes) for k in range(8))
-    (_, data), = _reduced(pair, _pair_fields, SweepConfig(circles=circles, weight_pieces=pieces))
+    (_, data), = _reduced(pair, SweepConfig(circles=circles, weight_pieces=pieces))
     assert data.arc_integrals.shape == (8, pieces)
     tracemalloc.start()
     try:
