@@ -15,7 +15,7 @@ types they take or return; everything else is imported from its module.
 from .estimator import ExponentReport, SweepConfig, beta_estimate
 from .periodic_fields import CircleSpec
 from .reduction import BeltramiPair
-from .sharp_family import ScalarAngularMap, SharpFamily, build_family, build_maps
+from .sharp_family import SharpFamily, build_family, build_maps
 from .stretching import AngularStretching
 from .verify import PolarGrid, ResidualReport, beltrami_residual, empirical_holder
 
@@ -28,7 +28,6 @@ __all__ = [
     "ExponentReport",
     "PolarGrid",
     "ResidualReport",
-    "ScalarAngularMap",
     "SharpFamily",
     "SweepConfig",
     "beltrami_residual",

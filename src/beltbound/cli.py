@@ -398,9 +398,8 @@ def cmd_estimate(spec: JobSpec) -> int:
 def cmd_sharp(spec: JobSpec) -> int:
     m, t = spec.single_M_tau()
     fam = build_family(m, t, node_count=spec.nodes)
-    stretch, _ = build_maps(fam)
     pair = fam.pair()
-    residual = beltrami_residual(stretch, pair)
+    residual = beltrami_residual(fam.stretch, pair)
     cfg = SweepConfig.origin(resolution=spec.nodes, weight_pieces=spec.weight_pieces)
     beta = beta_estimate(pair, cfg).bound
     step = max(1, fam.grid.node_count // 256)
@@ -427,8 +426,8 @@ def cmd_sharp(spec: JobSpec) -> int:
         },
         "samples": {
             "angle": fam.grid.nodes[sl],
-            "theta1": fam.theta1.values[sl],
-            "theta2": fam.theta2.values[sl],
+            "theta1": fam.stretch.eta1.values[sl],
+            "theta2": fam.stretch.eta2.values[sl],
         },
     }
     _emit(payload, spec)
@@ -451,21 +450,18 @@ def cmd_verify(spec: JobSpec) -> int:
     else:
         m, t = spec.single_M_tau()
         fam = build_family(m, t, node_count=spec.nodes)
-        stretch, _ = build_maps(fam)
+        stretch, u_fn = build_maps(fam)
         pair = fam.pair()
         expected = fam.alpha
         breakpoints = fam.breakpoints
-
-        def u_fn(z):
-            return np.real(fam.map_at(z))
     if spec.corrupt_mu:
         base = pair
 
         def flipped_mu(z):
-            return -base.mu_fn(z)
+            mu, nu = base.munu(z)
+            return -mu, nu
 
-        pair = BeltramiPair.from_callables(flipped_mu, base.nu_fn,
-                                           real_nu=base.real_nu)
+        pair = BeltramiPair.from_callables(flipped_mu, real_nu=base.real_nu)
     residual = beltrami_residual(stretch, pair)
     matrices = beltrami_to_matrices(pair)
     grid = PolarGrid.annulus(radius_count=16, node_count=min(spec.nodes, 256),

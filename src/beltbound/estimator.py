@@ -73,7 +73,8 @@ __all__ = [
     "mu_zero_bound",
 ]
 
-# the weight families every circle scores; on a tie the first one wins
+# the weight families every circle scores; the others must beat the unit
+# pair by _TIE, and on a tie the first one wins
 _FAMILIES = ("constant", "remark", "piecewise")
 
 
@@ -245,7 +246,9 @@ _NEWTON_STEPS = 3
 # candidate kinds: edge of fixed X, edge of fixed Y, cell; X = scale * w**power
 _EDGE = np.array([True, True, False])[:, None, None, None]
 _X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None, None]
-# a window must beat the unit pair by _TIE: at its corner they tie to ulps
+# a window or the remark pair must beat the unit pair by _TIE: where they
+# coincide with it (at a window's corner, or I and D constant on a circle)
+# their values tie to ulps
 _TIE = 1e-14
 
 
@@ -434,7 +437,7 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
         remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
         window, phi, psi, evals, status, residual = _solve_weights(data, unit)
-        scores = np.array([unit, remark, window])
+        scores = np.array([unit, np.where(remark < unit * (1.0 - _TIE), remark, np.inf), window])
         family = scores.argmin(axis=0)  # on a tie the first of _FAMILIES
         columns = {key: col.tolist() for key, col in {
             "value": scores[family, np.arange(len(idx))], "family": np.array(_FAMILIES)[family],

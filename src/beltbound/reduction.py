@@ -7,10 +7,10 @@ R(theta) diag(k1, k2) R(theta)^T, and as a pair it is the pair whose
 reduction matrix B that is, mu = -mu0(arg z) z/zbar, nu = -nu0(arg z) with
 (mu0, nu0) = munu_from_k(k), so both interpolate k linearly between its
 nodes.  Origin circles read k at their nodes, which keeps them
-piecewise-exact.  A pointwise field keeps vectorized evaluators only (a pair
-z -> mu(z), nu(z), a matrix one z -> (a11, a12, a21, a22) that does the work
-its four entries share once per call); constant fields are pointwise fields
-whose constructors know their kappa or eigenvalue bounds exactly.  A pair
+piecewise-exact.  A pointwise field keeps one vectorized evaluator only (a
+pair z -> (mu, nu), a matrix z -> (a11, a12, a21, a22)), which does the work
+its outputs share once per call; constant fields are pointwise fields whose
+constructors know their kappa or eigenvalue bounds exactly.  A pair
 restricts to circles as its matrix B does, so every circle functional reads
 one restriction type, MatrixOnCircles.
 """
@@ -85,15 +85,15 @@ _LATTICE.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class BeltramiPair:
-    """Coefficients of d_bar f = mu df + nu conj(df) with recorded ellipticity.
+    """Coefficients of d_bar f = mu df + nu conj(df) with one evaluator
+    z -> (mu, nu) and recorded ellipticity.
 
     kappa is the sup of |mu| + |nu|, sampled for callables and exact
     otherwise; construction rejects kappa >= 1 - 1e-10 instead of clamping.
     An angular pair stores its weights k (see the module docstring).
     """
 
-    mu_fn: Callable
-    nu_fn: Callable
+    munu_fn: Callable
     real_nu: bool
     kappa: float
     k: KProfile | None = None
@@ -107,13 +107,10 @@ class BeltramiPair:
     def from_constant(cls, mu: complex, nu: complex) -> "BeltramiPair":
         mu, nu = complex(mu), complex(nu)
 
-        def mu_fn(z):
-            return np.full(np.shape(z), mu)
+        def munu_fn(z):
+            return np.full(np.shape(z), mu), np.full(np.shape(z), nu)
 
-        def nu_fn(z):
-            return np.full(np.shape(z), nu)
-
-        return cls(mu_fn, nu_fn, real_nu=(nu.imag == 0.0), kappa=abs(mu) + abs(nu))
+        return cls(munu_fn, real_nu=(nu.imag == 0.0), kappa=abs(mu) + abs(nu))
 
     @classmethod
     def from_angular(cls, mu0: PeriodicField, nu0: PeriodicField) -> "BeltramiPair":
@@ -125,26 +122,20 @@ class BeltramiPair:
     @classmethod
     def from_angular_k(cls, k: KProfile) -> "BeltramiPair":
         """The angular pair whose reduction matrix is R(theta) diag(k1, k2)
-        R(theta)^T: its evaluators apply munu_values to k read at arg z.
+        R(theta)^T: its evaluator applies munu_values to k read at arg z.
 
         kappa is exact: |mu0| + |nu0| = (K - 1)/(K + 1) with K the largest of
         k1, k2, 1/k1 and 1/k2, and both k and 1/k peak at a node.
         """
 
-        def munu(z):
+        def munu_fn(z):
             theta = arg_of(z)
-            return theta, *munu_values(k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta))
-
-        def mu_fn(z):
-            theta, mu0, _ = munu(z)
-            return -mu0 * np.exp(2j * theta)
-
-        def nu_fn(z):
-            return -munu(z)[2] + 0j
+            mu0, nu0 = munu_values(k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta))
+            return -mu0 * np.exp(2j * theta), -nu0 + 0j
 
         lo, hi = k.bounds()
         K = max(hi, 1.0 / lo)
-        return cls(mu_fn, nu_fn, real_nu=True, kappa=(K - 1.0) / (K + 1.0), k=k)
+        return cls(munu_fn, real_nu=True, kappa=(K - 1.0) / (K + 1.0), k=k)
 
     @classmethod
     def from_profiles(cls, breakpoints, mu0_pieces, nu0_pieces, node_count: int = 2048) -> "BeltramiPair":
@@ -155,13 +146,14 @@ class BeltramiPair:
         )
 
     @classmethod
-    def from_callables(cls, mu_fn, nu_fn, real_nu: bool | None = None) -> "BeltramiPair":
-        mu_s = np.asarray(mu_fn(_LATTICE), dtype=complex)
-        nu_s = np.asarray(nu_fn(_LATTICE), dtype=complex)
+    def from_callables(cls, munu_fn, real_nu: bool | None = None) -> "BeltramiPair":
+        """Pair of one vectorized z -> (mu, nu), sampled for its kappa (and
+        for real_nu unless given)."""
+        mu_s, nu_s = (np.asarray(v, dtype=complex) for v in munu_fn(_LATTICE))
         if real_nu is None:
             real_nu = bool(np.max(np.abs(nu_s.imag)) < 1e-14)
         kappa = float(np.max(np.abs(mu_s) + np.abs(nu_s)))
-        return cls(mu_fn, nu_fn, real_nu=real_nu, kappa=kappa)
+        return cls(munu_fn, real_nu=real_nu, kappa=kappa)
 
     @classmethod
     def radial_stretch(cls, alpha: float, node_count: int = 2048) -> "BeltramiPair":
@@ -184,6 +176,11 @@ class BeltramiPair:
     @property
     def nu0(self) -> PeriodicField:
         return munu_from_k(self.k)[1]
+
+    def munu(self, z):
+        """(mu, nu) complex arrays at the points z."""
+        mu, nu = self.munu_fn(np.asarray(z, dtype=complex))
+        return np.asarray(mu, dtype=complex), np.asarray(nu, dtype=complex)
 
     def distortion_bound(self) -> float:
         """sup of (1 + |mu| + |nu|)/(1 - |mu| - |nu|) over the samples."""
@@ -349,9 +346,7 @@ def _reduction_matrix(pair: BeltramiPair, tilde: bool = False) -> CoefficientMat
         return normalize_matrix(B) if tilde else B
 
     def entries_fn(z):
-        mu = np.asarray(pair.mu_fn(z), dtype=complex)
-        nu = np.asarray(pair.nu_fn(z), dtype=complex)
-        return _pair_matrix_entries(mu, nu, tilde)
+        return _pair_matrix_entries(*pair.munu(z), tilde)
 
     return CoefficientMatrixField.from_callables(entries_fn)
 
@@ -378,8 +373,7 @@ def matrix_to_beltrami(m: CoefficientMatrixField) -> BeltramiPair:
     """
     if m.k is not None:
         return BeltramiPair.from_angular_k(m.k)
-    return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z))[0],
-                                       lambda z: _munu_of_entries(*m.entries(z))[1],
+    return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z)),
                                        real_nu=m.symmetric)
 
 

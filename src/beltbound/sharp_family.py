@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .stretching import AngularStretching, KProfile
 
 __all__ = [
     "SharpFamily",
-    "ScalarAngularMap",
     "cd_params",
     "build_family",
     "build_maps",
@@ -59,17 +59,15 @@ def cd_params(M: float, tau: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class SharpFamily:
-    """Everything derived from (M, tau): arcs, profiles, weights, coefficients."""
+    """Everything derived from (M, tau): arcs, the stretching (profiles and
+    their derivatives at the grid nodes), weights, coefficients."""
 
     M: float
     tau: float
     c: float
     d: float
     breakpoints: tuple[float, float, float, float]
-    theta1: PeriodicField
-    theta2: PeriodicField
-    dtheta1: np.ndarray
-    dtheta2: np.ndarray
+    stretch: AngularStretching
     k: KProfile
     mu0: PeriodicField
     nu0: PeriodicField
@@ -80,7 +78,7 @@ class SharpFamily:
 
     @property
     def grid(self) -> AngularGrid:
-        return self.theta1.grid
+        return self.stretch.grid
 
     def pair(self) -> BeltramiPair:
         return BeltramiPair.from_angular_k(self.k)
@@ -178,37 +176,20 @@ def build_family(M: float, tau: float, node_count: int = 2048) -> SharpFamily:
         c=c,
         d=d,
         breakpoints=bks,
-        theta1=PeriodicField(grid, th1, SMOOTH),
-        theta2=PeriodicField(grid, th2, SMOOTH),
-        dtheta1=dth1,
-        dtheta2=dth2,
+        stretch=AngularStretching(
+            d / c, PeriodicField(grid, th1, SMOOTH), PeriodicField(grid, th2, SMOOTH), dth1, dth2
+        ),
         k=k,
         mu0=PeriodicField.piecewise(grid, [0.0, mu_hi, 0.0, mu_hi]),
         nu0=PeriodicField.piecewise(grid, [0.0, nu_hi, 0.0, nu_hi]),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarAngularMap:
-    """Real-valued map r^alpha * profile(arg z), vanishing at the origin."""
+def build_maps(family: SharpFamily) -> tuple[AngularStretching, Callable]:
+    """The extremal mapping and the scalar solution u = Re f of
+    div(B grad u) = 0, u exact at every point (map_at)."""
 
-    alpha: float
-    profile: PeriodicField
+    def u(z):
+        return np.real(family.map_at(z))
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        out = np.zeros(z.shape, dtype=float)
-        nz = r > 0
-        vals = self.profile.eval_wrapped(arg_of(z[nz]))
-        out[nz] = r[nz] ** self.alpha * np.real(vals)
-        return out if out.shape else float(out)
-
-
-def build_maps(family: SharpFamily) -> tuple[AngularStretching, ScalarAngularMap]:
-    """The extremal mapping and the scalar solution (its real part)."""
-    f = AngularStretching(
-        family.alpha, family.theta1, family.theta2, family.dtheta1, family.dtheta2
-    )
-    u = ScalarAngularMap(family.alpha, family.theta1)
-    return f, u
+    return family.stretch, u

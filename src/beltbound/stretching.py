@@ -186,11 +186,8 @@ class AngularStretching:
     def grid(self) -> AngularGrid:
         return self.eta1.grid
 
-    def profile_at(self, theta) -> np.ndarray:
-        return self.profile_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
-
     def profile_wrapped(self, t) -> np.ndarray:
-        """profile_at for angles already wrapped by wrap_angle."""
+        """eta1 + i eta2 at angles already wrapped by wrap_angle."""
         return self.eta1.eval_wrapped(t) + 1j * self.eta2.eval_wrapped(t)
 
 

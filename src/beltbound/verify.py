@@ -155,8 +155,7 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     else:
         raise TypeError("f must be an AngularStretching or a callable z -> f(z)")
     zc = z[:1] if pair.is_angular else z  # angular coefficients: one ring, broadcast
-    mu = np.asarray(pair.mu_fn(zc), dtype=complex)
-    nu = np.asarray(pair.nu_fn(zc), dtype=complex)
+    mu, nu = pair.munu(zc)
     res = dbar - mu * dplus - nu * np.conj(dplus)
     keep = grid.angle_mask(t)
     scale = np.max(np.abs(dplus[:, keep])) + np.max(np.abs(dbar[:, keep]))
@@ -288,11 +287,11 @@ def weak_form_residual(
 ) -> ResidualReport:
     """Discrete weak residual of div(A grad u) = 0 against interior hats.
 
-    u is either a callable on complex points or a samples array matching the
-    grid.  Test functions vanish on the annulus boundary, so only interior
-    radial nodes carry residuals; jumps in A are fine (the integral
-    formulation sees them).  With refinements > 0 and callable u, the mesh is
-    doubled that many times and the report carries the log-log slope.
+    u is a callable on complex points, sampled at the mesh vertices.  Test
+    functions vanish on the annulus boundary, so only interior radial nodes
+    carry residuals; jumps in A are fine (the integral formulation sees
+    them).  With refinements > 0 the mesh is doubled that many times and the
+    report carries the log-log slope.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints
@@ -302,12 +301,8 @@ def weak_form_residual(
                           stacklevel=2)
 
     def run(g: PolarGrid):
-        if callable(u):
-            z = g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]
-            vals = np.asarray(u(z), dtype=float)
-        else:
-            vals = u
-        R, S = weak_residual_vector(vals, a, g)
+        z = g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]
+        R, S = weak_residual_vector(np.asarray(u(z), dtype=float), a, g)
         interior = slice(1, g.radii.size - 1)
         rel = np.abs(R[interior]) / np.max(S[interior])
         return float(np.max(rel)), float(np.mean(rel))
@@ -315,8 +310,6 @@ def weak_form_residual(
     mx, mean = run(grid)
     slope = None
     if refinements > 0:
-        if not callable(u):
-            raise ValueError("refinement study needs a callable to resample")
         sizes = [grid.angles.node_count]
         values = [mx]
         g = grid

@@ -138,7 +138,7 @@ def test_criterion_5_reduction_identities(capsys):
         pair = BeltramiPair.from_constant(mu, nu)
         red = beltrami_to_matrices(pair)
         back = matrix_to_beltrami(red.B)
-        bmu, bnu = back.mu_fn(z)[0], back.nu_fn(z)[0]
+        bmu, bnu = (v[0] for v in back.munu(z))
         worst_rt = max(worst_rt, abs(bmu - mu), abs(bnu - nu))
         b = np.array(red.B.entries(z)).reshape(2, 2)
         bt = np.array(red.B_tilde.entries(z)).reshape(2, 2)
@@ -197,12 +197,12 @@ def test_criterion_7_ode_machinery(capsys):
     for M, tau in [(2.0, 0.0), (1.5, 1.0), (1.5, 0.5)]:
         fam = build_family(M, tau, node_count=512)
         worst_sharp = max(worst_sharp, abs(find_periodic_alpha(fam.k) - fam.alpha))
-        v0 = (fam.theta1.values[0], fam.theta2.values[0])
-        e1, e2, _, _ = eval_system_solution(fam.k, fam.alpha, v0, fam.grid.nodes)
+        th1, th2 = fam.stretch.eta1.values, fam.stretch.eta2.values
+        e1, e2, _, _ = eval_system_solution(fam.k, fam.alpha, (th1[0], th2[0]), fam.grid.nodes)
         worst_nodes = max(
             worst_nodes,
-            float(np.max(np.abs(e1 - fam.theta1.values))),
-            float(np.max(np.abs(e2 - fam.theta2.values))),
+            float(np.max(np.abs(e1 - th1))),
+            float(np.max(np.abs(e2 - th2))),
         )
         s = solve_system(fam.k, fam.alpha)
         for comp in (1, 2):

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from beltbound import estimator
 from beltbound.cli import JobSpec, SpecError, build_spec, run
 from beltbound.estimator import SweepConfig, corollary_bound
 from beltbound.reduction import BeltramiPair
@@ -170,6 +171,44 @@ def test_corollary_taken_from_beta_sweep(tmp_path, capsys):
     cfg = SweepConfig.disk_lattice(radius_count=1, resolution=256, weight_pieces=4)
     assert doc["report"]["circle_count"] == len(cfg.circles) == 9
     assert doc["bounds"]["corollary"] == corollary_bound(pair, cfg)
+
+
+def test_remark_family_sets_the_lattice_bound(tmp_path, capsys):
+    # a seven-arc pair (input 33 of the benchmark's lattice-cli workload at
+    # seed 7) at the benchmark's flags: on circle 7 the remark pair scores
+    # 3.3312, below the unit pair (3.9748) and the best window (3.9448), and
+    # that circle attains the bound; without the remark family beta would
+    # drop to about 1/3.97
+    pieces = {
+        "breakpoints": [0.0, 1.0369631348645723, 1.1198165755668807, 2.7039529790399586,
+                        3.130904180248707, 3.7047883062245313, 3.956568746098594],
+        "mu0": [0.0006282693814656515, -0.29093485439909267, 0.3265974801829211,
+                -0.2178452495662685, 0.13088189925411964, -0.3221508863502507,
+                0.4116411073976818],
+        "nu0": [0.5278626293424747, 0.20268622784405393, 0.013608320375719463,
+                0.2943374276477924, 0.11176552980185495, -0.29472751794837954,
+                0.2945119526770542],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pieces))
+    code, doc = run_json(
+        capsys,
+        ["--command", "estimate", "--coeff-file", str(path), "--circles", "1",
+         "--nodes", "256", "--weight-pieces", "2"],
+    )
+    assert code == 0
+    row = doc["report"]["per_circle"][7]
+    assert row["family"] == "remark"
+    assert doc["report"]["sup_value"] == row["value"]
+    pair = BeltramiPair.from_profiles(
+        pieces["breakpoints"], pieces["mu0"], pieces["nu0"], node_count=256
+    )
+    cfg = SweepConfig.disk_lattice(radius_count=1, resolution=256, weight_pieces=2)
+    idx, data = next((idx, data) for idx, data in estimator._reduced(pair, cfg) if 7 in idx)
+    unit = estimator._unit_value(data)
+    window = estimator._solve_weights(data, unit)[0]
+    r = idx.index(7)
+    assert row["value"] < min(unit[r], window[r]) * (1.0 - 1e-3)
 
 
 def test_coeff_file_ellipticity_exit(tmp_path, capsys):

@@ -113,8 +113,8 @@ def test_nu_zero_accepts_callable_pair_with_large_mu():
     # with the distortion (7e-14 at |mu| = 0.9): still nu = 0, still the
     # corollary value
     for r in (0.5, 0.9, 0.97):
-        pair = BeltramiPair.from_callables(lambda z, r=r: r * np.exp(3j * np.angle(z)),
-                                           lambda z: np.zeros_like(z))
+        pair = BeltramiPair.from_callables(
+            lambda z, r=r: (r * np.exp(3j * np.angle(z)), np.zeros_like(z)))
         cfg = SweepConfig(circles=(CircleSpec(0.1 + 0.2j, 0.5, resolution=512),), weight_pieces=8)
         assert nu_zero_bound(pair, cfg) == pytest.approx(corollary_bound(pair, cfg), rel=1e-12)
 
@@ -262,8 +262,7 @@ def test_ellipticity_past_the_sampling_lattice():
     # kappa = 0.53 on the 12 x 96 lattice callables are sampled on, but
     # |mu| = 1.2 |z|^40 passes 1 near the unit circle: B is not positive
     # there, and every circle bound refuses the pair
-    pair = BeltramiPair.from_callables(lambda z: 1.2 * np.abs(z) ** 40 + 0j,
-                                       lambda z: np.zeros_like(z))
+    pair = BeltramiPair.from_callables(lambda z: (1.2 * np.abs(z) ** 40 + 0j, np.zeros_like(z)))
     assert pair.kappa < 0.6
     for circle in (CircleSpec(0.0, 0.9999), CircleSpec(0.3, 0.6999)):
         cfg = SweepConfig(circles=(circle,))
@@ -331,11 +330,33 @@ def test_origin_circle_ignores_rotation_of_the_breakpoints(seed, pieces, shift):
 @settings(max_examples=25, deadline=None)
 @given(pair=criterion_6_pairs())
 def test_beta_is_a_bound_above_corollary_and_classical(pair):
-    cfg = SweepConfig.origin(resolution=256, weight_pieces=8)
-    beta = beta_estimate(pair, cfg).bound
-    assert 0.0 < beta <= 1.0
-    assert beta >= corollary_bound(pair, cfg) - 1e-12
-    assert beta >= classical_bound(pair) - 1e-12
+    classical = classical_bound(pair)
+    assert 0.0 < classical <= 1.0
+    for cfg in (SweepConfig.origin(resolution=256, weight_pieces=8),
+                SweepConfig.disk_lattice(radius_count=2, resolution=256, weight_pieces=8)):
+        beta = beta_estimate(pair, cfg).bound
+        corollary = corollary_bound(pair, cfg)
+        assert 0.0 < beta <= 1.0
+        assert 0.0 < corollary <= 1.0
+        assert beta >= corollary - 1e-12
+        assert beta >= classical - 1e-12
+
+
+def test_remark_pair_must_beat_the_unit_pair():
+    # I and D are constant on the origin circle of a one-arc pair, so the
+    # remark pair is the unit pair and their values tie to an ulp (remark
+    # 1.9999999999999996 against unit 1.9999999999999998 at mu0 = 1/3): the
+    # label stays "constant" with unit weights, for an origin sweep and for
+    # the origin circle of a lattice sweep
+    for mu0, nodes in ((1 / 3, 256), (1 / 3, 1024), (1 / 3, 2048), (0.25, 256), (0.7, 256)):
+        pair = BeltramiPair.from_profiles([0.0], [mu0], [0.0], node_count=nodes)
+        for cfg in (SweepConfig.origin(resolution=nodes),
+                    SweepConfig.disk_lattice(radius_count=1, angle_count=2, resolution=nodes)):
+            report = beta_estimate(pair, cfg)
+            assert report.per_circle[0]["family"] == "constant", (mu0, nodes)
+            assert report.attaining_circle == cfg.circles[0]
+            phi = report.attaining_weights.phi.values
+            assert (phi.min(), phi.max()) == (1.0, 1.0), (mu0, nodes)
 
 
 def test_corollary_equals_nu_zero_when_nu_vanishes():
@@ -407,9 +428,7 @@ def test_more_circles_never_improve_the_bound():
 
 
 def test_complex_nu_rejected():
-    pair = BeltramiPair.from_callables(
-        lambda z: 0.1 * np.ones_like(z), lambda z: 0.1j * np.ones_like(z)
-    )
+    pair = BeltramiPair.from_callables(lambda z: (0.1 * np.ones_like(z), 0.1j * np.ones_like(z)))
     with pytest.raises(ValueError):
         beta_estimate(pair, CFG)
 

@@ -52,7 +52,7 @@ def test_constant_round_trip():
         mu, nu = random_constant_pair(rng)
         red = beltrami_to_matrices(BeltramiPair.from_constant(mu, nu))
         back = matrix_to_beltrami(red.B)
-        bmu, bnu = back.mu_fn(z)[0], back.nu_fn(z)[0]
+        bmu, bnu = (v[0] for v in back.munu(z))
         assert abs(bmu - mu) < 1e-12
         assert abs(bnu - nu) < 1e-12
 
@@ -176,13 +176,9 @@ def test_angular_pair_requires_real_profiles():
 
 
 def test_from_callables_detects_real_nu():
-    pair = BeltramiPair.from_callables(
-        lambda z: 0.2 * np.ones_like(z), lambda z: 0.1 * np.ones_like(z)
-    )
+    pair = BeltramiPair.from_callables(lambda z: (0.2 * np.ones_like(z), 0.1 * np.ones_like(z)))
     assert pair.real_nu
-    pair = BeltramiPair.from_callables(
-        lambda z: 0.2 * np.ones_like(z), lambda z: 0.1j * np.ones_like(z)
-    )
+    pair = BeltramiPair.from_callables(lambda z: (0.2 * np.ones_like(z), 0.1j * np.ones_like(z)))
     assert not pair.real_nu
 
 
@@ -218,14 +214,25 @@ class Counted:
 
 
 def test_callable_pair_reduction_evaluates_pair_once():
-    mu_fn = Counted(lambda z: 0.2 * z + 0.1j)
-    nu_fn = Counted(lambda z: 0.1 * np.conj(z) + 0.05)
-    red = beltrami_to_matrices(BeltramiPair.from_callables(mu_fn, nu_fn))
+    munu_fn = Counted(lambda z: (0.2 * z + 0.1j, 0.1 * np.conj(z) + 0.05))
+    red = beltrami_to_matrices(BeltramiPair.from_callables(munu_fn))
     z = np.array([0.3 + 0.1j, -0.2j, 0.5])
     for m in (red.B, red.B_tilde):
-        mu_fn.calls = nu_fn.calls = 0
+        munu_fn.calls = 0
         m.entries(z)
-        assert (mu_fn.calls, nu_fn.calls) == (1, 1)
+        assert munu_fn.calls == 1
+
+
+def test_matrix_pair_restriction_evaluates_matrix_once_per_use():
+    # one entries call samples the pair's B on the 12 x 96 lattice, one more
+    # restricts it to the circle
+    entries_fn = Counted(
+        lambda z: (2.0 + np.real(z), np.full(z.shape, 0.3), np.full(z.shape, 0.3), 1.5 + np.imag(z))
+    )
+    pair = matrix_to_beltrami(CoefficientMatrixField.from_callables(entries_fn))
+    entries_fn.calls = 0
+    pair.on_circle(CircleSpec(0.1 + 0.2j, 0.5, resolution=64))
+    assert entries_fn.calls == 2
 
 
 def _edge_points(breakpoints):
@@ -259,10 +266,11 @@ def test_angular_evaluators_wrap_once_bitwise():
     pair = fam.pair()
     z = _edge_points(fam.breakpoints)
     theta = np.mod(np.angle(z), TWO_PI)
-    assert np.array_equal(pair.mu_fn(z), -pair.mu0.eval_at(theta) * np.exp(2j * theta))
-    assert np.array_equal(pair.nu_fn(z), -pair.nu0.eval_at(theta) + 0j)
+    mu, nu = pair.munu(z)
+    assert np.array_equal(mu, -pair.mu0.eval_at(theta) * np.exp(2j * theta))
+    assert np.array_equal(nu, -pair.nu0.eval_at(theta) + 0j)
     # -1e-20 reads the first arc, as 0 does
-    assert pair.nu_fn(0.7 - 1e-20j) == pair.nu_fn(0.7)
+    assert pair.munu(0.7 - 1e-20j)[1] == pair.munu(0.7)[1]
 
 
 def test_normalize_matrix_evaluates_parent_once():
@@ -306,7 +314,7 @@ def test_normalize_matrix_callable_field_properties(c):
 def test_callable_pair_round_trip(c):
     # |mu| + |nu| < 0.6 on the unit disk
     mu0, mu1, nu0 = complex(c[0], c[1]), complex(c[2], c[3]), complex(c[4], c[5])
-    pair = BeltramiPair.from_callables(lambda z: mu0 + mu1 * z, lambda z: nu0 + 0.1 * np.conj(z))
+    pair = BeltramiPair.from_callables(lambda z: (mu0 + mu1 * z, nu0 + 0.1 * np.conj(z)))
     back = matrix_to_beltrami(beltrami_to_matrices(pair).B)
-    assert np.max(np.abs(back.mu_fn(sample_points) - pair.mu_fn(sample_points))) < 1e-12
-    assert np.max(np.abs(back.nu_fn(sample_points) - pair.nu_fn(sample_points))) < 1e-12
+    for got, want in zip(back.munu(sample_points), pair.munu(sample_points)):
+        assert np.max(np.abs(got - want)) < 1e-12

@@ -73,11 +73,11 @@ def test_profiles_satisfy_coupled_system():
     for M, tau in [(2.0, 0.0), (4.0, 0.0), (1.5, 1.0), (1.5, 0.5), (3.0, 0.8)]:
         fam = build_family(M, tau, node_count=512)
         a = fam.alpha
-        th1, th2 = fam.theta1.values, fam.theta2.values
+        th1, th2 = fam.stretch.eta1.values, fam.stretch.eta2.values
         k1 = fam.k.k1.values
         k2 = fam.k.k2.values
-        assert np.max(np.abs(fam.dtheta1 + a / k2 * th2)) < 1e-13
-        assert np.max(np.abs(fam.dtheta2 - a * k1 * th1)) < 1e-13
+        assert np.max(np.abs(fam.stretch.deta1 + a / k2 * th2)) < 1e-13
+        assert np.max(np.abs(fam.stretch.deta2 - a * k1 * th1)) < 1e-13
 
 
 def test_half_turn_antisymmetry():

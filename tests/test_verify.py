@@ -73,27 +73,25 @@ def test_residual_scale_invariance():
 
 
 def test_residual_reads_angular_pair_on_one_ring():
-    # mu and nu of an angular pair depend on arg z alone: one ring of the
-    # annulus, broadcast over the radii, whichever route gives the derivatives
+    # mu and nu of an angular pair depend on arg z alone: one call on one
+    # ring of the annulus, broadcast over the radii, whichever route gives
+    # the derivatives
     fam = build_family(1.5, 0.5, node_count=512)
     stretch, _ = build_maps(fam)
     pair = fam.pair()
     calls = []
 
-    def counted(fn, name):
-        def wrapped(z):
-            calls.append((name, np.shape(z)))
-            return fn(z)
-        return wrapped
+    def counted(z):
+        calls.append(np.shape(z))
+        return pair.munu_fn(z)
 
-    spy = dataclasses.replace(pair, mu_fn=counted(pair.mu_fn, "mu"),
-                              nu_fn=counted(pair.nu_fn, "nu"))
+    spy = dataclasses.replace(pair, munu_fn=counted)
     g = PolarGrid.annulus(radius_count=12, node_count=256, breakpoints=fam.breakpoints)
     # the closed-form route samples at the stretching's own 512 nodes
     for f, na, tol in ((stretch, 512, 1e-8), (fam.map_at, 256, 1e-3)):
         calls.clear()
         assert beltrami_residual(f, spy, g).max_residual < tol
-        assert calls == [("mu", (1, na)), ("nu", (1, na))]
+        assert calls == [(1, na)]
 
 
 def mesh_beltrami_residual(s, pair, grid):
@@ -101,8 +99,7 @@ def mesh_beltrami_residual(s, pair, grid):
     evaluated on every ring of the annulus: the form before the one-ring
     closed form."""
     z, dbar, dplus, t = verify._closed_form_derivatives(s, grid.radii)
-    mu = np.asarray(pair.mu_fn(z[:1]), dtype=complex)
-    nu = np.asarray(pair.nu_fn(z[:1]), dtype=complex)
+    mu, nu = pair.munu(z[:1])
     res = dbar - mu * dplus - nu * np.conj(dplus)
     keep = grid.angle_mask(t)
     scale = np.max(np.abs(dplus[:, keep])) + np.max(np.abs(dbar[:, keep]))

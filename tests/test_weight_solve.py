@@ -398,8 +398,8 @@ def _random_circles(rng, count):
 
 
 def _callable_pair():
-    return BeltramiPair.from_callables(lambda z: 0.3 * np.exp(1j * z.real) * np.abs(z),
-                                       lambda z: 0.2 * np.cos(3.0 * z.imag) + 0j)
+    return BeltramiPair.from_callables(lambda z: (0.3 * np.exp(1j * z.real) * np.abs(z),
+                                                  0.2 * np.cos(3.0 * z.imag) + 0j))
 
 
 def test_sweep_rows_do_not_depend_on_the_batch():
