@@ -13,12 +13,14 @@ over weights.  beta, for a pair with real nu, is gamma of the pair's
 reduction matrix B, which its on_circles restricts.  Each circle scores
 three weight families once: the unit pair (its values alone give the
 corollary bound), a closed-form pair that collapses the arctan term to 1
-(the certified value), and the per-arc pair that minimises the value.  That minimum is exact: the best weights clip
-D/(phi psi) into a window [m, M], on which the value has closed form, and
-one batched Newton solve finds the few candidate minima per cell of a grid
-over the windows (see _solve_weights); the value of the returned weights is
-recomputed exactly.  Any candidate set gives a valid bound; richer sets
-tighten it.
+(the certified value), and the per-arc pair that minimises the value.
+That minimum is exact: the best weights clip D/(phi psi) into a window
+[m, M], on which the value has closed form.  For a fixed window ratio the
+two ends decouple in one multiplier, so the best windows of all ratios form
+a monotone staircase (Topkis 1978) of O(arcs) pieces; one sort and one
+batched Newton solve minimise the value on each piece (see _solve_weights),
+and the value of the returned weights is recomputed exactly.  Any window
+gives a valid bound; the best one gives the least.
 
 Weights are constant on arcs: the coefficient breakpoints merged with
 SweepConfig.weight_pieces uniform arcs.  One reduction, _arc_reduce, turns I
@@ -234,22 +236,13 @@ def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
     return WeightPair(PeriodicField(I.grid, phi, I.kind), PeriodicField(I.grid, psi, I.kind))
 
 
-def _keys(rows, values) -> np.ndarray:
-    """Complex keys rows + i values, which numpy orders by row, then value."""
-    keys = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(values)), dtype=complex)
-    keys.real, keys.imag = rows, values
-    return keys
-
-
-_BLOCK = 1 << 14  # grid cells per block, across circles
 _NEWTON_STEPS = 3
-# candidate kinds: edge of fixed X, edge of fixed Y, cell; X = scale * w**power
-_EDGE = np.array([True, True, False])[:, None, None, None]
-_X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None, None]
 # a window or the remark pair must beat the unit pair by _TIE: where they
 # coincide with it (at a window's corner, or I and D constant on a circle)
 # their values tie to ulps
 _TIE = 1e-14
+_ON = 1e-12  # a window this close (relative) to a line or to w0 sits on it
+_STATUS = np.array(["interior", "edge", "vertex"])  # by the lines a window sits on
 
 
 def _solve_weights(data: _CircleBatch, unit):
@@ -260,114 +253,85 @@ def _solve_weights(data: _CircleBatch, unit):
     max phi = 1 = min psi.  Clipping D/(phi psi) into a window [m, M] with
     p = clip(1, dmax/M, dmin/m), phi = min(1, p), psi = max(1, p) is best, at
 
-        F = (T + sum_{dmax_j > M} T_j (sqrt(dmax_j/M) - 1)
-               + sum_{dmin_j < m} T_j (sqrt(m/dmin_j) - 1)) / (8 arctan w),
+        F = (T + A(X) + B(Y)) / (8 arctan w),  w = sqrt(XY) <= w0,
 
-    w = (m/M)^{1/4} <= w0 = min(dmin/dmax)^{1/4}.  In X = M^{-1/2}, Y = m^{1/2}
-    (w^2 = XY) the sorted dmax and dmin cut the plane into cells on which the
-    numerator is N = C + A1 X + B1 Y; F only falls from M > max dmax or
-    m < min dmin towards them or onto w = w0.  A cell's stationary point
-    solves h(w) = (1 + w^2) arctan w - w = C/(2 sqrt(A1 B1)) at
-    X = w sqrt(B1/A1); clipped to w <= w0 it is also the minimum on that
-    line.  Along a grid line of fixed X, F falls while e(w) =
-    2w(1 + w^2) arctan w - w^2 < (N - B1 Y) X/B1 (fixed Y likewise), so the
-    root clipped to an edge's feasible part is its minimum: a vertex or a
-    crossing of w = w0 included.  One batched Newton solve per block of grid
-    rows of all circles (padded to the most lines) gives these feasible
-    windows; each is scored with the exact F, ties going to the first in
-    (kind, row, column) order.  Per circle, returns the exact _arc_value of
-    the best one's weights (or unit, unless beaten by more than _TIE), the
-    weights, the candidate count, where the optimum lies ("interior",
-    "edge", "vertex", "boundary" or "constant") and the relative gap between
-    F and the returned value.
+    in X = M^{-1/2}, Y = m^{1/2}, w0 = min(dmin/dmax)^{1/4}, with the hinge
+    sums A(X) = sum T_j max(0, X/L_j - 1) over the lines L_j = dmax_j^{-1/2}
+    and B(Y) likewise over the lines L_j = dmin_j^{1/2}; F only falls from
+    M > max dmax or m < min dmin towards them.  At fixed w the best window
+    minimises A + B along XY = w^2, which is convex in log X, so it is where
+    X A'(X) and Y B'(Y) share a multiplier lam.  The two sides decouple in
+    lam: each of X(lam), Y(lam) is nondecreasing, so the optimum over all w
+    lies on one monotone staircase (Topkis 1978).  Over the sorted lines of
+    a side, with running sums S1 of T/L and S0 of T (past line k the hinge
+    sum is S1_k X - S0_k), the side reaches line k at lam = L_k S1_{k-1} and
+    leaves it at L_k S1_k.  One stable sort of a circle's 4n events cuts
+    the staircase into 4n - 1 pieces, the same count for every circle, so a
+    row never depends on its batch.  Where both sides are free, F is least
+    at h(w) = (1 + w^2) arctan w - w = N0/(2 sqrt(S1_X S1_Y)), N0 the
+    piece's constant part; with X on its line, at e(w) = 2w(1 + w^2) arctan
+    w - w^2 = (N - S1_Y Y) X/S1_Y (Y likewise); with both on lines the piece
+    is a point.  Clipped to the piece's w range and to w <= w0, one batched
+    Newton solve gives each piece's best window, scored with the piece's
+    own sums; ties go to the first piece.  Per circle, returns the exact
+    _arc_value of the best window's weights (or unit, unless beaten by more
+    than _TIE), the weights, the number of pieces scored, where the window
+    lies ("interior", "edge" or "vertex" by the lines it sits on to _ON,
+    "boundary" at w0, or "constant") and the relative gap between F and the
+    returned value.
     """
     T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
     C, n = T.shape
     w0 = np.array([r**0.25 for r in (dmin / dmax).min(axis=-1).tolist()])  # libm pow
-    # grid lines: each circle's distinct dmax (side 0) and dmin (side 1),
-    # sorted, padded with inf; rank: each arc's line, its arcs in arc order
-    D = np.stack([dmax, dmin])
-    order, s = np.argsort(D, axis=-1, kind="stable"), np.sort(D, axis=-1)
-    new = np.diff(s, axis=-1, prepend=0.0) != 0.0
-    rank = np.cumsum(new, axis=-1) - 1
-    (nX, nY) = counts = rank[..., -1] + 1
-    KX, KY = counts.max(axis=1)
-    lines = np.sort(np.where(new, s, np.inf), axis=-1)[..., :max(KX, KY)]
-    # clipped from above for M just below line i: dmax >= Mk[i], sums A[i]
-    # (A[nX] = 0); from below for m just above line l: dmin <= mk[l], B[l + 1]
-    base = np.arange(2 * C).reshape(2, C, 1) * n
-    w = np.array([[T * np.sqrt(dmax), T / np.sqrt(dmin)], [T, T]]).reshape(2, -1)
-    sums = np.array([np.bincount((rank + base).ravel(), v, minlength=2 * C * n)
-                     for v in w[:, (order + base).ravel()]]).reshape(2, 2, C, n)
-    zero = np.zeros((2, C, 1))
-    A = np.concatenate([np.cumsum(sums[:, 0, :, ::-1], axis=-1)[..., ::-1], zero], axis=-1)
-    B = np.concatenate([zero, np.cumsum(sums[:, 1], axis=-1)], axis=-1)
-    # a window's key (circle, value) counts its lines (pads sit at circle + 1/2)
-    circle = np.arange(C)[:, None, None]
-    KM, Km = _keys(circle[:, 0] + 0.5 * np.isinf(lines), lines).reshape(2, -1)
-    (A1, A0), (B1, B0) = (a[..., :lines.shape[-1] + 1].reshape(2, -1) for a in (A, B))
-    X, Y = lines[0, :, :KX] ** -0.5, np.sqrt(lines[1, :, :KY])  # cell: [X, Xhi] x [Y, Yhi]
-    Xhi = np.concatenate([np.full((C, 1), np.inf), X[:, :-1]], axis=1)
-    y, yhi = Y[:, None], np.concatenate([Y[:, 1:], np.full((C, 1), np.inf)], axis=1)[:, None]
-    (b1, b0), (b1l, b0l) = B[:, :, None, 1:KY + 1], B[:, :, None, :KY]  # B[l + 1], B[l]
-    tot, w0c = T.sum(axis=-1)[:, None, None], w0[:, None, None]
-    col_ok = np.arange(KY) < nY[:, None, None]
-    # per circle: F, key, X, Y, w, lines it sits on; from the unit pair's corner
-    best = np.array([np.full(C, np.inf), np.zeros(C), np.ones(C), np.ones(C), w0, np.full(C, 2.0)])
-    rows = max(1, _BLOCK // (C * KY))
-    for i0 in range(0, KX, rows):
-        i1 = min(i0 + rows, KX)
-        x, xhi = X[:, i0:i1, None], Xhi[:, i0:i1, None]
-        (a1, a0), (a1n, a0n) = A[:, :, i0:i1, None], A[:, :, i0 + 1:i1 + 1, None]
-        with np.errstate(divide="ignore", invalid="ignore"):  # padded cells
-            r = np.sqrt(a1 / b1)
-            w = np.sqrt(x * y)
-            side = np.array([x * r, y / r, xhi * r, yhi / r])  # where a cell root clips
-            lo = np.array([w, w, np.maximum(side[0], side[1])])
-            top = np.minimum(np.array(
-                [np.sqrt(x * yhi), np.sqrt(xhi * y), np.minimum(side[2], side[3])]), w0c)
-            target = np.array([
-                (tot + a1n * x - a0n - b0) * x / b1,
-                (tot + b1l * y - b0l - a0) * y / a1,
-                (tot - a0 - b0) / (2.0 * np.sqrt(a1 * b1)),
-            ])
-            scale = np.empty((3, *r.shape))
-            scale[0], scale[1], scale[2] = x, 1.0 / y, 1.0 / r
-            # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
-            # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
-            t = np.abs(target)
-            v = np.where(_EDGE, np.sqrt(2.0 * t / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * t))),
-                         np.cbrt(t / (math.pi / 2.0 - 1.0)))
-            for _ in range(_NEWTON_STEPS):
-                v = np.minimum(np.maximum(v, lo), top)
-                at = np.arctan(v)
-                q = (1.0 + v * v) * at
-                g = np.where(_EDGE, 2.0 * v * q - v * v, q - v) - target
-                v -= g / np.where(_EDGE, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
-            v = np.minimum(np.maximum(v, lo), top)
-            # a full exponent array: with a broadcast one, numpy's power
-            # switches to a differently rounded loop past 4096 elements
-            xs = scale * v ** np.broadcast_to(_X_POWER, v.shape).copy()
-            ys = v * v / xs
-            i = np.searchsorted(KM, _keys(circle, xs**-2.0)) + circle
-            l = np.searchsorted(Km, _keys(circle, ys * ys), side="right") + circle
-            f = (tot + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
-        f = np.where((np.arange(i0, i1)[:, None] < nX[:, None, None]) & col_ok, f, np.inf)
-        # each circle's first smallest F in the block, in (kind, row, column) order
-        kind, lr, lc = np.unravel_index(f.swapaxes(0, 1).reshape(C, -1).argmin(axis=1),
-                                        (3, i1 - i0, KY))
-        pick = (kind, np.arange(C), lr, lc)
-        fk, xk, yk, vk, lok, topk = (a[pick] for a in (f, xs, ys, v, lo, top))
-        # grid lines the point sits on, to rounding: an edge's ends are
-        # vertices; a cell's root clipped onto a side or corner is on 1 or 2
-        ends = np.where(kind < 2, [lok, topk, np.nan * vk, np.nan * vk], side[:, pick[1], lr, lc])
-        on = (kind < 2) + np.count_nonzero(np.abs(ends - vk) <= 1e-12 * vk, axis=0)
-        row = np.array([fk, (kind * KX + i0 + lr) * KY + lc, xk, yk, vk, on])
-        won = (fk < best[0]) | ((fk == best[0]) & (row[1] < best[1]))
-        best[:, won] = row[:, won]
-    f_best, _, xs, ys, v, on = best
-    where = np.where(v >= w0, "boundary",
-                     np.array(["interior", "edge", "vertex"])[np.minimum(on, 2).astype(int)])
+    # lines of side 0 (X) and side 1 (Y), each sorted, and their running sums
+    side, rows = np.arange(2)[:, None, None], np.arange(C)[:, None]
+    L = np.sqrt(np.array([1.0 / dmax, dmin]))
+    order = L.argsort(axis=-1, kind="stable")
+    L, t = L[side, rows, order], T[rows, order]
+    S1, S0 = np.cumsum([t / L, t], axis=-1)
+    # a side reaches line k at lam = L_k S1_{k-1} and leaves it at L_k S1_k:
+    # its 2n events are in order under rounding, so a stable merge keeps it
+    S1_ =np.concatenate([np.zeros((2, C, 1)), S1], axis=-1)
+    events = np.concatenate(L.repeat(2, axis=-1) * S1_.repeat(2, axis=-1)[..., 1:-1], axis=-1)
+    by_lam = events.argsort(axis=-1, kind="stable")
+    lam = events[rows, by_lam]
+    # a piece's events passed per side: an odd count is on line k, an even
+    # one is past it (a side not yet at its first line is taken on it)
+    passed = np.cumsum(by_lam < 2 * n, axis=-1)[:, :-1]
+    count = np.maximum(np.array([passed, np.arange(1, 4 * n) - passed]), 1)
+    k, on = (count - 1) // 2, count % 2 == 1
+    Lk, s1, s0 = np.array([L, S1, S0])[:, side, rows, k]
+    # the piece's window at its two ends, and its w range
+    pos = np.where(on[:, None], Lk[:, None], np.array([lam[:, :-1], lam[:, 1:]]) / s1[:, None])
+    lo, hi = np.sqrt(pos[0] * pos[1])
+    top = np.minimum(hi, w0[:, None])
+    base = T.sum(axis=-1)[:, None] - s0[0] - s0[1]
+    fixed = np.where(on, s1 * Lk, 0.0)
+    edge = on[0] != on[1]
+    target = (base + fixed[0] + fixed[1]) * np.where(
+        edge, np.where(on[0], Lk[0] / s1[1], Lk[1] / s1[0]), 0.5 / np.sqrt(s1[0] * s1[1]))
+    # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
+    # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
+    a = np.abs(target)
+    v = np.where(edge, np.sqrt(2.0 * a / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * a))),
+                 np.cbrt(a / (math.pi / 2.0 - 1.0)))
+    for _ in range(_NEWTON_STEPS):
+        v = np.minimum(np.maximum(v, lo), top)
+        at = np.arctan(v)
+        q = (1.0 + v * v) * at
+        g = np.where(edge, 2.0 * v * q - v * v, q - v) - target
+        v -= g / np.where(edge, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
+    v = np.minimum(np.maximum(v, lo), top)
+    X = np.where(on[0], Lk[0], np.where(on[1], v * v / Lk[1], v * np.sqrt(s1[1] / s1[0])))
+    Y = np.where(on[1], Lk[1], v * v / X)
+    f = np.where(lo <= top, (base + s1[0] * X + s1[1] * Y) / (8.0 * np.arctan(v)), np.inf)
+    circle, best = rows[:, 0], f.argmin(axis=1)  # the first smallest F
+    f_best, xs, ys, v = f[circle, best], X[circle, best], Y[circle, best], v[circle, best]
+    # the lines the window sits on: its piece's line or the next one
+    pts, kb = np.array([xs, ys])[..., None], k[:, circle, best][..., None]
+    near = L[side, rows, np.concatenate([kb, np.minimum(kb + 1, n - 1)], axis=-1)]
+    sits = on[:, circle, best] | (np.abs(near - pts) <= _ON * pts).any(axis=-1)
+    where = np.where(v >= w0 * (1.0 - _ON), "boundary", _STATUS[sits.sum(axis=0)])
     # the window's ends through libm pow, one circle at a time, like w0
     found = f_best < np.inf
     M = np.where(found, [x**-2.0 for x in xs], dmax.max(axis=-1))
@@ -378,7 +342,7 @@ def _solve_weights(data: _CircleBatch, unit):
     kept = ~(value < unit * (1.0 - _TIE))  # True for a NaN value too
     value = np.where(kept, unit, value)
     phi[kept], psi[kept], where[kept] = 1.0, 1.0, "constant"
-    return value, phi, psi, 3 * nX * nY, where, np.abs(f_best - value) / value
+    return value, phi, psi, np.full(C, 4 * n - 1), where, np.abs(f_best - value) / value
 
 
 def _bound_of(sup_value: float) -> float:

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,16 +72,21 @@ class KProfile:
 
     k1: PeriodicField
     k2: PeriodicField
+    _bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.k1.grid.same_layout(self.k2.grid):
             raise ValueError("k1 and k2 must share one grid layout")
+        extrema = []
         for name, f in (("k1", self.k1), ("k2", self.k2)):
             if not f.is_real:
                 raise TypeError(f"{name} must be real")
-            lo, _ = field_extrema(f)
+            lo, hi = field_extrema(f)
             if lo <= 0.0:
                 raise ValueError(f"{name} must be strictly positive, min={lo}")
+            extrema.append((lo, hi))
+        (lo1, hi1), (lo2, hi2) = extrema
+        object.__setattr__(self, "_bounds", (min(lo1, lo2), max(hi1, hi2)))
 
     @classmethod
     def constant(cls, k1: float, k2: float, node_count: int = 2048) -> "KProfile":
@@ -102,10 +107,8 @@ class KProfile:
         return self.k1.kind == PIECEWISE and self.k2.kind == PIECEWISE
 
     def bounds(self) -> tuple[float, float]:
-        """(min, max) over both weights."""
-        lo1, hi1 = field_extrema(self.k1)
-        lo2, hi2 = field_extrema(self.k2)
-        return min(lo1, lo2), max(hi1, hi2)
+        """(min, max) over both weights, taken once by the positivity check."""
+        return self._bounds
 
     def pieces(self):
         """(lefts, rights, k1 values, k2 values) per breakpoint segment."""

@@ -1,15 +1,17 @@
 """The window solve of the per-arc weight problem against the solvers it
 replaced, and the arc reduction against the loop it replaced.
 
-Three references live here.  `descend` is the randomised multistart
+Four references live here.  `descend` is the randomised multistart
 coordinate descent in log-weights that the estimator used first;
 `slsqp_reference` is the SLSQP solve of a smooth epigraph form that followed
-it; `arc_reduce_loop` is the per-arc loop, one branch per field kind, that
-the gap reduction replaced.  On a fixed
-corpus (criterion 6's generator plus two disk-lattice sweeps, whose
-off-centre circles carry smooth restrictions) and on random arc sets the
-window solve must never return a larger per-circle value than either, and
-its closed-form value must be tight at the weights it returns.
+it; `grid_solve` is the exact window solve that scored candidates in every
+cell of the grid of distinct dmax and dmin lines, which the staircase walk
+replaced; `arc_reduce_loop` is the per-arc loop, one branch per field kind,
+that the gap reduction replaced.  On a fixed corpus (criterion 6's generator
+plus two disk-lattice sweeps, whose off-centre circles carry smooth
+restrictions) and on random arc sets the window solve must never return a
+larger per-circle value than any of them, must agree with `grid_solve` to
+1e-12, and its closed-form value must be tight at the weights it returns.
 
 The estimator works on batches of circles that share a grid; the helpers
 below hand it batches of one circle and unpack that circle's row, and the
@@ -30,6 +32,8 @@ from test_acceptance import random_angular_pair
 from beltbound import estimator
 from beltbound.estimator import (
     _FAMILIES,
+    _NEWTON_STEPS,
+    _TIE,
     SweepConfig,
     _arc_value,
     _CircleBatch,
@@ -162,6 +166,134 @@ def slsqp_reference(data):
         best = (val, phi, psi)
     return best
 
+
+def _keys(rows, values):
+    """Complex keys rows + i values, which numpy orders by row, then value."""
+    keys = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(values)), dtype=complex)
+    keys.real, keys.imag = rows, values
+    return keys
+
+
+_BLOCK = 1 << 14  # grid cells per block, across circles
+# candidate kinds: edge of fixed X, edge of fixed Y, cell; X = scale * w**power
+_EDGE = np.array([True, True, False])[:, None, None, None]
+_X_POWER = np.array([0.0, 2.0, 1.0])[:, None, None, None]
+
+
+def grid_solve(data, unit):
+    """The window solve over the whole grid of distinct dmax and dmin lines,
+    with _solve_weights' signature and returns (evaluations: 3 nX nY).
+
+    In X = M^{-1/2}, Y = m^{1/2} (w^2 = XY) the sorted dmax and dmin cut the
+    windows into cells on which the numerator is N = C + A1 X + B1 Y.  A
+    cell's stationary point solves h(w) = (1 + w^2) arctan w - w =
+    C/(2 sqrt(A1 B1)) at X = w sqrt(B1/A1), clipped to the cell and to
+    w <= w0; along a grid line of fixed X, F falls while e(w) =
+    2w(1 + w^2) arctan w - w^2 < (N - B1 Y) X/B1 (fixed Y likewise), so the
+    root clipped to an edge's feasible part is its minimum.  One batched
+    Newton solve per block of grid rows of all circles (padded to the most
+    lines) gives these feasible windows; each is scored with the exact F
+    through a lookup of the cell it lies in, ties going to the first in
+    (kind, row, column) order.
+    """
+    T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
+    C, n = T.shape
+    w0 = np.array([r**0.25 for r in (dmin / dmax).min(axis=-1).tolist()])  # libm pow
+    # grid lines: each circle's distinct dmax (side 0) and dmin (side 1),
+    # sorted, padded with inf; rank: each arc's line, its arcs in arc order
+    D = np.stack([dmax, dmin])
+    order, s = np.argsort(D, axis=-1, kind="stable"), np.sort(D, axis=-1)
+    new = np.diff(s, axis=-1, prepend=0.0) != 0.0
+    rank = np.cumsum(new, axis=-1) - 1
+    (nX, nY) = counts = rank[..., -1] + 1
+    KX, KY = counts.max(axis=1)
+    lines = np.sort(np.where(new, s, np.inf), axis=-1)[..., :max(KX, KY)]
+    # clipped from above for M just below line i: dmax >= Mk[i], sums A[i]
+    # (A[nX] = 0); from below for m just above line l: dmin <= mk[l], B[l + 1]
+    base = np.arange(2 * C).reshape(2, C, 1) * n
+    w = np.array([[T * np.sqrt(dmax), T / np.sqrt(dmin)], [T, T]]).reshape(2, -1)
+    sums = np.array([np.bincount((rank + base).ravel(), v, minlength=2 * C * n)
+                     for v in w[:, (order + base).ravel()]]).reshape(2, 2, C, n)
+    zero = np.zeros((2, C, 1))
+    A = np.concatenate([np.cumsum(sums[:, 0, :, ::-1], axis=-1)[..., ::-1], zero], axis=-1)
+    B = np.concatenate([zero, np.cumsum(sums[:, 1], axis=-1)], axis=-1)
+    # a window's key (circle, value) counts its lines (pads sit at circle + 1/2)
+    circle = np.arange(C)[:, None, None]
+    KM, Km = _keys(circle[:, 0] + 0.5 * np.isinf(lines), lines).reshape(2, -1)
+    (A1, A0), (B1, B0) = (a[..., :lines.shape[-1] + 1].reshape(2, -1) for a in (A, B))
+    X, Y = lines[0, :, :KX] ** -0.5, np.sqrt(lines[1, :, :KY])  # cell: [X, Xhi] x [Y, Yhi]
+    Xhi = np.concatenate([np.full((C, 1), np.inf), X[:, :-1]], axis=1)
+    y, yhi = Y[:, None], np.concatenate([Y[:, 1:], np.full((C, 1), np.inf)], axis=1)[:, None]
+    (b1, b0), (b1l, b0l) = B[:, :, None, 1:KY + 1], B[:, :, None, :KY]  # B[l + 1], B[l]
+    tot, w0c = T.sum(axis=-1)[:, None, None], w0[:, None, None]
+    col_ok = np.arange(KY) < nY[:, None, None]
+    # per circle: F, key, X, Y, w, lines it sits on; from the unit pair's corner
+    best = np.array([np.full(C, np.inf), np.zeros(C), np.ones(C), np.ones(C), w0, np.full(C, 2.0)])
+    rows = max(1, _BLOCK // (C * KY))
+    for i0 in range(0, KX, rows):
+        i1 = min(i0 + rows, KX)
+        x, xhi = X[:, i0:i1, None], Xhi[:, i0:i1, None]
+        (a1, a0), (a1n, a0n) = A[:, :, i0:i1, None], A[:, :, i0 + 1:i1 + 1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # padded cells
+            r = np.sqrt(a1 / b1)
+            w = np.sqrt(x * y)
+            side = np.array([x * r, y / r, xhi * r, yhi / r])  # where a cell root clips
+            lo = np.array([w, w, np.maximum(side[0], side[1])])
+            top = np.minimum(np.array(
+                [np.sqrt(x * yhi), np.sqrt(xhi * y), np.minimum(side[2], side[3])]), w0c)
+            target = np.array([
+                (tot + a1n * x - a0n - b0) * x / b1,
+                (tot + b1l * y - b0l - a0) * y / a1,
+                (tot - a0 - b0) / (2.0 * np.sqrt(a1 * b1)),
+            ])
+            scale = np.empty((3, *r.shape))
+            scale[0], scale[1], scale[2] = x, 1.0 / y, 1.0 / r
+            # start near the root: (pi/2 - 1) w^3 <= h(w) <= (2/3) w^3 and
+            # w^2 <= e(w) <= w^2 + (4/3) w^4 on [0, 1]
+            t = np.abs(target)
+            v = np.where(_EDGE, np.sqrt(2.0 * t / (1.0 + np.sqrt(1.0 + 16.0 / 3.0 * t))),
+                         np.cbrt(t / (math.pi / 2.0 - 1.0)))
+            for _ in range(_NEWTON_STEPS):
+                v = np.minimum(np.maximum(v, lo), top)
+                at = np.arctan(v)
+                q = (1.0 + v * v) * at
+                g = np.where(_EDGE, 2.0 * v * q - v * v, q - v) - target
+                v -= g / np.where(_EDGE, 2.0 * (1.0 + 3.0 * v * v) * at, 2.0 * v * at)
+            v = np.minimum(np.maximum(v, lo), top)
+            # a full exponent array: with a broadcast one, numpy's power
+            # switches to a differently rounded loop past 4096 elements
+            xs = scale * v ** np.broadcast_to(_X_POWER, v.shape).copy()
+            ys = v * v / xs
+            i = np.searchsorted(KM, _keys(circle, xs**-2.0)) + circle
+            l = np.searchsorted(Km, _keys(circle, ys * ys), side="right") + circle
+            f = (tot + A1[i] * xs - A0[i] + B1[l] * ys - B0[l]) / (8.0 * np.arctan(v))
+        f = np.where((np.arange(i0, i1)[:, None] < nX[:, None, None]) & col_ok, f, np.inf)
+        # each circle's first smallest F in the block, in (kind, row, column) order
+        kind, lr, lc = np.unravel_index(f.swapaxes(0, 1).reshape(C, -1).argmin(axis=1),
+                                        (3, i1 - i0, KY))
+        pick = (kind, np.arange(C), lr, lc)
+        fk, xk, yk, vk, lok, topk = (a[pick] for a in (f, xs, ys, v, lo, top))
+        # grid lines the point sits on, to rounding: an edge's ends are
+        # vertices; a cell's root clipped onto a side or corner is on 1 or 2
+        ends = np.where(kind < 2, [lok, topk, np.nan * vk, np.nan * vk], side[:, pick[1], lr, lc])
+        on = (kind < 2) + np.count_nonzero(np.abs(ends - vk) <= 1e-12 * vk, axis=0)
+        row = np.array([fk, (kind * KX + i0 + lr) * KY + lc, xk, yk, vk, on])
+        won = (fk < best[0]) | ((fk == best[0]) & (row[1] < best[1]))
+        best[:, won] = row[:, won]
+    f_best, _, xs, ys, v, on = best
+    where = np.where(v >= w0, "boundary",
+                     np.array(["interior", "edge", "vertex"])[np.minimum(on, 2).astype(int)])
+    # the window's ends through libm pow, one circle at a time, like w0
+    found = f_best < np.inf
+    M = np.where(found, [x**-2.0 for x in xs], dmax.max(axis=-1))
+    m = np.where(found, [y**2 for y in ys], dmin.min(axis=-1))
+    p = np.minimum(np.maximum(1.0, dmax / M[:, None]), dmin / m[:, None])
+    phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
+    value = _arc_value(data, phi, psi)
+    kept = ~(value < unit * (1.0 - _TIE))  # True for a NaN value too
+    value = np.where(kept, unit, value)
+    phi[kept], psi[kept], where[kept] = 1.0, 1.0, "constant"
+    return value, phi, psi, 3 * nX * nY, where, np.abs(f_best - value) / value
 
 def arc_reduce_loop(data):
     """Per-arc integral of I and extrema of D on a batch of one circle, one
@@ -305,25 +437,43 @@ def test_gap_reduction_matches_arc_loop_on_smooth_origin_data():
         assert np.array_equal(data.arc_dmin[0], dmin) and np.array_equal(data.arc_dmax[0], dmax)
 
 
-arc_sets = st.lists(
-    st.tuples(
-        st.floats(0.01, 10.0),  # T
-        st.floats(-3.0, 3.0),  # log dmin
-        st.sampled_from([0.0, 0.01, 0.3, 3.0]),  # spread scale; 0 gives dmin = dmax
-        st.floats(0.0, 1.0),
-    ),
-    min_size=1,
-    max_size=40,
+arc_rows = st.tuples(
+    st.floats(0.01, 10.0),  # T
+    st.floats(-3.0, 3.0),  # log dmin
+    st.sampled_from([0.0, 0.01, 0.3, 3.0]),  # spread scale; 0 gives dmin = dmax
+    st.floats(0.0, 1.0),
 )
+arc_sets = st.lists(arc_rows, min_size=1, max_size=40)
+# 2 to 8 circles of one arc count, as the circles of one grid are
+arc_batches = st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(arc_rows, min_size=n, max_size=n), min_size=2, max_size=8))
+
+
+def _columns(rows):
+    """(T, dmin, dmax) of arc_sets rows."""
+    T, log_lo, scale, frac = (np.array(col) for col in zip(*rows))
+    dmin = np.exp(log_lo)
+    return T, dmin, dmin * np.exp(scale * frac)
+
+
+def assert_matches_grid(data):
+    """The solve of a batch against grid_solve: per circle the same value to
+    1e-12 relative either way, the exact value of its weights, and 4n - 1
+    staircase pieces scored."""
+    unit = _unit_value(data)
+    value, phi, psi, evals, *_ = _solve_weights(data, unit)
+    reference = grid_solve(data, unit)[0]
+    assert np.all(np.abs(value - reference) <= 1e-12 * reference), (value, reference)
+    assert np.array_equal(value, _arc_value(data, phi, psi))
+    assert np.all(evals == 4 * data.arc_integrals.shape[1] - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=arc_sets, c=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_window_solve_properties(rows, c, seed):
-    T, log_lo, scale, frac = (np.array(col) for col in zip(*rows))
-    dmin = np.exp(log_lo)
-    dmax = dmin * np.exp(scale * frac)
+    T, dmin, dmax = _columns(rows)
     data = arcs(T, dmin, dmax)
+    assert_matches_grid(data)
     value, phi, psi, *_ = solve(data)
     assert value == arc_value(data, phi, psi)
     assert value <= slsqp_reference(data)[0] * (1.0 + 1e-12)
@@ -333,6 +483,36 @@ def test_window_solve_properties(rows, c, seed):
     permuted = solve(arcs(T[perm], dmin[perm], dmax[perm]))[0]
     assert permuted == pytest.approx(value, rel=1e-12, abs=0.0)
 
+
+
+def test_solve_matches_grid_solve_on_corpus(corpus):
+    for data, _ in corpus:
+        assert_matches_grid(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=arc_batches)
+def test_batch_rows_equal_one_circle_solves(batch):
+    T, dmin, dmax = (np.array(col) for col in zip(*map(_columns, batch)))
+    data = _CircleBatch((None,) * len(batch), None, None, T, dmin, dmax)
+    assert_matches_grid(data)
+    rows = _solve_weights(data, _unit_value(data))
+    for r in range(len(batch)):
+        one = arcs(T[r], dmin[r], dmax[r])
+        for got, alone in zip(rows, _solve_weights(one, _unit_value(one))):
+            assert np.array_equal(got[r], alone[0]), r
+
+
+@pytest.mark.parametrize("T, dmin, dmax", [
+    ([1, 2, 3], [1, 4, 9], [1, 4, 9]),  # dmin = dmax
+    ([1, 2, 1, 3], [1, 1, 2, 2], [3, 3, 5, 5]),  # repeated lines on both sides
+    ([1, 1, 1, 1], [2, 2, 2, 2], [2, 2, 2, 2]),  # one line per side, D constant
+    ([2], [1], [3]),  # a single arc
+    ([1, 1, 1], [1e-20, 1, 1e3], [1e-20, 1, 1e3]),  # min dmin / max dmax = 1e-23
+    ([1, 2, 1], [1e-20, 1, 1e2], [1e-19, 3, 1e3]),  # the same with spreads
+])
+def test_solve_matches_grid_solve_on_degenerate_sets(T, dmin, dmax):
+    assert_matches_grid(arcs(T, dmin, dmax))
 
 def test_weight_pieces_change_nothing_on_piecewise_data():
     # the optimal weights are constant on each coefficient arc, so subdividing
@@ -366,8 +546,8 @@ def test_thousand_arc_circle_memory():
 
 
 def test_thousand_arc_sweep_memory():
-    # the bound above holds for a batch of 8 such circles: a block spans every
-    # circle's rows and holds no more cells than one circle's block
+    # the bound above holds for a batch of 8 such circles, each solved on its
+    # own 4n - 1 staircase pieces
     nodes, pieces = 4096, 1024
     grid = AngularGrid.uniform(nodes)
     th = grid.nodes
