@@ -42,6 +42,11 @@ _EXIT_SPEC = 2
 _EXIT_ELLIPTICITY = 3
 _EXIT_VERIFY = 4
 
+# the CSV columns of a sweep, whichever of its points fail
+_SWEEP_COLUMNS = ("M", "tau", "c", "d", "alpha_target", "beta", "beta_rel_gap", "corollary",
+                  "corollary_slack", "classical", "classical_slack", "mu0_max", "nu0_max",
+                  "status")
+
 
 class SpecError(ValueError):
     """Invalid job description (bad flags, config, or coefficient file)."""
@@ -303,13 +308,12 @@ def _emit(payload, spec: JobSpec) -> None:
     payload = _jsonable(payload)
     if spec.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif isinstance(payload, list):
+    elif isinstance(payload, list):  # sweep rows; a failed point leaves its numbers empty
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        keys = list(payload[0]) if payload else []
-        w.writerow(keys)
+        w.writerow(_SWEEP_COLUMNS)
         for row in payload:
-            w.writerow([_format_value(row.get(k)) for k in keys])
+            w.writerow([_format_value(row[k]) if k in row else "" for k in _SWEEP_COLUMNS])
         text = buf.getvalue()
     else:
         buf = io.StringIO()

@@ -22,12 +22,24 @@ batched Newton solve minimise the value on each piece (see _solve_weights),
 and the value of the returned weights is recomputed exactly.  Any window
 gives a valid bound; the best one gives the least.
 
+The sup runs over the sweep's circles only, so a bound speaks for the
+exponent those circles see.  SweepConfig.origin takes origin-centred
+circles; on angular data their value does not depend on the radius, and
+the bound is one on the exponent at the origin.  SweepConfig.disk_lattice
+(41 circles by default: the origin circle and 40 off-centre ones in the
+unit disk) bounds the worst exponent over the disk as far as its lattice
+resolves it.  The two differ: over 40 random piecewise pairs (2-6 arcs, 512
+nodes), the worst lattice circle's value exceeds the origin circle's by a
+median of 6.8 % and by up to 40 %.  The source paper is arXiv math/0612438;
+the theorem that fixes its circles is not cited until its text is at hand.
+
 Weights are constant on arcs: the coefficient breakpoints merged with
 SweepConfig.weight_pieces uniform arcs.  One reduction, _arc_reduce, turns I
 and D into per-arc integrals and extrema over node gaps for
 piecewise-constant and smooth data alike; the kinds differ only in a gap's
 right-end value (periodic_fields.gap_right_values).  The reduction is exact
 for piecewise-constant data and trapezoid-accurate for smooth data.
+_arc_value scores per-arc weights on it and is the one formula of the value.
 
 A sweep makes one pass per grid: the circles of one resolution, origin-centred
 or not, are restricted, reduced and solved together (_restrictions), each
@@ -43,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic_fields import (
-    SMOOTH,
     TWO_PI,
     AngularGrid,
     CircleSpec,
@@ -64,9 +75,6 @@ __all__ = [
     "WeightPair",
     "SweepConfig",
     "ExponentReport",
-    "circle_integrand",
-    "weighted_objective",
-    "remark_weights",
     "classical_bound",
     "beta_estimate",
     "gamma_estimate",
@@ -123,7 +131,9 @@ class SweepConfig:
 
     @classmethod
     def origin(cls, radius: float = 0.5, resolution: int = 2048, **kw) -> "SweepConfig":
-        """Single origin-centered circle; enough for purely angular data."""
+        """Single origin-centered circle.  On angular data its value does not
+        depend on the radius, and the bound is one on the exponent at the
+        origin, not on the worst one over the disk (see disk_lattice)."""
         return cls(circles=(CircleSpec(0.0, radius, resolution=resolution),), **kw)
 
     @classmethod
@@ -231,11 +241,6 @@ def _remark_weights(I: PeriodicField, D: PeriodicField):
     return iv * sq, sq / iv
 
 
-def _remark_pair(I: PeriodicField, D: PeriodicField) -> WeightPair:
-    phi, psi = _remark_weights(I, D)
-    return WeightPair(PeriodicField(I.grid, phi, I.kind), PeriodicField(I.grid, psi, I.kind))
-
-
 _NEWTON_STEPS = 3
 # a window or the remark pair must beat the unit pair by _TIE: where they
 # coincide with it (at a window's corner, or I and D constant on a circle)
@@ -291,7 +296,7 @@ def _solve_weights(data: _CircleBatch, unit):
     S1, S0 = np.cumsum([t / L, t], axis=-1)
     # a side reaches line k at lam = L_k S1_{k-1} and leaves it at L_k S1_k:
     # its 2n events are in order under rounding, so a stable merge keeps it
-    S1_ =np.concatenate([np.zeros((2, C, 1)), S1], axis=-1)
+    S1_ = np.concatenate([np.zeros((2, C, 1)), S1], axis=-1)
     events = np.concatenate(L.repeat(2, axis=-1) * S1_.repeat(2, axis=-1)[..., 1:-1], axis=-1)
     by_lam = events.argsort(axis=-1, kind="stable")
     lam = events[rows, by_lam]
@@ -419,8 +424,8 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
     if row["family"] == "constant":
         weights = WeightPair.constant(grid)
     elif row["family"] == "remark":
-        weights = _remark_pair(*(PeriodicField(grid, f.values[r], f.kind)
-                                 for f in (data.integrand, data.det_ratio)))
+        weights = WeightPair(*(PeriodicField(grid, w[r], data.integrand.kind)
+                               for w in _remark_weights(data.integrand, data.det_ratio)))
     else:
         weights = WeightPair(PeriodicField.piecewise(grid, phi),
                              PeriodicField.piecewise(grid, psi))
@@ -510,32 +515,3 @@ def classical_bound(pair: BeltramiPair) -> float:
     is sampled on a fixed 12 x 96 polar lattice, so the bound can be optimistic.
     """
     return (1.0 - pair.kappa) / (1.0 + pair.kappa)
-
-
-def remark_weights(on: MatrixOnCircles) -> WeightPair:
-    """Closed-form weight pair making the arctan term exactly 1.
-
-    phi = I sqrt(D) = nAn and psi = sqrt(D)/I = det/nAn; their product is the
-    det ratio, and the weighted integrand is identically 1, leaving
-    sqrt(sup phi / inf psi) <= sup of the distortion.
-    """
-    return _remark_pair(*_matrix_fields(on))
-
-
-def circle_integrand(on: MatrixOnCircles, weights: WeightPair) -> PeriodicField:
-    """sqrt(psi/phi) times the coefficient integrand, per node."""
-    I, _ = _matrix_fields(on)
-    w = np.sqrt(weights.psi.values.real / weights.phi.values.real)
-    return PeriodicField(on.grid, w * I.values, SMOOTH)
-
-
-def weighted_objective(on: MatrixOnCircles, weights: WeightPair) -> float:
-    """Node-level objective for explicit weights on one circle's restriction;
-    extrema and means are taken over the sampled nodes."""
-    I, D = _matrix_fields(on)
-    phi = weights.phi.values.real
-    psi = weights.psi.values.real
-    mean = periodic_mean(PeriodicField(on.grid, np.sqrt(psi / phi) * I.values, I.kind)).item()
-    prod = D.values / (phi * psi)
-    ratio = np.min(prod) / np.max(prod)
-    return math.sqrt(np.max(phi) / np.min(psi)) * mean / _arctan_term(np.array([ratio]))[0]

@@ -169,10 +169,6 @@ class PeriodicField:
         return cls(grid, np.full(grid.node_count, value), PIECEWISE)
 
     @classmethod
-    def from_callable(cls, grid: AngularGrid, fn, kind: str = SMOOTH) -> "PeriodicField":
-        return cls(grid, np.asarray(fn(grid.nodes)), kind)
-
-    @classmethod
     def piecewise(cls, grid: AngularGrid, piece_values) -> "PeriodicField":
         """One constant per breakpoint segment, expanded to node samples."""
         piece_values = np.asarray(piece_values)
@@ -180,8 +176,8 @@ class PeriodicField:
             raise ValueError(
                 f"expected {grid.breakpoints.size} piece values, got {piece_values.shape}"
             )
-        seg = grid.segment_of(grid.nodes)
-        return cls(grid, piece_values[seg], PIECEWISE)
+        counts = np.diff(grid.segment_starts, append=grid.node_count)
+        return cls(grid, np.repeat(piece_values, counts), PIECEWISE)
 
     @property
     def is_real(self) -> bool:

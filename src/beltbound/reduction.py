@@ -230,10 +230,6 @@ class CoefficientMatrixField:
         return cls(entries_fn, symmetric=(vals[1] == vals[2]), eig_bounds=(lo, hi))
 
     @classmethod
-    def identity(cls) -> "CoefficientMatrixField":
-        return cls.constant(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def from_angular_k(cls, k: KProfile) -> "CoefficientMatrixField":
         """R(theta) diag(k1, k2) R(theta)^T as a planar field."""
 

@@ -8,16 +8,17 @@ import math
 import time
 
 import numpy as np
+from helpers import node_gap_batch
 
 from beltbound.estimator import (
     SweepConfig,
-    WeightPair,
+    _arc_value,
     beta_estimate,
     classical_bound,
     corollary_bound,
     mu_zero_bound,
 )
-from beltbound.periodic_fields import TWO_PI, CircleSpec, PeriodicField
+from beltbound.periodic_fields import TWO_PI, CircleSpec
 from beltbound.reduction import (
     BeltramiPair,
     beltrami_to_matrices,
@@ -144,22 +145,11 @@ def test_criterion_5_reduction_identities(capsys):
         bt = np.array(red.B_tilde.entries(z)).reshape(2, 2)
         det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
         worst_tilde = max(worst_tilde, float(np.max(np.abs(bt - b / det))))
-        on_a = red.B.on_circle(circle)
-        on_h = normalize_matrix(red.B).on_circle(circle)
-        g = on_a.nAn.grid
-        w = np.exp(rng.normal(0.0, 0.3, (2, g.node_count)))
-        from beltbound.estimator import weighted_objective
-
-        v1 = weighted_objective(
-            on_a,
-            WeightPair(PeriodicField(g, w[0], on_a.nAn.kind),
-                       PeriodicField(g, w[1], on_a.nAn.kind)),
-        )
-        v2 = weighted_objective(
-            on_h,
-            WeightPair(PeriodicField(g, 1.0 / w[1], on_a.nAn.kind),
-                       PeriodicField(g, 1.0 / w[0], on_a.nAn.kind)),
-        )
+        data_a = node_gap_batch(red.B.on_circle(circle))
+        data_h = node_gap_batch(normalize_matrix(red.B).on_circle(circle))
+        w = np.exp(rng.normal(0.0, 0.3, (2, data_a.arc_integrals.shape[-1])))
+        v1 = _arc_value(data_a, w[0], w[1])[0]
+        v2 = _arc_value(data_h, 1.0 / w[1], 1.0 / w[0])[0]
         worst_gamma = max(worst_gamma, abs(v1 - v2) / max(1.0, abs(v1)))
     dt = time.perf_counter() - t0
     ok = worst_rt < 1e-12 and worst_tilde < 1e-12 and worst_gamma < 1e-12 and dt < 5.0

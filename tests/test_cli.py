@@ -100,6 +100,24 @@ def test_sweep_survives_bad_row(capsys):
     assert any(s == "ok" for s in statuses)
 
 
+def test_sweep_csv_columns_do_not_depend_on_failed_points(capsys):
+    # M = 0.5 fails; whichever point comes first, the header holds every
+    # column of a good row, and the failed row leaves its numbers empty
+    code, doc = run_json(capsys, ["--command", "sweep", "--M", "2", "--tau", "0"] + FAST)
+    assert code == 0
+    columns = list(doc[0])
+    for ms in ("0.5,2", "2,0.5"):
+        argv = ["--command", "sweep", "--M", ms, "--tau", "0", "--format", "csv"] + FAST
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0].split(",") == columns, ms
+        rows = {float(r["M"]): r for r in csv.DictReader(io.StringIO(text))}
+        assert rows[2.0]["status"] == "ok"
+        assert float(rows[2.0]["beta"]) == doc[0]["beta"]
+        assert rows[0.5]["status"].startswith("error")
+        assert all(rows[0.5][k] == "" for k in columns if k not in ("M", "tau", "status"))
+
+
 def test_determinism(capsys):
     argv = ["--command", "estimate", "--M", "1.5", "--tau", "0.5"] + FAST
     run(argv)

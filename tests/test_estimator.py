@@ -2,21 +2,22 @@
 
 import numpy as np
 import pytest
+from helpers import node_gap_batch
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_angular_pair as criterion_6_pair
 
 from beltbound.estimator import (
     SweepConfig,
+    _arc_value,
+    _matrix_fields,
+    _remark_weights,
     beta_estimate,
-    circle_integrand,
     classical_bound,
     corollary_bound,
     gamma_estimate,
     mu_zero_bound,
     nu_zero_bound,
-    remark_weights,
-    weighted_objective,
 )
 from beltbound.periodic_fields import (
     SMOOTH,
@@ -24,7 +25,6 @@ from beltbound.periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
-    field_extrema,
 )
 from beltbound.reduction import (
     BeltramiPair,
@@ -160,41 +160,28 @@ def test_remark_weights_contract():
     rng = np.random.default_rng(37)
     for _ in range(20):
         pair = random_angular_pair(rng)
-        on = pair.on_circle(CircleSpec(0.0, 0.5, resolution=512))
-        w = remark_weights(on)
-        (phi_lo, phi_hi), (psi_lo, psi_hi) = field_extrema(w.phi), field_extrema(w.psi)
-        assert phi_lo > 0 and psi_lo > 0
+        I, D = _matrix_fields(pair.on_circle(CircleSpec(0.0, 0.5, resolution=512)))
+        phi, psi = _remark_weights(I, D)
+        assert phi.min() > 0 and psi.min() > 0
         K = pair.distortion_bound()
-        assert phi_hi / psi_lo <= K**2 + 1e-10
+        assert phi.max() / psi.min() <= K**2 + 1e-10
         # the remark integrand is identically one: quadrature-free value
-        integ = circle_integrand(on, w)
-        assert np.max(np.abs(integ.values - 1.0)) < 1e-12
+        assert np.max(np.abs(np.sqrt(psi / phi) * I.values - 1.0)) < 1e-12
 
 
 def test_objective_equal_for_normalized_matrix():
+    # gamma(A) = gamma(A/det A) per weight pair: (phi, psi) on A scores as
+    # (1/psi, 1/phi) on A/det A, here with random weights on every node gap
     rng = np.random.default_rng(41)
     for _ in range(20):
         pair = random_angular_pair(rng)
         m = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
-        mh = normalize_matrix(m)
         circle = CircleSpec(0.0, 0.6, resolution=512)
-        on_a = m.on_circle(circle)
-        on_h = mh.on_circle(circle)
-        rngw = np.random.default_rng(17)
-        g = on_a.nAn.grid
-        w = np.exp(rngw.normal(0.0, 0.3, (2, g.node_count)))
-        from beltbound.estimator import WeightPair
-
-        wp = WeightPair(
-            PeriodicField(g, w[0], on_a.nAn.kind),
-            PeriodicField(g, w[1], on_a.nAn.kind),
-        )
-        wp_swapped = WeightPair(
-            PeriodicField(g, 1.0 / w[1], on_a.nAn.kind),
-            PeriodicField(g, 1.0 / w[0], on_a.nAn.kind),
-        )
-        v1 = weighted_objective(on_a, wp)
-        v2 = weighted_objective(on_h, wp_swapped)
+        data_a = node_gap_batch(m.on_circle(circle))
+        data_h = node_gap_batch(normalize_matrix(m).on_circle(circle))
+        w = np.exp(np.random.default_rng(17).normal(0.0, 0.3, (2, data_a.arc_integrals.shape[-1])))
+        v1 = _arc_value(data_a, w[0], w[1])[0]
+        v2 = _arc_value(data_h, 1.0 / w[1], 1.0 / w[0])[0]
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import field_from_callable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +106,22 @@ def test_piecewise_field_values_and_eval():
     assert f.eval_at(TWO_PI - 1e-9) == 4.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(node_count=st.integers(4, 2048),
+       breakpoints=st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), max_size=24),
+       seed=st.integers(0, 2**32 - 1))
+def test_piecewise_expansion_equals_segment_lookup(node_count, breakpoints, seed):
+    # repeating each piece over its segment's nodes is the segment lookup of
+    # every node, bitwise, on uniform and breakpoint grids alike
+    try:
+        g = AngularGrid.with_breakpoints(node_count, breakpoints)
+    except ValueError:  # too few nodes for the breakpoints
+        g = AngularGrid.uniform(node_count)
+    pieces = np.random.default_rng(seed).normal(size=g.breakpoints.size)
+    f = PeriodicField.piecewise(g, pieces)
+    assert np.array_equal(f.values, pieces[g.segment_of(g.nodes)])
+
+
 def test_piecewise_wrong_count_raises():
     g = AngularGrid.with_breakpoints(32, [0.0, np.pi])
     with pytest.raises(ValueError):
@@ -113,7 +130,7 @@ def test_piecewise_wrong_count_raises():
 
 def test_smooth_field_eval_interpolates():
     g = AngularGrid.uniform(512)
-    f = PeriodicField.from_callable(g, np.cos)
+    f = field_from_callable(g, np.cos)
     t = np.linspace(0.0, TWO_PI, 101)
     assert np.max(np.abs(f.eval_at(t) - np.cos(t))) < 2e-5
 
@@ -121,7 +138,7 @@ def test_smooth_field_eval_interpolates():
 def test_quadrature_smooth_trig_identity():
     # trapezoid on uniform nodes is spectrally exact for low harmonics
     g = AngularGrid.uniform(64)
-    f = PeriodicField.from_callable(g, lambda t: 2.0 + np.cos(3 * t) ** 2)
+    f = field_from_callable(g, lambda t: 2.0 + np.cos(3 * t) ** 2)
     total = periodic_quadrature(f)
     assert abs(total - TWO_PI * 2.5) < 1e-12
 

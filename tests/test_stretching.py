@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import field_from_callable
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -333,8 +334,8 @@ def test_sl_weak_residuals_smooth_converges():
     for n in (128, 256, 512):
         g = AngularGrid.uniform(n)
         k = KProfile(
-            PeriodicField.from_callable(g, lambda t: 1.5 + 0.4 * np.cos(t)),
-            PeriodicField.from_callable(g, lambda t: 1.0 / (1.5 + 0.4 * np.cos(t))),
+            field_from_callable(g, lambda t: 1.5 + 0.4 * np.cos(t)),
+            field_from_callable(g, lambda t: 1.0 / (1.5 + 0.4 * np.cos(t))),
         )
         s = solve_system(k, 0.7)
         _, rel = sl_weak_residuals(k, s, component=1)

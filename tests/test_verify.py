@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import identity_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,7 +140,7 @@ def test_too_coarse_grid_raises():
 
 def test_weak_form_linear_function_roundoff():
     g = PolarGrid.annulus(radius_count=12, node_count=96)
-    rep = weak_form_residual(lambda z: np.real(z), CoefficientMatrixField.identity(), g)
+    rep = weak_form_residual(lambda z: np.real(z), identity_matrix(), g)
     assert rep.max_residual < 1e-12
 
 
@@ -148,7 +149,7 @@ def test_weak_form_harmonic_converges():
     # mesh and sit at roundoff already; exp gives a generic harmonic.
     g = PolarGrid.annulus(radius_count=10, node_count=64)
     rep = weak_form_residual(
-        lambda z: np.real(np.exp(z)), CoefficientMatrixField.identity(), g, refinements=2
+        lambda z: np.real(np.exp(z)), identity_matrix(), g, refinements=2
     )
     assert rep.slope is not None and rep.slope >= 1.0
 
@@ -156,7 +157,7 @@ def test_weak_form_harmonic_converges():
 def test_weak_form_self_similar_mode_roundoff():
     g = PolarGrid.annulus(radius_count=10, node_count=64)
     rep = weak_form_residual(
-        lambda z: np.log(np.abs(z)), CoefficientMatrixField.identity(), g
+        lambda z: np.log(np.abs(z)), identity_matrix(), g
     )
     assert rep.max_residual < 1e-12
 
@@ -358,7 +359,7 @@ def test_weak_vector_matches_reference_on_plain_fields():
     # no breakpoints: a uniform angular grid
     g = PolarGrid.annulus(r_min=0.3, r_max=0.9, radius_count=9, node_count=80)
     harmonic = lambda z: np.real(np.exp(z))
-    assert_matches_reference(harmonic, CoefficientMatrixField.identity(), g)
+    assert_matches_reference(harmonic, identity_matrix(), g)
     field = CoefficientMatrixField.from_callables(
         lambda z: (2.0 + np.real(z), 0.3 * np.imag(z), 0.3 * np.imag(z) - 0.1, 1.5 + np.abs(z) ** 2)
     )
@@ -382,7 +383,7 @@ def test_weak_vector_matches_reference_across_ring_blocks():
 
 def test_weak_vector_evaluates_field_once():
     calls = []
-    identity = CoefficientMatrixField.identity()
+    identity = identity_matrix()
 
     def entries_fn(z):
         calls.append(np.shape(z))

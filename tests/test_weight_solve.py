@@ -58,38 +58,46 @@ STATUSES = {"interior", "edge", "vertex", "boundary", "constant"}
 
 
 def descend(data, rng, multistarts=8, sweeps=40):
-    """Coordinate descent in log-weights, multiplicative steps, multistarts."""
+    """Coordinate descent in log-weights, multiplicative steps, multistarts.
+
+    The starts run in lockstep, one row each, and each trial step is one
+    batched _arc_value call.  Every row keeps its own accept/reject path and
+    step size, and a row's values do not depend on its batch, so each row
+    runs as its start would alone."""
     n = data.arc_integrals.size
-    best_val = math.inf
-    best_x = np.zeros(2 * n)
+    x = np.array([np.zeros(2 * n)] + [rng.normal(0.0, 0.35, 2 * n)
+                                      for _ in range(max(0, multistarts - 1))])
 
     def value_of(x):
-        return arc_value(data, np.exp(x[:n]), np.exp(x[n:]))
+        return _arc_value(data, np.exp(x[:, :n]), np.exp(x[:, n:]))
 
-    starts = [np.zeros(2 * n)]
-    for _ in range(max(0, multistarts - 1)):
-        starts.append(rng.normal(0.0, 0.35, 2 * n))
-    for x in starts:
-        x = x.copy()
-        v = value_of(x)
-        step = 0.7
-        for _ in range(sweeps):
-            improved = False
-            for i in range(2 * n):
-                for sgn in (1.0, -1.0):
-                    x[i] += sgn * step
-                    trial = value_of(x)
-                    if trial < v:
-                        v = trial
-                        improved = True
-                        break
-                    x[i] -= sgn * step
-            if not improved:
-                step *= 0.5
-                if step < 1e-7:
+    v = value_of(x)
+    step = np.full(len(x), 0.7)
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(sweeps):
+        improved = np.zeros(len(x), dtype=bool)
+        for i in range(2 * n):
+            todo = live.copy()  # rows still trying coordinate i
+            for sgn in (1.0, -1.0):
+                if not todo.any():
                     break
-        if v < best_val:
-            best_val, best_x = v, x
+                trial_x = x.copy()
+                trial_x[:, i] += sgn * step
+                trial = value_of(trial_x)
+                accept = todo & (trial < v)
+                x[accept, i], v[accept] = trial_x[accept, i], trial[accept]
+                improved |= accept
+                todo &= ~accept
+                x[todo, i] = trial_x[todo, i] - sgn * step[todo]  # undone as a lone run would
+        stalled = live & ~improved
+        step[stalled] *= 0.5
+        live &= ~(stalled & (step < 1e-7))
+        if not live.any():
+            break
+    best_val, best_x = math.inf, np.zeros(2 * n)
+    for row_v, row_x in zip(v.tolist(), x):
+        if row_v < best_val:
+            best_val, best_x = row_v, row_x
     return best_val, np.exp(best_x[:n]), np.exp(best_x[n:])
 
 
