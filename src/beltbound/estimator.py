@@ -42,13 +42,21 @@ for piecewise-constant data and trapezoid-accurate for smooth data.
 _arc_value scores per-arc weights on it and is the one formula of the value.
 
 A sweep makes one pass per grid: the circles of one resolution, origin-centred
-or not, are restricted, reduced and solved together (_restrictions), each
+or not, are restricted, reduced and solved together (_reduced), each
 circle's row as it would be alone.  A grid with more than _PASS_POINTS sample
 points takes several passes, made one at a time.
+
+The bounds of one (source, sweep) share one reduction: the reduced pass of
+the last one-pass sweep is kept, keyed on the source's identity, the circles
+and weight_pieces (_reduced_pass), so corollary_bound after beta_estimate on
+the same pair and config restricts nothing.  Sources are therefore treated
+as immutable: editing a pair's or a field's arrays in place after an
+estimate can return stale results.  A sweep of several passes keeps none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -377,24 +385,55 @@ def _matrix_fields(on: MatrixOnCircles):
 _PASS_POINTS = 1 << 16
 
 
-def _restrictions(source, circles, extra_breakpoints=None):
-    """(positions in circles, source.on_circles) per pass, lazily: the circles
-    of one grid, at most _PASS_POINTS sample points at a time."""
+def _passes(circles):
+    """Positions in circles per pass: the circles of one grid, at most
+    _PASS_POINTS sample points at a time."""
     groups = {}
     for k, c in enumerate(circles):
         groups.setdefault((c.resolution, c.origin_centered), []).append(k)
+    passes = []
     for (resolution, _), idx in groups.items():
         size = max(1, _PASS_POINTS // resolution)
-        for part in (idx[i:i + size] for i in range(0, len(idx), size)):
-            yield part, source.on_circles([circles[k] for k in part], extra_breakpoints)
+        passes += [idx[i:i + size] for i in range(0, len(idx), size)]
+    return passes
+
+
+def _restrictions(source, circles):
+    """source.on_circles per pass, lazily."""
+    for idx in _passes(circles):
+        yield source.on_circles([circles[k] for k in idx])
+
+
+@functools.lru_cache(maxsize=1)
+def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
+    """Restrict source to circles of one grid, weight-arc boundaries as extra
+    breakpoints, and reduce the restriction's (I, D) to arcs.  The batch's
+    arrays are read-only: the cache hands the same batch to every bound."""
+    arcs = TWO_PI * np.arange(weight_pieces) / weight_pieces
+    on = source.on_circles(circles, arcs)
+    data = _arc_reduce(on.circles, *_matrix_fields(on))
+    grid = data.integrand.grid
+    for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
+              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
+        a.flags.writeable = False
+    return data
 
 
 def _reduced(source, cfg: SweepConfig):
-    """Restrict source to the sweep circles, weight-arc boundaries as extra
-    breakpoints, and reduce the restriction's (I, D) to arcs, per pass."""
-    arcs = TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
-    return ((idx, _arc_reduce(on.circles, *_matrix_fields(on)))
-            for idx, on in _restrictions(source, cfg.circles, arcs))
+    """(positions in cfg.circles, reduced pass) per pass, lazily.  A sweep of
+    one pass and at most _PASS_POINTS points keeps its pass in _reduced_pass's
+    cache (one entry, keyed on the source's identity, the circles and
+    weight_pieces), so the bounds of one (source, sweep) share it.  A longer
+    sweep empties the cache and reduces each pass afresh."""
+    circles = tuple(cfg.circles)
+    passes = _passes(circles)
+    if len(passes) == 1 and sum(c.resolution for c in circles) <= _PASS_POINTS:
+        yield passes[0], _reduced_pass(source, circles, cfg.weight_pieces)
+        return
+    _reduced_pass.cache_clear()
+    for idx in passes:
+        yield idx, _reduced_pass.__wrapped__(source, tuple(circles[k] for k in idx),
+                                             cfg.weight_pieces)
 
 
 def _sweep(source, cfg: SweepConfig) -> ExponentReport:
@@ -465,7 +504,9 @@ def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentRepor
 
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate's circles and arc reduction,
-    scored with the constant pair only; equal to its report's corollary."""
+    scored with the constant pair only; equal to its report's corollary.
+    Right after beta_estimate on the same pair and a one-pass config, it
+    reuses that sweep's reduction and restricts nothing."""
     return _bound_of(max(float(_unit_value(d).max()) for _, d in _reduced(_real_nu(pair), cfg)))
 
 
@@ -483,7 +524,7 @@ def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """
     tol = _UNIT_TOL * pair.distortion_bound() ** 2
     sup = 0.0
-    for _, on in _restrictions(_real_nu(pair), cfg.circles):
+    for on in _restrictions(_real_nu(pair), cfg.circles):
         I, D = _matrix_fields(on)
         if np.max(np.abs(D.values - 1.0)) > tol:
             raise ValueError("nu_zero_bound requires nu = 0")
@@ -500,7 +541,7 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     data the origin circle, which sees every value of nu, is the worst.
     """
     worst = 1.0
-    for _, on in _restrictions(_real_nu(pair), cfg.circles):
+    for on in _restrictions(_real_nu(pair), cfg.circles):
         I, D = _matrix_fields(on)
         if np.max(np.abs(I.values - 1.0)) > _UNIT_TOL:
             raise ValueError("mu_zero_bound requires mu = 0")

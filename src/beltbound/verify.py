@@ -273,7 +273,7 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
         d1, d2 = u1 - u0, u2 - u0
         fx = d1 * agx[0][:, ring] + d2 * agx[1][:, ring]
         fy = d1 * agy[0][:, ring] + d2 * agy[1][:, ring]
-        flux_mag = np.hypot(fx, fy)
+        flux_mag = np.sqrt(fx * fx + fy * fy)
         R[i0:i1 + 1] += _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
         S[i0:i1 + 1] += _to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
     return R, S

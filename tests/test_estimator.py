@@ -1,5 +1,7 @@
 """Weighted circle functionals and the exponent bounds they certify."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import node_gap_batch
@@ -7,10 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_angular_pair as criterion_6_pair
 
+from beltbound import estimator
 from beltbound.estimator import (
     SweepConfig,
     _arc_value,
     _matrix_fields,
+    _reduced,
+    _reduced_pass,
     _remark_weights,
     beta_estimate,
     classical_bound,
@@ -487,3 +492,108 @@ def test_beta_of_angular_pair_ignores_origin_circle_radius(seed, smooth, radii):
                                                         weight_pieces=4))
         rows.append((report.sup_value.hex(), dict(report.per_circle[0], radius=None)))
     assert rows[0] == rows[1]
+
+
+# ---------------------------------------------------------------------------
+# the reduction the bounds of one (source, sweep) share
+
+
+def _spy_on_circles(monkeypatch, cls=BeltramiPair):
+    """Record the circle count of every cls.on_circles call."""
+    calls, original = [], cls.on_circles
+
+    def spy(self, circles, extra_breakpoints=None):
+        calls.append(len(circles))
+        return original(self, circles, extra_breakpoints)
+
+    monkeypatch.setattr(cls, "on_circles", spy)
+    return calls
+
+
+def _same_report(a, b):
+    return (a.sup_value.hex() == b.sup_value.hex() and a.per_circle == b.per_circle
+            and np.array_equal(a.attaining_weights.phi.values, b.attaining_weights.phi.values)
+            and np.array_equal(a.attaining_weights.psi.values, b.attaining_weights.psi.values))
+
+
+OFF_CENTRE = SweepConfig(circles=tuple(CircleSpec(0.1 * np.exp(2j * k), 0.5, resolution=128)
+                                       for k in range(3)), weight_pieces=4)
+
+
+@pytest.mark.parametrize("cfg", [CFG, OFF_CENTRE], ids=["origin", "off-centre"])
+def test_corollary_after_beta_restricts_nothing(monkeypatch, cfg):
+    _reduced_pass.cache_clear()
+    calls = _spy_on_circles(monkeypatch)
+    pair = random_angular_pair(np.random.default_rng(41))
+    report = beta_estimate(pair, cfg)
+    corollary = corollary_bound(pair, cfg)
+    again = beta_estimate(pair, cfg)
+    assert calls == [len(cfg.circles)]
+    assert corollary.hex() == report.corollary.hex()
+    assert _same_report(again, report)
+    _reduced_pass.cache_clear()
+    assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
+    _reduced_pass.cache_clear()
+    assert _same_report(beta_estimate(pair, cfg), report)
+    assert len(calls) == 3
+
+
+def test_gamma_estimate_shares_its_field_reduction(monkeypatch):
+    _reduced_pass.cache_clear()
+    calls = _spy_on_circles(monkeypatch, CoefficientMatrixField)
+    m = beltrami_to_matrices(random_angular_pair(np.random.default_rng(42))).B
+    first = gamma_estimate(m, OFF_CENTRE)
+    assert _same_report(gamma_estimate(m, OFF_CENTRE), first)
+    assert calls == [3]
+
+
+def test_shared_reduction_is_keyed_on_the_source_and_sweep(monkeypatch):
+    # an equal pair is another source, and another weight_pieces or resolution
+    # is another sweep: each restricts again and gets its own value
+    calls = _spy_on_circles(monkeypatch)
+    pair = BeltramiPair.from_callables(lambda z: (0.3 * z, 0.2 * np.abs(z) + 0j))
+    twin = BeltramiPair.from_callables(lambda z: (0.3 * z, 0.2 * np.abs(z) + 0j))
+    circle = CircleSpec(0.1 + 0.2j, 0.5, resolution=256)
+    cfg = SweepConfig(circles=(circle,), weight_pieces=4)
+    others = (replace(cfg, weight_pieces=3), replace(cfg, circles=(replace(circle, resolution=512),)))
+    _reduced_pass.cache_clear()
+    base = beta_estimate(pair, cfg)
+    assert _same_report(beta_estimate(twin, cfg), base)
+    assert len(calls) == 2
+    values = []
+    for other in others:
+        got = beta_estimate(pair, other)
+        _reduced_pass.cache_clear()
+        assert _same_report(got, beta_estimate(pair, other))
+        values.append(got.sup_value)
+    assert len(calls) == 6
+    assert len({base.sup_value, *values}) == 3
+
+
+def test_shared_reduction_is_read_only():
+    pair = random_angular_pair(np.random.default_rng(43))
+    beta_estimate(pair, CFG)
+    (_, data), = _reduced(pair, CFG)
+    assert _reduced_pass.cache_info().currsize == 1
+    grid = data.integrand.grid
+    for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
+              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
+        with pytest.raises(ValueError):
+            a[..., 0] = 1.0
+
+
+def test_sweep_longer_than_a_pass_caches_nothing(monkeypatch):
+    # two passes of 128-point circles, or one pass of 512 points, both over a
+    # 256-point pass: each bound restricts again and the cache stays empty
+    monkeypatch.setattr(estimator, "_PASS_POINTS", 256)
+    calls = _spy_on_circles(monkeypatch)
+    pair = random_angular_pair(np.random.default_rng(44))
+    for cfg, passes in ((OFF_CENTRE, [2, 1]), (SweepConfig.origin(resolution=512), [1])):
+        beta_estimate(pair, SweepConfig.origin(resolution=128))
+        assert _reduced_pass.cache_info().currsize == 1
+        del calls[:]
+        report = beta_estimate(pair, cfg)
+        assert _reduced_pass.cache_info().currsize == 0
+        assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
+        assert calls == passes + passes
+        assert _reduced_pass.cache_info().currsize == 0
