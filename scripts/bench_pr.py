@@ -11,7 +11,9 @@ Run from anywhere inside a source checkout.  The record holds:
 - ``readme_commands``: in-process wall time of the five README commands
   and of the 41-circle sweep ``estimate --M 2 --tau 0.5 --circles 5``
   (``beltbound.cli.run``, stdout captured), median of five runs after one
-  warm-up, with their exit codes;
+  warm-up, with their exit codes, and each command's ``tracemalloc`` peak
+  (``peak_mb``, in MB) from one more run, untimed, since tracing slows the
+  allocations it counts;
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
   ``--trace 1``, each with the run's attempted/failed counts, at seed
@@ -36,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -94,8 +97,15 @@ def readme_commands():
                         start = time.perf_counter()
                         codes.add(run(list(argv)))
                         times.append(time.perf_counter() - start)
+                tracemalloc.start()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        codes.add(run(list(argv)))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
                 out.append({"argv": " ".join(argv), "seconds": statistics.median(times[1:]),
-                            "exit_codes": sorted(codes)})
+                            "peak_mb": peak / 1e6, "exit_codes": sorted(codes)})
         finally:
             os.chdir(cwd)
     return out

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,6 +203,7 @@ class _CircleBatch:
     arc_integrals: np.ndarray  # per-arc integral of I
     arc_dmin: np.ndarray
     arc_dmax: np.ndarray
+    unit_value: np.ndarray | None = None  # _unit_value, filled by _reduced_pass
 
 
 def _arc_reduce(circles, I: PeriodicField, D: PeriodicField) -> _CircleBatch:
@@ -407,14 +408,17 @@ def _restrictions(source, circles):
 @functools.lru_cache(maxsize=1)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     """Restrict source to circles of one grid, weight-arc boundaries as extra
-    breakpoints, and reduce the restriction's (I, D) to arcs.  The batch's
-    arrays are read-only: the cache hands the same batch to every bound."""
+    breakpoints, reduce the restriction's (I, D) to arcs and score the unit
+    pair on them once.  The batch's arrays are read-only: the cache hands the
+    same batch to every bound."""
     arcs = TWO_PI * np.arange(weight_pieces) / weight_pieces
     on = source.on_circles(circles, arcs)
     data = _arc_reduce(on.circles, *_matrix_fields(on))
+    data = replace(data, unit_value=_unit_value(data))
     grid = data.integrand.grid
     for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
+              data.arc_dmax, data.unit_value, grid.nodes, grid.breakpoints,
+              grid.segment_starts):
         a.flags.writeable = False
     return data
 
@@ -441,7 +445,7 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
     of the passes, only the one holding the worst circle so far is kept."""
     rows, worst = [None] * len(cfg.circles), None
     for idx, data in _reduced(source, cfg):
-        unit = _unit_value(data)
+        unit = data.unit_value
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
         remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
         window, phi, psi, evals, status, residual = _solve_weights(data, unit)
@@ -506,8 +510,9 @@ def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate's circles and arc reduction,
     scored with the constant pair only; equal to its report's corollary.
     Right after beta_estimate on the same pair and a one-pass config, it
-    reuses that sweep's reduction and restricts nothing."""
-    return _bound_of(max(float(_unit_value(d).max()) for _, d in _reduced(_real_nu(pair), cfg)))
+    reuses that sweep's reduction and unit-pair values: it restricts and
+    scores nothing."""
+    return _bound_of(max(float(d.unit_value.max()) for _, d in _reduced(_real_nu(pair), cfg)))
 
 
 _UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0

@@ -171,7 +171,7 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
 # ---------------------------------------------------------------------------
 # weak form on the annulus
 
-_BLOCK = 1 << 13  # mesh cells per ring block of the weak-form assembly
+_BLOCK = 1 << 12  # mesh cells per ring block of the weak-form assembly
 
 
 def _triangle_vertices(V):
@@ -230,6 +230,54 @@ def _to_vertices(v0, v1, v2):
     return out[:, :na]
 
 
+def _flux_factors(a: CoefficientMatrixField, centroid, gx, gy):
+    """r_i times the flux A grad(u_h) per difference of u (g0 = -g1 - g2),
+    as (x, y) lists over u1 - u0 and u2 - u0, with A read at the centroids."""
+    a11, a12, a21, a22 = a.entries(centroid)
+    if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
+        raise ValueError("coefficient matrix is not positive definite on the mesh")
+    agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
+    agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
+    return agx, agy
+
+
+def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid):
+    """The assembled (R, S) of weak_residual_vector, streamed: yields
+    (first row, R rows, S rows) for consecutive runs of finished vertex rows.
+
+    The mesh is walked in blocks of whole rings, at most _BLOCK cells each
+    (one ring where a ring is longer).  sample(i, j) gives the u values of
+    vertex rows i..j-1; it is called on row 0, then on the rows each block
+    adds, so every vertex is sampled once and the row a block shares with
+    the next is carried over.  A field of arg z alone is read once, on the
+    unit ring; any other field at each block's centroids.  The shared row's
+    partial sums are held back and added to the next block's, so a row is
+    yielded only when it is finished.
+    """
+    nr, na = grid.radii.size, grid.angles.node_count
+    centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
+    angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
+    hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
+    step = max(1, _BLOCK // na)
+    U, r_held, s_held = sample(0, 1), 0.0, 0.0
+    for i0 in range(0, nr - 1, step):
+        i1 = min(i0 + step, nr - 1)
+        U = np.concatenate([U[-1:], sample(i0 + 1, i1 + 1)])
+        agx, agy = angular or _flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
+        u0, u1, u2 = _triangle_vertices(U)
+        d1, d2 = u1 - u0, u2 - u0
+        fx = d1 * agx[0] + d2 * agx[1]
+        fy = d1 * agy[0] + d2 * agy[1]
+        flux_mag = np.sqrt(fx * fx + fy * fy)
+        R = _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
+        S = _to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
+        R[0] += r_held
+        S[0] += s_held
+        r_held, s_held = R[-1], S[-1]
+        yield i0, R[:-1], S[:-1]
+    yield nr - 1, r_held[None], s_held[None]
+
+
 def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     """Assembled weak residuals int A grad(u_h) . grad(hat) per mesh vertex.
 
@@ -245,38 +293,54 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     r_i^2 and each hat gradient by 1/r_i, so area g_k . A g_l and
     area |g_k| |A grad u_h| do not depend on r_i.  The geometry is therefore
     computed once, on the unit ring of _unit_ring, and so is A when it
-    depends on arg z only (angular fields); any other field is evaluated once
-    at every ring's centroids.  Only the products with the samples of u run
-    over the whole mesh, in blocks of about _BLOCK cells of whole rings, so
-    their temporaries stay in cache; each block adds into its vertex rows by
-    one slice-add per quad corner (the row two blocks share gets both).
+    depends on arg z only (angular fields).  The rest is streamed through
+    blocks of whole rings of at most _BLOCK cells (_weak_blocks): any other
+    field is evaluated at one block's centroids at a time, and each block
+    adds into its vertex rows by one slice-add per quad corner, so the
+    temporaries are set by the block, not the mesh.  This function copies
+    the finished rows into whole-mesh arrays.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    angular = a.k is not None
-    centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
-    a11, a12, a21, a22 = a.entries(centroid if angular else grid.radii[:-1, None] * centroid)
-    if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
-        raise ValueError("coefficient matrix is not positive definite on the mesh")
-    # r_i times the flux A grad(u_h), from differences of u (g0 = -g1 - g2)
-    agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
-    agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
-    hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
-    R, S = np.zeros((nr, na)), np.zeros((nr, na))
-    step = max(1, _BLOCK // na)
-    for i0 in range(0, nr - 1, step):
-        i1 = min(i0 + step, nr - 1)
-        ring = slice(None) if angular else slice(i0, i1)
-        u0, u1, u2 = _triangle_vertices(U[i0:i1 + 1])
-        d1, d2 = u1 - u0, u2 - u0
-        fx = d1 * agx[0][:, ring] + d2 * agx[1][:, ring]
-        fy = d1 * agy[0][:, ring] + d2 * agy[1][:, ring]
-        flux_mag = np.sqrt(fx * fx + fy * fy)
-        R[i0:i1 + 1] += _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
-        S[i0:i1 + 1] += _to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
+    return _gathered(_weak_blocks(lambda i, j: U[i:j], a, grid), U.shape)
+
+
+def _gathered(blocks, shape):
+    """The rows of _weak_blocks copied into whole-mesh (R, S) arrays."""
+    R, S = np.empty(shape), np.empty(shape)
+    for i, r, s in blocks:
+        R[i:i + len(r)], S[i:i + len(s)] = r, s
     return R, S
+
+
+def _streamed_max(blocks, nr: int) -> float:
+    """max |R| / max S over the interior rows 1..nr-2 of _weak_blocks,
+    keeping only running maxima.  It is max(|R| / max S) bitwise: correctly
+    rounded division by a positive number is monotone."""
+    r_max = s_max = -np.inf
+    for i, r, s in blocks:
+        lo, hi = max(0, 1 - i), min(len(r), nr - 1 - i)
+        if lo < hi:
+            r_max = np.maximum(r_max, np.max(np.abs(r[lo:hi])))
+            s_max = np.maximum(s_max, np.max(s[lo:hi]))
+    return float(r_max / s_max)
+
+
+def _sampler(u, grid: PolarGrid):
+    """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1."""
+    e_pos = np.exp(1j * grid.angles.nodes)[None, :]
+
+    def sample(i, j):
+        z = grid.radii[i:j, None] * e_pos
+        vals = np.asarray(u(z), dtype=float)
+        if vals.shape != z.shape:
+            raise ValueError(f"u must return one value per point: shape {z.shape}, "
+                             f"got {vals.shape}")
+        return vals
+
+    return sample
 
 
 def weak_form_residual(
@@ -287,11 +351,16 @@ def weak_form_residual(
 ) -> ResidualReport:
     """Discrete weak residual of div(A grad u) = 0 against interior hats.
 
-    u is a callable on complex points, sampled at the mesh vertices.  Test
-    functions vanish on the annulus boundary, so only interior radial nodes
-    carry residuals; jumps in A are fine (the integral formulation sees
-    them).  With refinements > 0 the mesh is doubled that many times and the
-    report carries the log-log slope.
+    u is a pointwise callable on complex points: it is sampled at the mesh
+    vertices a block of rows at a time, each vertex once, so u(z) must not
+    depend on which other points z holds.  Test functions vanish on the
+    annulus boundary, so only interior radial nodes carry residuals; jumps in
+    A are fine (the integral formulation sees them).  The maximum is
+    max |R| / max S over interior vertices and the mean that of |R| / max S
+    on the given mesh.  With refinements > 0 the mesh is doubled that many
+    times and the report carries the log-log slope of the maxima; the
+    refined meshes are streamed through ring blocks (_weak_blocks) keeping
+    only running maxima, so memory is set by the block, not the mesh.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints
@@ -300,14 +369,10 @@ def weak_form_residual(
             warnings.warn("coefficient breakpoints not aligned with the angular mesh",
                           stacklevel=2)
 
-    def run(g: PolarGrid):
-        z = g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]
-        R, S = weak_residual_vector(np.asarray(u(z), dtype=float), a, g)
-        interior = slice(1, g.radii.size - 1)
-        rel = np.abs(R[interior]) / np.max(S[interior])
-        return float(np.max(rel)), float(np.mean(rel))
-
-    mx, mean = run(grid)
+    shape = (grid.radii.size, grid.angles.node_count)
+    R, S = _gathered(_weak_blocks(_sampler(u, grid), a, grid), shape)
+    rel = np.abs(R[1:-1]) / np.max(S[1:-1])
+    mx, mean = float(np.max(rel)), float(np.mean(rel))
     slope = None
     if refinements > 0:
         sizes = [grid.angles.node_count]
@@ -315,9 +380,8 @@ def weak_form_residual(
         g = grid
         for _ in range(refinements):
             g = g.refined()
-            m, _ = run(g)
             sizes.append(g.angles.node_count)
-            values.append(m)
+            values.append(_streamed_max(_weak_blocks(_sampler(u, g), a, g), g.radii.size))
         slope = float(
             -np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(values)), 1)[0]
         )

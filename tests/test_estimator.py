@@ -538,6 +538,26 @@ def test_corollary_after_beta_restricts_nothing(monkeypatch, cfg):
     assert len(calls) == 3
 
 
+def test_corollary_reuses_the_sweeps_unit_values(monkeypatch):
+    # on a hit corollary_bound reads the unit-pair values _reduced_pass
+    # scored once for the batch: no objective evaluation at all
+    _reduced_pass.cache_clear()
+    pair = random_angular_pair(np.random.default_rng(43))
+    report = beta_estimate(pair, CFG)
+    scored, original = [], estimator._arc_value
+
+    def spy(data, phi, psi):
+        scored.append(np.shape(phi))
+        return original(data, phi, psi)
+
+    monkeypatch.setattr(estimator, "_arc_value", spy)
+    assert corollary_bound(pair, CFG).hex() == report.corollary.hex()
+    assert scored == []
+    _reduced_pass.cache_clear()
+    assert corollary_bound(pair, CFG).hex() == report.corollary.hex()
+    assert len(scored) == 1  # a miss scores the unit pair once
+
+
 def test_gamma_estimate_shares_its_field_reduction(monkeypatch):
     _reduced_pass.cache_clear()
     calls = _spy_on_circles(monkeypatch, CoefficientMatrixField)

@@ -1,6 +1,7 @@
 """Equation residuals, weak-form assembly, and exponent measurement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,91 @@ def test_weak_vector_evaluates_angular_field_once_per_column():
         weak_residual_vector(np.ones((nr, g.angles.node_count)), field, g)
         shapes.append((2, 1, g.angles.node_count))
     assert calls == shapes
+
+
+# ---------------------------------------------------------------------------
+# streaming through ring blocks
+
+
+def test_weak_form_memory_is_set_by_the_block():
+    # refinements=3 ends on a 121 x 2048 mesh; held whole, its z, the
+    # temporaries of map_at, U, R and S peaked at 22 MB
+    fam = build_family(2.0, 0.5, node_count=1024)
+    B = beltrami_to_matrices(fam.pair()).B
+    _, u = build_maps(fam)
+    g = PolarGrid.annulus(radius_count=16, node_count=256, breakpoints=fam.breakpoints)
+    weak_form_residual(u, B, g)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        rep = weak_form_residual(u, B, g, refinements=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.slope >= 1.0
+    assert peak < 4e6, peak
+
+
+def test_weak_form_samples_each_vertex_once_in_blocks():
+    fam = build_family(1.5, 0.5, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    _, u = build_maps(fam)
+    seen = []
+
+    def counted(z):
+        seen.append(np.asarray(z).ravel())
+        return u(z)
+
+    g = PolarGrid.annulus(radius_count=9, node_count=128, breakpoints=fam.breakpoints)
+    weak_form_residual(counted, B, g, refinements=2)
+    assert len(seen) > 3 and all(0 < v.size <= verify._BLOCK for v in seen)
+    # row by row through the three meshes, each vertex exactly once
+    vertices = []
+    for _ in range(3):
+        vertices.append((g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]).ravel())
+        g = g.refined()
+    assert np.array_equal(np.concatenate(seen), np.concatenate(vertices))
+
+
+def test_streamed_maxima_equal_whole_mesh_maxima(monkeypatch):
+    # the refined meshes keep running maxima of |R| and S over interior
+    # rows; the slope must be the one of whole-mesh max(|R| / max S), bitwise
+    monkeypatch.setattr(verify, "_BLOCK", 200)  # several blocks on every mesh
+    fam = build_family(3.0, 0.25, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    _, u = build_maps(fam)
+    base = PolarGrid.annulus(radius_count=7, node_count=64, breakpoints=fam.breakpoints)
+    g, sizes, values = base, [], []
+    for k in range(3):
+        g = g.refined() if k else g
+        R, S = weak_residual_vector(u(g.radii[:, None] * np.exp(1j * g.angles.nodes)), B, g)
+        sizes.append(g.angles.node_count)
+        values.append(float(np.max(np.abs(R[1:-1]) / np.max(S[1:-1]))))
+    slope = float(-np.polyfit(np.log(np.asarray(sizes, float)), np.log(values), 1)[0])
+    rep = weak_form_residual(u, B, base, refinements=2)
+    assert rep.max_residual.hex() == values[0].hex()
+    assert rep.slope.hex() == slope.hex()
+
+
+@pytest.mark.parametrize("angular", [True, False], ids=["angular", "pointwise"])
+def test_weak_vector_does_not_depend_on_the_block(monkeypatch, angular):
+    fam = build_family(2.0, 0.5, node_count=512)
+    g = PolarGrid.annulus(radius_count=12, node_count=128, breakpoints=fam.breakpoints)
+    z = g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]
+    if angular:
+        a, vals = beltrami_to_matrices(fam.pair()).B, build_maps(fam)[1](z)
+    else:
+        a = CoefficientMatrixField.from_callables(
+            lambda z: (2.0 + np.real(z), 0.3 * np.imag(z), 0.3 * np.imag(z) - 0.1,
+                       1.5 + np.abs(z) ** 2))
+        vals = np.real(np.exp(z)) + np.imag(z) ** 3
+    assert (a.k is not None) == angular
+    monkeypatch.setattr(verify, "_BLOCK", 1 << 30)
+    R, S = weak_residual_vector(vals, a, g)  # one block
+    monkeypatch.setattr(verify, "_BLOCK", 1)
+    R1, S1 = weak_residual_vector(vals, a, g)  # one ring per block
+    scale = np.max(S)
+    assert np.max(np.abs(R1 - R)) <= 1e-13 * scale
+    assert np.max(np.abs(S1 - S)) <= 1e-13 * scale
 
 
 @st.composite
