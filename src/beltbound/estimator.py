@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,7 +203,14 @@ class _CircleBatch:
     arc_integrals: np.ndarray  # per-arc integral of I
     arc_dmin: np.ndarray
     arc_dmax: np.ndarray
-    unit_value: np.ndarray | None = None  # _unit_value, filled by _reduced_pass
+
+    @functools.cached_property
+    def unit_value(self) -> np.ndarray:
+        """_unit_value, scored once per batch and read-only, so the bounds
+        that share a cached batch share its values."""
+        unit = _unit_value(self)
+        unit.flags.writeable = False
+        return unit
 
 
 def _arc_reduce(circles, I: PeriodicField, D: PeriodicField) -> _CircleBatch:
@@ -408,17 +415,14 @@ def _restrictions(source, circles):
 @functools.lru_cache(maxsize=1)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     """Restrict source to circles of one grid, weight-arc boundaries as extra
-    breakpoints, reduce the restriction's (I, D) to arcs and score the unit
-    pair on them once.  The batch's arrays are read-only: the cache hands the
-    same batch to every bound."""
+    breakpoints, and reduce the restriction's (I, D) to arcs.  The batch's
+    arrays are read-only: the cache hands the same batch to every bound."""
     arcs = TWO_PI * np.arange(weight_pieces) / weight_pieces
     on = source.on_circles(circles, arcs)
     data = _arc_reduce(on.circles, *_matrix_fields(on))
-    data = replace(data, unit_value=_unit_value(data))
     grid = data.integrand.grid
     for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax, data.unit_value, grid.nodes, grid.breakpoints,
-              grid.segment_starts):
+              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
         a.flags.writeable = False
     return data
 

@@ -187,13 +187,9 @@ def build_family(M: float, tau: float, node_count: int = 2048) -> SharpFamily:
 
 def build_maps(family: SharpFamily) -> tuple[AngularStretching, Callable]:
     """The extremal mapping and the scalar solution u = Re f of
-    div(B grad u) = 0, u exact at every point: sign |z|^alpha theta1(arg z)
-    from _phase, 0 at 0, bitwise np.real(family.map_at(z)) without theta2
-    and the complex product."""
+    div(B grad u) = 0, u exact at every point (map_at)."""
 
     def u(z):
-        z = np.asarray(z, dtype=complex)
-        sign, th1, _, _ = _phase(family.M, family.tau, family.c, family.d, arg_of(z))
-        return np.where(z == 0, 0.0, sign * np.abs(z) ** family.alpha * th1)
+        return np.real(family.map_at(z))
 
     return family.stretch, u

@@ -304,13 +304,8 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     U = np.asarray(u_vals, dtype=float)
     if U.shape != (nr, na):
         raise ValueError(f"samples must have shape {(nr, na)}, got {U.shape}")
-    return _gathered(_weak_blocks(lambda i, j: U[i:j], a, grid), U.shape)
-
-
-def _gathered(blocks, shape):
-    """The rows of _weak_blocks copied into whole-mesh (R, S) arrays."""
-    R, S = np.empty(shape), np.empty(shape)
-    for i, r, s in blocks:
+    R, S = np.empty((nr, na)), np.empty((nr, na))
+    for i, r, s in _weak_blocks(lambda i, j: U[i:j], a, grid):
         R[i:i + len(r)], S[i:i + len(s)] = r, s
     return R, S
 
@@ -351,16 +346,17 @@ def weak_form_residual(
 ) -> ResidualReport:
     """Discrete weak residual of div(A grad u) = 0 against interior hats.
 
-    u is a pointwise callable on complex points: it is sampled at the mesh
-    vertices a block of rows at a time, each vertex once, so u(z) must not
-    depend on which other points z holds.  Test functions vanish on the
-    annulus boundary, so only interior radial nodes carry residuals; jumps in
-    A are fine (the integral formulation sees them).  The maximum is
-    max |R| / max S over interior vertices and the mean that of |R| / max S
-    on the given mesh.  With refinements > 0 the mesh is doubled that many
-    times and the report carries the log-log slope of the maxima; the
+    u is a pointwise callable on complex points, sampled at the mesh
+    vertices, each vertex once: the given mesh in one call, the refined ones
+    a block of rows at a time, so u(z) must not depend on which other points
+    z holds.  Test functions vanish on the annulus boundary, so only interior
+    radial nodes carry residuals; jumps in A are fine (the integral
+    formulation sees them).  The maximum is max |R| / max S over interior
+    vertices and the mean that of |R| / max S on the given mesh, assembled
+    by weak_residual_vector.  With refinements > 0 the mesh is doubled that
+    many times and the report carries the log-log slope of the maxima; the
     refined meshes are streamed through ring blocks (_weak_blocks) keeping
-    only running maxima, so memory is set by the block, not the mesh.
+    only running maxima, so their memory is set by the block, not the mesh.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints
@@ -369,8 +365,7 @@ def weak_form_residual(
             warnings.warn("coefficient breakpoints not aligned with the angular mesh",
                           stacklevel=2)
 
-    shape = (grid.radii.size, grid.angles.node_count)
-    R, S = _gathered(_weak_blocks(_sampler(u, grid), a, grid), shape)
+    R, S = weak_residual_vector(_sampler(u, grid)(0, grid.radii.size), a, grid)
     rel = np.abs(R[1:-1]) / np.max(S[1:-1])
     mx, mean = float(np.max(rel)), float(np.mean(rel))
     slope = None

@@ -214,26 +214,6 @@ def test_map_at_bitwise_equal_to_profiles_form():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_scalar_solution_bitwise_equal_to_real_part_of_map():
-    # build_maps's u takes theta1 alone from _phase; it must be the real
-    # part of map_at bit for bit, zeros and signs included
-    rng = np.random.default_rng(19)
-    for M, tau in [(2.0, 0.5), (1.5, 0.0), (3.0, 1.0), (4.0, 0.3), (40.0, 0.7)]:
-        fam = build_family(M, tau, node_count=256)
-        _, u = build_maps(fam)
-        bks = np.array(fam.breakpoints)
-        angles = np.concatenate([bks, np.nextafter(bks, -np.inf), np.nextafter(bks, np.inf),
-                                 np.arange(-4, 5) * (math.pi / 2)])
-        z = np.concatenate([
-            rng.normal(size=20000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 20000)),
-            0.7 * np.exp(1j * angles), [0j, complex(-0.0, -0.0), 1e-300 + 0j, -1e-310j],
-        ])
-        for pts in (z, z.reshape(-1, 3)):
-            got, want = u(pts), np.real(fam.map_at(pts))
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_family_map_is_injective_and_orientation_preserving():
     for M, tau in [(2.0, 0.0), (1.5, 1.0), (3.0, 0.5)]:
         fam = build_family(M, tau, node_count=512)

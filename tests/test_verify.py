@@ -421,8 +421,10 @@ def test_weak_vector_evaluates_angular_field_once_per_column():
 
 
 def test_weak_form_memory_is_set_by_the_block():
-    # refinements=3 ends on a 121 x 2048 mesh; held whole, its z, the
-    # temporaries of map_at, U, R and S peaked at 22 MB
+    # refinements=2 ends on a 61 x 1024 mesh, the finest the maps benchmark
+    # and the CLI verify.  Sampling u on whole meshes (its z and every
+    # complex temporary of map_at) peaked at 5.6 MB; sampling in blocks but
+    # holding whole-mesh U, R and S on the refined meshes at 2.7 MB
     fam = build_family(2.0, 0.5, node_count=1024)
     B = beltrami_to_matrices(fam.pair()).B
     _, u = build_maps(fam)
@@ -430,12 +432,12 @@ def test_weak_form_memory_is_set_by_the_block():
     weak_form_residual(u, B, g)  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        rep = weak_form_residual(u, B, g, refinements=3)
+        rep = weak_form_residual(u, B, g, refinements=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.slope >= 1.0
-    assert peak < 4e6, peak
+    assert peak < 2.2e6, peak
 
 
 def test_weak_form_samples_each_vertex_once_in_blocks():
@@ -451,12 +453,31 @@ def test_weak_form_samples_each_vertex_once_in_blocks():
     g = PolarGrid.annulus(radius_count=9, node_count=128, breakpoints=fam.breakpoints)
     weak_form_residual(counted, B, g, refinements=2)
     assert len(seen) > 3 and all(0 < v.size <= verify._BLOCK for v in seen)
-    # row by row through the three meshes, each vertex exactly once
+    # the base mesh in one call, the refined ones in blocks of rows: row by
+    # row through the three meshes, each vertex exactly once
     vertices = []
     for _ in range(3):
         vertices.append((g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]).ravel())
         g = g.refined()
     assert np.array_equal(np.concatenate(seen), np.concatenate(vertices))
+
+
+def test_weak_form_assembles_its_base_mesh_through_the_vector(monkeypatch):
+    # the reported max and mean come from weak_residual_vector on the given
+    # mesh, once per report; the refined meshes keep running maxima only
+    fam = build_family(2.0, 0.5, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    _, u = build_maps(fam)
+    g = PolarGrid.annulus(radius_count=9, node_count=128, breakpoints=fam.breakpoints)
+    grids, original = [], verify.weak_residual_vector
+
+    def spy(u_vals, a, grid):
+        grids.append(grid)
+        return original(u_vals, a, grid)
+
+    monkeypatch.setattr(verify, "weak_residual_vector", spy)
+    weak_form_residual(u, B, g, refinements=2)
+    assert grids == [g]
 
 
 def test_streamed_maxima_equal_whole_mesh_maxima(monkeypatch):
