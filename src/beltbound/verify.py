@@ -35,6 +35,10 @@ class PolarGrid:
     The radii must be geometric (consecutive ratios equal to 1e-12
     relative), as annulus and refined build them: each ring of the mesh is
     then a scaled copy of the first, which the weak-form assembly relies on.
+    For u homogeneous of degree alpha > 0 and an angular A, the weak
+    residuals of each vertex row are then q^alpha times those of the row
+    below (q the ring ratio), so weak_form_residual reads a refined mesh's
+    maxima off its outer rows.
     """
 
     radii: np.ndarray
@@ -241,26 +245,30 @@ def _flux_factors(a: CoefficientMatrixField, centroid, gx, gy):
     return agx, agy
 
 
-def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid):
+def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int = 0):
     """The assembled (R, S) of weak_residual_vector, streamed: yields
     (first row, R rows, S rows) for consecutive runs of finished vertex rows.
 
     The mesh is walked in blocks of whole rings, at most _BLOCK cells each
     (one ring where a ring is longer).  sample(i, j) gives the u values of
-    vertex rows i..j-1; it is called on row 0, then on the rows each block
-    adds, so every vertex is sampled once and the row a block shares with
-    the next is carried over.  A field of arg z alone is read once, on the
-    unit ring; any other field at each block's centroids.  The shared row's
-    partial sums are held back and added to the next block's, so a row is
-    yielded only when it is finished.
+    vertex rows i..j-1; it is called on the first row, then on the rows each
+    block adds, so every vertex is sampled once and the row a block shares
+    with the next is carried over.  A field of arg z alone is read once, on
+    the unit ring; any other field at each block's centroids.  The shared
+    row's partial sums are held back and added to the next block's, so a row
+    is yielded only when it is finished.  With start > 0 the walk begins at
+    the block holding ring start, on the block boundaries of the whole walk:
+    its first row lacks the ring below and is partial, every later row is
+    bitwise the one of the whole walk.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
     hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
     step = max(1, _BLOCK // na)
-    U, r_held, s_held = sample(0, 1), 0.0, 0.0
-    for i0 in range(0, nr - 1, step):
+    first = start // step * step
+    U, r_held, s_held = sample(first, first + 1), 0.0, 0.0
+    for i0 in range(first, nr - 1, step):
         i1 = min(i0 + step, nr - 1)
         U = np.concatenate([U[-1:], sample(i0 + 1, i1 + 1)])
         agx, agy = angular or _flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
@@ -323,6 +331,53 @@ def _streamed_max(blocks, nr: int) -> float:
     return float(r_max / s_max)
 
 
+def _grows(R, S, factor) -> bool:
+    """True when max |R| and max S both grew by factor, to (factor - 1) / 100,
+    from the first of two vertex rows to the second; False on a zero, inf or
+    NaN maximum."""
+    (r0, r1), (s0, s1) = np.max(np.abs(R), axis=1), np.max(S, axis=1)
+    tol = (factor - 1.0) / 100.0
+    with np.errstate(all="ignore"):
+        return bool(abs(r1 / r0 - factor) <= tol and abs(s1 / s0 - factor) <= tol)
+
+
+def _homogeneous_degree(U, R, S, a: CoefficientMatrixField, grid: PolarGrid):
+    """The degree alpha > 0 of u when the samples U of the given mesh show it
+    homogeneous, U[i] = (r_i / r_0)^alpha U[0] to 1e-12 relative per row,
+    A is angular and the assembled (R, S) grow by q^alpha from row nr-3 to
+    nr-2; else None.  The refined meshes are then taken to scale the same
+    way, ring by ring, so that their maxima lie on their last interior row
+    (_outer_row_max checks the growth there again)."""
+    if a.k is None:
+        return None
+    r = grid.radii
+    with np.errstate(all="ignore"):
+        alpha = np.log(np.max(np.abs(U[-1])) / np.max(np.abs(U[0]))) / np.log(r[-1] / r[0])
+        if not (np.isfinite(alpha) and alpha > 0):
+            return None
+        scaled = (r / r[0])[:, None] ** alpha * U[0]
+        if not np.all(np.abs(U - scaled) <= 1e-12 * np.max(np.abs(U), axis=1, keepdims=True)):
+            return None
+        factor = (r[1] / r[0]) ** alpha
+    return float(alpha) if _grows(R[-3:-1], S[-3:-1], factor) else None
+
+
+def _outer_row_max(sample, a: CoefficientMatrixField, grid: PolarGrid, alpha: float):
+    """max |R| / max S of a mesh whose rings scale by q^alpha, from its last
+    interior row, or None when rows nr-3 -> nr-2 did not grow by q^alpha.
+
+    Only the blocks from the one holding ring nr-4 are sampled and assembled,
+    on the whole walk's block boundaries, so rows nr-3 and nr-2 are bitwise
+    those of _streamed_max's walk, and so is the maximum when it lies on the
+    last interior row."""
+    blocks = list(_weak_blocks(sample, a, grid, grid.radii.size - 4))
+    R = np.concatenate([r for _, r, _ in blocks])[-3:-1]
+    S = np.concatenate([s for _, _, s in blocks])[-3:-1]
+    if not _grows(R, S, (grid.radii[1] / grid.radii[0]) ** alpha):
+        return None
+    return float(np.max(np.abs(R[1])) / np.max(S[1]))
+
+
 def _sampler(u, grid: PolarGrid):
     """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1."""
     e_pos = np.exp(1j * grid.angles.nodes)[None, :]
@@ -347,16 +402,26 @@ def weak_form_residual(
     """Discrete weak residual of div(A grad u) = 0 against interior hats.
 
     u is a pointwise callable on complex points, sampled at the mesh
-    vertices, each vertex once: the given mesh in one call, the refined ones
-    a block of rows at a time, so u(z) must not depend on which other points
-    z holds.  Test functions vanish on the annulus boundary, so only interior
-    radial nodes carry residuals; jumps in A are fine (the integral
-    formulation sees them).  The maximum is max |R| / max S over interior
+    vertices, each vertex once except as noted below: the given mesh in one
+    call, the refined ones a block of rows at a time, so u(z) must not depend
+    on which other points z holds.  Test functions vanish on the annulus
+    boundary, so only interior radial nodes carry residuals; jumps in A are
+    fine (the integral formulation sees them).  The maximum is max |R| / max S over interior
     vertices and the mean that of |R| / max S on the given mesh, assembled
     by weak_residual_vector.  With refinements > 0 the mesh is doubled that
     many times and the report carries the log-log slope of the maxima; the
     refined meshes are streamed through ring blocks (_weak_blocks) keeping
     only running maxima, so their memory is set by the block, not the mesh.
+
+    When the given mesh shows u homogeneous (_homogeneous_degree: A angular,
+    each sampled row (r_i / r_0)^alpha times the first to 1e-12 relative
+    with alpha > 0, and max |R| and max S growing by q^alpha from row nr-3
+    to nr-2), each refined mesh is sampled and assembled only from the block
+    holding ring nr-4, and its maximum is read off row nr-2, bitwise the
+    whole walk's (_outer_row_max).  That needs rows nr-3 -> nr-2 of the
+    refined mesh to grow by q^alpha as well, to (q^alpha - 1) / 100 in both
+    max |R| and max S; where they do not (R at rounding level), the refined
+    mesh is walked whole, so its rows from that block on are sampled twice.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints
@@ -365,18 +430,24 @@ def weak_form_residual(
             warnings.warn("coefficient breakpoints not aligned with the angular mesh",
                           stacklevel=2)
 
-    R, S = weak_residual_vector(_sampler(u, grid)(0, grid.radii.size), a, grid)
+    U = _sampler(u, grid)(0, grid.radii.size)
+    R, S = weak_residual_vector(U, a, grid)
     rel = np.abs(R[1:-1]) / np.max(S[1:-1])
     mx, mean = float(np.max(rel)), float(np.mean(rel))
     slope = None
     if refinements > 0:
+        alpha = _homogeneous_degree(U, R, S, a, grid)
         sizes = [grid.angles.node_count]
         values = [mx]
         g = grid
         for _ in range(refinements):
             g = g.refined()
+            sample = _sampler(u, g)
+            value = None if alpha is None else _outer_row_max(sample, a, g, alpha)
+            if value is None:
+                value = _streamed_max(_weak_blocks(sample, a, g), g.radii.size)
             sizes.append(g.angles.node_count)
-            values.append(_streamed_max(_weak_blocks(_sampler(u, g), a, g), g.radii.size))
+            values.append(value)
         slope = float(
             -np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(values)), 1)[0]
         )

@@ -76,6 +76,20 @@ def test_verify_sharp_family(capsys):
     assert doc["passed"]
 
 
+@pytest.mark.parametrize("argv, value, slope", [
+    (["--M", "2", "--tau", "0.5"], "0x1.188e0ae4590fap-14", "0x1.fe7420b4ea44cp+0"),
+    (["--M", "3", "--tau", "1"], "0x1.00ecbc539fe80p-13", "0x1.008163332eb1fp+1"),
+    (["--alpha", "0.5"], "0x1.7c831ea8228a3p-18", "0x1.7ffb9e44a67fdp+1"),
+], ids=["M2-tau0.5", "M3-tau1", "alpha0.5"])
+def test_verify_weak_form_is_pinned(capsys, argv, value, slope):
+    # the refined meshes' maxima come from their outer rows when u is
+    # homogeneous; the report must stay that of the whole-mesh walk, bitwise
+    code, doc = run_json(capsys, ["--command", "verify"] + argv)
+    assert code == 0
+    weak = doc["checks"]["weak_form"]
+    assert (weak["value"].hex(), weak["slope"].hex()) == (value, slope)
+
+
 def test_sweep_csv_rows(capsys):
     code = run(
         ["--command", "sweep", "--M", "2,4", "--tau", "0", "--format", "csv"] + FAST

@@ -440,25 +440,63 @@ def test_weak_form_memory_is_set_by_the_block():
     assert peak < 2.2e6, peak
 
 
-def test_weak_form_samples_each_vertex_once_in_blocks():
-    fam = build_family(1.5, 0.5, node_count=512)
-    B = beltrami_to_matrices(fam.pair()).B
-    _, u = build_maps(fam)
+def mesh_vertices(g, first=0):
+    """The vertices of rows first.. of g, row by row."""
+    return (g.radii[first:, None] * np.exp(1j * g.angles.nodes)[None, :]).ravel()
+
+
+def sampled(u):
+    """u, and the list of the points it is called on."""
     seen = []
 
     def counted(z):
         seen.append(np.asarray(z).ravel())
         return u(z)
 
+    return counted, seen
+
+
+def test_weak_form_samples_each_vertex_once_in_blocks():
+    # a homogeneous u with an angular A: the base mesh in one call, each
+    # refined mesh in blocks of rows from the block holding ring nr-4, since
+    # its maxima lie on row nr-2; each of those vertices once, in row order
+    fam = build_family(1.5, 0.5, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    _, u = build_maps(fam)
+    counted, seen = sampled(u)
     g = PolarGrid.annulus(radius_count=9, node_count=128, breakpoints=fam.breakpoints)
     weak_form_residual(counted, B, g, refinements=2)
-    assert len(seen) > 3 and all(0 < v.size <= verify._BLOCK for v in seen)
-    # the base mesh in one call, the refined ones in blocks of rows: row by
-    # row through the three meshes, each vertex exactly once
-    vertices = []
-    for _ in range(3):
-        vertices.append((g.radii[:, None] * np.exp(1j * g.angles.nodes)[None, :]).ravel())
+    assert len(seen) > 3 and all(0 < v.size <= verify._BLOCK for v in seen[1:])
+    vertices = [mesh_vertices(g)]
+    for _ in range(2):
         g = g.refined()
+        step = max(1, verify._BLOCK // g.angles.node_count)
+        vertices.append(mesh_vertices(g, (g.radii.size - 4) // step * step))
+    assert vertices[-1].size < mesh_vertices(g).size / 3
+    assert np.array_equal(np.concatenate(seen), np.concatenate(vertices))
+
+
+@pytest.mark.parametrize("case", ["exp", "pointwise", "noise"])
+def test_weak_form_samples_every_row_unless_homogeneous(case):
+    # u not homogeneous, A read pointwise, or R at rounding level (where the
+    # rows do not grow by q^alpha): every vertex of the three meshes once,
+    # row by row, as the whole streamed walk samples them
+    fam = build_family(1.5, 0.5, node_count=512)
+    B = beltrami_to_matrices(fam.pair()).B
+    u = build_maps(fam)[1]
+    g = PolarGrid.annulus(radius_count=9, node_count=128, breakpoints=fam.breakpoints)
+    if case == "exp":
+        u = lambda z: np.real(np.exp(z))  # noqa: E731
+    elif case == "pointwise":
+        B = CoefficientMatrixField.from_callables(B.entries)
+        assert B.k is None
+    else:
+        B = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256)).B
+        u = np.real
+        g = PolarGrid.annulus(radius_count=12, node_count=96)
+    counted, seen = sampled(u)
+    weak_form_residual(counted, B, g, refinements=2)
+    vertices = [mesh_vertices(g), mesh_vertices(g.refined()), mesh_vertices(g.refined().refined())]
     assert np.array_equal(np.concatenate(seen), np.concatenate(vertices))
 
 
@@ -498,6 +536,125 @@ def test_streamed_maxima_equal_whole_mesh_maxima(monkeypatch):
     rep = weak_form_residual(u, B, base, refinements=2)
     assert rep.max_residual.hex() == values[0].hex()
     assert rep.slope.hex() == slope.hex()
+
+
+def full_walk_report(u, a, grid, refinements):
+    """(max, mean, slope) of weak_form_residual with every refined mesh
+    walked whole by _streamed_max, as float.hex strings."""
+    R, S = weak_residual_vector(u(mesh_vertices(grid).reshape(grid.radii.size, -1)), a, grid)
+    rel = np.abs(R[1:-1]) / np.max(S[1:-1])
+    g, sizes, values = grid, [grid.angles.node_count], [float(np.max(rel))]
+    for _ in range(refinements):
+        g = g.refined()
+        sizes.append(g.angles.node_count)
+        values.append(verify._streamed_max(verify._weak_blocks(verify._sampler(u, g), a, g),
+                                           g.radii.size))
+    slope = float(-np.polyfit(np.log(np.asarray(sizes, float)), np.log(values), 1)[0])
+    return values[0].hex(), float(np.mean(rel)).hex(), slope.hex()
+
+
+def report_hex(rep):
+    return rep.max_residual.hex(), rep.mean_residual.hex(), rep.slope.hex()
+
+
+def outer_row_results(monkeypatch):
+    """The list of _outer_row_max's results during the test."""
+    results, original = [], verify._outer_row_max
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(verify, "_outer_row_max", spy)
+    return results
+
+
+def least_divisor(n):
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(M=st.floats(1.2, 5.0), tau=st.floats(0.0, 1.0), nr=st.integers(5, 16),
+       na=st.sampled_from([32, 64, 128]), refinements=st.integers(1, 3),
+       imag=st.booleans(), block=st.sampled_from(["default", "200", "boundary"]))
+def test_outer_row_maxima_equal_the_full_walk(M, tau, nr, na, refinements, imag, block):
+    # on the sharp family's homogeneous Re u (with B) and Im u (with B tilde)
+    # every refined mesh takes its maxima from its outer rows, bitwise those
+    # of the whole walk; "boundary" starts a block on row nr-2 of the first
+    # refined mesh (its rings per block are the least divisor of nr-2)
+    fam = build_family(M, tau, node_count=512)
+    red = beltrami_to_matrices(fam.pair())
+    a, part = (red.B_tilde, np.imag) if imag else (red.B, np.real)
+    u = lambda z: part(fam.map_at(z))  # noqa: E731
+    g = PolarGrid.annulus(radius_count=nr, node_count=na, breakpoints=fam.breakpoints)
+    with pytest.MonkeyPatch.context() as mp:
+        if block == "200":
+            mp.setattr(verify, "_BLOCK", 200)
+        elif block == "boundary":
+            r1 = g.refined()
+            mp.setattr(verify, "_BLOCK", least_divisor(r1.radii.size - 2) * r1.angles.node_count)
+        results = outer_row_results(mp)
+        rep = weak_form_residual(u, a, g, refinements=refinements)
+        assert len(results) == refinements and None not in results
+        assert report_hex(rep) == full_walk_report(u, a, g, refinements)
+
+
+def r_half_cos(z):
+    return np.abs(z) ** -0.5 * np.cos(np.angle(z))
+
+
+def zero_first_row(z):
+    return np.where(np.abs(z) < 0.2501, 0.0, np.real(z ** 3))
+
+
+def nan_last_row(z):
+    return np.where(np.abs(z) > 0.9999, np.nan, np.real(z ** 3))
+
+
+@pytest.mark.parametrize("u, tilde", [(np.real, False), (np.imag, True), (r_half_cos, False),
+                                      (zero_first_row, False), (nan_last_row, False)],
+                         ids=["re-z", "im-z", "negative-degree", "zero-row", "nan"])
+def test_outer_rows_fall_back_to_the_full_walk(monkeypatch, u, tilde):
+    # R at rounding level (u = Re z, Im z solve the radial stretch of degree
+    # 1 exactly), a degree alpha <= 0, a zero first row or a NaN: the probe
+    # refuses and the report is the whole walk's
+    red = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256))
+    a = red.B_tilde if tilde else red.B
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+    results = outer_row_results(monkeypatch)
+    rep = weak_form_residual(u, a, g, refinements=2)
+    assert results == []
+    assert report_hex(rep) == full_walk_report(u, a, g, 2)
+
+
+def test_outer_rows_refuse_rounding_level_growth():
+    # without the probe's check on the given mesh, the growth guard on rows
+    # nr-3 -> nr-2 alone refuses Re z and Im z on every refined mesh; taking
+    # row nr-2 there moved the slope from -1.2357 to -1.1218
+    red = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256))
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+    for _ in range(2):
+        g = g.refined()
+        for u, a in ((np.real, red.B), (np.imag, red.B_tilde)):
+            assert verify._outer_row_max(verify._sampler(u, g), a, g, 1.0) is None
+    assert weak_form_residual(np.real, red.B, PolarGrid.annulus(radius_count=12, node_count=96),
+                              refinements=2).slope == pytest.approx(-1.2357, abs=1e-4)
+
+
+def test_homogeneity_probe_refuses_inf_without_warnings():
+    # the assembly itself warns on inf samples; the probe must add nothing
+    red = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256))
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+    z = mesh_vertices(g).reshape(g.radii.size, -1)
+    for U in (np.where(np.abs(z) > 0.9999, np.inf, np.real(z ** 3)),
+              np.where(np.abs(z) < 0.2501, np.inf, np.real(z ** 3)),
+              np.zeros(z.shape)):
+        with np.errstate(all="ignore"):
+            R, S = weak_residual_vector(U, red.B, g)
+        assert verify._homogeneous_degree(U, R, S, red.B, g) is None
+    U = np.real(z ** 3)
+    R, S = weak_residual_vector(U, red.B, g)
+    assert verify._homogeneous_degree(U, R, S, red.B, g) == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("angular", [True, False], ids=["angular", "pointwise"])
