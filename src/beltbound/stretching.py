@@ -274,10 +274,11 @@ def distortion_from_k(k: KProfile, eta1, eta2):
 
 
 def _piece_propagator(a, b, h):
-    """exp(h [[0, -a], [b, 0]]) for a, b > 0: rotation-like; elementwise."""
+    """exp(h [[0, -a], [b, 0]]) for a, b > 0: rotation-like; elementwise.
+    Returns the rate w = sqrt(ab) and the entries (11 = 22, 12, 21)."""
     w = np.sqrt(a * b)
     c, s = np.cos(w * h), np.sin(w * h)
-    return c, -(a / w) * s, (b / w) * s  # entries (11=22, 12, 21)
+    return w, c, -(a / w) * s, (b / w) * s
 
 
 def _cells(k: KProfile):
@@ -307,21 +308,26 @@ def _piece_rates(cells, alpha: float):
     return lefts, h, alpha / k2, alpha * k1
 
 
-def _propagate(a, b, h, starts):
-    """States at every cell boundary, shape (cells + 1, 2, B), for the start
-    columns starts (2, B); the last entry is Phi(2pi) starts.
+def _propagate(a, b, h):
+    """Cell rates w = sqrt(ab) and the fundamental matrices at every cell
+    boundary, shape (cells + 1, 2, 2): the identity, then P_j ... P_0 after
+    cell j; the last one is Phi(2pi).
 
     Cell j maps its left state to its right one by its propagator P_j; the
-    prefix products P_j ... P_0 come by recursive doubling (log2(cells)
-    rounds of batched 2x2 products).
+    prefix products come by recursive doubling (log2(cells) rounds of
+    batched 2x2 products) in place, behind the identity row.
     """
-    c, p12, p21 = _piece_propagator(a, b, h)
-    prefix = np.array([[c, p12], [p21, c]]).transpose(2, 0, 1).copy()
+    w, c, p12, p21 = _piece_propagator(a, b, h)
+    fund = np.empty((w.size + 1, 2, 2))
+    fund[0] = ((1.0, 0.0), (0.0, 1.0))
+    prefix = fund[1:]
+    prefix[:, 0, 0] = prefix[:, 1, 1] = c
+    prefix[:, 0, 1], prefix[:, 1, 0] = p12, p21
     step = 1
     while step < len(prefix):
         prefix[step:] = prefix[step:] @ prefix[:-step]
         step *= 2
-    return np.concatenate([starts[None], prefix @ starts])
+    return w, fund
 
 
 def solve_system(k: KProfile, alpha: float, initial=None) -> AngularStretching:
@@ -357,41 +363,40 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     right-limit weights, matching the segment convention.
     """
     lefts, h, av, bv = _piece_rates(_cells(k), alpha)
-    v0 = np.asarray(initial, dtype=float).reshape(2, 1)
-    anchors = _propagate(av, bv, h, v0)[:-1, :, 0]
+    anchors = _propagate(av, bv, h)[1][:-1] @ np.asarray(initial, dtype=float)
     t = wrap_angle(np.asarray(thetas, dtype=float))
     cell = np.clip(np.searchsorted(lefts, t + 1e-12, side="right") - 1, 0, lefts.size - 1)
-    c, p12, p21 = _piece_propagator(av[cell], bv[cell], t - lefts[cell])
+    _, c, p12, p21 = _piece_propagator(av[cell], bv[cell], t - lefts[cell])
     e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
     e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
     return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
 
 
 def _fundamental(cells, alpha: float):
-    """Cell widths and rates (alpha/k2, alpha k1) for the cells of _cells,
-    and the fundamental matrices at every cell boundary, shape
-    (cells + 1, 2, 2); the last one is Phi(2pi)."""
+    """Cell widths, rates (alpha/k2, alpha k1) and w = sqrt(ab) for the cells
+    of _cells, and the fundamental matrices of _propagate."""
     _, h, av, bv = _piece_rates(cells, alpha)
-    return h, av, bv, _propagate(av, bv, h, np.eye(2))
+    return (h, av, bv, *_propagate(av, bv, h))
 
 
-def _advances(h, av, bv, fund, phis):
-    """Phase advances from the start directions phis (1-d); see phase_advance."""
-    states = fund @ np.stack([np.cos(phis), np.sin(phis)])
+def _advances(h, av, bv, w, fund, phis):
+    """Phase advances from the start directions phis (1-d); see phase_advance.
+
+    The arg corrections at the end and at the start of every cell are taken
+    together, by one arctan2 pair over both stacked states."""
+    states = fund @ np.array([np.cos(phis), np.sin(phis)])
+    ends = np.array([states[1:], states[:-1]])  # (end, start) of each cell
+    x, y = ends[:, :, 0], ends[:, :, 1]
     sa, sb = np.sqrt(av)[:, None], np.sqrt(bv)[:, None]
-
-    def correction(v):
-        # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
-        c = np.arctan2(v[:, 1], v[:, 0]) - np.arctan2(sa * v[:, 1], sb * v[:, 0])
-        return (c + np.pi) % TWO_PI - np.pi
-
-    turns = np.sum(correction(states[1:]) - correction(states[:-1]), axis=0)
-    return np.sqrt(av * bv) @ h + turns
+    # |arg v - arg(scaled v)| < pi/2: same quadrant, wrap is safe
+    c = np.arctan2(y, x) - np.arctan2(sa * y, sb * x)
+    c = (c + np.pi) % TWO_PI - np.pi
+    return w @ h + (c[0] - c[1]).sum(axis=0)
 
 
 def monodromy(k: KProfile, alpha: float) -> np.ndarray:
     """Fundamental matrix over one period, Phi(2pi); det = 1 up to roundoff."""
-    return _fundamental(_cells(k), alpha)[3][-1]
+    return _fundamental(_cells(k), alpha)[4][-1]
 
 
 def phase_advance(k: KProfile, alpha: float, phi0):
@@ -418,8 +423,9 @@ def _advance_extremum(cells, alpha: float) -> tuple[float, float]:
     v' Phi'Phi v = 1.  That gives the two candidate directions in closed
     form; no line search.  One propagation serves both Phi and the advances.
     """
-    h, av, bv, fund = _fundamental(cells, alpha)
-    evals, evecs = np.linalg.eigh(fund[-1].T @ fund[-1])
+    h, av, bv, w, fund = _fundamental(cells, alpha)
+    mono = fund[-1]
+    evals, evecs = np.linalg.eigh(mono.T @ mono)
     lam0, lam1 = float(evals[0]), float(evals[1])
     if lam1 - 1.0 < 1e-13 or 1.0 - lam0 < 1e-13:
         # |Phi v| = 1 identically (rotation): advance independent of phi0
@@ -429,11 +435,11 @@ def _advance_extremum(cells, alpha: float) -> tuple[float, float]:
         s2 = (1.0 - lam0) / (lam1 - lam0)
         c = math.sqrt(1.0 - s2)
         s = math.sqrt(s2)
-        dirs = np.stack([c * evecs[:, 0] + s * evecs[:, 1],
-                         c * evecs[:, 0] - s * evecs[:, 1]])
+        e0, e1 = c * evecs[:, 0], s * evecs[:, 1]
+        dirs = np.array([e0 + e1, e0 - e1])
         phis = np.arctan2(dirs[:, 1], dirs[:, 0])
-    vals = _advances(h, av, bv, fund, phis)
-    return float(np.max(vals)), float(np.min(vals))
+    vals = _advances(h, av, bv, w, fund, phis)
+    return float(vals.max()), float(vals.min())
 
 
 def _brent(f, a, b, fa, fb, xtol, rtol):

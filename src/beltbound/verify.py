@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .periodic_fields import TWO_PI, AngularGrid, wrap_angle
-from .reduction import BeltramiPair, CoefficientMatrixField
+from .reduction import BeltramiPair, CoefficientMatrixField, EllipticityError
 from .stretching import AngularStretching, eval_stretching
 
 __all__ = [
@@ -236,10 +236,12 @@ def _to_vertices(v0, v1, v2):
 
 def _flux_factors(a: CoefficientMatrixField, centroid, gx, gy):
     """r_i times the flux A grad(u_h) per difference of u (g0 = -g1 - g2),
-    as (x, y) lists over u1 - u0 and u2 - u0, with A read at the centroids."""
+    as (x, y) lists over u1 - u0 and u2 - u0, with A read at the centroids.
+    Raises EllipticityError where A is not positive definite there, as it
+    can become in floating point even when its field is elliptic."""
     a11, a12, a21, a22 = a.entries(centroid)
     if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
-        raise ValueError("coefficient matrix is not positive definite on the mesh")
+        raise EllipticityError("coefficient matrix is not positive definite on the mesh")
     agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
     agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
     return agx, agy
@@ -257,19 +259,18 @@ def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int 
     the unit ring; any other field at each block's centroids.  The shared
     row's partial sums are held back and added to the next block's, so a row
     is yielded only when it is finished.  With start > 0 the walk begins at
-    the block holding ring start, on the block boundaries of the whole walk:
-    its first row lacks the ring below and is partial, every later row is
-    bitwise the one of the whole walk.
+    ring start itself and ends each block on the whole walk's next block
+    boundary: its first row lacks the ring below and is partial, every later
+    row is summed in the whole walk's order, so it is bitwise that walk's.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
     hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
     step = max(1, _BLOCK // na)
-    first = start // step * step
-    U, r_held, s_held = sample(first, first + 1), 0.0, 0.0
-    for i0 in range(first, nr - 1, step):
-        i1 = min(i0 + step, nr - 1)
+    U, r_held, s_held = sample(start, start + 1), 0.0, 0.0
+    edges = [start, *range((start // step + 1) * step, nr - 1, step), nr - 1]
+    for i0, i1 in zip(edges[:-1], edges[1:]):
         U = np.concatenate([U[-1:], sample(i0 + 1, i1 + 1)])
         agx, agy = angular or _flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
         u0, u1, u2 = _triangle_vertices(U)
@@ -366,10 +367,10 @@ def _outer_row_max(sample, a: CoefficientMatrixField, grid: PolarGrid, alpha: fl
     """max |R| / max S of a mesh whose rings scale by q^alpha, from its last
     interior row, or None when rows nr-3 -> nr-2 did not grow by q^alpha.
 
-    Only the blocks from the one holding ring nr-4 are sampled and assembled,
-    on the whole walk's block boundaries, so rows nr-3 and nr-2 are bitwise
-    those of _streamed_max's walk, and so is the maximum when it lies on the
-    last interior row."""
+    Only rows nr-4..nr-1 are sampled and rings nr-4..nr-2 assembled, walked
+    from ring nr-4 on the whole walk's block boundaries, so rows nr-3 and
+    nr-2 are bitwise those of _streamed_max's walk, and so is the maximum
+    when it lies on the last interior row."""
     blocks = list(_weak_blocks(sample, a, grid, grid.radii.size - 4))
     R = np.concatenate([r for _, r, _ in blocks])[-3:-1]
     S = np.concatenate([s for _, _, s in blocks])[-3:-1]
@@ -416,12 +417,12 @@ def weak_form_residual(
     When the given mesh shows u homogeneous (_homogeneous_degree: A angular,
     each sampled row (r_i / r_0)^alpha times the first to 1e-12 relative
     with alpha > 0, and max |R| and max S growing by q^alpha from row nr-3
-    to nr-2), each refined mesh is sampled and assembled only from the block
-    holding ring nr-4, and its maximum is read off row nr-2, bitwise the
-    whole walk's (_outer_row_max).  That needs rows nr-3 -> nr-2 of the
-    refined mesh to grow by q^alpha as well, to (q^alpha - 1) / 100 in both
-    max |R| and max S; where they do not (R at rounding level), the refined
-    mesh is walked whole, so its rows from that block on are sampled twice.
+    to nr-2), each refined mesh is sampled and assembled only from ring
+    nr-4, and its maximum is read off row nr-2, bitwise the whole walk's
+    (_outer_row_max).  That needs rows nr-3 -> nr-2 of the refined mesh to
+    grow by q^alpha as well, to (q^alpha - 1) / 100 in both max |R| and
+    max S; where they do not (R at rounding level), the refined mesh is
+    walked whole, so its rows from ring nr-4 on are sampled twice.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints

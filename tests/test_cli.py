@@ -284,6 +284,20 @@ def test_library_limits_exit_two(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha, expected", [("1e-7", 0), ("1e-8", 3), ("1e-9", 3), ("1e-12", 3)])
+def test_verify_tiny_alpha_keeps_exit_contract(alpha, expected, capsys):
+    # the spec accepts these alphas; from 1e-8 on, the radial stretch's matrix
+    # loses positivity in floating point on the mesh (at 1e-12 kappa rounds
+    # to 1 first): an ellipticity failure, exit 3, not a spec error
+    assert run(["--command", "verify", "--alpha", alpha]) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

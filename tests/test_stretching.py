@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import field_from_callable
+from helpers import (
+    field_from_callable,
+    reference_advance_extremum,
+    reference_eval_system_solution,
+    reference_monodromy,
+    reference_phase_advance,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -26,6 +32,7 @@ from beltbound.stretching import (
     discriminants,
     distortion_from_k,
     eval_stretching,
+    eval_system_solution,
     find_periodic_alpha,
     injectivity_check,
     k_from_munu,
@@ -120,7 +127,7 @@ def test_monodromy_matches_sequential_cell_product():
         _, h, av, bv = _piece_rates(_cells(k), 0.9)
         ref = np.eye(2)
         for j in range(h.size):
-            c, p12, p21 = _piece_propagator(av[j], bv[j], h[j])
+            _, c, p12, p21 = _piece_propagator(av[j], bv[j], h[j])
             ref = np.array([[c, p12], [p21, c]]) @ ref
         assert np.max(np.abs(monodromy(k, 0.9) - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -561,3 +568,44 @@ def test_branch_one_skips_the_right_edge(monkeypatch):
     calls.clear()
     assert scipy_edge_root(k, _cells(k), 1, want_max=True) == alpha
     assert lazy <= len(calls) - 2, (lazy, len(calls))
+
+
+def hexes(*arrays):
+    return [float(v).hex() for a in arrays for v in np.ravel(a)]
+
+
+nonzero = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), smooth=st.booleans(), alpha=st.floats(0.05, 4.0),
+       initial=st.tuples(nonzero, nonzero))
+def test_search_step_bitwise_equal_to_reference(seed, smooth, alpha, initial):
+    # one propagation pass (identity row, the rates w shared, one arctan2 pair
+    # over cell ends and starts) against the reference step of tests/helpers;
+    # initial has no zero component, since only an exact zero's sign may
+    # differ where the identity row replaces a product with the identity
+    rng = np.random.default_rng(seed)
+    if smooth:
+        k = trig_k(trig_coefficients(rng), int(rng.choice([8, 16, 32])))
+    else:
+        k = random_k(rng, pieces=int(rng.integers(2, 7)), node_count=64)
+    cells = _cells(k)
+    assert hexes(_advance_extremum(cells, alpha)) == hexes(reference_advance_extremum(cells, alpha))
+    assert hexes(monodromy(k, alpha)) == hexes(reference_monodromy(k, alpha))
+    phis = rng.uniform(-np.pi, np.pi, 5)
+    for phi0 in (phis, phis[0]):
+        assert hexes(phase_advance(k, alpha, phi0)) == hexes(reference_phase_advance(k, alpha, phi0))
+    thetas = np.concatenate([rng.uniform(-1.0, 7.0, 8), k.grid.breakpoints])
+    assert hexes(*eval_system_solution(k, alpha, initial, thetas)) == hexes(
+        *reference_eval_system_solution(k, alpha, initial, thetas))
+
+
+@pytest.mark.parametrize("make_k, alpha", [
+    (lambda: build_family(2.0, 0.5, node_count=1024).k, "0x1.850c3d59b3491p-1"),
+    (lambda: build_family(3.0, 1.0, node_count=1024).k, "0x1.5555555555555p-1"),
+    (lambda: trig_k(trig_coefficients(np.random.default_rng(201)), 16), "0x1.d034b8bd36476p-1"),
+], ids=["family-2-0.5", "family-3-1", "smooth-16"])
+def test_find_periodic_alpha_is_pinned(make_k, alpha):
+    # the values before each search step became one propagation pass
+    assert find_periodic_alpha(make_k()).hex() == alpha

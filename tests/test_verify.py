@@ -440,6 +440,36 @@ def test_weak_form_memory_is_set_by_the_block():
     assert peak < 2.2e6, peak
 
 
+@pytest.mark.parametrize("case", ["pointwise", "exp"])
+def test_whole_walk_memory_is_set_by_the_block(case):
+    # the whole streamed walk, which a pointwise A or a non-homogeneous u
+    # takes: its peak is the same on 16 rings as on 256 (1024 nodes, four
+    # rings a block), so it is set by the block, not the mesh
+    fam = build_family(2.0, 0.5, node_count=1024)
+    a = beltrami_to_matrices(fam.pair()).B
+    u = lambda z: np.real(fam.map_at(z))  # noqa: E731
+    if case == "pointwise":
+        a = CoefficientMatrixField.from_callables(a.entries)
+    else:
+        u = lambda z: np.real(np.exp(z))  # noqa: E731
+    peaks = []
+    for nr in (16, 256):
+        g = PolarGrid.annulus(radius_count=nr, node_count=1024, breakpoints=fam.breakpoints)
+
+        def walk():
+            return verify._streamed_max(verify._weak_blocks(verify._sampler(u, g), a, g), nr)
+
+        walk()  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            walk()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert max(peaks) < 2.2e6, peaks
+
+
 def mesh_vertices(g, first=0):
     """The vertices of rows first.. of g, row by row."""
     return (g.radii[first:, None] * np.exp(1j * g.angles.nodes)[None, :]).ravel()
@@ -458,8 +488,8 @@ def sampled(u):
 
 def test_weak_form_samples_each_vertex_once_in_blocks():
     # a homogeneous u with an angular A: the base mesh in one call, each
-    # refined mesh in blocks of rows from the block holding ring nr-4, since
-    # its maxima lie on row nr-2; each of those vertices once, in row order
+    # refined mesh in blocks of rows from ring nr-4 on, since its maxima lie
+    # on row nr-2; each of those vertices once, in row order
     fam = build_family(1.5, 0.5, node_count=512)
     B = beltrami_to_matrices(fam.pair()).B
     _, u = build_maps(fam)
@@ -470,9 +500,8 @@ def test_weak_form_samples_each_vertex_once_in_blocks():
     vertices = [mesh_vertices(g)]
     for _ in range(2):
         g = g.refined()
-        step = max(1, verify._BLOCK // g.angles.node_count)
-        vertices.append(mesh_vertices(g, (g.radii.size - 4) // step * step))
-    assert vertices[-1].size < mesh_vertices(g).size / 3
+        vertices.append(mesh_vertices(g, g.radii.size - 4))
+    assert vertices[-1].size == 4 * g.angles.node_count
     assert np.array_equal(np.concatenate(seen), np.concatenate(vertices))
 
 
@@ -576,12 +605,14 @@ def least_divisor(n):
 @settings(max_examples=50, deadline=None)
 @given(M=st.floats(1.2, 5.0), tau=st.floats(0.0, 1.0), nr=st.integers(5, 16),
        na=st.sampled_from([32, 64, 128]), refinements=st.integers(1, 3),
-       imag=st.booleans(), block=st.sampled_from(["default", "200", "boundary"]))
+       imag=st.booleans(),
+       block=st.sampled_from(["default", "200", "boundary", "boundary-3"]))
 def test_outer_row_maxima_equal_the_full_walk(M, tau, nr, na, refinements, imag, block):
     # on the sharp family's homogeneous Re u (with B) and Im u (with B tilde)
     # every refined mesh takes its maxima from its outer rows, bitwise those
     # of the whole walk; "boundary" starts a block on row nr-2 of the first
-    # refined mesh (its rings per block are the least divisor of nr-2)
+    # refined mesh (its rings per block are the least divisor of nr-2),
+    # "boundary-3" on row nr-3, so that the walk's first block is one ring
     fam = build_family(M, tau, node_count=512)
     red = beltrami_to_matrices(fam.pair())
     a, part = (red.B_tilde, np.imag) if imag else (red.B, np.real)
@@ -590,9 +621,10 @@ def test_outer_row_maxima_equal_the_full_walk(M, tau, nr, na, refinements, imag,
     with pytest.MonkeyPatch.context() as mp:
         if block == "200":
             mp.setattr(verify, "_BLOCK", 200)
-        elif block == "boundary":
+        elif block != "default":
             r1 = g.refined()
-            mp.setattr(verify, "_BLOCK", least_divisor(r1.radii.size - 2) * r1.angles.node_count)
+            row = r1.radii.size - (3 if block == "boundary-3" else 2)
+            mp.setattr(verify, "_BLOCK", least_divisor(row) * r1.angles.node_count)
         results = outer_row_results(mp)
         rep = weak_form_residual(u, a, g, refinements=refinements)
         assert len(results) == refinements and None not in results
