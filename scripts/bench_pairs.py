@@ -8,8 +8,9 @@ is <rev>, checked out from the same repository by ``git worktree add
 --detach`` into a temporary directory (no network) and removed on exit.
 Each pair runs ``benchmark/run.py --trace 0`` once in each tree, the parent
 first in odd pairs and the change first in even ones, so that a drift of the
-host's speed does not favour one side.  ``--workload`` may be given more
-than once; every workload gets ``--pairs`` pairs.
+host's speed does not favour one side.  Every run lasts ``BENCHMARK.json``'s
+``run_seconds``.  ``--workload`` may be given more than once; every workload
+gets ``--pairs`` pairs.
 
 The record has the layout of the earlier ``BENCH_<n>_pairs.json`` files
 (``what``, ``command``, ``parent``, ``host``, ``runs``) plus ``summary``:
@@ -112,19 +113,19 @@ def main(argv=None):
     p.add_argument("--workload", required=True, action="append")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--out", required=True, help="path of the JSON record to write")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
 
+    seconds = spec["run_seconds"]
     runs = []
     with parent_tree(args.parent) as parent:
         trees = {"parent": parent, "change": ROOT}
         for workload in args.workload:
             for pair in range(1, args.pairs + 1):
                 for side in SIDES if pair % 2 else SIDES[::-1]:
-                    result = run_once(trees[side], workload, args.seed, args.seconds)
+                    result = run_once(trees[side], workload, args.seed, seconds)
                     runs.append({"pair": pair, "side": side, "workload": workload,
                                  "seed": args.seed, **result})
                     print(f"{workload} pair {pair} {side}: {result['metrics']}", file=sys.stderr)
@@ -133,7 +134,7 @@ def main(argv=None):
                 "copy of the source tree, alternating which side runs first (odd pairs: parent "
                 f"first); {args.pairs} pairs per workload",
         "command": f"python3 benchmark/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds} --trace 0",
         "parent": git("rev-parse", "--short", args.parent),
         "host": {"machine": platform.machine(), "nproc": os.cpu_count()},
         "runs": runs,
