@@ -13,7 +13,11 @@ Run from anywhere inside a source checkout.  The record holds:
   (``beltbound.cli.run``, stdout captured), median of five runs after one
   warm-up, with their exit codes, and each command's ``tracemalloc`` peak
   (``peak_mb``, in MB) from one more run, untimed, since tracing slows the
-  allocations it counts;
+  allocations it counts.  Each entry also holds ``sha256``, the digest of the
+  command's output (its captured stdout, then the file it wrote with
+  ``--out``: ``scan.csv`` for the sweep), and ``same_digest``, whether every
+  timed run gave that digest, so that two records tell whether a change kept
+  the outputs byte for byte;
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
   ``--trace 1``, each with the run's attempted/failed counts, at seed
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -81,6 +86,25 @@ def tier1():
     return {"seconds": seconds, "exit_code": proc.returncode, "summary": summary, **counts}
 
 
+def run_captured(run, argv):
+    """One in-process call of the CLI's run: (exit code, seconds, sha256 of
+    the output).  The output is the captured stdout followed by the file
+    named by --out, which is read from the working directory and removed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        start = time.perf_counter()
+        code = run(list(argv))
+        seconds = time.perf_counter() - start
+    digest = hashlib.sha256(buf.getvalue().encode())
+    if "--out" in argv:
+        path = argv[argv.index("--out") + 1]
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+            os.remove(path)
+    return code, seconds, digest.hexdigest()
+
+
 def readme_commands():
     sys.path.insert(0, SRC)
     from beltbound.cli import run
@@ -91,12 +115,12 @@ def readme_commands():
         os.chdir(tmp)  # the sweep writes scan.csv into the working directory
         try:
             for argv in README_COMMANDS:
-                times, codes = [], set()
+                times, codes, digests = [], set(), []
                 for _ in range(README_REPEATS + 1):
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        start = time.perf_counter()
-                        codes.add(run(list(argv)))
-                        times.append(time.perf_counter() - start)
+                    code, seconds, digest = run_captured(run, argv)
+                    codes.add(code)
+                    times.append(seconds)
+                    digests.append(digest)
                 tracemalloc.start()
                 try:
                     with contextlib.redirect_stdout(io.StringIO()):
@@ -105,7 +129,8 @@ def readme_commands():
                 finally:
                     tracemalloc.stop()
                 out.append({"argv": " ".join(argv), "seconds": statistics.median(times[1:]),
-                            "peak_mb": peak / 1e6, "exit_codes": sorted(codes)})
+                            "peak_mb": peak / 1e6, "exit_codes": sorted(codes),
+                            "sha256": digests[0], "same_digest": len(set(digests)) == 1})
         finally:
             os.chdir(cwd)
     return out

@@ -269,21 +269,76 @@ def _sweep_config(spec: JobSpec) -> SweepConfig:
 # serialization
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_float(v) -> str:
+    if math.isfinite(v):
+        return float.__repr__(v)
+    if v != v:
+        return "NaN"
+    return "Infinity" if v > 0 else "-Infinity"
+
+
+def _json_parts(obj, nl: str, out: list) -> None:
+    """Append to out the text of obj as json.dumps(..., indent=2) writes it,
+    nl being a newline and the indent of obj's line.  Complex numbers are
+    written as [re, im], arrays as their tolist() and numpy scalars as
+    Python ones; dict keys must be strings."""
+    if isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, str):
+        out.append(_JSON_STR(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key, v in obj.items():
+            out += (sep, inner, _JSON_STR(key), ": ")
+            _json_parts(v, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for v in obj:
+            out += (sep, inner)
+            _json_parts(v, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(obj, complex):
+        _json_parts((obj.real, obj.imag), nl, out)
+    elif isinstance(obj, np.ndarray):
+        _json_parts(obj.tolist(), nl, out)
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        _json_parts(obj.item(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """payload as json.dumps(payload, indent=2) writes it, in one pass."""
+    out = []
+    _json_parts(payload, "\n", out)
+    return "".join(out)
 
 
 def _flatten(payload, prefix=""):
+    if isinstance(payload, np.ndarray):
+        payload = payload.tolist()
+    if isinstance(payload, complex):
+        payload = (payload.real, payload.imag)
     rows = []
     if isinstance(payload, dict):
         for k, v in payload.items():
@@ -297,6 +352,8 @@ def _flatten(payload, prefix=""):
 
 
 def _format_value(v):
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        v = v.item()
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return str(v)
     if isinstance(v, int):
@@ -305,9 +362,11 @@ def _format_value(v):
 
 
 def _emit(payload, spec: JobSpec) -> None:
-    payload = _jsonable(payload)
+    """Write payload to spec.out or stdout: JSON exactly as
+    json.dumps(payload, indent=2) writes it (see _json_parts), or CSV, one
+    row per sweep point or one key/value row per leaf of the payload."""
     if spec.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     elif isinstance(payload, list):  # sweep rows; a failed point leaves its numbers empty
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

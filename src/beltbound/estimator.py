@@ -52,6 +52,11 @@ and weight_pieces (_reduced_pass), so corollary_bound after beta_estimate on
 the same pair and config restricts nothing.  Sources are therefore treated
 as immutable: editing a pair's or a field's arrays in place after an
 estimate can return stale results.  A sweep of several passes keeps none.
+The restriction keeps what does not depend on the source, the off-centre
+circles' grid, points and normals (reduction._circle_geometry), so the
+estimates of many pairs on one memoized disk_lattice place its circles once.
+The mu = 0 and nu = 0 bounds are corollary_bound after a check of I = 1 or
+D = 1 on the same batches: the unit-pair value is their one formula.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ from .periodic_fields import (
     field_extrema,
     gap_integrals,
     gap_right_values,
-    periodic_mean,
 )
 from .reduction import (
     BeltramiPair,
@@ -145,6 +149,7 @@ class SweepConfig:
         return cls(circles=(CircleSpec(0.0, radius, resolution=resolution),), **kw)
 
     @classmethod
+    @functools.lru_cache(maxsize=8)
     def disk_lattice(
         cls,
         radius_count: int = 5,
@@ -154,7 +159,10 @@ class SweepConfig:
         **kw,
     ) -> "SweepConfig":
         """Origin circle plus circles centered on a polar lattice in the unit
-        disk, each with the largest radius keeping the stated margin."""
+        disk, each with the largest radius keeping the stated margin.
+
+        Memoized: equal arguments return the same frozen config, whose
+        circles key the restriction's geometry cache."""
         circles = [CircleSpec(0.0, 1.0 - margin, resolution=resolution)]
         rs = np.linspace(0.15, 0.75, radius_count)
         ts = TWO_PI * np.arange(angle_count) / angle_count
@@ -406,12 +414,6 @@ def _passes(circles):
     return passes
 
 
-def _restrictions(source, circles):
-    """source.on_circles per pass, lazily."""
-    for idx in _passes(circles):
-        yield source.on_circles([circles[k] for k in idx])
-
-
 @functools.lru_cache(maxsize=1)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     """Restrict source to circles of one grid, weight-arc boundaries as extra
@@ -528,17 +530,15 @@ def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
 
     For real nu, D = ((1-nu)^2 - |mu|^2)/((1+nu)^2 - |mu|^2) is 1 only at
     nu = 0, where the arctan term is 1 and this is the corollary value
-    circle by circle.  A pointwise B's det sums entry products up to K^2 (K
-    the distortion bound), so D = 1 is tested to _UNIT_TOL K^2.
+    circle by circle, so once D = 1 is checked on the sweep's reduced
+    batches it is corollary_bound.  A pointwise B's det sums entry products
+    up to K^2 (K the distortion bound), so D = 1 is tested to _UNIT_TOL K^2.
     """
     tol = _UNIT_TOL * pair.distortion_bound() ** 2
-    sup = 0.0
-    for on in _restrictions(_real_nu(pair), cfg.circles):
-        I, D = _matrix_fields(on)
-        if np.max(np.abs(D.values - 1.0)) > tol:
+    for _, data in _reduced(_real_nu(pair), cfg):
+        if np.max(np.abs(data.det_ratio.values - 1.0)) > tol:
             raise ValueError("nu_zero_bound requires nu = 0")
-        sup = max(sup, float(np.max(periodic_mean(I))))
-    return _bound_of(sup)
+    return corollary_bound(pair, cfg)
 
 
 def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
@@ -546,16 +546,15 @@ def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     of inf D / sup D, (4/pi) arctan of the root of the (1-nu)/(1+nu) spread.
 
     mu = 0 shows as I = 1, where this is the corollary value circle by
-    circle: a circle on which nu is constant contributes 1, and on angular
-    data the origin circle, which sees every value of nu, is the worst.
+    circle, so once I = 1 is checked to _UNIT_TOL on the sweep's reduced
+    batches it is corollary_bound: a circle on which nu is constant
+    contributes 1, and on angular data the origin circle, which sees every
+    value of nu, is the worst.
     """
-    worst = 1.0
-    for on in _restrictions(_real_nu(pair), cfg.circles):
-        I, D = _matrix_fields(on)
-        if np.max(np.abs(I.values - 1.0)) > _UNIT_TOL:
+    for _, data in _reduced(_real_nu(pair), cfg):
+        if np.max(np.abs(data.integrand.values - 1.0)) > _UNIT_TOL:
             raise ValueError("mu_zero_bound requires mu = 0")
-        worst = min(worst, float(_arctan_term(D.values.min(axis=-1) / D.values.max(axis=-1)).min()))
-    return worst
+    return corollary_bound(pair, cfg)
 
 
 def classical_bound(pair: BeltramiPair) -> float:

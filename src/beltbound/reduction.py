@@ -17,6 +17,7 @@ one restriction type, MatrixOnCircles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,19 +62,53 @@ def _check_kappa(kappa: float) -> None:
 
 
 def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
-    """The grid circles share and their points z (C, N): for origin circles of
-    angular data, the coefficients' breakpoints too and no points (None)."""
+    """The grid circles share and their source-free geometry: for origin
+    circles of angular data, the grid on the coefficients' breakpoints too
+    and no geometry (None); otherwise _circle_geometry's."""
     angular = angular_breakpoints is not None
+    circles = tuple(circles)
+    if angular and circles[0].origin_centered:
+        _check_batch(circles, angular)
+        extra = () if extra_breakpoints is None else (extra_breakpoints,)
+        return circles[0].grid(np.concatenate([angular_breakpoints, *extra])), None
+    arcs = None if extra_breakpoints is None else tuple(np.ravel(extra_breakpoints).tolist())
+    return _circle_geometry(circles, arcs, angular)
+
+
+def _check_batch(circles, angular: bool) -> None:
     if angular and any(c.through_origin() for c in circles):
         raise ValueError("angular coefficients: circle must not pass through the origin")
     key = {(c.resolution, angular and c.origin_centered) for c in circles}
     if len(key) > 1:
         raise ValueError("the circles of one batch must share one grid")
-    if angular and circles[0].origin_centered:
-        extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        return circles[0].grid(np.concatenate([angular_breakpoints, *extra])), None
-    grid = circles[0].grid(extra_breakpoints)
-    return grid, circle_points(circles, grid)[0]
+
+
+@functools.lru_cache(maxsize=2)
+def _circle_geometry(circles: tuple, arcs: tuple | None, angular: bool):
+    """(grid, geometry) of circles that share one grid with the weight arcs
+    as its breakpoints: everything a restriction needs that does not depend
+    on the source.  For angular data the geometry is (arg z, cos and sin of
+    each outward normal's angle to arg z), each (C, N) with row c on
+    circles[c]; for pointwise data it is (z, cos and sin of the normals'
+    angles), the last two (N,).
+
+    Its arrays are read-only, since the cache hands them to every source.
+    Keyed on (circles, arcs, angular), it holds the last two batches, one
+    per grid of a lattice sweep (origin circles of angular data never get
+    here: their grid holds the source's breakpoints).
+    """
+    _check_batch(circles, angular)
+    grid = circles[0].grid(arcs)
+    z, n = circle_points(circles, grid)
+    if angular:
+        theta = arg_of(z)
+        rel = grid.nodes - theta
+        geometry = (theta, np.cos(rel), np.sin(rel))
+    else:
+        geometry = (z, n.real, n.imag)
+    for a in (*geometry, grid.nodes, grid.breakpoints, grid.segment_starts):
+        a.flags.writeable = False
+    return grid, geometry
 
 
 # the 12 x 96 polar lattice in the unit disk where callable fields are sampled
@@ -188,7 +223,8 @@ class BeltramiPair:
 
     def on_circles(self, circles, extra_breakpoints=None) -> "MatrixOnCircles":
         """The reduction matrix B (beltrami_to_matrices) along circles that
-        share one grid: every circle functional of the pair is one of B."""
+        share one grid: every circle functional of the pair is one of B.
+        See CoefficientMatrixField.on_circles for the cached geometry."""
         return _reduction_matrix(self).on_circles(circles, extra_breakpoints)
 
     def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
@@ -272,22 +308,25 @@ class CoefficientMatrixField:
         of the normal's angle to z and det A = k1 k2; on origin circles that
         angle is 0 (<n, A n> = k1) and the grid holds k's breakpoints
         (piecewise-exact).  A pointwise field is evaluated in one call.
+        The rest (the grid, z or arg z, the normals' cosines and sines) does
+        not depend on the field and comes read-only from _circle_geometry,
+        built once per batch of circles and weight arcs, except for origin
+        circles of angular data, whose grid holds k's breakpoints.
         """
         k = self.k
-        grid, z = _batch_grid(circles, extra_breakpoints, None if k is None else k.grid.breakpoints)
-        if z is None:
+        grid, geometry = _batch_grid(circles, extra_breakpoints,
+                                     None if k is None else k.grid.breakpoints)
+        if geometry is None:
             k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
             kind = PIECEWISE if k.is_piecewise else SMOOTH
         elif k is not None:
-            theta = arg_of(z)
+            theta, c, s = geometry
             k1, k2 = k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta)
-            c, s = np.cos(grid.nodes - theta), np.sin(grid.nodes - theta)
             nAn, det, kind = k1 * c * c + k2 * s * s, k1 * k2, SMOOTH
         else:
+            z, c, s = geometry
             a11, a12, a21, a22 = (v.reshape(z.shape) for v in self.entries(z.ravel()))
-            n = np.exp(1j * grid.nodes)
-            c, s = n.real, n.imag
             nAn = a11 * c * c + (a12 + a21) * c * s + a22 * s * s
             det = a11 * a22 - a12 * a21
             kind = SMOOTH

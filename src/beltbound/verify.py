@@ -237,10 +237,13 @@ def _to_vertices(v0, v1, v2):
 def _flux_factors(a: CoefficientMatrixField, centroid, gx, gy):
     """r_i times the flux A grad(u_h) per difference of u (g0 = -g1 - g2),
     as (x, y) lists over u1 - u0 and u2 - u0, with A read at the centroids.
-    Raises EllipticityError where A is not positive definite there, as it
-    can become in floating point even when its field is elliptic."""
-    a11, a12, a21, a22 = a.entries(centroid)
-    if np.min(a11) <= 0 or np.min(a11 * a22 - a12 * a21) <= 0:
+    Raises EllipticityError unless A is finite and positive definite there:
+    it can lose positivity in floating point even when its field is
+    elliptic, and a callable field can return NaN or inf."""
+    a11, a12, a21, a22 = entries = a.entries(centroid)
+    if not all(np.isfinite(v).all() for v in entries):
+        raise EllipticityError("coefficient matrix is not finite on the mesh")
+    if not (np.min(a11) > 0 and np.min(a11 * a22 - a12 * a21) > 0):
         raise EllipticityError("coefficient matrix is not positive definite on the mesh")
     agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
     agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
@@ -380,7 +383,9 @@ def _outer_row_max(sample, a: CoefficientMatrixField, grid: PolarGrid, alpha: fl
 
 
 def _sampler(u, grid: PolarGrid):
-    """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1."""
+    """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1.
+    Raises ValueError naming the vertex rows where u is not finite, before
+    any arithmetic on the samples."""
     e_pos = np.exp(1j * grid.angles.nodes)[None, :]
 
     def sample(i, j):
@@ -389,6 +394,10 @@ def _sampler(u, grid: PolarGrid):
         if vals.shape != z.shape:
             raise ValueError(f"u must return one value per point: shape {z.shape}, "
                              f"got {vals.shape}")
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            rows = (i + np.flatnonzero(~finite)).tolist()
+            raise ValueError(f"u is not finite at vertex rows {rows}")
         return vals
 
     return sample
@@ -423,6 +432,10 @@ def weak_form_residual(
     grow by q^alpha as well, to (q^alpha - 1) / 100 in both max |R| and
     max S; where they do not (R at rounding level), the refined mesh is
     walked whole, so its rows from ring nr-4 on are sampled twice.
+
+    No report carries NaN: u that is not finite at a vertex raises
+    ValueError naming the vertex rows, and A that is not finite and
+    positive definite at a triangle's centroid raises EllipticityError.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints

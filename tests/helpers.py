@@ -1,5 +1,6 @@
 """Constructors, reductions and references that only the tests need."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,27 @@ def field_from_callable(grid, fn, kind=SMOOTH):
 def identity_matrix():
     """The constant identity matrix field."""
     return CoefficientMatrixField.constant(1.0, 0.0, 0.0, 1.0)
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
+
+
+def reference_json(payload) -> str:
+    """The CLI's JSON text as it was written before the one-pass writer: a
+    plain-Python copy of the payload (complex as [re, im], arrays through
+    tolist, numpy scalars through item), then json.dumps(indent=2)."""
+    return json.dumps(_jsonable(payload), indent=2)
 
 
 def node_gap_batch(on):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beltbound import estimator
-from beltbound.cli import JobSpec, SpecError, build_spec, run
+from beltbound.cli import JobSpec, SpecError, _emit, _json_text, build_spec, run
 from beltbound.estimator import SweepConfig, corollary_bound
 from beltbound.reduction import BeltramiPair
 
@@ -381,6 +386,55 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert abs(doc["bounds"]["beta"] - 0.5) < 1e-9
+
+
+# the leaves a payload can hold, with the floats json writes specially
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e300, -1e-300])
+LEAVES = (FLOATS | st.integers() | st.integers(-2**200, 2**200) | st.booleans() | st.none()
+          | st.text() | st.complex_numbers()
+          | FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+          | st.booleans().map(np.bool_)
+          | arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]),
+                   st.sampled_from([(), (3,), (2, 2), (0,), (2, 0)])))
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == reference_json(payload)
+
+
+def test_json_writer_matches_json_dumps_on_reports(monkeypatch):
+    # the payloads the commands build, as they reach _emit
+    payloads = []
+    monkeypatch.setattr("beltbound.cli._emit", lambda payload, spec: payloads.append(payload))
+    for argv in (["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "1"],
+                 ["--command", "sharp", "--M", "3", "--tau", "1"],
+                 ["--command", "verify", "--alpha", "0.5"],
+                 ["--command", "sweep", "--M", "0.5,2", "--tau", "0,1"]):
+        run(argv + FAST)
+    assert len(payloads) == 4
+    for payload in payloads:
+        assert _json_text(payload) == reference_json(payload)
+
+
+def test_csv_reads_complex_values_and_arrays(capsys):
+    payload = {"z": 1.5 - 2j, "a": np.array([[1.0, 2.0], [3.0, np.inf]]), "n": np.int64(7),
+               "f": np.float32(0.1), "b": np.bool_(True), "e": [], "w": np.complex128(1j)}
+    _emit(payload, JobSpec(command="estimate", format="csv"))
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["key", "value"], ["z.0", "1.50000000000000000e+00"],
+                    ["z.1", "-2.00000000000000000e+00"], ["a.0.0", "1.00000000000000000e+00"],
+                    ["a.0.1", "2.00000000000000000e+00"], ["a.1.0", "3.00000000000000000e+00"],
+                    ["a.1.1", "inf"], ["n", "7"], ["f", format(float(np.float32(0.1)), ".17e")],
+                    ["b", "True"], ["w.0", "0.00000000000000000e+00"],
+                    ["w.1", "1.00000000000000000e+00"]]
 
 
 def test_build_spec_parses_lists_and_validates():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_angular_pair as criterion_6_pair
 
-from beltbound import estimator
+from beltbound import estimator, reduction
 from beltbound.estimator import (
     SweepConfig,
     _arc_value,
@@ -617,3 +617,71 @@ def test_sweep_longer_than_a_pass_caches_nothing(monkeypatch):
         assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
         assert calls == passes + passes
         assert _reduced_pass.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the source-free circle geometry a lattice sweep keeps
+
+
+def _count_circle_points(monkeypatch):
+    calls, original = [], reduction.circle_points
+
+    def spy(circles, grid):
+        calls.append(len(circles))
+        return original(circles, grid)
+
+    monkeypatch.setattr(reduction, "circle_points", spy)
+    return calls
+
+
+def test_lattice_geometry_is_built_once(monkeypatch):
+    # the off-centre circles of a lattice are placed once for every pair;
+    # the origin circle of angular data is on each pair's own grid
+    reduction._circle_geometry.cache_clear()
+    calls = _count_circle_points(monkeypatch)
+    lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
+    rng = np.random.default_rng(45)
+    for _ in range(2):
+        beta_estimate(random_angular_pair(rng, node_count=128), lattice)
+        assert lattice is SweepConfig.disk_lattice(radius_count=1, resolution=128,
+                                                   weight_pieces=2)
+    assert calls == [8]
+
+
+def test_cached_geometry_is_read_only():
+    circles = SweepConfig.disk_lattice(radius_count=1, resolution=128).circles[1:]
+    for angular in (True, False):
+        grid, geometry = reduction._circle_geometry(circles, (0.0, np.pi), angular)
+        for a in (*geometry, grid.nodes, grid.breakpoints, grid.segment_starts):
+            with pytest.raises(ValueError):
+                a[..., 0] = 1.0
+
+
+@pytest.mark.parametrize("pair", [
+    random_angular_pair(np.random.default_rng(46), node_count=128),
+    BeltramiPair.from_callables(lambda z: (0.3 * z * np.abs(z), 0.2 * np.real(z) + 0j)),
+], ids=["angular", "pointwise"])
+def test_reports_equal_with_geometry_cleared_and_warm(pair):
+    lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
+    reduction._circle_geometry.cache_clear()
+    _reduced_pass.cache_clear()
+    cold = beta_estimate(pair, lattice)
+    _reduced_pass.cache_clear()
+    assert reduction._circle_geometry.cache_info().currsize > 0
+    warm = beta_estimate(pair, lattice)
+    assert reduction._circle_geometry.cache_info().hits > 0
+    assert _same_report(warm, cold)
+
+
+def test_origin_batches_of_angular_data_bypass_the_geometry_cache():
+    # their grid holds the pair's breakpoints, so they would evict the
+    # off-centre entry every job
+    pair = random_angular_pair(np.random.default_rng(47), node_count=128)
+    reduction._circle_geometry.cache_clear()
+    _reduced_pass.cache_clear()
+    beta_estimate(pair, SweepConfig.origin(resolution=128, weight_pieces=2))
+    info = reduction._circle_geometry.cache_info()
+    assert info.hits == info.misses == 0
+    beta_estimate(pair, SweepConfig.disk_lattice(radius_count=1, resolution=128,
+                                                 weight_pieces=2))
+    assert reduction._circle_geometry.cache_info().currsize == 1

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from beltbound import verify
 from beltbound.periodic_fields import TWO_PI, AngularGrid, PeriodicField
-from beltbound.reduction import BeltramiPair, CoefficientMatrixField, beltrami_to_matrices
+from beltbound.reduction import (
+    BeltramiPair,
+    CoefficientMatrixField,
+    EllipticityError,
+    beltrami_to_matrices,
+)
 from beltbound.sharp_family import build_family, build_maps
 from beltbound.stretching import AngularStretching, KProfile, eval_stretching
 from beltbound.verify import (
@@ -202,6 +207,38 @@ def test_weak_form_rejects_indefinite_matrix():
     )
     with pytest.raises(ValueError, match="positive definite"):
         weak_form_residual(lambda z: np.real(z), bad, g)
+
+
+def inf_last_row(z):
+    return np.where(np.abs(z) > 0.9999, np.inf, np.real(z ** 3))
+
+
+def nan_last_row(z):
+    return np.where(np.abs(z) > 0.9999, np.nan, np.real(z ** 3))
+
+
+@pytest.mark.parametrize("u", [inf_last_row, nan_last_row], ids=["inf", "nan"])
+def test_weak_form_refuses_non_finite_samples(u):
+    # inf or NaN on the outer ring used to come back as NaN maxima and slope
+    red = beltrami_to_matrices(BeltramiPair.radial_stretch(0.5, node_count=256))
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+    with pytest.raises(ValueError, match=r"not finite at vertex rows \[11\]"):
+        weak_form_residual(u, red.B, g, refinements=1)
+
+
+def test_weak_form_refuses_non_finite_matrix():
+    # constructed directly, as its sampled bounds would veto it; NaN passed
+    # the positivity test (NaN <= 0 is False) and gave a NaN report
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+
+    def entries(z):
+        far = np.abs(z) > 0.9
+        return (np.where(far, np.nan, 1.0), np.zeros(np.shape(z)), np.zeros(np.shape(z)),
+                np.ones(np.shape(z)))
+
+    bad = CoefficientMatrixField(entries, symmetric=True, eig_bounds=(1.0, 1.0))
+    with pytest.raises(EllipticityError, match="not finite"):
+        weak_form_residual(np.real, bad, g, refinements=1)
 
 
 def test_weak_form_warns_on_misaligned_breakpoints():
@@ -639,17 +676,14 @@ def zero_first_row(z):
     return np.where(np.abs(z) < 0.2501, 0.0, np.real(z ** 3))
 
 
-def nan_last_row(z):
-    return np.where(np.abs(z) > 0.9999, np.nan, np.real(z ** 3))
-
-
 @pytest.mark.parametrize("u, tilde", [(np.real, False), (np.imag, True), (r_half_cos, False),
-                                      (zero_first_row, False), (nan_last_row, False)],
-                         ids=["re-z", "im-z", "negative-degree", "zero-row", "nan"])
+                                      (zero_first_row, False)],
+                         ids=["re-z", "im-z", "negative-degree", "zero-row"])
 def test_outer_rows_fall_back_to_the_full_walk(monkeypatch, u, tilde):
     # R at rounding level (u = Re z, Im z solve the radial stretch of degree
-    # 1 exactly), a degree alpha <= 0, a zero first row or a NaN: the probe
-    # refuses and the report is the whole walk's
+    # 1 exactly), a degree alpha <= 0 or a zero first row: the probe refuses
+    # and the report is the whole walk's (NaN samples are refused before the
+    # probe: test_weak_form_refuses_non_finite_samples)
     red = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256))
     a = red.B_tilde if tilde else red.B
     g = PolarGrid.annulus(radius_count=12, node_count=96)
