@@ -9,7 +9,8 @@ Run from anywhere inside a source checkout.  The record holds:
   (``python -m pytest -q --continue-on-collection-errors`` with ``src/`` on
   the path);
 - ``readme_commands``: in-process wall time of the five README commands
-  and of the 41-circle sweep ``estimate --M 2 --tau 0.5 --circles 5``
+  and of two 41-circle sweeps, ``estimate --M 2 --tau 0.5 --circles 5`` and
+  the nu = 0 lattice ``estimate --alpha 0.5 --circles 5``
   (``beltbound.cli.run``, stdout captured), median of five runs after one
   warm-up, with their exit codes, and each command's ``tracemalloc`` peak
   (``peak_mb``, in MB) from one more run, untimed, since tracing slows the
@@ -55,8 +56,10 @@ README_COMMANDS = (
     ["--command", "verify", "--M", "2", "--tau", "0.5", "--corrupt-mu"],
     ["--command", "sweep", "--M", "1.5,2,4", "--tau", "0,1", "--format", "csv",
      "--out", "scan.csv"],
-    # not a README command: the disk-lattice sweep, 41 circles in two grids
+    # not README commands: the disk-lattice sweep, 41 circles in two grids,
+    # and the nu = 0 lattice whose bounds share one reduction
     ["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "5"],
+    ["--command", "estimate", "--alpha", "0.5", "--circles", "5"],
 )
 README_REPEATS = 5
 SEED = 7

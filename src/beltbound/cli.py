@@ -389,7 +389,7 @@ def _emit(payload, spec: JobSpec) -> None:
 
 
 def _circle_payload(c: CircleSpec) -> dict:
-    return {"center": complex(c.center), "radius": c.radius, "resolution": c.resolution}
+    return {"center": c.center, "radius": c.radius, "resolution": c.resolution}
 
 
 _CIRCLE_KEYS = ("center", "radius", "value", "family", "evaluations", "solver_status",

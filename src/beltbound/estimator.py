@@ -41,22 +41,16 @@ right-end value (periodic_fields.gap_right_values).  The reduction is exact
 for piecewise-constant data and trapezoid-accurate for smooth data.
 _arc_value scores per-arc weights on it and is the one formula of the value.
 
-A sweep makes one pass per grid: the circles of one resolution, origin-centred
-or not, are restricted, reduced and solved together (_reduced), each
-circle's row as it would be alone.  A grid with more than _PASS_POINTS sample
-points takes several passes, made one at a time.
-
-The bounds of one (source, sweep) share one reduction: the reduced pass of
-the last one-pass sweep is kept, keyed on the source's identity, the circles
-and weight_pieces (_reduced_pass), so corollary_bound after beta_estimate on
-the same pair and config restricts nothing.  Sources are therefore treated
-as immutable: editing a pair's or a field's arrays in place after an
-estimate can return stale results.  A sweep of several passes keeps none.
-The restriction keeps what does not depend on the source, the off-centre
-circles' grid, points and normals (reduction._circle_geometry), so the
-estimates of many pairs on one memoized disk_lattice place its circles once.
-The mu = 0 and nu = 0 bounds are corollary_bound after a check of I = 1 or
-D = 1 on the same batches: the unit-pair value is their one formula.
+A sweep restricts, reduces and solves the circles of one grid
+(reduction.grid_key) together, at most _PASS_POINTS sample points a pass,
+each circle's row as it would be alone.  Every pass goes through
+one cache of the last two (_reduced_pass), keyed on the source's identity,
+the circles and weight_pieces, so the bounds of one (source, sweep) of at
+most two passes share one reduction, and no sweep leaves more behind.
+Sources are therefore treated as immutable: editing a pair's or a field's
+arrays in place after an estimate can return stale results.  The mu = 0 and
+nu = 0 bounds are corollary_bound after a check of I = 1 or D = 1 on the
+same batches: the unit-pair value is their one formula.
 """
 
 from __future__ import annotations
@@ -81,6 +75,7 @@ from .reduction import (
     CoefficientMatrixField,
     EllipticityError,
     MatrixOnCircles,
+    grid_key,
 )
 
 __all__ = [
@@ -170,7 +165,7 @@ class SweepConfig:
             for t in ts:
                 center = r * np.exp(1j * t)
                 circles.append(
-                    CircleSpec(complex(center), (1.0 - margin) * (1.0 - r), resolution=resolution)
+                    CircleSpec(center, (1.0 - margin) * (1.0 - r), resolution=resolution)
                 )
         return cls(circles=tuple(circles), **kw)
 
@@ -397,16 +392,16 @@ def _matrix_fields(on: MatrixOnCircles):
 
 
 # sample points a pass restricts at most, so that a sweep's memory does not
-# grow with its circle count; the README and benchmark sweeps are one pass
+# grow with its circle count; a README or benchmark sweep is one pass a grid
 _PASS_POINTS = 1 << 16
 
 
-def _passes(circles):
-    """Positions in circles per pass: the circles of one grid, at most
+def _passes(circles, angular: bool):
+    """Positions in circles per pass: the circles of one grid_key, at most
     _PASS_POINTS sample points at a time."""
     groups = {}
     for k, c in enumerate(circles):
-        groups.setdefault((c.resolution, c.origin_centered), []).append(k)
+        groups.setdefault(grid_key(c, angular), []).append(k)
     passes = []
     for (resolution, _), idx in groups.items():
         size = max(1, _PASS_POINTS // resolution)
@@ -414,7 +409,7 @@ def _passes(circles):
     return passes
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     """Restrict source to circles of one grid, weight-arc boundaries as extra
     breakpoints, and reduce the restriction's (I, D) to arcs.  The batch's
@@ -430,20 +425,11 @@ def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
 
 
 def _reduced(source, cfg: SweepConfig):
-    """(positions in cfg.circles, reduced pass) per pass, lazily.  A sweep of
-    one pass and at most _PASS_POINTS points keeps its pass in _reduced_pass's
-    cache (one entry, keyed on the source's identity, the circles and
-    weight_pieces), so the bounds of one (source, sweep) share it.  A longer
-    sweep empties the cache and reduces each pass afresh."""
+    """(positions in cfg.circles, reduced pass) per pass, lazily, each
+    through _reduced_pass's cache."""
     circles = tuple(cfg.circles)
-    passes = _passes(circles)
-    if len(passes) == 1 and sum(c.resolution for c in circles) <= _PASS_POINTS:
-        yield passes[0], _reduced_pass(source, circles, cfg.weight_pieces)
-        return
-    _reduced_pass.cache_clear()
-    for idx in passes:
-        yield idx, _reduced_pass.__wrapped__(source, tuple(circles[k] for k in idx),
-                                             cfg.weight_pieces)
+    for idx in _passes(circles, source.k is not None):
+        yield idx, _reduced_pass(source, tuple(circles[k] for k in idx), cfg.weight_pieces)
 
 
 def _sweep(source, cfg: SweepConfig) -> ExponentReport:
@@ -467,14 +453,13 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
                        "nodes": data.integrand.grid.node_count, "arcs": data.arc_dmin.shape[-1]}
             key = (rows[k]["value"], -k)  # the largest value, the first on a tie
             if worst is None or key > worst[0]:
-                worst = (key, k, data, r, phi[r], psi[r])
-    _, k, data, r, phi, psi = worst
+                worst = (key, k, data, r, phi[r], psi[r], rphi[r].copy(), rpsi[r].copy())
+    _, k, data, r, phi, psi, rphi, rpsi = worst
     row, grid = rows[k], data.integrand.grid
     if row["family"] == "constant":
         weights = WeightPair.constant(grid)
     elif row["family"] == "remark":
-        weights = WeightPair(*(PeriodicField(grid, w[r], data.integrand.kind)
-                               for w in _remark_weights(data.integrand, data.det_ratio)))
+        weights = WeightPair(*(PeriodicField(grid, w, data.integrand.kind) for w in (rphi, rpsi)))
     else:
         weights = WeightPair(PeriodicField.piecewise(grid, phi),
                              PeriodicField.piecewise(grid, psi))
@@ -515,9 +500,9 @@ def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentRepor
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate's circles and arc reduction,
     scored with the constant pair only; equal to its report's corollary.
-    Right after beta_estimate on the same pair and a one-pass config, it
-    reuses that sweep's reduction and unit-pair values: it restricts and
-    scores nothing."""
+    Right after beta_estimate on the same pair and a config of at most two
+    passes, it reuses that sweep's reduction and unit-pair values: it
+    restricts and scores nothing."""
     return _bound_of(max(float(d.unit_value.max()) for _, d in _reduced(_real_nu(pair), cfg)))
 
 

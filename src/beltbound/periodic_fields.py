@@ -247,6 +247,7 @@ class CircleSpec:
     resolution: int = 2048
 
     def __post_init__(self):
+        object.__setattr__(self, "center", complex(self.center))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.resolution < 16:
@@ -257,7 +258,7 @@ class CircleSpec:
         return abs(self.center) < 1e-14 * max(1.0, self.radius)
 
     def through_origin(self) -> bool:
-        return abs(abs(complex(self.center)) - self.radius) <= 1e-9 * self.radius
+        return abs(abs(self.center) - self.radius) <= 1e-9 * self.radius
 
     def grid(self, breakpoints=None) -> AngularGrid:
         if breakpoints is None:
@@ -268,6 +269,6 @@ class CircleSpec:
 def circle_points(circles, grid: AngularGrid) -> tuple[np.ndarray, np.ndarray]:
     """(points z, row c on circles[c], and outward normals e^{it}) at grid nodes."""
     n = np.exp(1j * grid.nodes)
-    centers = np.array([complex(c.center) for c in circles])[:, None]
+    centers = np.array([c.center for c in circles])[:, None]
     radii = np.array([float(c.radius) for c in circles])[:, None]
     return centers + radii * n, n

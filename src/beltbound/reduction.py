@@ -75,11 +75,16 @@ def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
     return _circle_geometry(circles, arcs, angular)
 
 
+def grid_key(circle: CircleSpec, angular: bool):
+    """Circles of one key share a grid: the resolution and, for angular data,
+    whether origin-centred (that grid holds the source's breakpoints too)."""
+    return circle.resolution, angular and circle.origin_centered
+
+
 def _check_batch(circles, angular: bool) -> None:
     if angular and any(c.through_origin() for c in circles):
         raise ValueError("angular coefficients: circle must not pass through the origin")
-    key = {(c.resolution, angular and c.origin_centered) for c in circles}
-    if len(key) > 1:
+    if len({grid_key(c, angular) for c in circles}) > 1:
         raise ValueError("the circles of one batch must share one grid")
 
 
@@ -93,9 +98,9 @@ def _circle_geometry(circles: tuple, arcs: tuple | None, angular: bool):
     angles), the last two (N,).
 
     Its arrays are read-only, since the cache hands them to every source.
-    Keyed on (circles, arcs, angular), it holds the last two batches, one
-    per grid of a lattice sweep (origin circles of angular data never get
-    here: their grid holds the source's breakpoints).
+    Keyed on (circles, arcs, angular), it holds the last two batches, as
+    the estimator's pass cache does (origin circles of angular data never
+    get here: their grid holds the source's breakpoints).
     """
     _check_batch(circles, angular)
     grid = circles[0].grid(arcs)

@@ -265,16 +265,26 @@ def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int 
     ring start itself and ends each block on the whole walk's next block
     boundary: its first row lacks the ring below and is partial, every later
     row is summed in the whole walk's order, so it is bitwise that walk's.
+    Samples that are not finite raise ValueError naming their vertex rows,
+    before any arithmetic on them.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
     hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
     step = max(1, _BLOCK // na)
-    U, r_held, s_held = sample(start, start + 1), 0.0, 0.0
+
+    def finite(i, j):
+        vals = sample(i, j)
+        bad = (i + np.flatnonzero(~np.isfinite(vals).all(axis=1))).tolist()
+        if bad:
+            raise ValueError(f"u is not finite at vertex rows {bad}")
+        return vals
+
+    U, r_held, s_held = finite(start, start + 1), 0.0, 0.0
     edges = [start, *range((start // step + 1) * step, nr - 1, step), nr - 1]
     for i0, i1 in zip(edges[:-1], edges[1:]):
-        U = np.concatenate([U[-1:], sample(i0 + 1, i1 + 1)])
+        U = np.concatenate([U[-1:], finite(i0 + 1, i1 + 1)])
         agx, agy = angular or _flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
         u0, u1, u2 = _triangle_vertices(U)
         d1, d2 = u1 - u0, u2 - u0
@@ -299,6 +309,7 @@ def weak_residual_vector(u_vals, a: CoefficientMatrixField, grid: PolarGrid):
     vertices; the normalizer accumulates absolute per-triangle contributions
     and measures how much cancellation the residual represents.  The
     residual array is linear in u and homogeneous of degree one in A.
+    Samples that are not finite raise ValueError naming their vertex rows.
 
     The assembly is scale-free and needs the geometric radii PolarGrid
     enforces: on the ring between r_i and r_{i+1} the triangle area scales by
@@ -383,9 +394,7 @@ def _outer_row_max(sample, a: CoefficientMatrixField, grid: PolarGrid, alpha: fl
 
 
 def _sampler(u, grid: PolarGrid):
-    """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1.
-    Raises ValueError naming the vertex rows where u is not finite, before
-    any arithmetic on the samples."""
+    """sample(i, j) for _weak_blocks: u at the vertices of rows i..j-1."""
     e_pos = np.exp(1j * grid.angles.nodes)[None, :]
 
     def sample(i, j):
@@ -394,10 +403,6 @@ def _sampler(u, grid: PolarGrid):
         if vals.shape != z.shape:
             raise ValueError(f"u must return one value per point: shape {z.shape}, "
                              f"got {vals.shape}")
-        finite = np.isfinite(vals).all(axis=1)
-        if not finite.all():
-            rows = (i + np.flatnonzero(~finite)).tolist()
-            raise ValueError(f"u is not finite at vertex rows {rows}")
         return vals
 
     return sample
@@ -434,8 +439,9 @@ def weak_form_residual(
     walked whole, so its rows from ring nr-4 on are sampled twice.
 
     No report carries NaN: u that is not finite at a vertex raises
-    ValueError naming the vertex rows, and A that is not finite and
-    positive definite at a triangle's centroid raises EllipticityError.
+    ValueError naming such rows of the first ring block holding one, and A
+    that is not finite and positive definite at a triangle's centroid
+    raises EllipticityError.
     """
     if a.k is not None:
         bk = a.k.grid.breakpoints

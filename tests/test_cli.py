@@ -145,6 +145,20 @@ def test_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("extra", [[], ["--radii", "0.2,0.7"], ["--circles", "1"]],
+                         ids=["origin", "radii", "lattice"])
+def test_every_center_is_a_complex_pair(capsys, extra):
+    # origin rows printed "center": 0.0, off-centre rows and the attaining
+    # circle [re, im]
+    code, doc = run_json(capsys, ["--command", "estimate", "--M", "2", "--tau", "0.5", *extra]
+                         + FAST)
+    report = doc["report"]
+    centers = [row["center"] for row in report["per_circle"]]
+    centers.append(report["attaining_circle"]["center"])
+    assert code == 0
+    assert all(isinstance(c, list) and len(c) == 2 for c in centers), centers
+
+
 def test_large_lattice_sweep_memory(capsys):
     # 1,601 circles in two grids: the sweep restricts a bounded number of
     # circles at a time and keeps one pass alive, so its peak does not grow

@@ -591,32 +591,85 @@ def test_shared_reduction_is_keyed_on_the_source_and_sweep(monkeypatch):
 
 
 def test_shared_reduction_is_read_only():
+    # a sweep keeps each of its passes, here one (origin) or two (lattice),
+    # and every batch the cache hands out is read-only
     pair = random_angular_pair(np.random.default_rng(43))
-    beta_estimate(pair, CFG)
-    (_, data), = _reduced(pair, CFG)
-    assert _reduced_pass.cache_info().currsize == 1
-    grid = data.integrand.grid
-    for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
-        with pytest.raises(ValueError):
-            a[..., 0] = 1.0
+    lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
+    for cfg, passes in ((CFG, 1), (lattice, 2)):
+        _reduced_pass.cache_clear()
+        beta_estimate(pair, cfg)
+        batches = [data for _, data in _reduced(pair, cfg)]
+        assert len(batches) == passes
+        assert _reduced_pass.cache_info()[:2] == (passes, passes)  # hits, misses
+        assert _reduced_pass.cache_info().currsize == passes
+        for data in batches:
+            grid = data.integrand.grid
+            for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals,
+                      data.arc_dmin, data.arc_dmax, grid.nodes, grid.breakpoints,
+                      grid.segment_starts):
+                with pytest.raises(ValueError):
+                    a[..., 0] = 1.0
 
 
-def test_sweep_longer_than_a_pass_caches_nothing(monkeypatch):
-    # two passes of 128-point circles, or one pass of 512 points, both over a
-    # 256-point pass: each bound restricts again and the cache stays empty
+def test_sweep_keeps_its_last_two_passes(monkeypatch):
+    # with 256-point passes: two passes of 128-point circles, or one pass of
+    # a 512-point circle, stay cached and corollary_bound restricts nothing;
+    # of three passes the last two stay, which the next sweep evicts before
+    # it reaches them, so it restricts all three again
     monkeypatch.setattr(estimator, "_PASS_POINTS", 256)
     calls = _spy_on_circles(monkeypatch)
     pair = random_angular_pair(np.random.default_rng(44))
-    for cfg, passes in ((OFF_CENTRE, [2, 1]), (SweepConfig.origin(resolution=512), [1])):
-        beta_estimate(pair, SweepConfig.origin(resolution=128))
-        assert _reduced_pass.cache_info().currsize == 1
+    three = SweepConfig(circles=OFF_CENTRE.circles + OFF_CENTRE.circles[:2], weight_pieces=4)
+    for cfg, passes, again in ((OFF_CENTRE, [2, 1], []),
+                               (SweepConfig.origin(resolution=512), [1], []),
+                               (three, [2, 2, 1], [2, 2, 1])):
+        _reduced_pass.cache_clear()
         del calls[:]
         report = beta_estimate(pair, cfg)
-        assert _reduced_pass.cache_info().currsize == 0
+        assert calls == passes
         assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
-        assert calls == passes + passes
-        assert _reduced_pass.cache_info().currsize == 0
+        assert calls == passes + again
+        assert _reduced_pass.cache_info().currsize == min(2, len(passes))
+
+
+_NU_ZERO_POINTWISE = BeltramiPair.from_callables(lambda z: (0.3 * z * np.abs(z), 0.0 * z))
+_MU_ZERO_ANGULAR = BeltramiPair.from_profiles([0.0, 1.0, 2.5, 4.0], [0.0] * 4,
+                                              [0.5, -0.3, 0.1, -0.6], node_count=128)
+_LATTICE_2 = SweepConfig.disk_lattice(radius_count=2, resolution=128, weight_pieces=2)
+
+
+@pytest.mark.parametrize("pair, bound, cfg, passes", [
+    (BeltramiPair.radial_stretch(0.5, node_count=128), nu_zero_bound, CFG, [1]),
+    (_MU_ZERO_ANGULAR, mu_zero_bound, CFG, [1]),
+    (BeltramiPair.radial_stretch(0.5, node_count=128), nu_zero_bound, _LATTICE_2, [1, 16]),
+    (_MU_ZERO_ANGULAR, mu_zero_bound, _LATTICE_2, [1, 16]),
+    (_NU_ZERO_POINTWISE, nu_zero_bound, _LATTICE_2, [17]),
+], ids=["origin-nu0", "origin-mu0", "angular-lattice-nu0", "angular-lattice-mu0",
+        "pointwise-lattice-nu0"])
+def test_bounds_after_beta_restrict_nothing(monkeypatch, pair, bound, cfg, passes):
+    # beta, the corollary and the mu = 0 or nu = 0 bound of one (source,
+    # sweep) share one reduction; a pointwise lattice is one grid, so one pass
+    _reduced_pass.cache_clear()
+    calls = _spy_on_circles(monkeypatch)
+    report = beta_estimate(pair, cfg)
+    assert calls == passes
+    assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
+    assert bound(pair, cfg).hex() == report.corollary.hex()
+    assert calls == passes
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=criterion_6_pairs(), scale=st.floats(1e-2, 1e2),
+       distance=st.floats(0.1, 0.8), angle=st.floats(0.0, TWO_PI),
+       ratio=st.sampled_from([0.3, 0.6, 0.9, 1.2, 1.6]))
+def test_circle_value_is_scale_invariant(pair, scale, distance, angle, ratio):
+    # mu and nu depend on arg z alone, so the circle (lambda c, lambda r) sees
+    # what (c, r) sees; ratio r/|c| != 1 keeps it off the origin
+    center = distance * np.exp(1j * angle)
+    circles = [CircleSpec(s * center, s * ratio * distance, resolution=256) for s in (1.0, scale)]
+    values = [beta_estimate(pair, SweepConfig(circles=(c,), weight_pieces=4)).sup_value
+              for c in circles]
+    assert values[1] == pytest.approx(values[0], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

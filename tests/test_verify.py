@@ -226,6 +226,20 @@ def test_weak_form_refuses_non_finite_samples(u):
         weak_form_residual(u, red.B, g, refinements=1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_weak_residual_vector_refuses_non_finite_samples(bad):
+    # it used to return NaN rows of R and S for such samples
+    red = beltrami_to_matrices(BeltramiPair.radial_stretch(0.5, node_count=256))
+    g = PolarGrid.annulus(radius_count=12, node_count=96)
+    U = np.real(mesh_vertices(g).reshape(g.radii.size, -1) ** 3)
+    U[[0, 4, 11], 7] = bad
+    with pytest.raises(ValueError, match=r"not finite at vertex rows \[0\]"):
+        weak_residual_vector(U, red.B, g)
+    U[0, 7] = 0.0
+    with pytest.raises(ValueError, match=r"not finite at vertex rows \[4, 11\]"):
+        weak_residual_vector(U, red.B, g)
+
+
 def test_weak_form_refuses_non_finite_matrix():
     # constructed directly, as its sampled bounds would veto it; NaN passed
     # the positivity test (NaN <= 0 is False) and gave a NaN report
@@ -708,18 +722,18 @@ def test_outer_rows_refuse_rounding_level_growth():
 
 
 def test_homogeneity_probe_refuses_inf_without_warnings():
-    # the assembly itself warns on inf samples; the probe must add nothing
+    # the assembly refuses inf samples, so (R, S) come from finite ones and
+    # only the probe sees the inf samples; it must refuse them and warn nothing
     red = beltrami_to_matrices(BeltramiPair.radial_stretch(1.0, node_count=256))
     g = PolarGrid.annulus(radius_count=12, node_count=96)
     z = mesh_vertices(g).reshape(g.radii.size, -1)
-    for U in (np.where(np.abs(z) > 0.9999, np.inf, np.real(z ** 3)),
-              np.where(np.abs(z) < 0.2501, np.inf, np.real(z ** 3)),
-              np.zeros(z.shape)):
-        with np.errstate(all="ignore"):
-            R, S = weak_residual_vector(U, red.B, g)
-        assert verify._homogeneous_degree(U, R, S, red.B, g) is None
     U = np.real(z ** 3)
     R, S = weak_residual_vector(U, red.B, g)
+    for bad in (np.where(np.abs(z) > 0.9999, np.inf, U), np.where(np.abs(z) < 0.2501, np.inf, U)):
+        assert verify._homogeneous_degree(bad, R, S, red.B, g) is None
+    zeros = np.zeros(z.shape)
+    assert verify._homogeneous_degree(zeros, *weak_residual_vector(zeros, red.B, g), red.B,
+                                      g) is None
     assert verify._homogeneous_degree(U, R, S, red.B, g) == pytest.approx(3.0, abs=1e-12)
 
 
