@@ -14,11 +14,16 @@ Run from anywhere inside a source checkout.  The record holds:
   (``beltbound.cli.run``, stdout captured), median of five runs after one
   warm-up, with their exit codes, and each command's ``tracemalloc`` peak
   (``peak_mb``, in MB) from one more run, untimed, since tracing slows the
-  allocations it counts.  Each entry also holds ``sha256``, the digest of the
-  command's output (its captured stdout, then the file it wrote with
-  ``--out``: ``scan.csv`` for the sweep), and ``same_digest``, whether every
-  timed run gave that digest, so that two records tell whether a change kept
-  the outputs byte for byte;
+  allocations it counts.  Before each timed run and after the last, the
+  benchmark's reference loop (``benchmark/run.py``'s ``reference_seconds``)
+  is timed too: ``ref_s`` is the median of those times and ``seconds_ref``
+  the median run in reference units, ``seconds / ref_s``, which takes most
+  of a host's drift in speed out of a comparison between two records, as
+  the benchmark's job times do.  Each entry also holds ``sha256``, the
+  digest of the command's output (its captured stdout, then the file it
+  wrote with ``--out``: ``scan.csv`` for the sweep), and ``same_digest``,
+  whether every timed run gave that digest, so that two records tell
+  whether a change kept the outputs byte for byte;
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
   ``--trace 1``, each with the run's attempted/failed counts, at seed
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -108,22 +114,35 @@ def run_captured(run, argv):
     return code, seconds, digest.hexdigest()
 
 
+def reference_loop():
+    """benchmark/run.py's reference_seconds, imported from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", os.path.join(ROOT, "benchmark", "run.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module.reference_seconds
+
+
 def readme_commands():
     sys.path.insert(0, SRC)
     from beltbound.cli import run
 
+    reference = reference_loop()
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)  # the sweep writes scan.csv into the working directory
         try:
             for argv in README_COMMANDS:
-                times, codes, digests = [], set(), []
-                for _ in range(README_REPEATS + 1):
+                times, codes, digests, refs = [], set(), [], []
+                for repeat in range(README_REPEATS + 1):
+                    if repeat:  # the warm-up run is not timed
+                        refs.append(reference())
                     code, seconds, digest = run_captured(run, argv)
                     codes.add(code)
                     times.append(seconds)
                     digests.append(digest)
+                refs.append(reference())
                 tracemalloc.start()
                 try:
                     with contextlib.redirect_stdout(io.StringIO()):
@@ -131,7 +150,9 @@ def readme_commands():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                out.append({"argv": " ".join(argv), "seconds": statistics.median(times[1:]),
+                seconds, ref = statistics.median(times[1:]), statistics.median(refs)
+                out.append({"argv": " ".join(argv), "seconds": seconds, "ref_s": ref,
+                            "seconds_ref": seconds / ref,
                             "peak_mb": peak / 1e6, "exit_codes": sorted(codes),
                             "sha256": digests[0], "same_digest": len(set(digests)) == 1})
         finally:

@@ -33,9 +33,12 @@ nodes), the worst lattice circle's value exceeds the origin circle's by a
 median of 6.8 % and by up to 40 %.  The source paper is arXiv math/0612438;
 the theorem that fixes its circles is not cited until its text is at hand.
 
-Weights are constant on arcs: the coefficient breakpoints merged with
-SweepConfig.weight_pieces uniform arcs.  One reduction, _arc_reduce, turns I
-and D into per-arc integrals and extrema over node gaps for
+Weights are constant on arcs.  Smooth restrictions take
+SweepConfig.weight_pieces uniform arcs (merged with the coefficient
+breakpoints on origin circles of angular data); origin circles of
+piecewise-constant data keep the coefficient arcs, on which the best
+weights are already constant.  One reduction, _arc_reduce, turns I and D
+into per-arc integrals and extrema over node gaps for
 piecewise-constant and smooth data alike; the kinds differ only in a gap's
 right-end value (periodic_fields.gap_right_values).  The reduction is exact
 for piecewise-constant data and trapezoid-accurate for smooth data.
@@ -48,7 +51,8 @@ one cache of the last two (_reduced_pass), keyed on the source's identity,
 the circles and weight_pieces, so the bounds of one (source, sweep) of at
 most two passes share one reduction, and no sweep leaves more behind.
 Sources are therefore treated as immutable: editing a pair's or a field's
-arrays in place after an estimate can return stale results.  The mu = 0 and
+arrays in place after an estimate can return stale results.  A pass flags
+read-only the arrays it builds, never the source's own.  The mu = 0 and
 nu = 0 bounds are corollary_bound after a check of I = 1 or D = 1 on the
 same batches: the unit-pair value is their one formula.
 """
@@ -120,11 +124,12 @@ class WeightPair:
 class SweepConfig:
     """The circles of a sweep and the arcs its weights are constant on.
 
-    Every circle scores the same weight families (families()).  The
-    weight_pieces uniform arcs are merged into each circle's coefficient
-    breakpoints.  On piecewise-constant data the best weights are already
-    constant on the coefficient arcs, so weight_pieces matters only for
-    smooth data.  Each circle is sampled at its own CircleSpec.resolution.
+    Every circle scores the same weight families (families()).  Smooth
+    restrictions (off-centre circles, smooth angular data and pointwise
+    data) take weight_pieces uniform arcs.  Origin circles of
+    piecewise-constant angular data keep the coefficient arcs, on which the
+    best weights are already constant, so weight_pieces changes nothing
+    there.  Each circle is sampled at its own CircleSpec.resolution.
     """
 
     circles: tuple[CircleSpec, ...]
@@ -411,15 +416,24 @@ def _passes(circles, angular: bool):
 
 @functools.lru_cache(maxsize=2)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
-    """Restrict source to circles of one grid, weight-arc boundaries as extra
-    breakpoints, and reduce the restriction's (I, D) to arcs.  The batch's
-    arrays are read-only: the cache hands the same batch to every bound."""
-    arcs = TWO_PI * np.arange(weight_pieces) / weight_pieces
+    """Restrict source to circles of one grid and reduce the restriction's
+    (I, D) to arcs.  Smooth restrictions take the weight-arc boundaries as
+    extra breakpoints.  Origin circles of piecewise-constant k keep k's own
+    arcs: I and D are constant on each, so its sub-arcs share dmin = dmax
+    and every clip window gives them one weight; at k's node count they
+    read k's own grid (see CoefficientMatrixField.on_circles).  The arrays
+    the pass builds are read-only, since the cache hands the same batch to
+    every bound; a grid it reuses stays the source's, as the caller left it."""
+    k = source.k
+    piecewise_origin = k is not None and k.is_piecewise and circles[0].origin_centered
+    arcs = None if piecewise_origin else TWO_PI * np.arange(weight_pieces) / weight_pieces
     on = source.on_circles(circles, arcs)
     data = _arc_reduce(on.circles, *_matrix_fields(on))
     grid = data.integrand.grid
+    built = () if k is not None and grid is k.grid else (
+        grid.nodes, grid.breakpoints, grid.segment_starts)
     for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax, grid.nodes, grid.breakpoints, grid.segment_starts):
+              data.arc_dmax, *built):
         a.flags.writeable = False
     return data
 

@@ -61,16 +61,21 @@ def _check_kappa(kappa: float) -> None:
         raise EllipticityError(f"ellipticity violation: sup(|mu|+|nu|) = {kappa:.12g} >= 1")
 
 
-def _batch_grid(circles, extra_breakpoints, angular_breakpoints):
+def _batch_grid(circles, extra_breakpoints, k_grid):
     """The grid circles share and their source-free geometry: for origin
-    circles of angular data, the grid on the coefficients' breakpoints too
-    and no geometry (None); otherwise _circle_geometry's."""
-    angular = angular_breakpoints is not None
+    circles of angular data (k_grid the source's grid), the grid on the
+    coefficients' breakpoints too and no geometry (None); with no extra
+    breakpoints and a resolution of k's node count, that is k_grid itself,
+    which already holds them (and is the grid a rebuild gives when k_grid
+    was built at that count); otherwise _circle_geometry's."""
+    angular = k_grid is not None
     circles = tuple(circles)
     if angular and circles[0].origin_centered:
         _check_batch(circles, angular)
+        if extra_breakpoints is None and circles[0].resolution == k_grid.node_count:
+            return k_grid, None
         extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        return circles[0].grid(np.concatenate([angular_breakpoints, *extra])), None
+        return circles[0].grid(np.concatenate([k_grid.breakpoints, *extra])), None
     arcs = None if extra_breakpoints is None else tuple(np.ravel(extra_breakpoints).tolist())
     return _circle_geometry(circles, arcs, angular)
 
@@ -312,17 +317,19 @@ class CoefficientMatrixField:
         angular field reads k at arg z, where <n, A n> = k1 cos^2 + k2 sin^2
         of the normal's angle to z and det A = k1 k2; on origin circles that
         angle is 0 (<n, A n> = k1) and the grid holds k's breakpoints
-        (piecewise-exact).  A pointwise field is evaluated in one call.
-        The rest (the grid, z or arg z, the normals' cosines and sines) does
-        not depend on the field and comes read-only from _circle_geometry,
-        built once per batch of circles and weight arcs, except for origin
-        circles of angular data, whose grid holds k's breakpoints.
+        (piecewise-exact).  Origin circles with no extra breakpoints at k's
+        node count take k.grid and k's node values as they are.  A pointwise
+        field is evaluated in one call.  The rest (the grid, z or arg z, the
+        normals' cosines and sines) does not depend on the field and comes
+        read-only from _circle_geometry, built once per batch of circles and
+        weight arcs, except for origin circles of angular data, whose grid
+        holds k's breakpoints.
         """
         k = self.k
-        grid, geometry = _batch_grid(circles, extra_breakpoints,
-                                     None if k is None else k.grid.breakpoints)
+        grid, geometry = _batch_grid(circles, extra_breakpoints, None if k is None else k.grid)
         if geometry is None:
-            k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
+            k1, k2 = ((f.values if grid is k.grid else f.eval_wrapped(grid.nodes))
+                      for f in (k.k1, k.k2))
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
             kind = PIECEWISE if k.is_piecewise else SMOOTH
         elif k is not None:

@@ -34,3 +34,23 @@ def test_digest_reads_the_out_file(tmp_path, monkeypatch):
     assert digests[0] == digests[1] != digests[2]
     assert digests[0] == bench_pr.run_captured(run, ["--command", "sweep", "--M", "2",
                                                      "--format", "csv"] + FAST)[2]
+
+
+def test_readme_times_are_also_in_reference_units(monkeypatch):
+    # each command's median is divided by the median of the benchmark's
+    # reference loop, timed before each timed run and after the last
+    estimate = ["--command", "estimate", "--alpha", "0.5"] + FAST
+    monkeypatch.setattr(bench_pr, "README_COMMANDS", (estimate,))
+    monkeypatch.setattr(bench_pr, "README_REPEATS", 2)
+    refs = []
+    reference = bench_pr.reference_loop()
+
+    def timed_reference():
+        refs.append(reference())
+        return refs[-1]
+
+    monkeypatch.setattr(bench_pr, "reference_loop", lambda: timed_reference)
+    entry, = bench_pr.readme_commands()
+    assert len(refs) == 3 and entry["ref_s"] == sorted(refs)[1] > 0.0
+    assert entry["seconds_ref"] == entry["seconds"] / entry["ref_s"]
+    assert entry["exit_codes"] == [0] and entry["same_digest"]

@@ -280,16 +280,16 @@ def test_beta_dominates_classical():
 
 
 @st.composite
-def criterion_6_pairs(draw):
-    """Piecewise pairs as criterion 6 draws them, with 2-8 arcs on 256 nodes:
-    |mu0| + |nu0| shrunk onto a random cap in [0.3, 0.85] on each arc."""
+def criterion_6_pairs(draw, node_count=256):
+    """Piecewise pairs as criterion 6 draws them, with 2-8 arcs on node_count
+    nodes: |mu0| + |nu0| shrunk onto a random cap in [0.3, 0.85] on each arc."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pieces = draw(st.integers(2, 8))
     bks = np.concatenate([[0.0], np.sort(rng.uniform(0.3, TWO_PI - 0.3, pieces - 1))])
     mu0, nu0 = rng.uniform(-0.6, 0.6, (2, pieces))
     total = np.abs(mu0) + np.abs(nu0)
     shrink = np.minimum(1.0, rng.uniform(0.3, 0.85, pieces) / np.maximum(total, 1e-9))
-    return BeltramiPair.from_profiles(bks, mu0 * shrink, nu0 * shrink, node_count=256)
+    return BeltramiPair.from_profiles(bks, mu0 * shrink, nu0 * shrink, node_count=node_count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -590,9 +590,19 @@ def test_shared_reduction_is_keyed_on_the_source_and_sweep(monkeypatch):
     assert len({base.sup_value, *values}) == 3
 
 
+def _built_arrays(data):
+    return (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
+            data.arc_dmax)
+
+
+def _grid_arrays(grid):
+    return grid.nodes, grid.breakpoints, grid.segment_starts
+
+
 def test_shared_reduction_is_read_only():
     # a sweep keeps each of its passes, here one (origin) or two (lattice),
-    # and every batch the cache hands out is read-only
+    # and every array the cache hands out is read-only but the pair's own
+    # grid, which test_origin_sweep_reads_the_pairs_own_grid covers
     pair = random_angular_pair(np.random.default_rng(43))
     lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
     for cfg, passes in ((CFG, 1), (lattice, 2)):
@@ -604,9 +614,8 @@ def test_shared_reduction_is_read_only():
         assert _reduced_pass.cache_info().currsize == passes
         for data in batches:
             grid = data.integrand.grid
-            for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals,
-                      data.arc_dmin, data.arc_dmax, grid.nodes, grid.breakpoints,
-                      grid.segment_starts):
+            assert grid is not pair.k.grid
+            for a in (*_built_arrays(data), *_grid_arrays(grid)):
                 with pytest.raises(ValueError):
                     a[..., 0] = 1.0
 
@@ -630,6 +639,61 @@ def test_sweep_keeps_its_last_two_passes(monkeypatch):
         assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
         assert calls == passes + again
         assert _reduced_pass.cache_info().currsize == min(2, len(passes))
+
+
+def _count_grid_builds(monkeypatch):
+    """Record the arguments of every AngularGrid.with_breakpoints call."""
+    calls, original = [], AngularGrid.with_breakpoints.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(AngularGrid, "with_breakpoints", classmethod(counted))
+    return calls
+
+
+def test_origin_sweep_reads_the_pairs_own_grid(monkeypatch):
+    # at the pair's node count an origin sweep builds no grid and reads k's
+    # node values as they are; the pass flags only the arrays it built, so
+    # the pair's own grid and values stay writeable as the caller made them
+    pair = criterion_6_pair(np.random.default_rng(45))
+    own = (*_grid_arrays(pair.k.grid), pair.k.k1.values, pair.k.k2.values)
+    assert all(a.flags.writeable for a in own)
+    cfg = SweepConfig.origin(resolution=pair.k.grid.node_count)
+    _reduced_pass.cache_clear()
+    calls = _count_grid_builds(monkeypatch)
+    report = beta_estimate(pair, cfg)
+    (_, data), = _reduced(pair, cfg)
+    assert calls == [] and data.integrand.grid is pair.k.grid
+    assert report.per_circle[0]["arcs"] == pair.k.grid.breakpoints.size
+    assert all(a.flags.writeable for a in own)
+    for a in _built_arrays(data):
+        with pytest.raises(ValueError):
+            a[..., 0] = 1.0
+
+
+def test_origin_row_off_the_pairs_node_count_is_the_rebuilt_pairs_row():
+    # at another resolution the origin circle rebuilds the grid on k's
+    # breakpoints and resamples k there: bit for bit the row of the same
+    # pieces built at that resolution, which reads its own grid.  Arcs of
+    # whole 64ths of the circle split any multiple of 64 nodes exactly
+    rng = np.random.default_rng(46)
+    for resolution in (256, 1024, 2048):
+        pieces = int(rng.integers(2, 9))
+        bks = TWO_PI * np.concatenate([[0], np.sort(rng.choice(np.arange(1, 64), pieces - 1,
+                                                                replace=False))]) / 64
+        mu0, nu0 = rng.uniform(-0.45, 0.45, (2, pieces))
+        pair = BeltramiPair.from_profiles(bks, mu0, nu0, node_count=512)
+        rebuilt = BeltramiPair.from_profiles(bks, mu0, nu0, node_count=resolution)
+        cfg = SweepConfig.origin(resolution=resolution)
+        assert rebuilt.k.grid.node_count == resolution
+        assert beta_estimate(pair, cfg).per_circle == beta_estimate(rebuilt, cfg).per_circle
+        (_, data), = _reduced(pair, cfg)
+        assert data.integrand.grid is not pair.k.grid
+        for a in (*_built_arrays(data), *_grid_arrays(data.integrand.grid)):
+            with pytest.raises(ValueError):
+                a[..., 0] = 1.0
 
 
 _NU_ZERO_POINTWISE = BeltramiPair.from_callables(lambda z: (0.3 * z * np.abs(z), 0.0 * z))

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from test_acceptance import random_angular_pair
+from test_estimator import criterion_6_pairs
 
 from beltbound import estimator
 from beltbound.estimator import (
@@ -35,8 +36,10 @@ from beltbound.estimator import (
     _NEWTON_STEPS,
     _TIE,
     SweepConfig,
+    _arc_reduce,
     _arc_value,
     _CircleBatch,
+    _matrix_fields,
     _reduced,
     _remark_weights,
     _solve_weights,
@@ -53,6 +56,7 @@ from beltbound.periodic_fields import (
     PeriodicField,
 )
 from beltbound.reduction import BeltramiPair, beltrami_to_matrices
+from beltbound.sharp_family import build_family
 
 STATUSES = {"interior", "edge", "vertex", "boundary", "constant"}
 
@@ -522,15 +526,37 @@ def test_batch_rows_equal_one_circle_solves(batch):
 def test_solve_matches_grid_solve_on_degenerate_sets(T, dmin, dmax):
     assert_matches_grid(arcs(T, dmin, dmax))
 
+def assert_weight_arcs_change_nothing(pair, resolution):
+    """The sweep's origin row, reduced on the coefficient arcs alone, scores
+    what a batch with 1, 4, 16 or 64 weight arcs merged into them scores
+    (restricted, reduced and solved here explicitly), to 1e-12."""
+    row, = beta_estimate(pair, SweepConfig.origin(resolution=resolution)).per_circle
+    assert row["arcs"] == pair.k.grid.breakpoints.size
+    circles = (CircleSpec(0.0, 0.5, resolution=resolution),)
+    for p in (1, 4, 16, 64):
+        on = pair.on_circles(circles, TWO_PI * np.arange(p) / p)
+        data = _arc_reduce(on.circles, *_matrix_fields(on))
+        assert data.arc_dmin.shape[-1] >= row["arcs"] + (p > 4)
+        value = _solve_weights(data, _unit_value(data))[0][0]
+        assert abs(value - row["value"]) <= 1e-12 * row["value"], (p, value, row["value"])
+
+
 def test_weight_pieces_change_nothing_on_piecewise_data():
-    # the optimal weights are constant on each coefficient arc, so subdividing
-    # the arcs further leaves every per-circle minimum where it was
+    # the optimal weights are constant on each coefficient arc: its sub-arcs
+    # share dmin = dmax, so every clip window gives them one weight, and
+    # subdividing the arcs further leaves every per-circle minimum where it was
     rng = np.random.default_rng(6)  # criterion 6's stream
     for _ in range(12):
-        pair = random_angular_pair(rng, node_count=1024)
-        sups = [beta_estimate(pair, SweepConfig.origin(resolution=1024, weight_pieces=p)).sup_value
-                for p in (1, 4, 16, 64)]
-        assert max(sups) - min(sups) <= 1e-12 * min(sups), sups
+        assert_weight_arcs_change_nothing(random_angular_pair(rng, node_count=1024), 1024)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.one_of(
+    criterion_6_pairs(node_count=512),
+    st.builds(lambda M, tau: build_family(M, tau, node_count=512).pair(),
+              st.floats(1.5, 4.0), st.floats(0.0, 1.0))))
+def test_weight_arcs_change_nothing_on_random_piecewise_pairs(pair):
+    assert_weight_arcs_change_nothing(pair, 512)
 
 
 def test_thousand_arc_circle_memory():
