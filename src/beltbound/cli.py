@@ -225,6 +225,13 @@ def _config_fields(doc) -> dict:
     return fields
 
 
+def _coefficient(key: str, i: int, v) -> float:
+    """Entry i of a coefficient file's list key; float(true) would be 1."""
+    if not _is_number(v):
+        raise TypeError(f"{key}[{i}] is {json.dumps(v)}, not a number")
+    return float(v)
+
+
 def _load_coeff_file(path: str, node_count: int) -> BeltramiPair:
     try:
         with open(path) as fh:
@@ -232,9 +239,8 @@ def _load_coeff_file(path: str, node_count: int) -> BeltramiPair:
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read coefficient file {path}: {exc}") from exc
     try:
-        breakpoints = [float(b) for b in data["breakpoints"]]
-        mu0 = [float(v) for v in data["mu0"]]
-        nu0 = [float(v) for v in data["nu0"]]
+        breakpoints, mu0, nu0 = ([_coefficient(key, i, v) for i, v in enumerate(data[key])]
+                                 for key in ("breakpoints", "mu0", "nu0"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(
             f"coefficient file needs numeric lists breakpoints/mu0/nu0: {exc}"

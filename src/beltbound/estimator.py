@@ -37,12 +37,14 @@ Weights are constant on arcs.  Smooth restrictions take
 SweepConfig.weight_pieces uniform arcs (merged with the coefficient
 breakpoints on origin circles of angular data); origin circles of
 piecewise-constant data keep the coefficient arcs, on which the best
-weights are already constant.  One reduction, _arc_reduce, turns I and D
-into per-arc integrals and extrema over node gaps for
-piecewise-constant and smooth data alike; the kinds differ only in a gap's
-right-end value (periodic_fields.gap_right_values).  The reduction is exact
-for piecewise-constant data and trapezoid-accurate for smooth data.
-_arc_value scores per-arc weights on it and is the one formula of the value.
+weights are already constant, and read the pair's own grid and values at
+any resolution (a row's nodes is the node count of its grid).  One
+reduction, _arc_reduce, turns I and D into per-arc integrals and extrema
+over node gaps for piecewise-constant and smooth data alike; the kinds
+differ only in a gap's right-end value (periodic_fields.gap_right_values).
+The reduction is exact for piecewise-constant data and trapezoid-accurate
+for smooth data.  _arc_value scores per-arc weights on it and is the one
+formula of the value.
 
 A sweep restricts, reduces and solves the circles of one grid
 (reduction.grid_key) together, at most _PASS_POINTS sample points a pass,
@@ -129,7 +131,9 @@ class SweepConfig:
     data) take weight_pieces uniform arcs.  Origin circles of
     piecewise-constant angular data keep the coefficient arcs, on which the
     best weights are already constant, so weight_pieces changes nothing
-    there.  Each circle is sampled at its own CircleSpec.resolution.
+    there; they read the pair's own grid and values at any resolution, and
+    every other circle is sampled at its own CircleSpec.resolution.  A row's
+    nodes is the node count of the grid it was restricted on.
     """
 
     circles: tuple[CircleSpec, ...]
@@ -420,20 +424,18 @@ def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     (I, D) to arcs.  Smooth restrictions take the weight-arc boundaries as
     extra breakpoints.  Origin circles of piecewise-constant k keep k's own
     arcs: I and D are constant on each, so its sub-arcs share dmin = dmax
-    and every clip window gives them one weight; at k's node count they
-    read k's own grid (see CoefficientMatrixField.on_circles).  The arrays
-    the pass builds are read-only, since the cache hands the same batch to
-    every bound; a grid it reuses stays the source's, as the caller left it."""
+    and every clip window gives them one weight; they read k's own grid and
+    values at any resolution (see CoefficientMatrixField.on_circles).  The
+    batch arrays the pass computes are read-only, since the cache hands the
+    same batch to every bound; its grid is the source's own, as the caller
+    left it, or one the restriction built read-only."""
     k = source.k
     piecewise_origin = k is not None and k.is_piecewise and circles[0].origin_centered
     arcs = None if piecewise_origin else TWO_PI * np.arange(weight_pieces) / weight_pieces
     on = source.on_circles(circles, arcs)
     data = _arc_reduce(on.circles, *_matrix_fields(on))
-    grid = data.integrand.grid
-    built = () if k is not None and grid is k.grid else (
-        grid.nodes, grid.breakpoints, grid.segment_starts)
     for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax, *built):
+              data.arc_dmax):
         a.flags.writeable = False
     return data
 

@@ -26,6 +26,7 @@ import numpy as np
 from .periodic_fields import (
     PIECEWISE,
     SMOOTH,
+    TWO_PI,
     AngularGrid,
     CircleSpec,
     PeriodicField,
@@ -61,28 +62,9 @@ def _check_kappa(kappa: float) -> None:
         raise EllipticityError(f"ellipticity violation: sup(|mu|+|nu|) = {kappa:.12g} >= 1")
 
 
-def _batch_grid(circles, extra_breakpoints, k_grid):
-    """The grid circles share and their source-free geometry: for origin
-    circles of angular data (k_grid the source's grid), the grid on the
-    coefficients' breakpoints too and no geometry (None); with no extra
-    breakpoints and a resolution of k's node count, that is k_grid itself,
-    which already holds them (and is the grid a rebuild gives when k_grid
-    was built at that count); otherwise _circle_geometry's."""
-    angular = k_grid is not None
-    circles = tuple(circles)
-    if angular and circles[0].origin_centered:
-        _check_batch(circles, angular)
-        if extra_breakpoints is None and circles[0].resolution == k_grid.node_count:
-            return k_grid, None
-        extra = () if extra_breakpoints is None else (extra_breakpoints,)
-        return circles[0].grid(np.concatenate([k_grid.breakpoints, *extra])), None
-    arcs = None if extra_breakpoints is None else tuple(np.ravel(extra_breakpoints).tolist())
-    return _circle_geometry(circles, arcs, angular)
-
-
 def grid_key(circle: CircleSpec, angular: bool):
     """Circles of one key share a grid: the resolution and, for angular data,
-    whether origin-centred (that grid holds the source's breakpoints too)."""
+    whether origin-centred (a grid on the source's own breakpoints)."""
     return circle.resolution, angular and circle.origin_centered
 
 
@@ -105,7 +87,7 @@ def _circle_geometry(circles: tuple, arcs: tuple | None, angular: bool):
     Its arrays are read-only, since the cache hands them to every source.
     Keyed on (circles, arcs, angular), it holds the last two batches, as
     the estimator's pass cache does (origin circles of angular data never
-    get here: their grid holds the source's breakpoints).
+    get here: their grid is the source's own, or holds its breakpoints).
     """
     _check_batch(circles, angular)
     grid = circles[0].grid(arcs)
@@ -184,8 +166,14 @@ class BeltramiPair:
 
     @classmethod
     def from_profiles(cls, breakpoints, mu0_pieces, nu0_pieces, node_count: int = 2048) -> "BeltramiPair":
-        """Piecewise-constant angular pair from per-arc values."""
-        g = AngularGrid.with_breakpoints(node_count, breakpoints)
+        """Piecewise-constant angular pair from per-arc values; its breakpoints
+        must be finite, strictly increasing from 0 and below 2 pi."""
+        bks = np.ravel(np.asarray(breakpoints, dtype=float)).tolist()
+        for i, b in enumerate(bks or [None]):  # Python comparisons: no warning on inf or NaN
+            if not (b == 0.0 if i == 0 else bks[i - 1] < b < TWO_PI):
+                raise ValueError("breakpoints must be finite, strictly increasing, start at 0 "
+                                 f"and lie below 2*pi: entry {i} is {b!r}")
+        g = AngularGrid.with_breakpoints(node_count, bks)
         return cls.from_angular(
             PeriodicField.piecewise(g, mu0_pieces), PeriodicField.piecewise(g, nu0_pieces)
         )
@@ -315,34 +303,37 @@ class CoefficientMatrixField:
         extra_breakpoints forces additional grid breakpoints (weight-arc
         boundaries, typically) so downstream arc reductions stay exact.  An
         angular field reads k at arg z, where <n, A n> = k1 cos^2 + k2 sin^2
-        of the normal's angle to z and det A = k1 k2; on origin circles that
-        angle is 0 (<n, A n> = k1) and the grid holds k's breakpoints
-        (piecewise-exact).  Origin circles with no extra breakpoints at k's
-        node count take k.grid and k's node values as they are.  A pointwise
-        field is evaluated in one call.  The rest (the grid, z or arg z, the
-        normals' cosines and sines) does not depend on the field and comes
-        read-only from _circle_geometry, built once per batch of circles and
-        weight arcs, except for origin circles of angular data, whose grid
-        holds k's breakpoints.
+        of the normal's angle to z and det A = k1 k2.  On origin circles that
+        angle is 0 (<n, A n> = k1): with no extra breakpoints they read k.grid
+        and k's node values as they are, whatever their resolution; with
+        some, k resampled on a grid at their resolution that holds k's
+        breakpoints too.  Other circles take the grid, z or arg z and the
+        normals' cosines and sines from _circle_geometry, built once per batch
+        of circles and weight arcs; a pointwise field is evaluated in one call.
+        Every grid built here is read-only.
         """
-        k = self.k
-        grid, geometry = _batch_grid(circles, extra_breakpoints, None if k is None else k.grid)
-        if geometry is None:
-            k1, k2 = ((f.values if grid is k.grid else f.eval_wrapped(grid.nodes))
-                      for f in (k.k1, k.k2))
+        k, circles, kind = self.k, tuple(circles), SMOOTH
+        arcs = None if extra_breakpoints is None else tuple(np.ravel(extra_breakpoints).tolist())
+        if k is not None and circles[0].origin_centered:
+            _check_batch(circles, True)
+            grid, k1, k2 = k.grid, k.k1.values, k.k2.values
+            if arcs is not None:
+                grid = circles[0].grid(np.concatenate([k.grid.breakpoints, arcs]))
+                k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
+                for a in (grid.nodes, grid.breakpoints, grid.segment_starts):
+                    a.flags.writeable = False
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
             kind = PIECEWISE if k.is_piecewise else SMOOTH
         elif k is not None:
-            theta, c, s = geometry
+            grid, (theta, c, s) = _circle_geometry(circles, arcs, True)
             k1, k2 = k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta)
-            nAn, det, kind = k1 * c * c + k2 * s * s, k1 * k2, SMOOTH
+            nAn, det = k1 * c * c + k2 * s * s, k1 * k2
         else:
-            z, c, s = geometry
+            grid, (z, c, s) = _circle_geometry(circles, arcs, False)
             a11, a12, a21, a22 = (v.reshape(z.shape) for v in self.entries(z.ravel()))
             nAn = a11 * c * c + (a12 + a21) * c * s + a22 * s * s
             det = a11 * a22 - a12 * a21
-            kind = SMOOTH
-        return MatrixOnCircles(tuple(circles), grid, PeriodicField(grid, nAn, kind),
+        return MatrixOnCircles(circles, grid, PeriodicField(grid, nAn, kind),
                                PeriodicField(grid, det, kind))
 
     def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,24 @@ def test_coeff_file_ellipticity_exit(tmp_path, capsys):
     assert run(["--command", "estimate", "--coeff-file", str(path)] + FAST) == 3
 
 
+@pytest.mark.parametrize("name, entry", [
+    ("decreasing", "entry 2 is 1.0"), ("past_two_pi", "entry 2 is 9.283185307179586"),
+    ("boolean", "breakpoints[1] is true"), ("infinite_breakpoint", "entry 1 is inf"),
+    ("string_number", 'breakpoints[1] is "1"')])
+def test_coeff_file_breakpoints_are_checked(tmp_path, capsys, name, entry):
+    # each used to be read as another pair ([0, 1, 3] for the first two,
+    # [0, 1] for the boolean and the string) or warned from numpy's
+    # remainder; now one error line names the entry
+    path = tmp_path / f"{name}.json"
+    path.write_text(FUZZ_COEFF[name])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["--command", "estimate", "--coeff-file", str(path)] + FAST)
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1 and entry in err
+
+
 def test_spec_errors_exit_two(capsys):
     cases = [
         ["--command", "estimate", "--alpha", "1.5"],  # alpha out of range
@@ -487,6 +506,15 @@ FUZZ_COEFF = {
     "top_list": "[1, 2, 3]",
     "not_json": "breakpoints: 0",
     "empty_file": "",
+    # breakpoints that are not finite, strictly increasing from 0 and below
+    # 2 pi, or entries that are not JSON numbers, once read as another
+    # pair: refused by name
+    "decreasing": '{"breakpoints": [0, 3, 1], "mu0": [0.1, 0.5, 0], "nu0": [0, 0, 0]}',
+    "past_two_pi": '{"breakpoints": [0, 1, 9.283185307179586], "mu0": [0.1, 0.5, 0], '
+                   '"nu0": [0, 0, 0]}',
+    "boolean": '{"breakpoints": [0, true], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
+    "infinite_breakpoint": '{"breakpoints": [0, Infinity], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
+    "string_number": '{"breakpoints": [0, "1"], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
 }
 FUZZ_CONFIG = {
     "good": '{"command": "estimate", "alpha": 0.5, "nodes": 32, "weight_pieces": 2}',

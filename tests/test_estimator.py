@@ -599,25 +599,35 @@ def _grid_arrays(grid):
     return grid.nodes, grid.breakpoints, grid.segment_starts
 
 
+def _own_arrays(pair):
+    return (*_grid_arrays(pair.k.grid), pair.k.k1.values, pair.k.k2.values)
+
+
 def test_shared_reduction_is_read_only():
     # a sweep keeps each of its passes, here one (origin) or two (lattice),
-    # and every array the cache hands out is read-only but the pair's own
-    # grid, which test_origin_sweep_reads_the_pairs_own_grid covers
-    pair = random_angular_pair(np.random.default_rng(43))
+    # and every array the cache hands out is read-only, but for the pair's
+    # own grid and values: a piecewise origin pass reads them as they are,
+    # and they stay writeable.  A smooth pair's origin pass builds its grid
+    # on the weight arcs too, so that grid is read-only as well
+    piecewise = random_angular_pair(np.random.default_rng(43))
+    smooth = smooth_angular_pair(np.random.default_rng(43), 512)
     lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
-    for cfg, passes in ((CFG, 1), (lattice, 2)):
-        _reduced_pass.cache_clear()
-        beta_estimate(pair, cfg)
-        batches = [data for _, data in _reduced(pair, cfg)]
-        assert len(batches) == passes
-        assert _reduced_pass.cache_info()[:2] == (passes, passes)  # hits, misses
-        assert _reduced_pass.cache_info().currsize == passes
-        for data in batches:
-            grid = data.integrand.grid
-            assert grid is not pair.k.grid
-            for a in (*_built_arrays(data), *_grid_arrays(grid)):
-                with pytest.raises(ValueError):
-                    a[..., 0] = 1.0
+    for pair in (piecewise, smooth):
+        for cfg, passes in ((CFG, 1), (lattice, 2)):
+            _reduced_pass.cache_clear()
+            beta_estimate(pair, cfg)
+            batches = [data for _, data in _reduced(pair, cfg)]
+            assert len(batches) == passes
+            assert _reduced_pass.cache_info()[:2] == (passes, passes)  # hits, misses
+            assert _reduced_pass.cache_info().currsize == passes
+            for data in batches:
+                grid = data.integrand.grid
+                own = pair is piecewise and data.circles[0].origin_centered
+                assert (grid is pair.k.grid) == own
+                for a in (*_built_arrays(data), *(() if own else _grid_arrays(grid))):
+                    with pytest.raises(ValueError):
+                        a[..., 0] = 1.0
+            assert all(a.flags.writeable for a in _own_arrays(pair))
 
 
 def test_sweep_keeps_its_last_two_passes(monkeypatch):
@@ -641,43 +651,57 @@ def test_sweep_keeps_its_last_two_passes(monkeypatch):
         assert _reduced_pass.cache_info().currsize == min(2, len(passes))
 
 
-def _count_grid_builds(monkeypatch):
-    """Record the arguments of every AngularGrid.with_breakpoints call."""
-    calls, original = [], AngularGrid.with_breakpoints.__func__
+def _count_resampling(monkeypatch):
+    """Record every AngularGrid.with_breakpoints and PeriodicField.eval_wrapped
+    call by name."""
+    calls = []
+    builds, lookups = AngularGrid.with_breakpoints.__func__, PeriodicField.eval_wrapped
 
-    def counted(cls, *args):
-        calls.append(args)
-        return original(cls, *args)
+    def build(cls, *args):
+        calls.append("with_breakpoints")
+        return builds(cls, *args)
 
-    monkeypatch.setattr(AngularGrid, "with_breakpoints", classmethod(counted))
+    def lookup(self, t):
+        calls.append("eval_wrapped")
+        return lookups(self, t)
+
+    monkeypatch.setattr(AngularGrid, "with_breakpoints", classmethod(build))
+    monkeypatch.setattr(PeriodicField, "eval_wrapped", lookup)
     return calls
 
 
 def test_origin_sweep_reads_the_pairs_own_grid(monkeypatch):
-    # at the pair's node count an origin sweep builds no grid and reads k's
-    # node values as they are; the pass flags only the arrays it built, so
-    # the pair's own grid and values stay writeable as the caller made them
-    pair = criterion_6_pair(np.random.default_rng(45))
-    own = (*_grid_arrays(pair.k.grid), pair.k.k1.values, pair.k.k2.values)
-    assert all(a.flags.writeable for a in own)
-    cfg = SweepConfig.origin(resolution=pair.k.grid.node_count)
-    _reduced_pass.cache_clear()
-    calls = _count_grid_builds(monkeypatch)
-    report = beta_estimate(pair, cfg)
-    (_, data), = _reduced(pair, cfg)
-    assert calls == [] and data.integrand.grid is pair.k.grid
-    assert report.per_circle[0]["arcs"] == pair.k.grid.breakpoints.size
-    assert all(a.flags.writeable for a in own)
-    for a in _built_arrays(data):
-        with pytest.raises(ValueError):
-            a[..., 0] = 1.0
+    # at any resolution an origin sweep of piecewise data builds no grid and
+    # resamples nothing: it reads k's grid and node values as they are, also
+    # for a pair whose node count is not the one it was built for.  The pass
+    # flags only the arrays it computed, so the pair's own stay writeable
+    off_count = BeltramiPair.from_profiles([0.0, 1.0, 2.5, 4.0], [0.1, 0.3, -0.2, 0.0],
+                                           [0.2, 0.0, 0.1, -0.3], node_count=512)
+    assert off_count.k.grid.node_count == 511
+    for pair in (criterion_6_pair(np.random.default_rng(45)), off_count):
+        assert all(a.flags.writeable for a in _own_arrays(pair))
+        for resolution in (pair.k.grid.node_count, 256, 512, 1000):
+            cfg = SweepConfig.origin(resolution=resolution)
+            _reduced_pass.cache_clear()
+            calls = _count_resampling(monkeypatch)
+            report = beta_estimate(pair, cfg)
+            (_, data), = _reduced(pair, cfg)
+            monkeypatch.undo()
+            assert calls == [] and data.integrand.grid is pair.k.grid
+            assert report.per_circle[0]["nodes"] == pair.k.grid.node_count
+            assert report.per_circle[0]["arcs"] == pair.k.grid.breakpoints.size
+            assert all(a.flags.writeable for a in _own_arrays(pair))
+            for a in _built_arrays(data):
+                with pytest.raises(ValueError):
+                    a[..., 0] = 1.0
 
 
 def test_origin_row_off_the_pairs_node_count_is_the_rebuilt_pairs_row():
-    # at another resolution the origin circle rebuilds the grid on k's
-    # breakpoints and resamples k there: bit for bit the row of the same
-    # pieces built at that resolution, which reads its own grid.  Arcs of
-    # whole 64ths of the circle split any multiple of 64 nodes exactly
+    # at another resolution the origin circle still reads the pair's own
+    # grid and reports its node count; I and D are constant on each
+    # coefficient arc, so the row is that of the same pieces built at that
+    # resolution, to rounding.  Arcs of whole 64ths of the circle split any
+    # multiple of 64 nodes exactly
     rng = np.random.default_rng(46)
     for resolution in (256, 1024, 2048):
         pieces = int(rng.integers(2, 9))
@@ -687,13 +711,15 @@ def test_origin_row_off_the_pairs_node_count_is_the_rebuilt_pairs_row():
         pair = BeltramiPair.from_profiles(bks, mu0, nu0, node_count=512)
         rebuilt = BeltramiPair.from_profiles(bks, mu0, nu0, node_count=resolution)
         cfg = SweepConfig.origin(resolution=resolution)
-        assert rebuilt.k.grid.node_count == resolution
-        assert beta_estimate(pair, cfg).per_circle == beta_estimate(rebuilt, cfg).per_circle
+        assert rebuilt.k.grid.node_count == resolution != pair.k.grid.node_count
+        (row,), (expected,) = (beta_estimate(p, cfg).per_circle for p in (pair, rebuilt))
         (_, data), = _reduced(pair, cfg)
-        assert data.integrand.grid is not pair.k.grid
-        for a in (*_built_arrays(data), *_grid_arrays(data.integrand.grid)):
-            with pytest.raises(ValueError):
-                a[..., 0] = 1.0
+        assert data.integrand.grid is pair.k.grid
+        assert row["nodes"] == pair.k.grid.node_count
+        for key in ("family", "arcs", "evaluations"):
+            assert row[key] == expected[key]
+        for key in ("value", "constant_value", "remark_value"):
+            assert row[key] == pytest.approx(expected[key], rel=1e-12, abs=0.0)
 
 
 _NU_ZERO_POINTWISE = BeltramiPair.from_callables(lambda z: (0.3 * z * np.abs(z), 0.0 * z))

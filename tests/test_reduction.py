@@ -36,6 +36,18 @@ def test_ellipticity_guard():
         BeltramiPair.from_constant(0.7, 0.4)
 
 
+def test_from_profiles_checks_its_breakpoints():
+    BeltramiPair.from_profiles([0.0, 1.0, 3.0], [0.1, 0.5, 0.0], [0.0] * 3, node_count=64)
+    for bks, entry in (([0.0, 3.0, 1.0], "entry 2 is 1.0"), ([0.0, 1.0, 1.0], "entry 2 is 1.0"),
+                       ([0.0, 1.0, 9.283185307179586], "entry 2 is 9.283185307179586"),
+                       ([0.0, 1.0, TWO_PI], "entry 2 is 6.283185307179586"),
+                       ([1.0, 2.0, 3.0], "entry 0 is 1.0"), ([0.0, np.inf, 4.0], "entry 1 is inf"),
+                       ([0.0, np.nan, 4.0], "entry 1 is nan"), ([], "entry 0 is None")):
+        with pytest.raises(ValueError, match="strictly increasing") as info:
+            BeltramiPair.from_profiles(bks, [0.1] * len(bks), [0.0] * len(bks), node_count=64)
+        assert str(info.value).endswith(entry)
+
+
 def test_trivial_pair_gives_identity_matrices():
     red = beltrami_to_matrices(BeltramiPair.from_constant(0.0, 0.0))
     z = np.array([0.3 + 0.1j, -0.2j])
