@@ -27,11 +27,22 @@ Run from anywhere inside a source checkout.  The record holds:
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
   ``--trace 1``, each with the run's attempted/failed counts, at seed
-  ``SEED`` and ``BENCHMARK.json``'s ``run_seconds``, the same in every record.
+  ``SEED`` and ``BENCHMARK.json``'s ``run_seconds``, the same in every record;
+- ``events``, in each workload's and each command's entry: the
+  ``sys.setprofile`` ``call`` and ``c_call`` events of a fixed job sequence,
+  counted in a fresh process, and ``per_job``, their sum per job.  A
+  workload's sequence is its first ``min_jobs`` inputs at seed ``SEED``,
+  after one uncounted warm-up job on the first, as the benchmark's traced
+  run does; a command's is one run after one uncounted run.  A count does
+  not depend on the host's speed or memory layout, so it tells a timing
+  move that comes from the program apart from one that does not; it
+  measures call overhead, not array work.
 
 The benchmark runs as a subprocess and nothing under ``benchmark/`` is
-edited; ``--trace 1`` writes its spans to ``benchmark/out/`` as usual.
-Timings are only comparable between records taken on the same machine.
+edited; ``--trace 1`` writes its spans to ``benchmark/out/`` as usual, and
+the counts import ``benchmark/workloads.py`` from its file.  No timed run is
+profiled.  Timings are only comparable between records taken on the same
+machine.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ README_COMMANDS = (
     ["--command", "sweep", "--M", "1.5,2,4", "--tau", "0,1", "--format", "csv",
      "--out", "scan.csv"],
     # not README commands: the disk-lattice sweep, 41 circles in two grids,
-    # and the nu = 0 lattice whose bounds share one reduction
+    # and the nu = 0 lattice, whose one sweep also reports the nu = 0 bound
     ["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "5"],
     ["--command", "estimate", "--alpha", "0.5", "--circles", "5"],
 )
@@ -154,10 +165,75 @@ def readme_commands():
                 out.append({"argv": " ".join(argv), "seconds": seconds, "ref_s": ref,
                             "seconds_ref": seconds / ref,
                             "peak_mb": peak / 1e6, "exit_codes": sorted(codes),
-                            "sha256": digests[0], "same_digest": len(set(digests)) == 1})
+                            "sha256": digests[0], "same_digest": len(set(digests)) == 1,
+                            "events": fresh_events(command_events, argv)})
         finally:
             os.chdir(cwd)
     return out
+
+
+def _profile_events(job, jobs):
+    """sys.setprofile call and c_call events of job(), and their sum per job."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        job()
+    finally:
+        sys.setprofile(None)
+    return {**counts, "jobs": jobs, "per_job": (counts["call"] + counts["c_call"]) / jobs}
+
+
+def workload_events(name):
+    """Events of a workload's first min_jobs inputs at SEED, after one
+    warm-up job on the first.  Meant for a fresh process."""
+    sys.path.insert(0, SRC)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "benchmark", "workloads.py"))
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    w = workloads.WORKLOADS[name]
+
+    def part(_):
+        return contextlib.nullcontext()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = w.make_inputs(SEED, w.min_jobs, tmp)
+        w.run(inputs[0], part)
+        return _profile_events(lambda: [w.run(inp, part) for inp in inputs], w.min_jobs)
+
+
+def command_events(argv):
+    """Events of one CLI run after one uncounted run.  Meant for a fresh process."""
+    sys.path.insert(0, SRC)
+    from beltbound.cli import run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the sweep writes scan.csv into the working directory
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run(list(argv))
+                return _profile_events(lambda: run(list(argv)), 1)
+        finally:
+            os.chdir(cwd)
+
+
+def fresh_events(counter, arg):
+    """counter(arg), one of the two above, in a fresh Python process, so that
+    no cache left by an earlier run enters the count."""
+    code = ("import json, runpy, sys; f = runpy.run_path(sys.argv[1])[sys.argv[2]]; "
+            "print(json.dumps(f(json.loads(sys.argv[3]))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.abspath(__file__), counter.__name__, json.dumps(arg)],
+        cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED="0"), capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def benchmark(workload, seconds, trace):
@@ -193,6 +269,7 @@ def main(argv=None):
         record["workloads"][name] = {
             "end_to_end": benchmark(name, spec["run_seconds"], 0),
             "per_layer": benchmark(name, spec["run_seconds"], 1),
+            "events": fresh_events(workload_events, name),
         }
     record["tier1"] = tier1()
     record["readme_commands"] = readme_commands()

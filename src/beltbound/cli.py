@@ -22,17 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (
-    SweepConfig,
-    beta_estimate,
-    classical_bound,
-    mu_zero_bound,
-    nu_zero_bound,
-)
+from .estimator import SweepConfig, beta_estimate, classical_bound
 from .periodic_fields import CircleSpec
 from .reduction import BeltramiPair, EllipticityError, beltrami_to_matrices
 from .sharp_family import build_family, build_maps, cd_params
-from .stretching import AngularStretching, munu_from_k
+from .stretching import AngularStretching
 from .verify import PolarGrid, beltrami_residual, empirical_holder, weak_form_residual
 
 __all__ = ["JobSpec", "main", "run"]
@@ -440,14 +434,11 @@ def cmd_estimate(spec: JobSpec) -> int:
         "corollary_slack": report.bound - coro,
         "classical_slack": report.bound - classical,
     }
-    if pair.is_angular:
-        mu0, nu0 = munu_from_k(pair.k)
-        if _vanishes(mu0):
-            bounds["mu_zero"] = mu_zero_bound(pair, cfg)
-            diagnostics["mu_zero_gap"] = report.bound - bounds["mu_zero"]
-        if _vanishes(nu0):
-            bounds["nu_zero"] = nu_zero_bound(pair, cfg)
-            diagnostics["nu_zero_gap"] = report.bound - bounds["nu_zero"]
+    for key in ("mu_zero", "nu_zero"):
+        value = getattr(report, key)
+        if value is not None:
+            bounds[key] = value
+            diagnostics[key + "_gap"] = report.bound - value
     payload = {
         "command": "estimate",
         "source": spec.source(),

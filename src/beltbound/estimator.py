@@ -48,15 +48,14 @@ formula of the value.
 
 A sweep restricts, reduces and solves the circles of one grid
 (reduction.grid_key) together, at most _PASS_POINTS sample points a pass,
-each circle's row as it would be alone.  Every pass goes through
-one cache of the last two (_reduced_pass), keyed on the source's identity,
-the circles and weight_pieces, so the bounds of one (source, sweep) of at
-most two passes share one reduction, and no sweep leaves more behind.
-Sources are therefore treated as immutable: editing a pair's or a field's
-arrays in place after an estimate can return stale results.  A pass flags
-read-only the arrays it builds, never the source's own.  The mu = 0 and
-nu = 0 bounds are corollary_bound after a check of I = 1 or D = 1 on the
-same batches: the unit-pair value is their one formula.
+each circle's row as it would be alone.  _sweep is the one place that
+decides what a report says: besides beta and the certified value it carries
+the unit-pair (corollary) bound, and the mu = 0 and nu = 0 bounds where its
+batches show I = 1 or D = 1, the unit-pair value being their one formula.
+An estimate restricts each pass once and keeps no batch.  corollary_bound
+is the corollary of beta_estimate; it reuses the last beta_estimate's
+report for the same pair and config objects, so editing a source's arrays
+in place between the two can return a stale corollary.
 """
 
 from __future__ import annotations
@@ -92,8 +91,6 @@ __all__ = [
     "beta_estimate",
     "gamma_estimate",
     "corollary_bound",
-    "nu_zero_bound",
-    "mu_zero_bound",
 ]
 
 # the weight families every circle scores; the others must beat the unit
@@ -193,12 +190,11 @@ class ExponentReport:
     per_circle: tuple
     certified_value: float  # closed-form-weights chain; never above sup of distortion
     config: SweepConfig
-
-    @property
-    def corollary(self) -> float:
-        """The unit-weights bound from this sweep's constant-pair values;
-        equal to corollary_bound on the same pair and config."""
-        return _bound_of(max(r["constant_value"] for r in self.per_circle))
+    corollary: float  # the unit-weights bound from the constant-pair values
+    # the corollary where the sweep's circles show mu = 0 (I = 1) or nu = 0
+    # (D = 1), else None; always None for a matrix field (gamma_estimate)
+    mu_zero: float | None
+    nu_zero: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +211,6 @@ class _CircleBatch:
     arc_integrals: np.ndarray  # per-arc integral of I
     arc_dmin: np.ndarray
     arc_dmax: np.ndarray
-
-    @functools.cached_property
-    def unit_value(self) -> np.ndarray:
-        """_unit_value, scored once per batch and read-only, so the bounds
-        that share a cached batch share its values."""
-        unit = _unit_value(self)
-        unit.flags.writeable = False
-        return unit
 
 
 def _arc_reduce(circles, I: PeriodicField, D: PeriodicField) -> _CircleBatch:
@@ -418,42 +406,45 @@ def _passes(circles, angular: bool):
     return passes
 
 
-@functools.lru_cache(maxsize=2)
 def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
     """Restrict source to circles of one grid and reduce the restriction's
     (I, D) to arcs.  Smooth restrictions take the weight-arc boundaries as
     extra breakpoints.  Origin circles of piecewise-constant k keep k's own
     arcs: I and D are constant on each, so its sub-arcs share dmin = dmax
     and every clip window gives them one weight; they read k's own grid and
-    values at any resolution (see CoefficientMatrixField.on_circles).  The
-    batch arrays the pass computes are read-only, since the cache hands the
-    same batch to every bound; its grid is the source's own, as the caller
-    left it, or one the restriction built read-only."""
+    values at any resolution (see CoefficientMatrixField.on_circles)."""
     k = source.k
     piecewise_origin = k is not None and k.is_piecewise and circles[0].origin_centered
     arcs = None if piecewise_origin else TWO_PI * np.arange(weight_pieces) / weight_pieces
     on = source.on_circles(circles, arcs)
-    data = _arc_reduce(on.circles, *_matrix_fields(on))
-    for a in (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-              data.arc_dmax):
-        a.flags.writeable = False
-    return data
+    return _arc_reduce(on.circles, *_matrix_fields(on))
 
 
 def _reduced(source, cfg: SweepConfig):
-    """(positions in cfg.circles, reduced pass) per pass, lazily, each
-    through _reduced_pass's cache."""
+    """(positions in cfg.circles, reduced pass) per pass, lazily."""
     circles = tuple(cfg.circles)
     for idx in _passes(circles, source.k is not None):
         yield idx, _reduced_pass(source, tuple(circles[k] for k in idx), cfg.weight_pieces)
 
 
-def _sweep(source, cfg: SweepConfig) -> ExponentReport:
+_UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0
+
+
+def _sweep(source, cfg: SweepConfig, det_tol: float | None = None) -> ExponentReport:
     """Score each family once on every circle and keep the smallest value;
-    of the passes, only the one holding the worst circle so far is kept."""
+    of the passes, only the one holding the worst circle so far is kept.
+
+    With det_tol given (a pair's), mu_zero is the corollary where every
+    batch holds I = 1 to _UNIT_TOL (mu = 0: the bound is the arctan term of
+    inf D / sup D on the worst circle), and nu_zero where every batch holds
+    D = 1 to det_tol (nu = 0: the reciprocal of the worst mean of I, which
+    is |1 - nbar^2 mu|^2 / (1 - |mu|^2) there); else each is None."""
     rows, worst = [None] * len(cfg.circles), None
+    mu_zero = nu_zero = det_tol is not None
     for idx, data in _reduced(source, cfg):
-        unit = data.unit_value
+        unit = _unit_value(data)
+        mu_zero = mu_zero and np.max(np.abs(data.integrand.values - 1.0)) <= _UNIT_TOL
+        nu_zero = nu_zero and np.max(np.abs(data.det_ratio.values - 1.0)) <= det_tol
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
         remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
         window, phi, psi, evals, status, residual = _solve_weights(data, unit)
@@ -479,6 +470,7 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
     else:
         weights = WeightPair(PeriodicField.piecewise(grid, phi),
                              PeriodicField.piecewise(grid, psi))
+    corollary = _bound_of(max(r["constant_value"] for r in rows))
     return ExponentReport(
         bound=_bound_of(row["value"]),
         sup_value=row["value"],
@@ -487,6 +479,9 @@ def _sweep(source, cfg: SweepConfig) -> ExponentReport:
         per_circle=tuple(rows),
         certified_value=max(r["remark_value"] for r in rows),
         config=cfg,
+        corollary=corollary,
+        mu_zero=corollary if mu_zero else None,
+        nu_zero=corollary if nu_zero else None,
     )
 
 
@@ -500,10 +495,19 @@ def _real_nu(pair: BeltramiPair) -> BeltramiPair:
     return pair
 
 
+# (pair, cfg, report) of the last beta_estimate, for corollary_bound
+_last_beta = None
+
+
 def beta_estimate(pair: BeltramiPair, cfg: SweepConfig) -> ExponentReport:
     """Exponent lower bound for a coefficient pair with real nu: the
-    gamma_estimate of its reduction matrix B."""
-    return _sweep(_real_nu(pair), cfg)
+    gamma_estimate of its reduction matrix B, with the mu = 0 and nu = 0
+    bounds where they apply.  A pointwise B's det sums entry products up to
+    K^2 (K the distortion bound), so D = 1 is tested to _UNIT_TOL K^2."""
+    global _last_beta
+    report = _sweep(_real_nu(pair), cfg, _UNIT_TOL * pair.distortion_bound() ** 2)
+    _last_beta = (pair, cfg, report)
+    return report
 
 
 def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentReport:
@@ -514,48 +518,12 @@ def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentRepor
 
 
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """The unit-weights bound: beta_estimate's circles and arc reduction,
-    scored with the constant pair only; equal to its report's corollary.
-    Right after beta_estimate on the same pair and a config of at most two
-    passes, it reuses that sweep's reduction and unit-pair values: it
-    restricts and scores nothing."""
-    return _bound_of(max(float(d.unit_value.max()) for _, d in _reduced(_real_nu(pair), cfg)))
-
-
-_UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0
-
-
-def nu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """Simplified bound for nu = 0: reciprocal of the sup over circles of
-    the mean of I, which is |1 - nbar^2 mu|^2 / (1 - |mu|^2) there.
-
-    For real nu, D = ((1-nu)^2 - |mu|^2)/((1+nu)^2 - |mu|^2) is 1 only at
-    nu = 0, where the arctan term is 1 and this is the corollary value
-    circle by circle, so once D = 1 is checked on the sweep's reduced
-    batches it is corollary_bound.  A pointwise B's det sums entry products
-    up to K^2 (K the distortion bound), so D = 1 is tested to _UNIT_TOL K^2.
-    """
-    tol = _UNIT_TOL * pair.distortion_bound() ** 2
-    for _, data in _reduced(_real_nu(pair), cfg):
-        if np.max(np.abs(data.det_ratio.values - 1.0)) > tol:
-            raise ValueError("nu_zero_bound requires nu = 0")
-    return corollary_bound(pair, cfg)
-
-
-def mu_zero_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
-    """Simplified bound for mu = 0: over the worst circle, the arctan term
-    of inf D / sup D, (4/pi) arctan of the root of the (1-nu)/(1+nu) spread.
-
-    mu = 0 shows as I = 1, where this is the corollary value circle by
-    circle, so once I = 1 is checked to _UNIT_TOL on the sweep's reduced
-    batches it is corollary_bound: a circle on which nu is constant
-    contributes 1, and on angular data the origin circle, which sees every
-    value of nu, is the worst.
-    """
-    for _, data in _reduced(_real_nu(pair), cfg):
-        if np.max(np.abs(data.integrand.values - 1.0)) > _UNIT_TOL:
-            raise ValueError("mu_zero_bound requires mu = 0")
-    return corollary_bound(pair, cfg)
+    """The unit-weights bound: beta_estimate(pair, cfg).corollary.  Right
+    after beta_estimate on the same pair and config objects it reads that
+    report and restricts nothing; any other call sweeps."""
+    if _last_beta is not None and _last_beta[0] is pair and _last_beta[1] is cfg:
+        return _last_beta[2].corollary
+    return beta_estimate(pair, cfg).corollary
 
 
 def classical_bound(pair: BeltramiPair) -> float:

@@ -27,6 +27,7 @@ from .periodic_fields import (
     PIECEWISE,
     SMOOTH,
     TWO_PI,
+    _DUPLICATE_TOL,
     AngularGrid,
     CircleSpec,
     PeriodicField,
@@ -167,12 +168,16 @@ class BeltramiPair:
     @classmethod
     def from_profiles(cls, breakpoints, mu0_pieces, nu0_pieces, node_count: int = 2048) -> "BeltramiPair":
         """Piecewise-constant angular pair from per-arc values; its breakpoints
-        must be finite, strictly increasing from 0 and below 2 pi."""
+        must be finite, strictly increasing from 0 and below 2 pi, each more
+        than _DUPLICATE_TOL past the one before and short of 2 pi (closer
+        ones would merge into one)."""
         bks = np.ravel(np.asarray(breakpoints, dtype=float)).tolist()
+        tol = _DUPLICATE_TOL
         for i, b in enumerate(bks or [None]):  # Python comparisons: no warning on inf or NaN
-            if not (b == 0.0 if i == 0 else bks[i - 1] < b < TWO_PI):
-                raise ValueError("breakpoints must be finite, strictly increasing, start at 0 "
-                                 f"and lie below 2*pi: entry {i} is {b!r}")
+            if not (b == 0.0 if i == 0 else b - bks[i - 1] > tol and TWO_PI - b > tol):
+                raise ValueError("breakpoints must be finite, strictly increasing by more than "
+                                 f"{tol:g}, start at 0 and lie more than {tol:g} below 2*pi: "
+                                 f"entry {i} is {b!r}")
         g = AngularGrid.with_breakpoints(node_count, bks)
         return cls.from_angular(
             PeriodicField.piecewise(g, mu0_pieces), PeriodicField.piecewise(g, nu0_pieces)

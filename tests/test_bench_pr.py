@@ -54,3 +54,13 @@ def test_readme_times_are_also_in_reference_units(monkeypatch):
     assert len(refs) == 3 and entry["ref_s"] == sorted(refs)[1] > 0.0
     assert entry["seconds_ref"] == entry["seconds"] / entry["ref_s"]
     assert entry["exit_codes"] == [0] and entry["same_digest"]
+
+
+def test_event_counts_repeat_on_one_tree():
+    # each count runs in a fresh process, so no cache of an earlier run or
+    # of this test session enters it: two runs give equal counts
+    for counter, arg in ((bench_pr.workload_events, "origin-corpus"),
+                         (bench_pr.workload_events, "lattice-cli"),
+                         (bench_pr.command_events, ["--command", "estimate", "--alpha", "0.5"])):
+        first, second = (bench_pr.fresh_events(counter, arg) for _ in range(2))
+        assert first == second and first["call"] > 0 and first["c_call"] > 0, arg

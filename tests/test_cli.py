@@ -272,11 +272,13 @@ def test_coeff_file_ellipticity_exit(tmp_path, capsys):
 @pytest.mark.parametrize("name, entry", [
     ("decreasing", "entry 2 is 1.0"), ("past_two_pi", "entry 2 is 9.283185307179586"),
     ("boolean", "breakpoints[1] is true"), ("infinite_breakpoint", "entry 1 is inf"),
-    ("string_number", 'breakpoints[1] is "1"')])
+    ("string_number", 'breakpoints[1] is "1"'), ("tiny", "entry 1 is 1e-300"),
+    ("near_two_pi", "entry 2 is 6.28318530717"), ("near_duplicate", "entry 2 is 1.00000000001")])
 def test_coeff_file_breakpoints_are_checked(tmp_path, capsys, name, entry):
     # each used to be read as another pair ([0, 1, 3] for the first two,
-    # [0, 1] for the boolean and the string) or warned from numpy's
-    # remainder; now one error line names the entry
+    # [0, 1] for the boolean and the string), warned from numpy's
+    # remainder, or, for breakpoints within 1e-10 of the one before or of
+    # 2 pi, refused for its piece count; now one error line names the entry
     path = tmp_path / f"{name}.json"
     path.write_text(FUZZ_COEFF[name])
     with warnings.catch_warnings(record=True) as caught:
@@ -285,6 +287,35 @@ def test_coeff_file_breakpoints_are_checked(tmp_path, capsys, name, entry):
     out, err = capsys.readouterr()
     assert (code, out, caught) == (2, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1 and entry in err
+
+
+# float.hex of the bounds of the mu = 0, nu = 0 and constant files at FAST
+# flags, at the origin and on the 9-circle lattice (classical is closed form)
+_PINNED_BOUNDS = {
+    ("mu_zero", "origin"): {"beta": "0x1.d388bf4333f4ep-2", "corollary": "0x1.6e699c7c8e435p-2",
+                            "mu_zero": "0x1.6e699c7c8e435p-2"},
+    ("mu_zero", "lattice"): {"beta": "0x1.6e699c7c8e435p-2", "corollary": "0x1.6e699c7c8e435p-2",
+                             "mu_zero": "0x1.6e699c7c8e435p-2"},
+    ("nu_zero", "origin"): {"beta": "0x1.0000000000000p+0", "corollary": "0x1.0000000000000p+0",
+                            "nu_zero": "0x1.0000000000000p+0"},
+    ("nu_zero", "lattice"): {"beta": "0x1.0000000000000p+0", "corollary": "0x1.0000000000000p+0",
+                             "nu_zero": "0x1.0000000000000p+0"},
+    ("constant", "origin"): {"beta": "0x1.ffffffffffffep-1", "corollary": "0x1.ffffffffffffep-1",
+                             "mu_zero": "0x1.ffffffffffffep-1", "nu_zero": "0x1.ffffffffffffep-1"},
+    ("constant", "lattice"): {"beta": "0x1.ffffffffffffep-1", "corollary": "0x1.ffffffffffffep-1",
+                              "mu_zero": "0x1.ffffffffffffep-1", "nu_zero": "0x1.ffffffffffffep-1"},
+}
+
+
+@pytest.mark.parametrize("name, sweep", list(_PINNED_BOUNDS))
+def test_unit_weight_bounds_are_pinned(tmp_path, capsys, name, sweep):
+    path = tmp_path / f"{name}.json"
+    path.write_text(FUZZ_COEFF[name])
+    extra = ["--circles", "1"] if sweep == "lattice" else []
+    code, doc = run_json(capsys, ["--command", "estimate", "--coeff-file", str(path)] + FAST + extra)
+    assert code == 0
+    got = {key: v.hex() for key, v in doc["bounds"].items() if key != "classical"}
+    assert got == _PINNED_BOUNDS[name, sweep]
 
 
 def test_spec_errors_exit_two(capsys):
@@ -508,13 +539,18 @@ FUZZ_COEFF = {
     "empty_file": "",
     # breakpoints that are not finite, strictly increasing from 0 and below
     # 2 pi, or entries that are not JSON numbers, once read as another
-    # pair: refused by name
+    # pair, and breakpoints within 1e-10 of the one before or of 2 pi, once
+    # refused for their piece count: refused by name
     "decreasing": '{"breakpoints": [0, 3, 1], "mu0": [0.1, 0.5, 0], "nu0": [0, 0, 0]}',
     "past_two_pi": '{"breakpoints": [0, 1, 9.283185307179586], "mu0": [0.1, 0.5, 0], '
                    '"nu0": [0, 0, 0]}',
     "boolean": '{"breakpoints": [0, true], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
     "infinite_breakpoint": '{"breakpoints": [0, Infinity], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
     "string_number": '{"breakpoints": [0, "1"], "mu0": [0.1, 0.5], "nu0": [0, 0]}',
+    "near_two_pi": '{"breakpoints": [0, 1, 6.28318530717], "mu0": [0.1, 0.5, 0], '
+                   '"nu0": [0, 0, 0]}',
+    "near_duplicate": '{"breakpoints": [0, 1, 1.00000000001], "mu0": [0.1, 0.5, 0], '
+                      '"nu0": [0, 0, 0]}',
 }
 FUZZ_CONFIG = {
     "good": '{"command": "estimate", "alpha": 0.5, "nodes": 32, "weight_pieces": 2}',

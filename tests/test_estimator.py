@@ -15,14 +15,11 @@ from beltbound.estimator import (
     _arc_value,
     _matrix_fields,
     _reduced,
-    _reduced_pass,
     _remark_weights,
     beta_estimate,
     classical_bound,
     corollary_bound,
     gamma_estimate,
-    mu_zero_bound,
-    nu_zero_bound,
 )
 from beltbound.periodic_fields import (
     SMOOTH,
@@ -63,10 +60,10 @@ def random_angular_pair(rng, pieces=4, node_count=512):
 
 def test_trivial_pair_all_bounds_one():
     pair = BeltramiPair.from_constant(0.0, 0.0)
-    assert beta_estimate(pair, CFG).bound == 1.0
+    report = beta_estimate(pair, CFG)
+    assert report.bound == report.mu_zero == report.nu_zero == 1.0
     assert corollary_bound(pair, CFG) == 1.0
     assert classical_bound(pair) == 1.0
-    assert nu_zero_bound(pair, CFG) == 1.0
 
 
 def test_radial_stretch_equalities():
@@ -74,8 +71,9 @@ def test_radial_stretch_equalities():
         pair = BeltramiPair.radial_stretch(alpha, node_count=512)
         assert abs(classical_bound(pair) - alpha) < 1e-12
         assert abs(corollary_bound(pair, CFG) - alpha) < 1e-12
-        assert abs(beta_estimate(pair, CFG).bound - alpha) < 1e-12
-        assert abs(nu_zero_bound(pair, CFG) - alpha) < 1e-12
+        report = beta_estimate(pair, CFG)
+        assert abs(report.bound - alpha) < 1e-12
+        assert abs(report.nu_zero - alpha) < 1e-12
 
 
 def test_nu_zero_frozen_quarters():
@@ -88,7 +86,7 @@ def test_nu_zero_frozen_quarters():
         PeriodicField.piecewise(g, [0.1, 0.3, 0.2, 0.05]),
         PeriodicField.piecewise(g, [0.0, 0.0, 0.0, 0.0]),
     )
-    assert abs(nu_zero_bound(pair, CFG) - 0.7036519950033066) < 1e-12
+    assert abs(beta_estimate(pair, CFG).nu_zero - 0.7036519950033066) < 1e-12
 
 
 def test_nu_zero_matches_independent_quadrature():
@@ -104,13 +102,12 @@ def test_nu_zero_matches_independent_quadrature():
         lengths = np.diff(np.concatenate([bks, [TWO_PI]]))
         mean = np.sum(lengths * (1.0 + mu0) / (1.0 - mu0)) / TWO_PI
         expected = min(1.0, 1.0 / mean)
-        assert abs(nu_zero_bound(pair, CFG) - expected) < 1e-10
+        assert abs(beta_estimate(pair, CFG).nu_zero - expected) < 1e-10
 
 
 def test_nu_zero_rejects_nonzero_nu():
-    pair = BeltramiPair.from_constant(0.0, 0.2)
-    with pytest.raises(ValueError):
-        nu_zero_bound(pair, CFG)
+    report = beta_estimate(BeltramiPair.from_constant(0.0, 0.2), CFG)
+    assert report.nu_zero is None and report.mu_zero == report.corollary
 
 
 def test_nu_zero_accepts_callable_pair_with_large_mu():
@@ -121,25 +118,25 @@ def test_nu_zero_accepts_callable_pair_with_large_mu():
         pair = BeltramiPair.from_callables(
             lambda z, r=r: (r * np.exp(3j * np.angle(z)), np.zeros_like(z)))
         cfg = SweepConfig(circles=(CircleSpec(0.1 + 0.2j, 0.5, resolution=512),), weight_pieces=8)
-        assert nu_zero_bound(pair, cfg) == pytest.approx(corollary_bound(pair, cfg), rel=1e-12)
+        report = beta_estimate(pair, cfg)
+        assert report.nu_zero == report.corollary and report.mu_zero is None
 
 
 def test_mu_zero_constant_nu_is_one():
     pair = BeltramiPair.from_constant(0.0, 0.35)
-    assert abs(mu_zero_bound(pair, CFG) - 1.0) < 1e-12
+    assert abs(beta_estimate(pair, CFG).mu_zero - 1.0) < 1e-12
 
 
 def test_mu_zero_two_valued_nu_gives_arctan_value():
     for M, d in [(2.0, D_M2), (4.0, D_M4)]:
         fam = build_family(M, 0.0, node_count=512)
         pair = fam.pair()
-        assert abs(mu_zero_bound(pair, CFG) - d) < 1e-12
+        assert abs(beta_estimate(pair, CFG).mu_zero - d) < 1e-12
 
 
 def test_mu_zero_rejects_nonzero_mu():
-    pair = BeltramiPair.from_constant(0.2, 0.0)
-    with pytest.raises(ValueError):
-        mu_zero_bound(pair, CFG)
+    report = beta_estimate(BeltramiPair.from_constant(0.2, 0.0), CFG)
+    assert report.mu_zero is None and report.nu_zero == report.corollary
 
 
 def test_classical_bound_value():
@@ -258,7 +255,7 @@ def test_ellipticity_past_the_sampling_lattice():
     assert pair.kappa < 0.6
     for circle in (CircleSpec(0.0, 0.9999), CircleSpec(0.3, 0.6999)):
         cfg = SweepConfig(circles=(circle,))
-        for bound in (beta_estimate, corollary_bound, nu_zero_bound):
+        for bound in (beta_estimate, corollary_bound):
             with pytest.raises(EllipticityError):
                 bound(pair, cfg)
 
@@ -360,13 +357,13 @@ def test_corollary_equals_nu_zero_when_nu_vanishes():
             PeriodicField.piecewise(g, rng.uniform(-0.5, 0.5, 3)),
             PeriodicField.piecewise(g, np.zeros(3)),
         )
-        assert abs(corollary_bound(pair, CFG) - nu_zero_bound(pair, CFG)) < 1e-12
+        assert corollary_bound(pair, CFG) == beta_estimate(pair, CFG).nu_zero
 
 
 def test_corollary_equals_mu_zero_for_origin_sweep():
     fam = build_family(3.0, 0.0, node_count=512)
     pair = fam.pair()
-    assert abs(corollary_bound(pair, CFG) - mu_zero_bound(pair, CFG)) < 1e-12
+    assert corollary_bound(pair, CFG) == beta_estimate(pair, CFG).mu_zero
 
 
 def test_mu_zero_takes_the_worst_circle():
@@ -379,10 +376,11 @@ def test_mu_zero_takes_the_worst_circle():
     on = pair.on_circle(small)
     assert np.ptp(on.det.values) == 0.0
     cfg = SweepConfig(circles=CFG.circles + (small,), weight_pieces=8)
-    assert mu_zero_bound(pair, SweepConfig(circles=(small,))) == 1.0
-    assert mu_zero_bound(pair, cfg) < 0.5
-    assert abs(mu_zero_bound(pair, cfg) - corollary_bound(pair, cfg)) < 1e-12
-    assert abs(mu_zero_bound(pair, cfg) - mu_zero_bound(pair, CFG)) < 1e-12
+    assert beta_estimate(pair, SweepConfig(circles=(small,))).mu_zero == 1.0
+    report = beta_estimate(pair, cfg)
+    assert report.mu_zero < 0.5
+    assert report.mu_zero == report.corollary
+    assert abs(report.mu_zero - beta_estimate(pair, CFG).mu_zero) < 1e-12
 
 
 def test_bounds_live_in_unit_interval():
@@ -522,26 +520,25 @@ OFF_CENTRE = SweepConfig(circles=tuple(CircleSpec(0.1 * np.exp(2j * k), 0.5, res
 
 @pytest.mark.parametrize("cfg", [CFG, OFF_CENTRE], ids=["origin", "off-centre"])
 def test_corollary_after_beta_restricts_nothing(monkeypatch, cfg):
-    _reduced_pass.cache_clear()
+    # corollary_bound reads the last beta_estimate's report for the same
+    # objects; every beta_estimate restricts, and a fresh corollary_bound
+    # is the corollary of a fresh sweep, bit for bit
     calls = _spy_on_circles(monkeypatch)
     pair = random_angular_pair(np.random.default_rng(41))
     report = beta_estimate(pair, cfg)
     corollary = corollary_bound(pair, cfg)
-    again = beta_estimate(pair, cfg)
     assert calls == [len(cfg.circles)]
     assert corollary.hex() == report.corollary.hex()
-    assert _same_report(again, report)
-    _reduced_pass.cache_clear()
-    assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
-    _reduced_pass.cache_clear()
     assert _same_report(beta_estimate(pair, cfg), report)
+    assert len(calls) == 2
+    fresh = random_angular_pair(np.random.default_rng(41))
+    assert corollary_bound(fresh, cfg).hex() == report.corollary.hex()
     assert len(calls) == 3
 
 
 def test_corollary_reuses_the_sweeps_unit_values(monkeypatch):
-    # on a hit corollary_bound reads the unit-pair values _reduced_pass
-    # scored once for the batch: no objective evaluation at all
-    _reduced_pass.cache_clear()
+    # right after beta_estimate, corollary_bound reads the report's
+    # corollary: no objective evaluation at all
     pair = random_angular_pair(np.random.default_rng(43))
     report = beta_estimate(pair, CFG)
     scored, original = [], estimator._arc_value
@@ -553,102 +550,78 @@ def test_corollary_reuses_the_sweeps_unit_values(monkeypatch):
     monkeypatch.setattr(estimator, "_arc_value", spy)
     assert corollary_bound(pair, CFG).hex() == report.corollary.hex()
     assert scored == []
-    _reduced_pass.cache_clear()
-    assert corollary_bound(pair, CFG).hex() == report.corollary.hex()
-    assert len(scored) == 1  # a miss scores the unit pair once
-
-
-def test_gamma_estimate_shares_its_field_reduction(monkeypatch):
-    _reduced_pass.cache_clear()
-    calls = _spy_on_circles(monkeypatch, CoefficientMatrixField)
-    m = beltrami_to_matrices(random_angular_pair(np.random.default_rng(42))).B
-    first = gamma_estimate(m, OFF_CENTRE)
-    assert _same_report(gamma_estimate(m, OFF_CENTRE), first)
-    assert calls == [3]
+    assert corollary_bound(pair, replace(CFG)).hex() == report.corollary.hex()
+    assert len(scored) == 2  # another config sweeps: the unit pair, then a window
 
 
 def test_shared_reduction_is_keyed_on_the_source_and_sweep(monkeypatch):
-    # an equal pair is another source, and another weight_pieces or resolution
-    # is another sweep: each restricts again and gets its own value
+    # corollary_bound reuses a report only for the same objects: an equal
+    # pair is another source, and an equal config, another weight_pieces or
+    # another resolution is another sweep: each restricts again
     calls = _spy_on_circles(monkeypatch)
     pair = BeltramiPair.from_callables(lambda z: (0.3 * z, 0.2 * np.abs(z) + 0j))
     twin = BeltramiPair.from_callables(lambda z: (0.3 * z, 0.2 * np.abs(z) + 0j))
     circle = CircleSpec(0.1 + 0.2j, 0.5, resolution=256)
     cfg = SweepConfig(circles=(circle,), weight_pieces=4)
-    others = (replace(cfg, weight_pieces=3), replace(cfg, circles=(replace(circle, resolution=512),)))
-    _reduced_pass.cache_clear()
     base = beta_estimate(pair, cfg)
-    assert _same_report(beta_estimate(twin, cfg), base)
-    assert len(calls) == 2
+    assert corollary_bound(pair, cfg) == base.corollary and len(calls) == 1
+    others = (replace(cfg, weight_pieces=3), replace(cfg, circles=(replace(circle, resolution=512),)))
     values = []
-    for other in others:
-        got = beta_estimate(pair, other)
-        _reduced_pass.cache_clear()
-        assert _same_report(got, beta_estimate(pair, other))
-        values.append(got.sup_value)
-    assert len(calls) == 6
-    assert len({base.sup_value, *values}) == 3
-
-
-def _built_arrays(data):
-    return (data.integrand.values, data.det_ratio.values, data.arc_integrals, data.arc_dmin,
-            data.arc_dmax)
-
-
-def _grid_arrays(grid):
-    return grid.nodes, grid.breakpoints, grid.segment_starts
+    for source, other in ((twin, cfg), (pair, replace(cfg)), *((pair, o) for o in others)):
+        beta_estimate(pair, cfg)
+        values.append(corollary_bound(source, other))
+    assert len(calls) == 9
+    assert values[:2] == [base.corollary] * 2
+    assert values[2:] == [beta_estimate(pair, other).corollary for other in others]
 
 
 def _own_arrays(pair):
-    return (*_grid_arrays(pair.k.grid), pair.k.k1.values, pair.k.k2.values)
+    grid = pair.k.grid
+    return grid.nodes, grid.breakpoints, grid.segment_starts, pair.k.k1.values, pair.k.k2.values
 
 
-def test_shared_reduction_is_read_only():
-    # a sweep keeps each of its passes, here one (origin) or two (lattice),
-    # and every array the cache hands out is read-only, but for the pair's
-    # own grid and values: a piecewise origin pass reads them as they are,
-    # and they stay writeable.  A smooth pair's origin pass builds its grid
-    # on the weight arcs too, so that grid is read-only as well
+def test_passes_read_the_pairs_grid_or_a_read_only_one():
+    # a piecewise origin pass reads the pair's own grid and values as they
+    # are, and they stay writeable; every other pass, a smooth pair's origin
+    # pass included (its grid holds the weight arcs too), is on a grid the
+    # restriction built read-only
     piecewise = random_angular_pair(np.random.default_rng(43))
     smooth = smooth_angular_pair(np.random.default_rng(43), 512)
     lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
     for pair in (piecewise, smooth):
         for cfg, passes in ((CFG, 1), (lattice, 2)):
-            _reduced_pass.cache_clear()
-            beta_estimate(pair, cfg)
             batches = [data for _, data in _reduced(pair, cfg)]
             assert len(batches) == passes
-            assert _reduced_pass.cache_info()[:2] == (passes, passes)  # hits, misses
-            assert _reduced_pass.cache_info().currsize == passes
             for data in batches:
                 grid = data.integrand.grid
                 own = pair is piecewise and data.circles[0].origin_centered
                 assert (grid is pair.k.grid) == own
-                for a in (*_built_arrays(data), *(() if own else _grid_arrays(grid))):
+                for a in () if own else (grid.nodes, grid.breakpoints, grid.segment_starts):
                     with pytest.raises(ValueError):
                         a[..., 0] = 1.0
             assert all(a.flags.writeable for a in _own_arrays(pair))
 
 
-def test_sweep_keeps_its_last_two_passes(monkeypatch):
-    # with 256-point passes: two passes of 128-point circles, or one pass of
-    # a 512-point circle, stay cached and corollary_bound restricts nothing;
-    # of three passes the last two stay, which the next sweep evicts before
-    # it reaches them, so it restricts all three again
+def test_estimate_restricts_each_pass_once(monkeypatch):
+    # with 256-point passes: two passes of 128-point circles, one pass of a
+    # 512-point circle, or three passes, each restricted once by beta and
+    # gamma estimates alike; corollary_bound after beta restricts nothing
     monkeypatch.setattr(estimator, "_PASS_POINTS", 256)
-    calls = _spy_on_circles(monkeypatch)
     pair = random_angular_pair(np.random.default_rng(44))
+    matrix = beltrami_to_matrices(pair).B
     three = SweepConfig(circles=OFF_CENTRE.circles + OFF_CENTRE.circles[:2], weight_pieces=4)
-    for cfg, passes, again in ((OFF_CENTRE, [2, 1], []),
-                               (SweepConfig.origin(resolution=512), [1], []),
-                               (three, [2, 2, 1], [2, 2, 1])):
-        _reduced_pass.cache_clear()
-        del calls[:]
+    for cfg, passes in ((OFF_CENTRE, [2, 1]), (SweepConfig.origin(resolution=512), [1]),
+                        (three, [2, 2, 1])):
+        calls = _spy_on_circles(monkeypatch)
         report = beta_estimate(pair, cfg)
         assert calls == passes
         assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
-        assert calls == passes + again
-        assert _reduced_pass.cache_info().currsize == min(2, len(passes))
+        assert calls == passes
+        calls = _spy_on_circles(monkeypatch, CoefficientMatrixField)
+        first = gamma_estimate(matrix, cfg)
+        assert _same_report(gamma_estimate(matrix, cfg), first)
+        assert calls == passes * 2
+        assert first.mu_zero is first.nu_zero is None
 
 
 def _count_resampling(monkeypatch):
@@ -673,8 +646,8 @@ def _count_resampling(monkeypatch):
 def test_origin_sweep_reads_the_pairs_own_grid(monkeypatch):
     # at any resolution an origin sweep of piecewise data builds no grid and
     # resamples nothing: it reads k's grid and node values as they are, also
-    # for a pair whose node count is not the one it was built for.  The pass
-    # flags only the arrays it computed, so the pair's own stay writeable
+    # for a pair whose node count is not the one it was built for, and it
+    # leaves the pair's own arrays writeable
     off_count = BeltramiPair.from_profiles([0.0, 1.0, 2.5, 4.0], [0.1, 0.3, -0.2, 0.0],
                                            [0.2, 0.0, 0.1, -0.3], node_count=512)
     assert off_count.k.grid.node_count == 511
@@ -682,7 +655,6 @@ def test_origin_sweep_reads_the_pairs_own_grid(monkeypatch):
         assert all(a.flags.writeable for a in _own_arrays(pair))
         for resolution in (pair.k.grid.node_count, 256, 512, 1000):
             cfg = SweepConfig.origin(resolution=resolution)
-            _reduced_pass.cache_clear()
             calls = _count_resampling(monkeypatch)
             report = beta_estimate(pair, cfg)
             (_, data), = _reduced(pair, cfg)
@@ -691,9 +663,6 @@ def test_origin_sweep_reads_the_pairs_own_grid(monkeypatch):
             assert report.per_circle[0]["nodes"] == pair.k.grid.node_count
             assert report.per_circle[0]["arcs"] == pair.k.grid.breakpoints.size
             assert all(a.flags.writeable for a in _own_arrays(pair))
-            for a in _built_arrays(data):
-                with pytest.raises(ValueError):
-                    a[..., 0] = 1.0
 
 
 def test_origin_row_off_the_pairs_node_count_is_the_rebuilt_pairs_row():
@@ -728,23 +697,23 @@ _MU_ZERO_ANGULAR = BeltramiPair.from_profiles([0.0, 1.0, 2.5, 4.0], [0.0] * 4,
 _LATTICE_2 = SweepConfig.disk_lattice(radius_count=2, resolution=128, weight_pieces=2)
 
 
-@pytest.mark.parametrize("pair, bound, cfg, passes", [
-    (BeltramiPair.radial_stretch(0.5, node_count=128), nu_zero_bound, CFG, [1]),
-    (_MU_ZERO_ANGULAR, mu_zero_bound, CFG, [1]),
-    (BeltramiPair.radial_stretch(0.5, node_count=128), nu_zero_bound, _LATTICE_2, [1, 16]),
-    (_MU_ZERO_ANGULAR, mu_zero_bound, _LATTICE_2, [1, 16]),
-    (_NU_ZERO_POINTWISE, nu_zero_bound, _LATTICE_2, [17]),
+@pytest.mark.parametrize("pair, key, cfg, passes", [
+    (BeltramiPair.radial_stretch(0.5, node_count=128), "nu_zero", CFG, [1]),
+    (_MU_ZERO_ANGULAR, "mu_zero", CFG, [1]),
+    (BeltramiPair.radial_stretch(0.5, node_count=128), "nu_zero", _LATTICE_2, [1, 16]),
+    (_MU_ZERO_ANGULAR, "mu_zero", _LATTICE_2, [1, 16]),
+    (_NU_ZERO_POINTWISE, "nu_zero", _LATTICE_2, [17]),
 ], ids=["origin-nu0", "origin-mu0", "angular-lattice-nu0", "angular-lattice-mu0",
         "pointwise-lattice-nu0"])
-def test_bounds_after_beta_restrict_nothing(monkeypatch, pair, bound, cfg, passes):
-    # beta, the corollary and the mu = 0 or nu = 0 bound of one (source,
-    # sweep) share one reduction; a pointwise lattice is one grid, so one pass
-    _reduced_pass.cache_clear()
+def test_bounds_after_beta_restrict_nothing(monkeypatch, pair, key, cfg, passes):
+    # one estimate restricts each pass once and reports the mu = 0 or nu = 0
+    # bound, which is its corollary; corollary_bound after it reads the
+    # report.  A pointwise lattice is one grid, so one pass
     calls = _spy_on_circles(monkeypatch)
     report = beta_estimate(pair, cfg)
     assert calls == passes
+    assert getattr(report, key).hex() == report.corollary.hex()
     assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
-    assert bound(pair, cfg).hex() == report.corollary.hex()
     assert calls == passes
 
 
@@ -807,9 +776,7 @@ def test_cached_geometry_is_read_only():
 def test_reports_equal_with_geometry_cleared_and_warm(pair):
     lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
     reduction._circle_geometry.cache_clear()
-    _reduced_pass.cache_clear()
     cold = beta_estimate(pair, lattice)
-    _reduced_pass.cache_clear()
     assert reduction._circle_geometry.cache_info().currsize > 0
     warm = beta_estimate(pair, lattice)
     assert reduction._circle_geometry.cache_info().hits > 0
@@ -821,7 +788,6 @@ def test_origin_batches_of_angular_data_bypass_the_geometry_cache():
     # off-centre entry every job
     pair = random_angular_pair(np.random.default_rng(47), node_count=128)
     reduction._circle_geometry.cache_clear()
-    _reduced_pass.cache_clear()
     beta_estimate(pair, SweepConfig.origin(resolution=128, weight_pieces=2))
     info = reduction._circle_geometry.cache_info()
     assert info.hits == info.misses == 0
