@@ -36,7 +36,10 @@ Run from anywhere inside a source checkout.  The record holds:
   run does; a command's is one run after one uncounted run.  A count does
   not depend on the host's speed or memory layout, so it tells a timing
   move that comes from the program apart from one that does not; it
-  measures call overhead, not array work.
+  measures call overhead, not array work.  ``per_layer`` splits the count
+  by the layer (``LAYERS``, the benchmark tracer's names) of the innermost
+  library frame on the stack when the event fired, ``other`` where there is
+  none; the layers sum to the total.
 
 The benchmark runs as a subprocess and nothing under ``benchmark/`` is
 edited; ``--trace 1`` writes its spans to ``benchmark/out/`` as usual, and
@@ -172,20 +175,41 @@ def readme_commands():
     return out
 
 
+# the library's layers, as the benchmark's tracer names them
+LAYERS = ("periodic_fields", "reduction", "stretching", "sharp_family", "estimator", "verify",
+          "cli")
+_LAYER_OF_MODULE = {f"beltbound.{name}": name for name in LAYERS}
+
+
+def _layer(frame):
+    """The layer of the innermost library frame on frame's stack, else "other"."""
+    while frame is not None:
+        layer = _LAYER_OF_MODULE.get(frame.f_globals.get("__name__"))
+        if layer is not None:
+            return layer
+        frame = frame.f_back
+    return "other"
+
+
 def _profile_events(job, jobs):
-    """sys.setprofile call and c_call events of job(), and their sum per job."""
+    """sys.setprofile call and c_call events of job(), their sum per job, and
+    per_layer: the events by the layer of the innermost library frame on the
+    stack (a call event's own frame included), summing to the total."""
     counts = {"call": 0, "c_call": 0}
+    per_layer = dict.fromkeys((*LAYERS, "other"), 0)
 
     def profile(frame, event, arg):
         if event in counts:
             counts[event] += 1
+            per_layer[_layer(frame)] += 1
 
     sys.setprofile(profile)
     try:
         job()
     finally:
         sys.setprofile(None)
-    return {**counts, "jobs": jobs, "per_job": (counts["call"] + counts["c_call"]) / jobs}
+    return {**counts, "jobs": jobs, "per_job": (counts["call"] + counts["c_call"]) / jobs,
+            "per_layer": per_layer}
 
 
 def workload_events(name):

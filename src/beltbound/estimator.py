@@ -393,38 +393,27 @@ def _matrix_fields(on: MatrixOnCircles):
 _PASS_POINTS = 1 << 16
 
 
-def _passes(circles, angular: bool):
-    """Positions in circles per pass: the circles of one grid_key, at most
-    _PASS_POINTS sample points at a time."""
-    groups = {}
-    for k, c in enumerate(circles):
-        groups.setdefault(grid_key(c, angular), []).append(k)
-    passes = []
-    for (resolution, _), idx in groups.items():
-        size = max(1, _PASS_POINTS // resolution)
-        passes += [idx[i:i + size] for i in range(0, len(idx), size)]
-    return passes
-
-
-def _reduced_pass(source, circles: tuple, weight_pieces: int) -> _CircleBatch:
-    """Restrict source to circles of one grid and reduce the restriction's
-    (I, D) to arcs.  Smooth restrictions take the weight-arc boundaries as
-    extra breakpoints.  Origin circles of piecewise-constant k keep k's own
-    arcs: I and D are constant on each, so its sub-arcs share dmin = dmax
-    and every clip window gives them one weight; they read k's own grid and
-    values at any resolution (see CoefficientMatrixField.on_circles)."""
-    k = source.k
-    piecewise_origin = k is not None and k.is_piecewise and circles[0].origin_centered
-    arcs = None if piecewise_origin else TWO_PI * np.arange(weight_pieces) / weight_pieces
-    on = source.on_circles(circles, arcs)
-    return _arc_reduce(on.circles, *_matrix_fields(on))
-
-
 def _reduced(source, cfg: SweepConfig):
-    """(positions in cfg.circles, reduced pass) per pass, lazily."""
-    circles = tuple(cfg.circles)
-    for idx in _passes(circles, source.k is not None):
-        yield idx, _reduced_pass(source, tuple(circles[k] for k in idx), cfg.weight_pieces)
+    """(positions in cfg.circles, reduced batch) per pass, lazily.
+
+    A pass restricts circles of one reduction.grid_key and reduces the
+    restriction's (I, D) to arcs, at most _PASS_POINTS sample points at a
+    time.  Smooth restrictions take the weight-arc boundaries as extra
+    breakpoints.  Origin circles of piecewise-constant k keep k's own arcs:
+    I and D are constant on each, so its sub-arcs share dmin = dmax and
+    every clip window gives them one weight; they read k's own grid at any
+    resolution (see CoefficientMatrixField.on_circles), so their passes are
+    sized by its node count, not by the circles' resolution."""
+    k, circles, groups = source.k, cfg.circles, {}
+    for i, c in enumerate(circles):
+        groups.setdefault(grid_key(c, k is not None), []).append(i)
+    for (resolution, origin), idx in groups.items():
+        own = origin and k.is_piecewise
+        arcs = None if own else TWO_PI * np.arange(cfg.weight_pieces) / cfg.weight_pieces
+        size = max(1, _PASS_POINTS // (k.grid.node_count if own else resolution))
+        for i in range(0, len(idx), size):
+            on = source.on_circles([circles[j] for j in idx[i:i + size]], arcs)
+            yield idx[i:i + size], _arc_reduce(on.circles, *_matrix_fields(on))
 
 
 _UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0

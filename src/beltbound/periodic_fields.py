@@ -56,19 +56,16 @@ def arg_of(z):
     return a + TWO_PI * (a < 0)
 
 
-def merge_breakpoints(*groups) -> np.ndarray:
-    """Sorted union of breakpoint sets, removing near-duplicates.
+def merge_breakpoints(breakpoints) -> np.ndarray:
+    """Sorted, wrapped breakpoints (None for none) with near-duplicates
+    removed; a caller with several sets passes their concatenation.
 
     0 is always a member: grids anchor their first node there, which costs
     nothing (an extra segment boundary inside a smooth piece) and keeps node
     arrays sorted without wrap-around bookkeeping.
     """
-    pool = [np.zeros(1)]
-    for g in groups:
-        if g is None:
-            continue
-        pool.append(wrap_angle(np.atleast_1d(np.asarray(g, dtype=float))))
-    merged = np.sort(np.concatenate(pool))
+    given = [] if breakpoints is None else np.asarray(breakpoints, dtype=float)
+    merged = np.sort(np.concatenate([np.zeros(1), wrap_angle(np.ravel(given))]))
     keep = np.concatenate([[True], np.diff(merged) > _DUPLICATE_TOL])
     out = merged[keep]
     # a breakpoint that close to 2pi collides with 0
@@ -261,8 +258,6 @@ class CircleSpec:
         return abs(abs(self.center) - self.radius) <= 1e-9 * self.radius
 
     def grid(self, breakpoints=None) -> AngularGrid:
-        if breakpoints is None:
-            return AngularGrid.uniform(self.resolution)
         return AngularGrid.with_breakpoints(self.resolution, breakpoints)
 
 

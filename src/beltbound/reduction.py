@@ -76,7 +76,7 @@ def _check_batch(circles, angular: bool) -> None:
         raise ValueError("the circles of one batch must share one grid")
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _circle_geometry(circles: tuple, arcs: tuple | None, angular: bool):
     """(grid, geometry) of circles that share one grid with the weight arcs
     as its breakpoints: everything a restriction needs that does not depend
@@ -86,9 +86,11 @@ def _circle_geometry(circles: tuple, arcs: tuple | None, angular: bool):
     angles), the last two (N,).
 
     Its arrays are read-only, since the cache hands them to every source.
-    Keyed on (circles, arcs, angular), it holds the last two batches, as
-    the estimator's pass cache does (origin circles of angular data never
-    get here: their grid is the source's own, or holds its breakpoints).
+    Keyed on (circles, arcs, angular), it holds the last batch only: a
+    README or benchmark sweep restricts at most one such batch, which its
+    repeats hit, so an older batch would only hold memory (origin circles
+    of angular data never get here: their grid is the source's own, or
+    holds its breakpoints).
     """
     _check_batch(circles, angular)
     grid = circles[0].grid(arcs)
@@ -311,11 +313,11 @@ class CoefficientMatrixField:
         of the normal's angle to z and det A = k1 k2.  On origin circles that
         angle is 0 (<n, A n> = k1): with no extra breakpoints they read k.grid
         and k's node values as they are, whatever their resolution; with
-        some, k resampled on a grid at their resolution that holds k's
+        some, k resampled on a fresh grid at their resolution that holds k's
         breakpoints too.  Other circles take the grid, z or arg z and the
         normals' cosines and sines from _circle_geometry, built once per batch
-        of circles and weight arcs; a pointwise field is evaluated in one call.
-        Every grid built here is read-only.
+        of circles and weight arcs and read-only, since the cache shares it; a
+        pointwise field is evaluated in one call.
         """
         k, circles, kind = self.k, tuple(circles), SMOOTH
         arcs = None if extra_breakpoints is None else tuple(np.ravel(extra_breakpoints).tolist())
@@ -325,8 +327,6 @@ class CoefficientMatrixField:
             if arcs is not None:
                 grid = circles[0].grid(np.concatenate([k.grid.breakpoints, arcs]))
                 k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
-                for a in (grid.nodes, grid.breakpoints, grid.segment_starts):
-                    a.flags.writeable = False
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
             kind = PIECEWISE if k.is_piecewise else SMOOTH
         elif k is not None:
@@ -340,10 +340,6 @@ class CoefficientMatrixField:
             det = a11 * a22 - a12 * a21
         return MatrixOnCircles(circles, grid, PeriodicField(grid, nAn, kind),
                                PeriodicField(grid, det, kind))
-
-    def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
-        """Samples along one circle: on_circles of a batch of one."""
-        return self.on_circles((circle,), extra_breakpoints)
 
 
 @dataclass(frozen=True, eq=False)

@@ -189,18 +189,14 @@ class AngularStretching:
     def grid(self) -> AngularGrid:
         return self.eta1.grid
 
-    def profile_wrapped(self, t) -> np.ndarray:
-        """eta1 + i eta2 at angles already wrapped by wrap_angle."""
-        return self.eta1.eval_wrapped(t) + 1j * self.eta2.eval_wrapped(t)
-
 
 def eval_stretching(s: AngularStretching, z):
     """f(z) = |z|^alpha (eta1 + i eta2)(arg z); linear interp between nodes."""
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("stretching is evaluated on z != 0 (it extends by 0 at the origin)")
-    r = np.abs(z)
-    out = r**s.alpha * s.profile_wrapped(arg_of(z))
+    t = arg_of(z)
+    out = np.abs(z)**s.alpha * (s.eta1.eval_wrapped(t) + 1j * s.eta2.eval_wrapped(t))
     return out if out.shape else complex(out)
 
 
@@ -596,54 +592,41 @@ def sl_weak_residuals(k: KProfile, s: AngularStretching, component: int = 1):
     component 2: d/dtheta(k1^{-1} eta2') + alpha^2 k2^{-1} eta2 = 0.
     Hats sit at the interior nodes only: profiles of non-periodic exponents
     jump at the cut angle, and closing up is monodromy's business anyway.
-    Piecewise weights integrate with per-cell Gauss(5) on the exact solution;
-    smooth weights use node trapezoid (O(h^2)).  Returns (residual vector,
-    normalized max residual).
+    The integrals take per-cell Gauss(5) on eval_system_solution from s's
+    state at 0, for piecewise and smooth weights alike.  For piecewise k
+    the residual is rounding; for smooth k it gauges the cell rule of
+    _cells (k frozen at each cell midpoint) against the linear interpolant
+    of k that the flux and load read.  Returns (residual vector, one entry
+    per interior node, and normalized max residual).
     """
-    g = s.grid
-    nodes = g.nodes
+    nodes = s.grid.nodes
     n = nodes.size
     thetas_ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
     h = np.diff(thetas_ext)
     a2 = s.alpha**2
-
-    if k.is_piecewise:
-        gx, gw = _gauss_rule(5)
-        # all Gauss points, cell by cell
-        pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
-        v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
-        e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
-        k1 = k.k1.eval_at(pts)
-        k2 = k.k2.eval_at(pts)
-        if component == 1:
-            flux = (k2 * d1).reshape(n, -1)
-            load = (a2 * k1 * e1).reshape(n, -1)
-        else:
-            flux = (d2 / k1).reshape(n, -1)
-            load = (a2 * e2 / k2).reshape(n, -1)
-        wts = gw[None, :] * h[:, None]
-        # hat_j rises on cell j-1, falls on cell j
-        rise = np.sum(wts * gx[None, :] * load, axis=1)
-        fall = np.sum(wts * (1.0 - gx[None, :]) * load, axis=1)
-        int_flux = np.sum(wts * flux, axis=1)
-        res = (
-            np.roll(rise, 1)
-            + fall
-            - np.roll(int_flux, 1) / np.roll(h, 1)
-            + int_flux / h
-        )[1:]
-        scale = np.max(np.abs(int_flux) / h) + np.max(np.abs(rise + fall))
+    gx, gw = _gauss_rule(5)
+    # all Gauss points, cell by cell
+    pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
+    v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
+    e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
+    k1 = k.k1.eval_at(pts)
+    k2 = k.k2.eval_at(pts)
+    if component == 1:
+        flux = (k2 * d1).reshape(n, -1)
+        load = (a2 * k1 * e1).reshape(n, -1)
     else:
-        if component == 1:
-            flux_n = k.k2.values * s.deta1
-            load_n = a2 * k.k1.values * s.eta1.values
-        else:
-            flux_n = s.deta2 / k.k1.values
-            load_n = a2 * s.eta2.values / k.k2.values
-        flux_mid = 0.5 * (flux_n + np.roll(flux_n, -1))
-        load_cell = 0.5 * h * load_n + 0.5 * np.roll(h, 1) * load_n
-        # node samples cannot reach into the cut cell, so the final hat
-        # (whose support includes it) is skipped as well
-        res = (-np.roll(flux_mid, 1) + flux_mid + load_cell)[1:-1]
-        scale = np.max(np.abs(flux_mid)) + np.max(np.abs(load_cell))
+        flux = (d2 / k1).reshape(n, -1)
+        load = (a2 * e2 / k2).reshape(n, -1)
+    wts = gw[None, :] * h[:, None]
+    # hat_j rises on cell j-1, falls on cell j
+    rise = np.sum(wts * gx[None, :] * load, axis=1)
+    fall = np.sum(wts * (1.0 - gx[None, :]) * load, axis=1)
+    int_flux = np.sum(wts * flux, axis=1)
+    res = (
+        np.roll(rise, 1)
+        + fall
+        - np.roll(int_flux, 1) / np.roll(h, 1)
+        + int_flux / h
+    )[1:]
+    scale = np.max(np.abs(int_flux) / h) + np.max(np.abs(rise + fall))
     return res, float(np.max(np.abs(res)) / scale)

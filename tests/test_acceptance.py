@@ -144,8 +144,8 @@ def test_criterion_5_reduction_identities(capsys):
         bt = np.array(red.B_tilde.entries(z)).reshape(2, 2)
         det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
         worst_tilde = max(worst_tilde, float(np.max(np.abs(bt - b / det))))
-        data_a = node_gap_batch(red.B.on_circle(circle))
-        data_h = node_gap_batch(normalize_matrix(red.B).on_circle(circle))
+        data_a = node_gap_batch(red.B.on_circles((circle,)))
+        data_h = node_gap_batch(normalize_matrix(red.B).on_circles((circle,)))
         w = np.exp(rng.normal(0.0, 0.3, (2, data_a.arc_integrals.shape[-1])))
         v1 = _arc_value(data_a, w[0], w[1])[0]
         v2 = _arc_value(data_h, 1.0 / w[1], 1.0 / w[0])[0]

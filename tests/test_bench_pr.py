@@ -64,3 +64,7 @@ def test_event_counts_repeat_on_one_tree():
                          (bench_pr.command_events, ["--command", "estimate", "--alpha", "0.5"])):
         first, second = (bench_pr.fresh_events(counter, arg) for _ in range(2))
         assert first == second and first["call"] > 0 and first["c_call"] > 0, arg
+        # per_layer is compared too, and splits the total
+        layers = first["per_layer"]
+        assert layers == second["per_layer"] and layers["estimator"] > 0, arg
+        assert sum(layers.values()) == first["call"] + first["c_call"], arg

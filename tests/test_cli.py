@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beltbound import estimator
+from beltbound import estimator, reduction
 from beltbound.cli import JobSpec, SpecError, _emit, _json_text, build_spec, run
 from beltbound.estimator import SweepConfig, corollary_bound
 from beltbound.reduction import BeltramiPair
@@ -163,7 +163,7 @@ def test_every_center_is_a_complex_pair(capsys, extra):
 def test_large_lattice_sweep_memory(capsys):
     # 1,601 circles in two grids: the sweep restricts a bounded number of
     # circles at a time and keeps one pass alive, so its peak does not grow
-    # with the circle count
+    # with the circle count; the geometry cache keeps one batch
     tracemalloc.start()
     try:
         code = run(["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "200"])
@@ -173,6 +173,7 @@ def test_large_lattice_sweep_memory(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and len(doc["report"]["per_circle"]) == 1601
     assert peak < 20e6
+    assert reduction._circle_geometry.cache_info().currsize <= 1
 
 
 def test_sweep_output_byte_identical(tmp_path):
@@ -339,7 +340,7 @@ def test_spec_errors_exit_two(capsys):
         ["--command", "estimate", "--alpha", "0.5", "--nodes", "8"],
         ["--command", "estimate", "--alpha", "0.5", "--radii", "inf"],
         ["--command", "estimate", "--alpha", "0.5", "--nodes", "1024",
-         "--weight-pieces", "600"],
+         "--weight-pieces", "600", "--circles", "1"],
         ["--command", "sharp", "--M", "1e300", "--tau", "0"],
         ["--command", "verify", "--alpha", "0.5", "--tolerance", "nan"],
         # past the family's usable M range: merged arcs, |mu|+|nu| rounding to 1
@@ -351,6 +352,22 @@ def test_library_limits_exit_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "estimate", "--M", "2", "--tau", "0.5"],
+    ["--command", "sharp", "--M", "3", "--tau", "1"],
+    ["--command", "sweep", "--M", "1.5,2", "--tau", "0,1", "--format", "csv"],
+], ids=["estimate", "sharp", "sweep"])
+def test_weight_pieces_past_the_node_limit_where_no_circle_takes_them(argv, capsys):
+    # every CLI source is piecewise, so weight arcs reach only the off-centre
+    # circles of estimate --circles: without them, 32 pieces on 64 nodes
+    # print the bytes of 2
+    outputs = []
+    for pieces in ("2", "32"):
+        assert run(argv + ["--nodes", "64", "--weight-pieces", pieces]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
 
 
 @pytest.mark.parametrize("alpha, expected", [("1e-7", 0), ("1e-8", 3), ("1e-9", 3), ("1e-12", 3)])

@@ -179,8 +179,8 @@ def test_objective_equal_for_normalized_matrix():
         pair = random_angular_pair(rng)
         m = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
         circle = CircleSpec(0.0, 0.6, resolution=512)
-        data_a = node_gap_batch(m.on_circle(circle))
-        data_h = node_gap_batch(normalize_matrix(m).on_circle(circle))
+        data_a = node_gap_batch(m.on_circles((circle,)))
+        data_h = node_gap_batch(normalize_matrix(m).on_circles((circle,)))
         w = np.exp(np.random.default_rng(17).normal(0.0, 0.3, (2, data_a.arc_integrals.shape[-1])))
         v1 = _arc_value(data_a, w[0], w[1])[0]
         v2 = _arc_value(data_h, 1.0 / w[1], 1.0 / w[0])[0]
@@ -582,9 +582,9 @@ def _own_arrays(pair):
 
 def test_passes_read_the_pairs_grid_or_a_read_only_one():
     # a piecewise origin pass reads the pair's own grid and values as they
-    # are, and they stay writeable; every other pass, a smooth pair's origin
-    # pass included (its grid holds the weight arcs too), is on a grid the
-    # restriction built read-only
+    # are, and they stay writeable; a smooth pair's origin pass is on a
+    # fresh grid that holds the weight arcs too, and only the off-centre
+    # passes, whose geometry is cached, are on a read-only grid
     piecewise = random_angular_pair(np.random.default_rng(43))
     smooth = smooth_angular_pair(np.random.default_rng(43), 512)
     lattice = SweepConfig.disk_lattice(radius_count=1, resolution=128, weight_pieces=2)
@@ -594,28 +594,33 @@ def test_passes_read_the_pairs_grid_or_a_read_only_one():
             assert len(batches) == passes
             for data in batches:
                 grid = data.integrand.grid
-                own = pair is piecewise and data.circles[0].origin_centered
-                assert (grid is pair.k.grid) == own
-                for a in () if own else (grid.nodes, grid.breakpoints, grid.segment_starts):
-                    with pytest.raises(ValueError):
-                        a[..., 0] = 1.0
+                origin = data.circles[0].origin_centered
+                assert (grid is pair.k.grid) == (pair is piecewise and origin)
+                for a in (grid.nodes, grid.breakpoints, grid.segment_starts):
+                    assert a.flags.writeable == origin
             assert all(a.flags.writeable for a in _own_arrays(pair))
 
 
 def test_estimate_restricts_each_pass_once(monkeypatch):
     # with 256-point passes: two passes of 128-point circles, one pass of a
-    # 512-point circle, or three passes, each restricted once by beta and
-    # gamma estimates alike; corollary_bound after beta restricts nothing
+    # 512-point circle, three passes, or origin circles at resolution 16 on
+    # a 128-node pair's own grid, two to a pass; each pass is restricted once
+    # by beta and gamma estimates alike; corollary_bound after beta
+    # restricts nothing
     monkeypatch.setattr(estimator, "_PASS_POINTS", 256)
     pair = random_angular_pair(np.random.default_rng(44))
-    matrix = beltrami_to_matrices(pair).B
+    small = random_angular_pair(np.random.default_rng(44), node_count=128)
+    assert small.k.grid.node_count == 128
     three = SweepConfig(circles=OFF_CENTRE.circles + OFF_CENTRE.circles[:2], weight_pieces=4)
-    for cfg, passes in ((OFF_CENTRE, [2, 1]), (SweepConfig.origin(resolution=512), [1]),
-                        (three, [2, 2, 1])):
+    origins = SweepConfig(circles=tuple(CircleSpec(0.0, r, resolution=16) for r in (0.2, 0.4, 0.6)))
+    for source, cfg, passes in ((pair, OFF_CENTRE, [2, 1]),
+                              (pair, SweepConfig.origin(resolution=512), [1]),
+                              (pair, three, [2, 2, 1]), (small, origins, [2, 1])):
+        matrix = beltrami_to_matrices(source).B
         calls = _spy_on_circles(monkeypatch)
-        report = beta_estimate(pair, cfg)
+        report = beta_estimate(source, cfg)
         assert calls == passes
-        assert corollary_bound(pair, cfg).hex() == report.corollary.hex()
+        assert corollary_bound(source, cfg).hex() == report.corollary.hex()
         assert calls == passes
         calls = _spy_on_circles(monkeypatch, CoefficientMatrixField)
         first = gamma_estimate(matrix, cfg)

@@ -62,7 +62,7 @@ def test_arg_of_is_bitwise_wrapped_angle(zs):
 
 
 def test_merge_breakpoints_dedup_and_anchor():
-    out = merge_breakpoints([1.0, 2.0], [2.0 + 1e-14, 5.0])
+    out = merge_breakpoints([1.0, 2.0] + [2.0 + 1e-14, 5.0])
     assert out[0] == 0.0
     assert np.allclose(out, [0.0, 1.0, 2.0, 5.0])
     # a breakpoint at 2pi - eps collides with the anchor
