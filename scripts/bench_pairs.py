@@ -3,9 +3,13 @@
     python3 scripts/bench_pairs.py --parent <rev> --workload maps --seed 53 \
         --pairs 10 --out BENCH_<n>_pairs.json
 
-The change is the checkout this script sits in, as it is on disk; the parent
-is <rev>, checked out from the same repository by ``git worktree add
---detach`` into a temporary directory (no network) and removed on exit.
+Both sides run from sibling directories of one temporary directory,
+``<tmp>/parent`` and ``<tmp>/change``, whose paths have equal length, since
+a path one character longer has moved a workload's speed by 2 % through
+memory layout alone.  Each holds ``TREE_PARTS``: the parent's come from
+``git archive <rev>`` of the repository this script sits in (no network),
+the change's are copied from its checkout as they are on disk (less
+``__pycache__`` and ``benchmark/out``).  The directory is removed on exit.
 Each pair runs ``benchmark/run.py --trace 0`` once in each tree, the parent
 first in odd pairs and the change first in even ones, so that a drift of the
 host's speed does not favour one side.  Every run lasts ``BENCHMARK.json``'s
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import platform
@@ -36,10 +41,14 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIDES = ("parent", "change")
+SIDES = ("parent", "change")  # names of equal length: the two trees' paths are too
+TREE_PARTS = ("src", "benchmark", "BENCHMARK.json")  # what benchmark/run.py reads
+# what building and running leave in the checkout: __pycache__ and benchmark/out
+_UNTRACKED = shutil.ignore_patterns("__pycache__", "out")
 
 
 def git(*args):
@@ -48,17 +57,24 @@ def git(*args):
 
 
 @contextlib.contextmanager
-def parent_tree(rev):
-    """A detached worktree of rev, removed on exit."""
+def trees(rev):
+    """{side: path}: rev's TREE_PARTS in <tmp>/parent and the checkout's in
+    <tmp>/change, both removed on exit."""
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
-    path = os.path.join(tmp, "parent")
     try:
-        git("worktree", "add", "--detach", path, rev)
-        yield path
+        paths = {side: os.path.join(tmp, side) for side in SIDES}
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev, *TREE_PARTS],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(paths["parent"], filter="data")
+        for part in TREE_PARTS:
+            source, target = os.path.join(ROOT, part), os.path.join(paths["change"], part)
+            if os.path.isdir(source):
+                shutil.copytree(source, target, ignore=_UNTRACKED)
+            else:
+                shutil.copy2(source, target)
+        yield paths
     finally:
-        with contextlib.suppress(subprocess.CalledProcessError):
-            git("worktree", "remove", "--force", path)
-        git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -120,18 +136,18 @@ def main(argv=None):
 
     seconds = spec["run_seconds"]
     runs = []
-    with parent_tree(args.parent) as parent:
-        trees = {"parent": parent, "change": ROOT}
+    with trees(args.parent) as paths:
         for workload in args.workload:
             for pair in range(1, args.pairs + 1):
                 for side in SIDES if pair % 2 else SIDES[::-1]:
-                    result = run_once(trees[side], workload, args.seed, seconds)
+                    result = run_once(paths[side], workload, args.seed, seconds)
                     runs.append({"pair": pair, "side": side, "workload": workload,
                                  "seed": args.seed, **result})
                     print(f"{workload} pair {pair} {side}: {result['metrics']}", file=sys.stderr)
     record = {
         "what": "parent/change pairs of benchmark/run.py --trace 0, each side run from its own "
-                "copy of the source tree, alternating which side runs first (odd pairs: parent "
+                "copy of the source tree, the two copies sibling directories with paths of equal "
+                "length, alternating which side runs first (odd pairs: parent "
                 f"first); {args.pairs} pairs per workload",
         "command": f"python3 benchmark/run.py --workload <w> --seed {args.seed} "
                    f"--seconds {seconds} --trace 0",

@@ -39,7 +39,13 @@ Run from anywhere inside a source checkout.  The record holds:
   measures call overhead, not array work.  ``per_layer`` splits the count
   by the layer (``LAYERS``, the benchmark tracer's names) of the innermost
   library frame on the stack when the event fired, ``other`` where there is
-  none; the layers sum to the total.
+  none; the layers sum to the total;
+- ``faults``, in each workload's entry: the minor page faults
+  (``ru_minflt``) of the same job sequence, run unprofiled in another fresh
+  process, and ``per_job``.  A minor fault is the first touch of a page the
+  process has newly mapped (the heap grown again, or a large array's own
+  mapping), so the count shows memory the allocator gives back to the
+  system and takes again between jobs.  It is recorded, not gated.
 
 The benchmark runs as a subprocess and nothing under ``benchmark/`` is
 edited; ``--trace 1`` writes its spans to ``benchmark/out/`` as usual, and
@@ -59,6 +65,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -212,9 +219,10 @@ def _profile_events(job, jobs):
             "per_layer": per_layer}
 
 
-def workload_events(name):
-    """Events of a workload's first min_jobs inputs at SEED, after one
-    warm-up job on the first.  Meant for a fresh process."""
+@contextlib.contextmanager
+def _job_sequence(name):
+    """(run, jobs): run() runs a workload's first jobs = min_jobs inputs at
+    SEED, the first of them already run once as a warm-up."""
     sys.path.insert(0, SRC)
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "benchmark", "workloads.py"))
@@ -228,7 +236,23 @@ def workload_events(name):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = w.make_inputs(SEED, w.min_jobs, tmp)
         w.run(inputs[0], part)
-        return _profile_events(lambda: [w.run(inp, part) for inp in inputs], w.min_jobs)
+        yield (lambda: [w.run(inp, part) for inp in inputs]), w.min_jobs
+
+
+def workload_events(name):
+    """Events of a workload's job sequence.  Meant for a fresh process."""
+    with _job_sequence(name) as (run, jobs):
+        return _profile_events(run, jobs)
+
+
+def workload_faults(name):
+    """Minor page faults (ru_minflt) of a workload's job sequence, unprofiled,
+    and their count per job.  Meant for a fresh process."""
+    with _job_sequence(name) as (run, jobs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run()
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return {"minflt": minflt, "jobs": jobs, "per_job": minflt / jobs}
 
 
 def command_events(argv):
@@ -248,8 +272,8 @@ def command_events(argv):
 
 
 def fresh_events(counter, arg):
-    """counter(arg), one of the two above, in a fresh Python process, so that
-    no cache left by an earlier run enters the count."""
+    """counter(arg), one of the counters above, in a fresh Python process, so
+    that no cache left by an earlier run enters the count."""
     code = ("import json, runpy, sys; f = runpy.run_path(sys.argv[1])[sys.argv[2]]; "
             "print(json.dumps(f(json.loads(sys.argv[3]))))")
     proc = subprocess.run(
@@ -294,6 +318,7 @@ def main(argv=None):
             "end_to_end": benchmark(name, spec["run_seconds"], 0),
             "per_layer": benchmark(name, spec["run_seconds"], 1),
             "events": fresh_events(workload_events, name),
+            "faults": fresh_events(workload_faults, name),
         }
     record["tier1"] = tier1()
     record["readme_commands"] = readme_commands()

@@ -70,13 +70,18 @@ class JobSpec:
         if int(self.weight_pieces) < 1:
             raise SpecError(
                 f"weight-pieces must be a positive integer, got {self.weight_pieces}")
+        # only estimate sweeps circles of its choosing; the others would
+        # ignore them
+        if self.command != "estimate":
+            for key in ("circles", "radii"):
+                if getattr(self, key) is not None:
+                    raise SpecError(f"{key} applies to estimate only, not to {self.command}")
         # the library limits: a circle needs 16 nodes, a grid 4 per breakpoint.
         # Every source here is piecewise, so weight arcs reach only the
         # off-centre circles of estimate --circles
         if int(self.nodes) < 16:
             raise SpecError(f"nodes must be at least 16, got {self.nodes}")
-        if (self.command == "estimate" and self.circles is not None
-                and self.nodes < 4 * self.weight_pieces):
+        if self.circles is not None and self.nodes < 4 * self.weight_pieces:
             raise SpecError(f"nodes must be at least 4 x weight-pieces "
                             f"= {4 * self.weight_pieces}, got {self.nodes}")
         if self.circles is not None and int(self.circles) < 1:

@@ -52,7 +52,10 @@ each circle's row as it would be alone.  _sweep is the one place that
 decides what a report says: besides beta and the certified value it carries
 the unit-pair (corollary) bound, and the mu = 0 and nu = 0 bounds where its
 batches show I = 1 or D = 1, the unit-pair value being their one formula.
-An estimate restricts each pass once and keeps no batch.  corollary_bound
+An estimate restricts each pass once and keeps no batch: of the attaining
+row it keeps copies of the winning weights, and the report builds its
+WeightPair from them on first read (ExponentReport.attaining_weights), so
+a caller that wants only the bounds never builds one.  corollary_bound
 is the corollary of beta_estimate; it reuses the last beta_estimate's
 report for the same pair and config objects, so editing a source's arrays
 in place between the two can return a stale corollary.
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,12 +184,17 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExponentReport:
-    """Result of a sweep: the bound, where it was attained, and diagnostics."""
+    """Result of a sweep: the bound, where it was attained, and diagnostics.
+
+    attaining_weights is built on first read, from copies of the attaining
+    row's weights that the sweep keeps (the window family's per-arc phi and
+    psi, the remark family's per-node I sqrt(D) and sqrt(D)/I, nothing for
+    the unit pair), so a report holds no pass and pickles before and after
+    that read; a sweep that only wants the bound builds no WeightPair."""
 
     bound: float
     sup_value: float
     attaining_circle: CircleSpec
-    attaining_weights: WeightPair
     per_circle: tuple
     certified_value: float  # closed-form-weights chain; never above sup of distortion
     config: SweepConfig
@@ -195,6 +203,23 @@ class ExponentReport:
     # (D = 1), else None; always None for a matrix field (gamma_estimate)
     mu_zero: float | None
     nu_zero: float | None
+    # the attaining row's grid, field kind, winning family and weights
+    _grid: AngularGrid = field(repr=False)
+    _kind: str = field(repr=False)
+    _family: str = field(repr=False)
+    _phi: np.ndarray | None = field(repr=False)
+    _psi: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def attaining_weights(self) -> WeightPair:
+        """The weights the attaining circle was scored with, on its grid."""
+        if self._family == "constant":
+            return WeightPair.constant(self._grid)
+        if self._family == "remark":
+            return WeightPair(*(PeriodicField(self._grid, w, self._kind)
+                                for w in (self._phi, self._psi)))
+        return WeightPair(PeriodicField.piecewise(self._grid, self._phi),
+                          PeriodicField.piecewise(self._grid, self._psi))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +446,8 @@ _UNIT_TOL = 1e-14  # I = 1 for mu = 0, D = 1 (times K^2) for nu = 0
 
 def _sweep(source, cfg: SweepConfig, det_tol: float | None = None) -> ExponentReport:
     """Score each family once on every circle and keep the smallest value;
-    of the passes, only the one holding the worst circle so far is kept.
+    of the passes, only copies of the worst row's weights so far are kept,
+    from which the report builds attaining_weights when it is read.
 
     With det_tol given (a pair's), mu_zero is the corollary where every
     batch holds I = 1 to _UNIT_TOL (mu = 0: the bound is the arctan term of
@@ -449,28 +475,25 @@ def _sweep(source, cfg: SweepConfig, det_tol: float | None = None) -> ExponentRe
                        "nodes": data.integrand.grid.node_count, "arcs": data.arc_dmin.shape[-1]}
             key = (rows[k]["value"], -k)  # the largest value, the first on a tie
             if worst is None or key > worst[0]:
-                worst = (key, k, data, r, phi[r], psi[r], rphi[r].copy(), rpsi[r].copy())
-    _, k, data, r, phi, psi, rphi, rpsi = worst
-    row, grid = rows[k], data.integrand.grid
-    if row["family"] == "constant":
-        weights = WeightPair.constant(grid)
-    elif row["family"] == "remark":
-        weights = WeightPair(*(PeriodicField(grid, w, data.integrand.kind) for w in (rphi, rpsi)))
-    else:
-        weights = WeightPair(PeriodicField.piecewise(grid, phi),
-                             PeriodicField.piecewise(grid, psi))
+                won = rows[k]["family"]
+                # copies of the row's weights, so that no pass outlives its loop
+                w = ((rphi[r].copy(), rpsi[r].copy()) if won == "remark" else
+                     (phi[r].copy(), psi[r].copy()) if won == "piecewise" else (None, None))
+                worst = (key, k, circle, data.integrand.grid, data.integrand.kind, won, *w)
+    _, k, circle, grid, kind, won, phi, psi = worst
+    row = rows[k]
     corollary = _bound_of(max(r["constant_value"] for r in rows))
     return ExponentReport(
         bound=_bound_of(row["value"]),
         sup_value=row["value"],
-        attaining_circle=data.circles[r],
-        attaining_weights=weights,
+        attaining_circle=circle,
         per_circle=tuple(rows),
         certified_value=max(r["remark_value"] for r in rows),
         config=cfg,
         corollary=corollary,
         mu_zero=corollary if mu_zero else None,
         nu_zero=corollary if nu_zero else None,
+        _grid=grid, _kind=kind, _family=won, _phi=phi, _psi=psi,
     )
 
 

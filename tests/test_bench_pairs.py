@@ -61,3 +61,23 @@ def test_summary_lower_is_better_and_unpaired_runs():
     assert s["peak_rss_mb"]["pairs"] == 10 and s["peak_rss_mb"]["wins"] == 10
     assert s["peak_rss_mb"]["resolved_gain"]
     assert s["jobs_per_kref"]["wins"] == 0 and not s["jobs_per_kref"]["resolved_gain"]
+
+
+def test_both_sides_run_from_sibling_trees_of_equal_path_length():
+    # a path one character longer moves a workload's speed through memory
+    # layout alone, so the parent and the change sit side by side
+    with bench_pairs.trees("HEAD") as paths:
+        assert sorted(paths) == ["change", "parent"]
+        parent, change = paths["parent"], paths["change"]
+        assert len(parent) == len(change)
+        assert os.path.dirname(parent) == os.path.dirname(change)
+        for tree in (parent, change):
+            assert os.path.isfile(os.path.join(tree, "benchmark", "run.py"))
+            assert os.path.isfile(os.path.join(tree, "src", "beltbound", "__init__.py"))
+            assert os.path.isfile(os.path.join(tree, "BENCHMARK.json"))
+            assert not os.path.exists(os.path.join(tree, "benchmark", "out"))
+        # the change is the checkout as it is on disk
+        with open(os.path.join(change, "src", "beltbound", "estimator.py")) as fh, \
+                open(os.path.join(HERE, os.pardir, "src", "beltbound", "estimator.py")) as ref:
+            assert fh.read() == ref.read()
+    assert not os.path.exists(os.path.dirname(parent))

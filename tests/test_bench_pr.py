@@ -68,3 +68,12 @@ def test_event_counts_repeat_on_one_tree():
         layers = first["per_layer"]
         assert layers == second["per_layer"] and layers["estimator"] > 0, arg
         assert sum(layers.values()) == first["call"] + first["c_call"], arg
+
+
+def test_fault_counts_sit_beside_the_event_counts():
+    # minor page faults of the same job sequence, unprofiled, in a fresh
+    # process; recorded per job, with no gate
+    faults = bench_pr.fresh_events(bench_pr.workload_faults, "origin-corpus")
+    assert set(faults) == {"minflt", "jobs", "per_job"}, faults
+    assert faults["jobs"] == bench_pr.fresh_events(bench_pr.workload_events, "origin-corpus")["jobs"]
+    assert faults["minflt"] >= 0 and faults["per_job"] == faults["minflt"] / faults["jobs"]

@@ -370,6 +370,47 @@ def test_weight_pieces_past_the_node_limit_where_no_circle_takes_them(argv, caps
     assert outputs[0] == outputs[1] != ""
 
 
+@pytest.mark.parametrize("by", ["flag", "config"])
+@pytest.mark.parametrize("key, flag_value, config_value",
+                         [("circles", "3", 3), ("radii", "0.1,0.2", [0.1, 0.2])])
+@pytest.mark.parametrize("argv", [
+    ["--command", "sharp", "--M", "3", "--tau", "1"],
+    ["--command", "sweep", "--M", "2", "--tau", "0"],
+    ["--command", "verify", "--alpha", "0.5"],
+], ids=["sharp", "sweep", "verify"])
+def test_circle_fields_are_refused_where_no_sweep_reads_them(argv, key, flag_value,
+                                                             config_value, by, tmp_path, capsys):
+    # only estimate reads circles and radii; the other commands would print
+    # the bytes of a run without them
+    if by == "flag":
+        extra = ["--" + key, flag_value]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({key: config_value}))
+        extra = ["--config", str(path)]
+    assert run(argv + ["--nodes", "64"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} applies to estimate only, not to {argv[1]}\n"
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_estimate_keeps_its_circle_fields(by, tmp_path, capsys):
+    fields = {"circles": ("1", 1), "radii": ("0.2,0.7", [0.2, 0.7])}
+    counts = []
+    for key, (flag_value, config_value) in fields.items():
+        if by == "flag":
+            extra = ["--" + key, flag_value]
+        else:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: config_value}))
+            extra = ["--config", str(path)]
+        code, doc = run_json(capsys, ["--command", "estimate", "--alpha", "0.5"] + FAST + extra)
+        assert code == 0
+        counts.append(doc["report"]["circle_count"])
+    assert counts == [len(SweepConfig.disk_lattice(radius_count=1).circles), 2]
+
+
 @pytest.mark.parametrize("alpha, expected", [("1e-7", 0), ("1e-8", 3), ("1e-9", 3), ("1e-12", 3)])
 def test_verify_tiny_alpha_keeps_exit_contract(alpha, expected, capsys):
     # the spec accepts these alphas; from 1e-8 on, the radial stretch's matrix

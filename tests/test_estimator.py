@@ -1,5 +1,7 @@
 """Weighted circle functionals and the exponent bounds they certify."""
 
+import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -12,16 +14,19 @@ from test_acceptance import random_angular_pair as criterion_6_pair
 from beltbound import estimator, reduction
 from beltbound.estimator import (
     SweepConfig,
+    WeightPair,
     _arc_value,
     _matrix_fields,
     _reduced,
     _remark_weights,
+    _unit_value,
     beta_estimate,
     classical_bound,
     corollary_bound,
     gamma_estimate,
 )
 from beltbound.periodic_fields import (
+    PIECEWISE,
     SMOOTH,
     TWO_PI,
     AngularGrid,
@@ -346,6 +351,92 @@ def test_remark_pair_must_beat_the_unit_pair():
             assert report.attaining_circle == cfg.circles[0]
             phi = report.attaining_weights.phi.values
             assert (phi.min(), phi.max()) == (1.0, 1.0), (mu0, nodes)
+
+
+# a sweep where each weight family attains the bound: a one-arc pair with
+# nu = 0 (I and D constant on the origin circle), and off-centre lattice
+# circles at seeds 4 and 32 of test_sweep_report_does_not_depend_on_the_pass_size
+# (on a sharp-family origin circle the unit pair wins)
+LATTICE = SweepConfig.disk_lattice(radius_count=2, resolution=128, weight_pieces=4)
+FAMILY_WINS = {
+    "constant": lambda: (BeltramiPair.from_profiles([0.0], [1 / 3], [0.0], node_count=256),
+                         SweepConfig.origin(resolution=256)),
+    "remark": lambda: (criterion_6_pair(np.random.default_rng(4), node_count=256), LATTICE),
+    "piecewise": lambda: (criterion_6_pair(np.random.default_rng(32), node_count=256), LATTICE),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_WINS)
+def test_attaining_weights_are_built_on_first_read(family, monkeypatch):
+    built = []
+    check = WeightPair.__post_init__
+    monkeypatch.setattr(WeightPair, "__post_init__", lambda w: built.append(w) or check(w))
+    report = beta_estimate(*FAMILY_WINS[family]())
+    assert built == []
+    weights = report.attaining_weights
+    assert built == [weights]
+    assert report.attaining_weights is weights and len(built) == 1
+
+
+@pytest.mark.parametrize("family", FAMILY_WINS)
+def test_attaining_weights_are_the_ones_the_row_was_scored_with(family):
+    pair, cfg = FAMILY_WINS[family]()
+    report = beta_estimate(pair, cfg)
+    circle = report.attaining_circle
+    row, = (r for r in report.per_circle
+            if (r["center"], r["radius"]) == (circle.center, circle.radius))
+    assert row["family"] == family and row["value"] == report.sup_value
+    # the attaining circle restricted alone gives the row it had in its pass
+    (_, data), = _reduced(pair, replace(cfg, circles=(circle,)))
+    grid, w = data.integrand.grid, report.attaining_weights
+    assert w.phi.grid.same_layout(grid) and w.psi.grid.same_layout(grid)
+    if family == "constant":
+        assert np.all(w.phi.values == 1.0) and np.all(w.psi.values == 1.0)
+        assert _unit_value(data)[0] == report.sup_value
+    elif family == "remark":
+        assert w.phi.kind == w.psi.kind == data.integrand.kind
+        rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
+        assert np.array_equal(w.phi.values, rphi[0]) and np.array_equal(w.psi.values, rpsi[0])
+        assert math.sqrt(w.phi.values.max() / w.psi.values.min()) == report.sup_value
+    else:
+        assert w.phi.kind == w.psi.kind == PIECEWISE
+        starts = grid.segment_starts
+        value = _arc_value(data, w.phi.values[starts], w.psi.values[starts])
+        assert value[0] == report.sup_value
+
+
+def _same_report(a, b):
+    assert (a.bound, a.sup_value, a.certified_value, a.corollary, a.mu_zero, a.nu_zero) == (
+        b.bound, b.sup_value, b.certified_value, b.corollary, b.mu_zero, b.nu_zero)
+    assert a.per_circle == b.per_circle and a.attaining_circle == b.attaining_circle
+    assert a.config == b.config
+    for f, g in ((a.attaining_weights.phi, b.attaining_weights.phi),
+                 (a.attaining_weights.psi, b.attaining_weights.psi)):
+        assert f.kind == g.kind and np.array_equal(f.values, g.values)
+        assert f.grid.same_layout(g.grid)
+
+
+@pytest.mark.parametrize("family", FAMILY_WINS)
+def test_report_pickles_before_and_after_its_weights_are_read(family):
+    report = beta_estimate(*FAMILY_WINS[family]())
+    unread = pickle.loads(pickle.dumps(report))
+    assert "attaining_weights" not in vars(unread)
+    _same_report(unread, report)  # reads the weights of both
+    read = pickle.loads(pickle.dumps(report))
+    assert "attaining_weights" in vars(read)
+    _same_report(read, report)
+
+
+@pytest.mark.parametrize("family", FAMILY_WINS)
+def test_report_stores_one_row_of_weights(family):
+    # copies of the attaining row, not views of its pass: no stored array is
+    # longer than the attaining grid's node count, and each owns its data
+    report = beta_estimate(*FAMILY_WINS[family]())
+    nodes = report.attaining_weights.phi.grid.node_count
+    stored = [v for v in vars(report).values() if isinstance(v, np.ndarray)]
+    assert len(stored) == (0 if family == "constant" else 2)
+    for a in stored:
+        assert a.ndim == 1 and a.size <= nodes and a.base is None
 
 
 def test_corollary_equals_nu_zero_when_nu_vanishes():
