@@ -8,9 +8,12 @@ Run from anywhere inside a source checkout.  The record holds:
 - ``tier1``: wall time and outcome of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src/`` on
   the path);
-- ``readme_commands``: in-process wall time of the five README commands
-  and of two 41-circle sweeps, ``estimate --M 2 --tau 0.5 --circles 5`` and
-  the nu = 0 lattice ``estimate --alpha 0.5 --circles 5``
+- ``readme_commands``: in-process wall time of the five README commands,
+  of two 41-circle sweeps, ``estimate --M 2 --tau 0.5 --circles 5`` and
+  the nu = 0 lattice ``estimate --alpha 0.5 --circles 5``, and of the
+  benchmark's lattice-cli call on one coefficient file, ``estimate
+  --coeff-file coeff.json --circles 1 --nodes 256 --weight-pieces 2``, the
+  file written into the working directory from ``COEFF_TEXT``
   (``beltbound.cli.run``, stdout captured), median of five runs after one
   warm-up, with their exit codes, and each command's ``tracemalloc`` peak
   (``peak_mb``, in MB) from one more run, untimed, since tracing slows the
@@ -76,6 +79,17 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
+# the coefficient file of the lattice-cli command below: a seven-arc pair,
+# input 33 of the benchmark's lattice-cli workload at seed 7
+COEFF_FILE = "coeff.json"
+COEFF_TEXT = json.dumps({
+    "breakpoints": [0.0, 1.0369631348645723, 1.1198165755668807, 2.7039529790399586,
+                    3.130904180248707, 3.7047883062245313, 3.956568746098594],
+    "mu0": [0.0006282693814656515, -0.29093485439909267, 0.3265974801829211,
+            -0.2178452495662685, 0.13088189925411964, -0.3221508863502507, 0.4116411073976818],
+    "nu0": [0.5278626293424747, 0.20268622784405393, 0.013608320375719463,
+            0.2943374276477924, 0.11176552980185495, -0.29472751794837954, 0.2945119526770542]})
+
 README_COMMANDS = (
     ["--command", "estimate", "--M", "2", "--tau", "0.5"],
     ["--command", "sharp", "--M", "3", "--tau", "1"],
@@ -84,9 +98,12 @@ README_COMMANDS = (
     ["--command", "sweep", "--M", "1.5,2,4", "--tau", "0,1", "--format", "csv",
      "--out", "scan.csv"],
     # not README commands: the disk-lattice sweep, 41 circles in two grids,
-    # and the nu = 0 lattice, whose one sweep also reports the nu = 0 bound
+    # the nu = 0 lattice, whose one sweep also reports the nu = 0 bound, and
+    # the benchmark's lattice-cli call (9 circles) on the file of COEFF_TEXT
     ["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "5"],
     ["--command", "estimate", "--alpha", "0.5", "--circles", "5"],
+    ["--command", "estimate", "--coeff-file", COEFF_FILE, "--circles", "1", "--nodes", "256",
+     "--weight-pieces", "2"],
 )
 README_REPEATS = 5
 SEED = 7
@@ -144,6 +161,12 @@ def reference_loop():
     return module.reference_seconds
 
 
+def write_inputs():
+    """Write the commands' input files into the working directory."""
+    with open(COEFF_FILE, "w") as fh:
+        fh.write(COEFF_TEXT)
+
+
 def readme_commands():
     sys.path.insert(0, SRC)
     from beltbound.cli import run
@@ -154,6 +177,7 @@ def readme_commands():
         cwd = os.getcwd()
         os.chdir(tmp)  # the sweep writes scan.csv into the working directory
         try:
+            write_inputs()
             for argv in README_COMMANDS:
                 times, codes, digests, refs = [], set(), [], []
                 for repeat in range(README_REPEATS + 1):
@@ -264,6 +288,7 @@ def command_events(argv):
         cwd = os.getcwd()
         os.chdir(tmp)  # the sweep writes scan.csv into the working directory
         try:
+            write_inputs()
             with contextlib.redirect_stdout(io.StringIO()):
                 run(list(argv))
                 return _profile_events(lambda: run(list(argv)), 1)

@@ -280,59 +280,82 @@ def _sweep_config(spec: JobSpec) -> SweepConfig:
 _JSON_STR = json.encoder.encode_basestring_ascii
 
 
-def _json_float(v) -> str:
-    if math.isfinite(v):
-        return float.__repr__(v)
-    if v != v:
-        return "NaN"
-    return "Infinity" if v > 0 else "-Infinity"
+def _json_float(v, nl: str, out: list) -> None:
+    if -math.inf < v < math.inf:  # finite: comparisons, not a call per float
+        out.append(float.__repr__(v))
+    else:
+        out.append("NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+
+
+def _json_dict(obj, nl: str, out: list) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner, sep = nl + "  ", "{"
+    for key, v in obj.items():
+        out += (sep, inner, _JSON_STR(key), ": ")
+        _JSON_WRITERS[type(v)](v, inner, out)
+        sep = ","
+    out.append(nl + "}")
+
+
+def _json_list(obj, nl: str, out: list) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner, sep = nl + "  ", "["
+    for v in obj:
+        out += (sep, inner)
+        _JSON_WRITERS[type(v)](v, inner, out)
+        sep = ","
+    out.append(nl + "]")
+
+
+class _WriterTable(dict):
+    """Writers by exact type; a type outside the table gets _json_other."""
+
+    def __missing__(self, kind):
+        return _json_other
+
+
+# the writer of each Python type that JSON holds, by exact type
+_JSON_WRITERS = _WriterTable({
+    float: _json_float,
+    str: lambda obj, nl, out: out.append(_JSON_STR(obj)),
+    type(None): lambda obj, nl, out: out.append("null"),
+    bool: lambda obj, nl, out: out.append("true" if obj else "false"),
+    int: lambda obj, nl, out: out.append(int.__repr__(obj)),
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+    complex: lambda obj, nl, out: _json_list((obj.real, obj.imag), nl, out),
+})
+
+
+def _json_other(obj, nl: str, out: list) -> None:
+    """The writer of a type outside _JSON_WRITERS, found by isinstance: a
+    subclass (np.float64 is a float, np.complex128 a complex) takes its
+    base's writer, a numpy array its tolist() and a numpy scalar its item()."""
+    for base in (float, str, int, dict, list, tuple, complex):
+        if isinstance(obj, base):
+            _JSON_WRITERS[base](obj, nl, out)
+            return
+    if isinstance(obj, np.ndarray):
+        _json_parts(obj.tolist(), nl, out)
+    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        _json_parts(obj.item(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_parts(obj, nl: str, out: list) -> None:
     """Append to out the text of obj as json.dumps(..., indent=2) writes it,
     nl being a newline and the indent of obj's line.  Complex numbers are
     written as [re, im], arrays as their tolist() and numpy scalars as
-    Python ones; dict keys must be strings."""
-    if isinstance(obj, float):
-        out.append(_json_float(obj))
-    elif isinstance(obj, str):
-        out.append(_JSON_STR(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner, sep = nl + "  ", "{"
-        for key, v in obj.items():
-            out += (sep, inner, _JSON_STR(key), ": ")
-            _json_parts(v, inner, out)
-            sep = ","
-        out.append(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner, sep = nl + "  ", "["
-        for v in obj:
-            out += (sep, inner)
-            _json_parts(v, inner, out)
-            sep = ","
-        out.append(nl + "]")
-    elif isinstance(obj, complex):
-        _json_parts((obj.real, obj.imag), nl, out)
-    elif isinstance(obj, np.ndarray):
-        _json_parts(obj.tolist(), nl, out)
-    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
-        _json_parts(obj.item(), nl, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    Python ones; dict keys must be strings.  Each value's writer is looked
+    up by its exact type in _JSON_WRITERS, and only a type outside that
+    table goes through isinstance tests (_json_other)."""
+    _JSON_WRITERS[type(obj)](obj, nl, out)
 
 
 def _json_text(payload) -> str:

@@ -254,21 +254,19 @@ def _arctan_term(ratio) -> np.ndarray:
     # a tiny ratio gives the large true value (for the unit pair and every
     # clip window it is at least ((1 - kappa)/(1 + kappa))^4 > 0).  libm
     # (float pow, math.atan) rounds alike whatever numpy's SIMD dispatch.
-    return np.array([(4.0 / math.pi) * math.atan(r**0.25) for r in ratio.tolist()])
+    return np.array([(4.0 / math.pi) * math.atan(r**0.25)
+                     for r in ratio.ravel().tolist()]).reshape(ratio.shape)
 
 
 def _arc_value(data: _CircleBatch, phi, psi) -> np.ndarray:
-    """Objective of per-arc constant weights (a row per circle); exact given the arcs."""
+    """Objective of per-arc constant weights (a row per circle); exact given
+    the arcs.  phi and psi may stack several weight sets of a batch along a
+    leading axis; each row's value is the one it would get alone."""
     num = np.sqrt(phi.max(axis=-1) / psi.min(axis=-1)) * (
         np.sqrt(psi / phi) * data.arc_integrals).sum(axis=-1) / TWO_PI
     prod = phi * psi
     ratio = (data.arc_dmin / prod).min(axis=-1) / (data.arc_dmax / prod).max(axis=-1)
     return num / _arctan_term(ratio)
-
-
-def _unit_value(data: _CircleBatch) -> np.ndarray:
-    ones = np.ones(data.arc_integrals.shape[-1])
-    return _arc_value(data, ones, ones)
 
 
 def _remark_weights(I: PeriodicField, D: PeriodicField):
@@ -291,9 +289,10 @@ _ON = 1e-12  # a window this close (relative) to a line or to w0 sits on it
 _STATUS = np.array(["interior", "edge", "vertex"])  # by the lines a window sits on
 
 
-def _solve_weights(data: _CircleBatch, unit):
+def _solve_weights(data: _CircleBatch):
     """Exact minimum of the per-arc weight problem, through its clip window,
-    on every circle of data at once (unit: the unit pair's values).
+    on every circle of data at once, and the unit pair's values, scored in
+    the same _arc_value call as the window's weights.
 
     The value does not change when phi and psi are scaled apart, so take
     max phi = 1 = min psi.  Clipping D/(phi psi) into a window [m, M] with
@@ -320,11 +319,11 @@ def _solve_weights(data: _CircleBatch, unit):
     is a point.  Clipped to the piece's w range and to w <= w0, one batched
     Newton solve gives each piece's best window, scored with the piece's
     own sums; ties go to the first piece.  Per circle, returns the exact
-    _arc_value of the best window's weights (or unit, unless beaten by more
-    than _TIE), the weights, the number of pieces scored, where the window
-    lies ("interior", "edge" or "vertex" by the lines it sits on to _ON,
-    "boundary" at w0, or "constant") and the relative gap between F and the
-    returned value.
+    _arc_value of the best window's weights (or the unit pair's, unless
+    beaten by more than _TIE), the weights, the number of pieces scored,
+    where the window lies ("interior", "edge" or "vertex" by the lines it
+    sits on to _ON, "boundary" at w0, or "constant"), the relative gap
+    between F and the returned value, and the unit pair's value.
     """
     T, dmin, dmax = data.arc_integrals, data.arc_dmin, data.arc_dmax
     C, n = T.shape
@@ -384,11 +383,13 @@ def _solve_weights(data: _CircleBatch, unit):
     m = np.where(found, [y**2 for y in ys], dmin.min(axis=-1))
     p = np.minimum(np.maximum(1.0, dmax / M[:, None]), dmin / m[:, None])
     phi, psi = np.minimum(1.0, p), np.maximum(1.0, p)
-    value = _arc_value(data, phi, psi)
+    ones = np.ones_like(phi)
+    value, unit = _arc_value(data, np.array([phi, ones]), np.array([psi, ones]))
     kept = ~(value < unit * (1.0 - _TIE))  # True for a NaN value too
     value = np.where(kept, unit, value)
     phi[kept], psi[kept], where[kept] = 1.0, 1.0, "constant"
-    return value, phi, psi, np.full(C, 4 * n - 1), where, np.abs(f_best - value) / value
+    return (value, phi, psi, np.full(C, 4 * n - 1), where, np.abs(f_best - value) / value,
+            unit)
 
 
 def _bound_of(sup_value: float) -> float:
@@ -457,12 +458,11 @@ def _sweep(source, cfg: SweepConfig, det_tol: float | None = None) -> ExponentRe
     rows, worst = [None] * len(cfg.circles), None
     mu_zero = nu_zero = det_tol is not None
     for idx, data in _reduced(source, cfg):
-        unit = _unit_value(data)
         mu_zero = mu_zero and np.max(np.abs(data.integrand.values - 1.0)) <= _UNIT_TOL
         nu_zero = nu_zero and np.max(np.abs(data.det_ratio.values - 1.0)) <= det_tol
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
         remark = np.sqrt(rphi.max(axis=-1) / rpsi.min(axis=-1))
-        window, phi, psi, evals, status, residual = _solve_weights(data, unit)
+        window, phi, psi, evals, status, residual, unit = _solve_weights(data)
         scores = np.array([unit, np.where(remark < unit * (1.0 - _TIE), remark, np.inf), window])
         family = scores.argmin(axis=0)  # on a tie the first of _FAMILIES
         columns = {key: col.tolist() for key, col in {

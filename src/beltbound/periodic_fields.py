@@ -133,6 +133,27 @@ class AngularGrid:
         )
 
 
+def _non_finite(grid: AngularGrid, node: int) -> ValueError:
+    return ValueError(f"non-finite sample at node {node} (theta={grid.nodes[node]:.6f})")
+
+
+def _pieces(grid: AngularGrid, piece_values) -> np.ndarray:
+    """piece_values as an array of one constant per breakpoint segment of grid."""
+    pieces = np.asarray(piece_values)
+    if pieces.shape != (grid.breakpoints.size,):
+        raise ValueError(f"expected {grid.breakpoints.size} piece values, got {pieces.shape}")
+    return pieces
+
+
+def _finite_pieces(grid: AngularGrid, piece_values) -> np.ndarray:
+    """_pieces, refused as PeriodicField.piecewise refuses them when one is
+    not finite: named by the first node of its segment."""
+    pieces = _pieces(grid, piece_values)
+    if not np.isfinite(pieces).all():
+        raise _non_finite(grid, int(grid.segment_starts[np.flatnonzero(~np.isfinite(pieces))[0]]))
+    return pieces
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Samples of a 2pi-periodic function on an AngularGrid.
@@ -153,10 +174,9 @@ class PeriodicField:
             raise ValueError(
                 f"expected {self.grid.node_count} samples, got shape {vals.shape}"
             )
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0]) % self.grid.node_count
-            raise ValueError(f"non-finite sample at node {idx} (theta={self.grid.nodes[idx]:.6f})")
+        if not np.isfinite(vals).all():
+            raise _non_finite(self.grid,
+                              int(np.flatnonzero(~np.isfinite(vals))[0]) % self.grid.node_count)
         if self.kind not in (SMOOTH, PIECEWISE):
             raise ValueError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "values", vals)
@@ -168,13 +188,8 @@ class PeriodicField:
     @classmethod
     def piecewise(cls, grid: AngularGrid, piece_values) -> "PeriodicField":
         """One constant per breakpoint segment, expanded to node samples."""
-        piece_values = np.asarray(piece_values)
-        if piece_values.shape != (grid.breakpoints.size,):
-            raise ValueError(
-                f"expected {grid.breakpoints.size} piece values, got {piece_values.shape}"
-            )
         counts = np.diff(grid.segment_starts, append=grid.node_count)
-        return cls(grid, np.repeat(piece_values, counts), PIECEWISE)
+        return cls(grid, np.repeat(_pieces(grid, piece_values), counts), PIECEWISE)
 
     @property
     def is_real(self) -> bool:
@@ -205,8 +220,11 @@ def gap_right_values(field: PeriodicField) -> np.ndarray:
     closing at 2pi: the node's own value for piecewise-constant fields, which
     are constant on every gap, and the next node's for smooth fields.  This is
     the only place where per-gap integrals and extrema tell the kinds apart.
+    Smooth values are shifted by one node with two slices: the bytes of
+    np.roll(values, -1, axis=-1), without its general index handling.
     """
-    return field.values if field.kind == PIECEWISE else np.roll(field.values, -1, axis=-1)
+    v = field.values
+    return v if field.kind == PIECEWISE else np.concatenate((v[..., 1:], v[..., :1]), axis=-1)
 
 
 def gap_integrals(field: PeriodicField) -> np.ndarray:

@@ -31,10 +31,11 @@ from .periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
+    _finite_pieces,
     arg_of,
     circle_points,
 )
-from .stretching import KProfile, k_from_munu, munu_from_k, munu_values
+from .stretching import KProfile, _k_values, k_from_munu, munu_from_k, munu_values
 
 __all__ = [
     "EllipticityError",
@@ -160,7 +161,7 @@ class BeltramiPair:
 
         def munu_fn(z):
             theta = arg_of(z)
-            mu0, nu0 = munu_values(k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta))
+            mu0, nu0 = munu_values(*k.eval_wrapped(theta))
             return -mu0 * np.exp(2j * theta), -nu0 + 0j
 
         lo, hi = k.bounds()
@@ -172,7 +173,14 @@ class BeltramiPair:
         """Piecewise-constant angular pair from per-arc values; its breakpoints
         must be finite, strictly increasing from 0 and below 2 pi, each more
         than _DUPLICATE_TOL past the one before and short of 2 pi (closer
-        ones would merge into one)."""
+        ones would merge into one).
+
+        The pair of from_angular on the expanded profiles, built at piece
+        resolution: k_from_munu's formulas run on the arc values and only k1
+        and k2 are expanded to the grid's nodes, each once.  The piece
+        counts, finiteness, kappa and ellipticity are checked on the arc
+        values in from_angular's order, with its exceptions and messages (a
+        non-finite value is named by its arc's first node)."""
         bks = np.ravel(np.asarray(breakpoints, dtype=float)).tolist()
         tol = _DUPLICATE_TOL
         for i, b in enumerate(bks or [None]):  # Python comparisons: no warning on inf or NaN
@@ -181,9 +189,10 @@ class BeltramiPair:
                                  f"{tol:g}, start at 0 and lie more than {tol:g} below 2*pi: "
                                  f"entry {i} is {b!r}")
         g = AngularGrid.with_breakpoints(node_count, bks)
-        return cls.from_angular(
-            PeriodicField.piecewise(g, mu0_pieces), PeriodicField.piecewise(g, nu0_pieces)
-        )
+        m, n = _finite_pieces(g, mu0_pieces), _finite_pieces(g, nu0_pieces)
+        _check_kappa(float(np.max(np.abs(m) + np.abs(n))))
+        return cls.from_angular_k(KProfile(*(PeriodicField.piecewise(g, v)
+                                             for v in _k_values(m, n))))
 
     @classmethod
     def from_callables(cls, munu_fn, real_nu: bool | None = None) -> "BeltramiPair":
@@ -276,8 +285,7 @@ class CoefficientMatrixField:
 
         def entries_fn(z):
             theta = arg_of(z)
-            k1 = k.k1.eval_wrapped(theta)
-            k2 = k.k2.eval_wrapped(theta)
+            k1, k2 = k.eval_wrapped(theta)
             c, s = np.cos(theta), np.sin(theta)
             off = (k1 - k2) * c * s
             return k1 * c * c + k2 * s * s, off, off, k1 * s * s + k2 * c * c
@@ -326,12 +334,12 @@ class CoefficientMatrixField:
             grid, k1, k2 = k.grid, k.k1.values, k.k2.values
             if arcs is not None:
                 grid = circles[0].grid(np.concatenate([k.grid.breakpoints, arcs]))
-                k1, k2 = k.k1.eval_wrapped(grid.nodes), k.k2.eval_wrapped(grid.nodes)
+                k1, k2 = k.eval_wrapped(grid.nodes)
             nAn, det = (np.repeat(v[None], len(circles), axis=0) for v in (k1, k1 * k2))
             kind = PIECEWISE if k.is_piecewise else SMOOTH
         elif k is not None:
             grid, (theta, c, s) = _circle_geometry(circles, arcs, True)
-            k1, k2 = k.k1.eval_wrapped(theta), k.k2.eval_wrapped(theta)
+            k1, k2 = k.eval_wrapped(theta)
             nAn, det = k1 * c * c + k2 * s * s, k1 * k2
         else:
             grid, (z, c, s) = _circle_geometry(circles, arcs, False)

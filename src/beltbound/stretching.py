@@ -116,22 +116,36 @@ class KProfile:
         rights = np.concatenate([lefts[1:], [TWO_PI]])
         return lefts, rights, self.k1.piece_values(), self.k2.piece_values()
 
+    def eval_wrapped(self, t):
+        """(k1, k2) at angles already wrapped by wrap_angle, each as its
+        PeriodicField.eval_wrapped gives it: piecewise-constant k looks the
+        angles' segments up once for both weights, smooth k interpolates
+        each weight."""
+        if self.is_piecewise:
+            seg = self.grid.segment_of_wrapped(t)
+            return self.k1.piece_values()[seg], self.k2.piece_values()[seg]
+        return self.k1.eval_wrapped(t), self.k2.eval_wrapped(t)
 
-def k_from_munu(mu0: PeriodicField, nu0: PeriodicField) -> KProfile:
-    """Weights k1 = (1+mu0+nu0)/(1-mu0-nu0), k2 = (1-mu0+nu0)/(1+mu0-nu0)."""
-    if not mu0.grid.same_layout(nu0.grid):
-        raise ValueError("mu0 and nu0 must share one grid layout")
-    m, n = mu0.values, nu0.values
+
+def _k_values(m, n):
+    """(k1, k2) of real mu0 and nu0 values, elementwise: the formulas of
+    k_from_munu, which refuse complex values and |mu0| + |nu0| reaching 1."""
     if np.iscomplexobj(m) or np.iscomplexobj(n):
         raise TypeError("profiles must be real")
     d1 = 1.0 - m - n
     d2 = 1.0 + m - n
     if np.min(d1) <= 1e-10 or np.min(d2) <= 1e-10:
         raise ValueError("ellipticity violation: |mu0|+|nu0| reaches 1")
+    return (1.0 + m + n) / d1, (1.0 - m + n) / d2
+
+
+def k_from_munu(mu0: PeriodicField, nu0: PeriodicField) -> KProfile:
+    """Weights k1 = (1+mu0+nu0)/(1-mu0-nu0), k2 = (1-mu0+nu0)/(1+mu0-nu0)."""
+    if not mu0.grid.same_layout(nu0.grid):
+        raise ValueError("mu0 and nu0 must share one grid layout")
+    k1, k2 = _k_values(mu0.values, nu0.values)
     kind = PIECEWISE if (mu0.kind == PIECEWISE and nu0.kind == PIECEWISE) else SMOOTH
-    k1 = PeriodicField(mu0.grid, (1.0 + m + n) / d1, kind)
-    k2 = PeriodicField(mu0.grid, (1.0 - m + n) / d2, kind)
-    return KProfile(k1, k2)
+    return KProfile(PeriodicField(mu0.grid, k1, kind), PeriodicField(mu0.grid, k2, kind))
 
 
 def munu_values(k1, k2):
@@ -293,8 +307,7 @@ def _cells(k: KProfile):
         frac = np.arange(_CELLS_PER_GAP) / _CELLS_PER_GAP
         lefts = (g.nodes[:, None] + g.spacings()[:, None] * frac).ravel()
         rights = np.append(lefts[1:], g.nodes[0] + TWO_PI)
-        mids = 0.5 * (lefts + rights)
-        k1, k2 = k.k1.eval_at(mids), k.k2.eval_at(mids)
+        k1, k2 = k.eval_wrapped(wrap_angle(0.5 * (lefts + rights)))
     return lefts, rights - lefts, k1, k2
 
 
@@ -355,8 +368,8 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     start of the cell holding each angle (exact for piecewise-constant k).
 
     Returns (eta1, eta2, eta1', eta2') arrays; the derivatives are the system
-    right-hand side with k read by eval_at, so at a breakpoint they take the
-    right-limit weights, matching the segment convention.
+    right-hand side with k read by KProfile.eval_wrapped, so at a breakpoint
+    they take the right-limit weights, matching the segment convention.
     """
     lefts, h, av, bv = _piece_rates(_cells(k), alpha)
     anchors = _propagate(av, bv, h)[1][:-1] @ np.asarray(initial, dtype=float)
@@ -365,7 +378,8 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     _, c, p12, p21 = _piece_propagator(av[cell], bv[cell], t - lefts[cell])
     e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
     e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
-    return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
+    k1, k2 = k.eval_wrapped(t)
+    return e1, e2, -alpha / k2 * e2, alpha * k1 * e1
 
 
 def _fundamental(cells, alpha: float):
@@ -609,8 +623,7 @@ def sl_weak_residuals(k: KProfile, s: AngularStretching, component: int = 1):
     pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
     v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
     e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
-    k1 = k.k1.eval_at(pts)
-    k2 = k.k2.eval_at(pts)
+    k1, k2 = k.eval_wrapped(wrap_angle(pts))
     if component == 1:
         flux = (k2 * d1).reshape(n, -1)
         load = (a2 * k1 * e1).reshape(n, -1)

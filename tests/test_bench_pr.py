@@ -77,3 +77,24 @@ def test_fault_counts_sit_beside_the_event_counts():
     assert set(faults) == {"minflt", "jobs", "per_job"}, faults
     assert faults["jobs"] == bench_pr.fresh_events(bench_pr.workload_events, "origin-corpus")["jobs"]
     assert faults["minflt"] >= 0 and faults["per_job"] == faults["minflt"] / faults["jobs"]
+
+
+def test_coeff_file_command_reads_the_scripts_own_file(tmp_path, monkeypatch):
+    # the benchmark's lattice-cli call, on a file the script writes into its
+    # working directory from COEFF_TEXT, with no committed fixture; it is
+    # timed, digested and counted like the other commands
+    argv, = (a for a in bench_pr.README_COMMANDS if "--coeff-file" in a)
+    assert argv[argv.index("--coeff-file") + 1] == bench_pr.COEFF_FILE
+    assert argv[argv.index("--circles"):] == ["--circles", "1", "--nodes", "256",
+                                              "--weight-pieces", "2"]
+    monkeypatch.chdir(tmp_path)
+    bench_pr.write_inputs()
+    first, second = (bench_pr.run_captured(run, argv) for _ in range(2))
+    assert first[0] == second[0] == 0 and first[2] == second[2]
+    monkeypatch.setattr(bench_pr, "README_COMMANDS", (argv,))
+    monkeypatch.setattr(bench_pr, "README_REPEATS", 1)
+    entry, = bench_pr.readme_commands()
+    assert entry["exit_codes"] == [0] and entry["same_digest"] and entry["sha256"] == first[2]
+    events = entry["events"]
+    assert events["call"] > 0 and events["per_layer"]["cli"] > 0, events
+    assert sum(events["per_layer"].values()) == events["call"] + events["c_call"]

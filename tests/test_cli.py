@@ -258,8 +258,7 @@ def test_remark_family_sets_the_lattice_bound(tmp_path, capsys):
     )
     cfg = SweepConfig.disk_lattice(radius_count=1, resolution=256, weight_pieces=2)
     idx, data = next((idx, data) for idx, data in estimator._reduced(pair, cfg) if 7 in idx)
-    unit = estimator._unit_value(data)
-    window = estimator._solve_weights(data, unit)[0]
+    window, *_, unit = estimator._solve_weights(data)
     r = idx.index(7)
     assert row["value"] < min(unit[r], window[r]) * (1.0 - 1e-3)
 
@@ -532,16 +531,19 @@ def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == reference_json(payload)
 
 
-def test_json_writer_matches_json_dumps_on_reports(monkeypatch):
+def test_json_writer_matches_json_dumps_on_reports(monkeypatch, tmp_path):
     # the payloads the commands build, as they reach _emit
     payloads = []
     monkeypatch.setattr("beltbound.cli._emit", lambda payload, spec: payloads.append(payload))
+    coeff = tmp_path / "good.json"
+    coeff.write_text(FUZZ_COEFF["good"])
     for argv in (["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "1"],
                  ["--command", "sharp", "--M", "3", "--tau", "1"],
                  ["--command", "verify", "--alpha", "0.5"],
-                 ["--command", "sweep", "--M", "0.5,2", "--tau", "0,1"]):
+                 ["--command", "sweep", "--M", "0.5,2", "--tau", "0,1"],
+                 ["--command", "estimate", "--coeff-file", str(coeff), "--circles", "1"]):
         run(argv + FAST)
-    assert len(payloads) == 4
+    assert len(payloads) == 5
     for payload in payloads:
         assert _json_text(payload) == reference_json(payload)
 
@@ -695,3 +697,53 @@ def test_cli_fuzz_keeps_exit_contract(tmp_path, capsys):
         codes.append(code)
     # the draw reaches every outcome, not only the refusals
     assert set(codes) == {0, 2, 3, 4}
+
+
+_BREAKPOINT_RULE = ("error: breakpoints must be finite, strictly increasing by more than 1e-10, "
+                    "start at 0 and lie more than 1e-10 below 2*pi: ")
+_FILE_KEYS = "error: coefficient file needs numeric lists breakpoints/mu0/nu0: "
+# exit code and stderr of estimate --coeff-file on each FUZZ_COEFF entry at
+# FAST flags, the file's path written as <path>: which check refuses a file
+# first is part of the contract (the infinite mu0 piece is named as a
+# non-finite sample, exit 2, before any ellipticity check could call it
+# non-finite coefficients, exit 3)
+_COEFF_EXITS = {
+    "good": (0, ""), "mu_zero": (0, ""), "nu_zero": (0, ""), "constant": (0, ""),
+    "near_one": (3, "error: ellipticity violation: sup(|mu|+|nu|) = 0.999999999999 >= 1"),
+    "unsorted": (2, _BREAKPOINT_RULE + "entry 0 is 3.0"),
+    "duplicate": (2, _BREAKPOINT_RULE + "entry 0 is 1.0"),
+    "tiny": (2, _BREAKPOINT_RULE + "entry 1 is 1e-300"),
+    "many": (0, ""),
+    "not_elliptic": (3, "error: ellipticity violation: sup(|mu|+|nu|) = 1.1 >= 1"),
+    "huge": (2, _BREAKPOINT_RULE + "entry 1 is 1e+308"),
+    "nan": (2, _BREAKPOINT_RULE + "entry 1 is nan"),
+    "infinity": (2, "error: non-finite sample at node 0 (theta=0.000000)"),
+    "mismatch": (2, "error: breakpoints, mu0, nu0 must have equal lengths"),
+    "empty_lists": (2, _BREAKPOINT_RULE + "entry 0 is None"),
+    "missing_key": (2, _FILE_KEYS + "'nu0'"),
+    "wrong_types": (2, _FILE_KEYS + 'breakpoints[0] is "a", not a number'),
+    "top_list": (2, _FILE_KEYS + "list indices must be integers or slices, not str"),
+    "not_json": (2, "error: cannot read coefficient file <path>: "
+                    "Expecting value: line 1 column 1 (char 0)"),
+    "empty_file": (2, "error: cannot read coefficient file <path>: "
+                      "Expecting value: line 1 column 1 (char 0)"),
+    "decreasing": (2, _BREAKPOINT_RULE + "entry 2 is 1.0"),
+    "past_two_pi": (2, _BREAKPOINT_RULE + "entry 2 is 9.283185307179586"),
+    "boolean": (2, _FILE_KEYS + "breakpoints[1] is true, not a number"),
+    "infinite_breakpoint": (2, _BREAKPOINT_RULE + "entry 1 is inf"),
+    "string_number": (2, _FILE_KEYS + 'breakpoints[1] is "1", not a number'),
+    "near_two_pi": (2, _BREAKPOINT_RULE + "entry 2 is 6.28318530717"),
+    "near_duplicate": (2, _BREAKPOINT_RULE + "entry 2 is 1.00000000001"),
+}
+
+
+@pytest.mark.parametrize("name", list(FUZZ_COEFF))
+def test_coeff_file_exit_contract_is_pinned(name, tmp_path, capsys):
+    # the fuzz test checks only that exits stay in {0, 2, 3, 4}; this pins
+    # each file's code and message
+    path = tmp_path / f"{name}.json"
+    path.write_text(FUZZ_COEFF[name])
+    code = run(["--command", "estimate", "--coeff-file", str(path)] + FAST)
+    err = capsys.readouterr().err.replace(str(path), "<path>")
+    expected_code, expected_err = _COEFF_EXITS[name]
+    assert (code, err) == (expected_code, expected_err + "\n" if expected_err else "")

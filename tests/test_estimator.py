@@ -19,7 +19,7 @@ from beltbound.estimator import (
     _matrix_fields,
     _reduced,
     _remark_weights,
-    _unit_value,
+    _solve_weights,
     beta_estimate,
     classical_bound,
     corollary_bound,
@@ -392,7 +392,7 @@ def test_attaining_weights_are_the_ones_the_row_was_scored_with(family):
     assert w.phi.grid.same_layout(grid) and w.psi.grid.same_layout(grid)
     if family == "constant":
         assert np.all(w.phi.values == 1.0) and np.all(w.psi.values == 1.0)
-        assert _unit_value(data)[0] == report.sup_value
+        assert _solve_weights(data)[-1][0] == report.sup_value
     elif family == "remark":
         assert w.phi.kind == w.psi.kind == data.integrand.kind
         rphi, rpsi = _remark_weights(data.integrand, data.det_ratio)
@@ -642,7 +642,8 @@ def test_corollary_reuses_the_sweeps_unit_values(monkeypatch):
     assert corollary_bound(pair, CFG).hex() == report.corollary.hex()
     assert scored == []
     assert corollary_bound(pair, replace(CFG)).hex() == report.corollary.hex()
-    assert len(scored) == 2  # another config sweeps: the unit pair, then a window
+    # another config sweeps: the unit pair and a window, scored in one call
+    assert scored == [(2, 1, report.per_circle[0]["arcs"])]
 
 
 def test_shared_reduction_is_keyed_on_the_source_and_sweep(monkeypatch):

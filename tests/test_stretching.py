@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import beltbound.stretching as stretching_module
-from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField
+from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField, wrap_angle
 from beltbound.sharp_family import build_family
 from beltbound.stretching import (
     AngularStretching,
@@ -609,3 +609,23 @@ def test_search_step_bitwise_equal_to_reference(seed, smooth, alpha, initial):
 def test_find_periodic_alpha_is_pinned(make_k, alpha):
     # the values before each search step became one propagation pass
     assert find_periodic_alpha(make_k()).hex() == alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), smooth=st.booleans())
+def test_kprofile_reads_both_weights_bitwise(seed, smooth):
+    # KProfile.eval_wrapped (one segment lookup for piecewise k) gives each
+    # weight's own eval_wrapped bit for bit: at 0, at 2pi (what wrap_angle
+    # returns for -1e-20), on every breakpoint and node and one ulp either
+    # side of each, and at random angles
+    rng = np.random.default_rng(seed)
+    if smooth:
+        k = trig_k(trig_coefficients(rng), int(rng.choice([8, 16, 32])))
+    else:
+        k = random_k(rng, pieces=int(rng.integers(1, 9)), node_count=64)
+    assert wrap_angle(-1e-20) == TWO_PI
+    marks = np.concatenate([k.grid.breakpoints, k.grid.nodes])
+    t = wrap_angle(np.concatenate([[0.0, -0.0, TWO_PI, -1e-20], marks, np.nextafter(marks, -7.0),
+                                   np.nextafter(marks, 7.0), rng.uniform(-1.0, 7.0, 32)]))
+    got = k.eval_wrapped(t)
+    assert hexes(*got) == hexes(k.k1.eval_wrapped(t), k.k2.eval_wrapped(t))

@@ -43,7 +43,6 @@ from beltbound.estimator import (
     _reduced,
     _remark_weights,
     _solve_weights,
-    _unit_value,
     beta_estimate,
     gamma_estimate,
 )
@@ -350,8 +349,13 @@ def arc_value(data, phi, psi):
 def solve(data):
     """_solve_weights on a batch of one, unpacked to the circle's row:
     value, phi, psi, candidate count, status, residual."""
-    value, phi, psi, evals, where, residual = _solve_weights(data, _unit_value(data))
+    value, phi, psi, evals, where, residual, _ = _solve_weights(data)
     return float(value[0]), phi[0], psi[0], int(evals[0]), str(where[0]), float(residual[0])
+
+
+def unit_value(data):
+    """The unit pair's value on a batch of one, as _solve_weights scores it."""
+    return float(_solve_weights(data)[-1][0])
 
 
 def _reduced_circles(pair, cfg):
@@ -405,14 +409,18 @@ def test_window_value_tight_at_returned_weights(corpus):
 def test_clipped_cell_root_reports_its_grid_vertex(T, dmin, dmax):
     # the best window is the corner (max dmax, min dmin); a cell's stationary
     # point clipped onto that corner wins here by rounding, and is reported
-    # where it lies, not as the interior of its cell.  Against an unbeatable
-    # unit value the window's own label shows; against the true one the
-    # window ties the unit pair to rounding, and the unit pair is kept
+    # where it lies, not as the interior of its cell.  With the unit pair
+    # unable to win (any window beats it by the tie margin) the window's own
+    # label shows; against the true margin the window ties the unit pair to
+    # rounding, and the unit pair is kept
     data = arcs(T, dmin, dmax)
-    value, phi, psi, _, status, _ = (v[0] for v in _solve_weights(data, np.array([np.inf])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_TIE", -math.inf)
+        value, phi, psi, _, status, _, unit = (v[0] for v in _solve_weights(data))
     assert status == "vertex"
     assert np.allclose(phi, 1.0, rtol=0.0, atol=1e-12) and np.allclose(psi, 1.0, rtol=0.0, atol=1e-12)
-    assert value == pytest.approx(_unit_value(data)[0], rel=1e-14, abs=0.0)
+    assert value == pytest.approx(unit, rel=1e-14, abs=0.0)
+    assert unit == unit_value(data)
     assert solve(data)[4] == "constant"
 
 
@@ -423,7 +431,7 @@ def test_tiny_window_ratio_scored_exactly():
     value, phi, psi, _, status, residual = solve(data)
     assert status == "edge"
     assert value == pytest.approx(142790.88003229036, rel=1e-12)
-    assert value < _unit_value(data)[0]
+    assert value < unit_value(data)
     assert value == arc_value(data, phi, psi)
     assert residual < 1e-12
 
@@ -471,9 +479,11 @@ def _columns(rows):
 def assert_matches_grid(data):
     """The solve of a batch against grid_solve: per circle the same value to
     1e-12 relative either way, the exact value of its weights, and 4n - 1
-    staircase pieces scored."""
-    unit = _unit_value(data)
-    value, phi, psi, evals, *_ = _solve_weights(data, unit)
+    staircase pieces scored; the unit values it returns are bitwise those of
+    _arc_value on the unit pair alone."""
+    value, phi, psi, evals, *_, unit = _solve_weights(data)
+    ones = np.ones(data.arc_integrals.shape[1])
+    assert np.array_equal(unit, _arc_value(data, ones, ones))
     reference = grid_solve(data, unit)[0]
     assert np.all(np.abs(value - reference) <= 1e-12 * reference), (value, reference)
     assert np.array_equal(value, _arc_value(data, phi, psi))
@@ -508,10 +518,10 @@ def test_batch_rows_equal_one_circle_solves(batch):
     T, dmin, dmax = (np.array(col) for col in zip(*map(_columns, batch)))
     data = _CircleBatch((None,) * len(batch), None, None, T, dmin, dmax)
     assert_matches_grid(data)
-    rows = _solve_weights(data, _unit_value(data))
+    rows = _solve_weights(data)
     for r in range(len(batch)):
         one = arcs(T[r], dmin[r], dmax[r])
-        for got, alone in zip(rows, _solve_weights(one, _unit_value(one))):
+        for got, alone in zip(rows, _solve_weights(one)):
             assert np.array_equal(got[r], alone[0]), r
 
 
@@ -537,7 +547,7 @@ def assert_weight_arcs_change_nothing(pair, resolution):
         on = pair.on_circles(circles, TWO_PI * np.arange(p) / p)
         data = _arc_reduce(on.circles, *_matrix_fields(on))
         assert data.arc_dmin.shape[-1] >= row["arcs"] + (p > 4)
-        value = _solve_weights(data, _unit_value(data))[0][0]
+        value = _solve_weights(data)[0][0]
         assert abs(value - row["value"]) <= 1e-12 * row["value"], (p, value, row["value"])
 
 
@@ -592,7 +602,7 @@ def test_thousand_arc_sweep_memory():
     assert data.arc_integrals.shape == (8, pieces)
     tracemalloc.start()
     try:
-        value, phi, psi, *_ = _solve_weights(data, _unit_value(data))
+        value, phi, psi, *_ = _solve_weights(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -675,7 +685,7 @@ def test_arc_order_changes_no_label(corpus):
         for d in (data, arcs(*(a[0, perm] for a in (data.arc_integrals, data.arc_dmin,
                                                       data.arc_dmax)))):
             value, *_, status, _ = solve(d)
-            labels.append((_family(_unit_value(d)[0], remark, value), status, value))
+            labels.append((_family(unit_value(d), remark, value), status, value))
         (fam, status, value), (pfam, pstatus, pvalue) = labels
         assert (pfam, pstatus) == (fam, status), idx
         assert abs(pvalue - value) <= 1e-15 * value, idx
