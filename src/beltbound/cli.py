@@ -294,7 +294,7 @@ def _json_dict(obj, nl: str, out: list) -> None:
     inner, sep = nl + "  ", "{"
     for key, v in obj.items():
         out += (sep, inner, _JSON_STR(key), ": ")
-        _JSON_WRITERS[type(v)](v, inner, out)
+        _JSON_WRITERS.get(type(v), _json_other)(v, inner, out)
         sep = ","
     out.append(nl + "}")
 
@@ -306,20 +306,13 @@ def _json_list(obj, nl: str, out: list) -> None:
     inner, sep = nl + "  ", "["
     for v in obj:
         out += (sep, inner)
-        _JSON_WRITERS[type(v)](v, inner, out)
+        _JSON_WRITERS.get(type(v), _json_other)(v, inner, out)
         sep = ","
     out.append(nl + "]")
 
 
-class _WriterTable(dict):
-    """Writers by exact type; a type outside the table gets _json_other."""
-
-    def __missing__(self, kind):
-        return _json_other
-
-
 # the writer of each Python type that JSON holds, by exact type
-_JSON_WRITERS = _WriterTable({
+_JSON_WRITERS = {
     float: _json_float,
     str: lambda obj, nl, out: out.append(_JSON_STR(obj)),
     type(None): lambda obj, nl, out: out.append("null"),
@@ -329,7 +322,7 @@ _JSON_WRITERS = _WriterTable({
     list: _json_list,
     tuple: _json_list,
     complex: lambda obj, nl, out: _json_list((obj.real, obj.imag), nl, out),
-})
+}
 
 
 def _json_other(obj, nl: str, out: list) -> None:
@@ -355,7 +348,7 @@ def _json_parts(obj, nl: str, out: list) -> None:
     Python ones; dict keys must be strings.  Each value's writer is looked
     up by its exact type in _JSON_WRITERS, and only a type outside that
     table goes through isinstance tests (_json_other)."""
-    _JSON_WRITERS[type(obj)](obj, nl, out)
+    _JSON_WRITERS.get(type(obj), _json_other)(obj, nl, out)
 
 
 def _json_text(payload) -> str:

@@ -133,27 +133,6 @@ class AngularGrid:
         )
 
 
-def _non_finite(grid: AngularGrid, node: int) -> ValueError:
-    return ValueError(f"non-finite sample at node {node} (theta={grid.nodes[node]:.6f})")
-
-
-def _pieces(grid: AngularGrid, piece_values) -> np.ndarray:
-    """piece_values as an array of one constant per breakpoint segment of grid."""
-    pieces = np.asarray(piece_values)
-    if pieces.shape != (grid.breakpoints.size,):
-        raise ValueError(f"expected {grid.breakpoints.size} piece values, got {pieces.shape}")
-    return pieces
-
-
-def _finite_pieces(grid: AngularGrid, piece_values) -> np.ndarray:
-    """_pieces, refused as PeriodicField.piecewise refuses them when one is
-    not finite: named by the first node of its segment."""
-    pieces = _pieces(grid, piece_values)
-    if not np.isfinite(pieces).all():
-        raise _non_finite(grid, int(grid.segment_starts[np.flatnonzero(~np.isfinite(pieces))[0]]))
-    return pieces
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Samples of a 2pi-periodic function on an AngularGrid.
@@ -174,9 +153,9 @@ class PeriodicField:
             raise ValueError(
                 f"expected {self.grid.node_count} samples, got shape {vals.shape}"
             )
-        if not np.isfinite(vals).all():
-            raise _non_finite(self.grid,
-                              int(np.flatnonzero(~np.isfinite(vals))[0]) % self.grid.node_count)
+        if not np.isfinite(vals).all():  # the mask only to name the bad node
+            idx = int(np.flatnonzero(~np.isfinite(vals))[0]) % self.grid.node_count
+            raise ValueError(f"non-finite sample at node {idx} (theta={self.grid.nodes[idx]:.6f})")
         if self.kind not in (SMOOTH, PIECEWISE):
             raise ValueError(f"unknown field kind {self.kind!r}")
         object.__setattr__(self, "values", vals)
@@ -188,8 +167,13 @@ class PeriodicField:
     @classmethod
     def piecewise(cls, grid: AngularGrid, piece_values) -> "PeriodicField":
         """One constant per breakpoint segment, expanded to node samples."""
+        piece_values = np.asarray(piece_values)
+        if piece_values.shape != (grid.breakpoints.size,):
+            raise ValueError(
+                f"expected {grid.breakpoints.size} piece values, got {piece_values.shape}"
+            )
         counts = np.diff(grid.segment_starts, append=grid.node_count)
-        return cls(grid, np.repeat(_pieces(grid, piece_values), counts), PIECEWISE)
+        return cls(grid, np.repeat(piece_values, counts), PIECEWISE)
 
     @property
     def is_real(self) -> bool:

@@ -31,11 +31,10 @@ from .periodic_fields import (
     AngularGrid,
     CircleSpec,
     PeriodicField,
-    _finite_pieces,
     arg_of,
     circle_points,
 )
-from .stretching import KProfile, _k_values, k_from_munu, munu_from_k, munu_values
+from .stretching import KProfile, k_from_munu, munu_from_k, munu_values
 
 __all__ = [
     "EllipticityError",
@@ -173,14 +172,7 @@ class BeltramiPair:
         """Piecewise-constant angular pair from per-arc values; its breakpoints
         must be finite, strictly increasing from 0 and below 2 pi, each more
         than _DUPLICATE_TOL past the one before and short of 2 pi (closer
-        ones would merge into one).
-
-        The pair of from_angular on the expanded profiles, built at piece
-        resolution: k_from_munu's formulas run on the arc values and only k1
-        and k2 are expanded to the grid's nodes, each once.  The piece
-        counts, finiteness, kappa and ellipticity are checked on the arc
-        values in from_angular's order, with its exceptions and messages (a
-        non-finite value is named by its arc's first node)."""
+        ones would merge into one)."""
         bks = np.ravel(np.asarray(breakpoints, dtype=float)).tolist()
         tol = _DUPLICATE_TOL
         for i, b in enumerate(bks or [None]):  # Python comparisons: no warning on inf or NaN
@@ -189,10 +181,9 @@ class BeltramiPair:
                                  f"{tol:g}, start at 0 and lie more than {tol:g} below 2*pi: "
                                  f"entry {i} is {b!r}")
         g = AngularGrid.with_breakpoints(node_count, bks)
-        m, n = _finite_pieces(g, mu0_pieces), _finite_pieces(g, nu0_pieces)
-        _check_kappa(float(np.max(np.abs(m) + np.abs(n))))
-        return cls.from_angular_k(KProfile(*(PeriodicField.piecewise(g, v)
-                                             for v in _k_values(m, n))))
+        return cls.from_angular(
+            PeriodicField.piecewise(g, mu0_pieces), PeriodicField.piecewise(g, nu0_pieces)
+        )
 
     @classmethod
     def from_callables(cls, munu_fn, real_nu: bool | None = None) -> "BeltramiPair":

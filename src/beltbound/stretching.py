@@ -127,25 +127,21 @@ class KProfile:
         return self.k1.eval_wrapped(t), self.k2.eval_wrapped(t)
 
 
-def _k_values(m, n):
-    """(k1, k2) of real mu0 and nu0 values, elementwise: the formulas of
-    k_from_munu, which refuse complex values and |mu0| + |nu0| reaching 1."""
+def k_from_munu(mu0: PeriodicField, nu0: PeriodicField) -> KProfile:
+    """Weights k1 = (1+mu0+nu0)/(1-mu0-nu0), k2 = (1-mu0+nu0)/(1+mu0-nu0)."""
+    if not mu0.grid.same_layout(nu0.grid):
+        raise ValueError("mu0 and nu0 must share one grid layout")
+    m, n = mu0.values, nu0.values
     if np.iscomplexobj(m) or np.iscomplexobj(n):
         raise TypeError("profiles must be real")
     d1 = 1.0 - m - n
     d2 = 1.0 + m - n
     if np.min(d1) <= 1e-10 or np.min(d2) <= 1e-10:
         raise ValueError("ellipticity violation: |mu0|+|nu0| reaches 1")
-    return (1.0 + m + n) / d1, (1.0 - m + n) / d2
-
-
-def k_from_munu(mu0: PeriodicField, nu0: PeriodicField) -> KProfile:
-    """Weights k1 = (1+mu0+nu0)/(1-mu0-nu0), k2 = (1-mu0+nu0)/(1+mu0-nu0)."""
-    if not mu0.grid.same_layout(nu0.grid):
-        raise ValueError("mu0 and nu0 must share one grid layout")
-    k1, k2 = _k_values(mu0.values, nu0.values)
     kind = PIECEWISE if (mu0.kind == PIECEWISE and nu0.kind == PIECEWISE) else SMOOTH
-    return KProfile(PeriodicField(mu0.grid, k1, kind), PeriodicField(mu0.grid, k2, kind))
+    k1 = PeriodicField(mu0.grid, (1.0 + m + n) / d1, kind)
+    k2 = PeriodicField(mu0.grid, (1.0 - m + n) / d2, kind)
+    return KProfile(k1, k2)
 
 
 def munu_values(k1, k2):

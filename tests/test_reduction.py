@@ -331,54 +331,3 @@ def test_callable_pair_round_trip(c):
     for got, want in zip(back.munu(sample_points), pair.munu(sample_points)):
         assert np.max(np.abs(got - want)) < 1e-12
 
-
-def _outcome(build):
-    """build()'s k1 and k2 node values as float bits and its kappa, or the
-    type and message of what it raised."""
-    try:
-        pair = build()
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
-    return ([f.values.view(np.uint64).tolist() for f in (pair.k.k1, pair.k.k2)],
-            [f.kind for f in (pair.k.k1, pair.k.k2)], pair.kappa)
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 8),
-       node_count=st.sampled_from([64, 255, 256, 1023]),
-       flaw=st.sampled_from([None, None, "nan", "inf", "-inf", "kappa", "count"]))
-def test_from_profiles_is_from_angular_of_the_expanded_pieces(seed, pieces, node_count, flaw):
-    # the pair built from the arc values has, bit for bit, the k and kappa of
-    # from_angular on the node fields the arc values expand to, and on a
-    # flawed piece set it raises what that raises, with the same message
-    rng = np.random.default_rng(seed)
-    bks = np.concatenate([[0.0], np.sort(rng.uniform(0.3, TWO_PI - 0.3, pieces - 1))])
-    mu0, nu0 = rng.uniform(-0.6, 0.6, (2, pieces))
-    total = np.abs(mu0) + np.abs(nu0)
-    shrink = np.minimum(1.0, rng.uniform(0.3, 0.85, pieces) / np.maximum(total, 1e-9))
-    bad = int(rng.integers(pieces))
-    if flaw == "kappa":  # |mu0| + |nu0| on one arc from just past 1 - 1e-10 to 1.3
-        shrink[bad] = rng.uniform(1.0 - 1e-11, 1.3) / total[bad]
-    mu0, nu0 = mu0 * shrink, nu0 * shrink
-    if flaw in ("nan", "inf", "-inf"):
-        (mu0 if rng.random() < 0.5 else nu0)[bad] = float(flaw)
-    elif flaw == "count":
-        nu0 = nu0[1:]
-    grid = AngularGrid.with_breakpoints(node_count, bks)
-
-    def node_field(pieces):
-        # PeriodicField.piecewise as it expands pieces, with the node check
-        pieces = np.asarray(pieces)
-        if pieces.shape != (grid.breakpoints.size,):
-            raise ValueError(f"expected {grid.breakpoints.size} piece values, got {pieces.shape}")
-        counts = np.diff(grid.segment_starts, append=grid.node_count)
-        return PeriodicField(grid, np.repeat(pieces, counts), PIECEWISE)
-
-    got = _outcome(lambda: BeltramiPair.from_profiles(bks, mu0, nu0, node_count=node_count))
-    assert got == _outcome(lambda: BeltramiPair.from_angular(node_field(mu0), node_field(nu0)))
-    if flaw is None:
-        # and k_from_munu of those fields, which from_angular stores
-        ref = k_from_munu(node_field(mu0), node_field(nu0))
-        assert got[0] == [f.values.view(np.uint64).tolist() for f in (ref.k1, ref.k2)]
-    else:
-        assert isinstance(got[0], type), flaw
