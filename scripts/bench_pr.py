@@ -30,7 +30,11 @@ Run from anywhere inside a source checkout.  The record holds:
 - ``workloads``: for each workload of ``BENCHMARK.json``, the end-to-end
   metrics of ``benchmark/run.py --trace 0`` and the per-layer metrics of
   ``--trace 1``, each with the run's attempted/failed counts, at seed
-  ``SEED`` and ``BENCHMARK.json``'s ``run_seconds``, the same in every record;
+  ``SEED`` and ``BENCHMARK.json``'s ``run_seconds``, the same in every record.
+  The traced entry also holds ``per_layer_share``: each per-layer time (a
+  metric in seconds) divided by the run's ``trace.job_s``.  A traced time
+  moves with the host's speed as much as with a change, a share much less,
+  so shares compare between records where the raw seconds do not;
 - ``events``, in each workload's and each command's entry: the
   ``sys.setprofile`` ``call`` and ``c_call`` events of a fixed job sequence,
   counted in a fresh process, and ``per_job``, their sum per job.  A
@@ -309,21 +313,36 @@ def fresh_events(counter, arg):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def benchmark(workload, seconds, trace):
+def layer_shares(metrics):
+    """Each per-layer time of a traced run's metrics ({name: {"value",
+    "unit"}}) as a share of its trace.job_s; None without a job time."""
+    job_s = metrics["trace.job_s"]["value"]
+    if not job_s > 0:
+        return None
+    return {k: v["value"] / job_s for k, v in metrics.items()
+            if v["unit"] == "s" and k != "trace.job_s"}
+
+
+def benchmark(workload, seconds, trace, jobs=None):
+    """One benchmark/run.py run; jobs, when given, its minimum job count."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace),
+         *(["--jobs", str(jobs)] if jobs else [])],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
     result = json.loads(lines[-1])
-    return {
+    out = {
         "exit_code": proc.returncode,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+    if trace:
+        out["per_layer_share"] = layer_shares(result["metrics"])
+    return out
 
 
 def main(argv=None):

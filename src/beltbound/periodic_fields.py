@@ -247,6 +247,7 @@ class CircleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
+        object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.resolution < 16:

@@ -367,6 +367,11 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     right-hand side with k read by KProfile.eval_wrapped, so at a breakpoint
     they take the right-limit weights, matching the segment convention.
     """
+    return _solution_and_weights(k, alpha, initial, thetas)[0]
+
+
+def _solution_and_weights(k: KProfile, alpha: float, initial, thetas):
+    """(eval_system_solution's arrays, the (k1, k2) they read at the angles)."""
     lefts, h, av, bv = _piece_rates(_cells(k), alpha)
     anchors = _propagate(av, bv, h)[1][:-1] @ np.asarray(initial, dtype=float)
     t = wrap_angle(np.asarray(thetas, dtype=float))
@@ -375,7 +380,7 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
     e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
     k1, k2 = k.eval_wrapped(t)
-    return e1, e2, -alpha / k2 * e2, alpha * k1 * e1
+    return (e1, e2, -alpha / k2 * e2, alpha * k1 * e1), (k1, k2)
 
 
 def _fundamental(cells, alpha: float):
@@ -618,8 +623,7 @@ def sl_weak_residuals(k: KProfile, s: AngularStretching, component: int = 1):
     # all Gauss points, cell by cell
     pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
     v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
-    e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
-    k1, k2 = k.eval_wrapped(wrap_angle(pts))
+    (e1, e2, d1, d2), (k1, k2) = _solution_and_weights(k, s.alpha, v0, pts)
     if component == 1:
         flux = (k2 * d1).reshape(n, -1)
         load = (a2 * k1 * e1).reshape(n, -1)

@@ -195,9 +195,9 @@ def _triangle_vertices(V):
 
 
 def _unit_ring(grid: PolarGrid):
-    """(centroid, hat gradients (gx, gy) per vertex, and the same times the
-    triangle's area) of the triangles between radii 1 and q = r1/r0, as
-    arrays of shape (2, 1, na).
+    """(centroid, hat gradients (gx, gy) of vertices 1 and 2, and area times
+    the hat gradients (hx, hy) of vertices 0, 1 and 2) of the triangles
+    between radii 1 and q = r1/r0, as arrays of shape (2, 1, na).
 
     On a geometric mesh the triangles between r_i and r_{i+1} are r_i times
     these: centroids scale by r_i, areas by r_i^2, hat gradients by 1/r_i.
@@ -219,17 +219,19 @@ def _unit_ring(grid: PolarGrid):
     hx = (-0.5 * e12[1], 0.5 * e02[1], -0.5 * e01[1])  # area times the hat gradients
     hy = (0.5 * e12[0], -0.5 * e02[0], 0.5 * e01[0])
     centroid = (x0 + x1 + x2 + 1j * (y0 + y1 + y2)) / 3.0
-    return centroid, ([v / area for v in hx], [v / area for v in hy]), (hx, hy)
+    return centroid, ([v / area for v in hx[1:]], [v / area for v in hy[1:]]), (hx, hy)
 
 
-def _to_vertices(v0, v1, v2):
-    """Per-triangle vertex values summed onto the (nr, na) mesh vertices."""
-    _, m, na = v0.shape
+def _to_vertices(vertex, b0, b1):
+    """Per-triangle vertex values summed onto the (nr, na) mesh vertices;
+    vertex(k, b) fills buffer b (b0 or b1) with vertex k's and returns it."""
+    _, m, na = b0.shape
     out = np.zeros((m + 1, na + 1))  # column na is column 0 again
-    out[:-1, :-1] += v0[0] + v0[1]
+    out[:-1, :-1] += np.add(*vertex(0, b0), out=b0[0])
+    v1, v2 = vertex(1, b0), vertex(2, b1)
     out[1:, :-1] += v1[0]
     out[:-1, 1:] += v2[1]
-    out[1:, 1:] += v2[0] + v1[1]
+    out[1:, 1:] += np.add(v2[0], v1[1], out=v2[0])
     out[:, 0] += out[:, na]
     return out[:, :na]
 
@@ -245,9 +247,8 @@ def _flux_factors(a: CoefficientMatrixField, centroid, gx, gy):
         raise EllipticityError("coefficient matrix is not finite on the mesh")
     if not (np.min(a11) > 0 and np.min(a11 * a22 - a12 * a21) > 0):
         raise EllipticityError("coefficient matrix is not positive definite on the mesh")
-    agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
-    agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
-    return agx, agy
+    return ([a11 * x + a12 * y for x, y in zip(gx, gy)],
+            [a21 * x + a22 * y for x, y in zip(gx, gy)])
 
 
 def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int = 0):
@@ -266,12 +267,14 @@ def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int 
     boundary: its first row lacks the ring below and is partial, every later
     row is summed in the whole walk's order, so it is bitwise that walk's.
     Samples that are not finite raise ValueError naming their vertex rows,
-    before any arithmetic on them.
+    before any arithmetic on them.  A block's temporaries of the triangles'
+    shape live in five arrays it reuses: d1, d2 (differences of u, then
+    |A grad u_h| and vertex values), fx, fy and a scratch product.
     """
     nr, na = grid.radii.size, grid.angles.node_count
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
     angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
-    hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
+    hnorm = [np.hypot(x, y) for x, y in zip(hx, hy)]
     step = max(1, _BLOCK // na)
 
     def finite(i, j):
@@ -288,11 +291,17 @@ def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int 
         agx, agy = angular or _flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
         u0, u1, u2 = _triangle_vertices(U)
         d1, d2 = u1 - u0, u2 - u0
-        fx = d1 * agx[0] + d2 * agx[1]
-        fy = d1 * agy[0] + d2 * agy[1]
-        flux_mag = np.sqrt(fx * fx + fy * fy)
-        R = _to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
-        S = _to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
+        del u0, u1, u2  # and with them the corner copies they view
+        # fx = d1 agx[0] + d2 agx[1], fy = d1 agy[0] + d2 agy[1] (fy first holds d2 agx[1])
+        fx, fy = np.multiply(d1, agx[0]), np.multiply(d2, agx[1])
+        fx += fy
+        np.add(np.multiply(d1, agy[0], out=fy), np.multiply(d2, agy[1], out=d2), out=fy)
+        flux_mag = np.add(np.multiply(fx, fx, out=d1), np.multiply(fy, fy, out=d2), out=d1)
+        np.sqrt(flux_mag, out=flux_mag)  # sqrt(fx fx + fy fy)
+        scratch = np.empty_like(d2)  # vertex k: flux_mag hnorm[k] for S, fx hx[k] + fy hy[k] for R
+        S = _to_vertices(lambda k, v: np.multiply(flux_mag, hnorm[k], out=v), d2, scratch)
+        R = _to_vertices(lambda k, v: np.add(np.multiply(fx, hx[k], out=v),
+                                             np.multiply(fy, hy[k], out=scratch), out=v), d1, d2)
         R[0] += r_held
         S[0] += s_held
         r_held, s_held = R[-1], S[-1]
@@ -457,6 +466,7 @@ def weak_form_residual(
     slope = None
     if refinements > 0:
         alpha = _homogeneous_degree(U, R, S, a, grid)
+        del U, R, S, rel  # the refined meshes read none of the given mesh's arrays
         sizes = [grid.angles.node_count]
         values = [mx]
         g = grid

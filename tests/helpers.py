@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 
+from beltbound import verify
 from beltbound.estimator import _arc_reduce, _matrix_fields
 from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField, wrap_angle
-from beltbound.reduction import CoefficientMatrixField
-from beltbound.stretching import _cells, _piece_propagator, _piece_rates
+from beltbound.reduction import CoefficientMatrixField, EllipticityError
+from beltbound.stretching import (
+    _cells,
+    _gauss_rule,
+    _piece_propagator,
+    _piece_rates,
+    eval_system_solution,
+)
 
 
 def field_from_callable(grid, fn, kind=SMOOTH):
@@ -135,3 +142,115 @@ def reference_eval_system_solution(k, alpha, initial, thetas):
     e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
     e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
     return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
+
+
+def reference_sl_weak_residuals(k, s, component=1):
+    """stretching.sl_weak_residuals as it was when it read k at its Gauss
+    points a second time, after eval_system_solution had read it there."""
+    nodes = s.grid.nodes
+    n = nodes.size
+    thetas_ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
+    h = np.diff(thetas_ext)
+    a2 = s.alpha**2
+    gx, gw = _gauss_rule(5)
+    pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
+    v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
+    e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
+    k1, k2 = k.eval_wrapped(wrap_angle(pts))
+    if component == 1:
+        flux = (k2 * d1).reshape(n, -1)
+        load = (a2 * k1 * e1).reshape(n, -1)
+    else:
+        flux = (d2 / k1).reshape(n, -1)
+        load = (a2 * e2 / k2).reshape(n, -1)
+    wts = gw[None, :] * h[:, None]
+    rise = np.sum(wts * gx[None, :] * load, axis=1)
+    fall = np.sum(wts * (1.0 - gx[None, :]) * load, axis=1)
+    int_flux = np.sum(wts * flux, axis=1)
+    res = (np.roll(rise, 1) + fall - np.roll(int_flux, 1) / np.roll(h, 1) + int_flux / h)[1:]
+    scale = np.max(np.abs(int_flux) / h) + np.max(np.abs(rise + fall))
+    return res, float(np.max(np.abs(res)) / scale)
+
+
+# ---------------------------------------------------------------------------
+# reference weak-form blocks: the assembly as it was before each block's
+# temporaries lived in buffers it reuses (every product and sum a fresh
+# array, both gradient forms of the unit ring, all three per-vertex arrays
+# of R and of S held at once)
+
+
+def reference_unit_ring(grid):
+    """(centroid, hat gradients (gx, gy) of all three vertices, and the same
+    times the triangle's area (hx, hy)) of the unit ring's triangles."""
+    q = grid.radii[1] / grid.radii[0]
+    t, h = grid.angles.nodes, grid.angles.spacings()
+    c, s = np.cos(t), np.sin(t)
+    (x0, y0), (x1, y1), (x2, y2) = verify._triangle_vertices(np.stack([[c, c * q], [s, s * q]]))
+    chord, mid = 2.0 * np.sin(0.5 * h), t + 0.5 * h
+    ang = np.array([-chord * np.sin(mid), chord * np.cos(mid)])
+    rad = (q - 1.0) * np.array([c, s])
+    diag = rad + q * ang
+    e01, e02 = np.stack([rad, diag], 1)[:, :, None], np.stack([diag, ang], 1)[:, :, None]
+    e12 = np.stack([q * ang, -np.roll(rad, -1, axis=-1)], 1)[:, :, None]
+    area = 0.5 * (e01[0] * e02[1] - e01[1] * e02[0])
+    hx = (-0.5 * e12[1], 0.5 * e02[1], -0.5 * e01[1])
+    hy = (0.5 * e12[0], -0.5 * e02[0], 0.5 * e01[0])
+    centroid = (x0 + x1 + x2 + 1j * (y0 + y1 + y2)) / 3.0
+    return centroid, ([v / area for v in hx], [v / area for v in hy]), (hx, hy)
+
+
+def reference_to_vertices(v0, v1, v2):
+    _, m, na = v0.shape
+    out = np.zeros((m + 1, na + 1))
+    out[:-1, :-1] += v0[0] + v0[1]
+    out[1:, :-1] += v1[0]
+    out[:-1, 1:] += v2[1]
+    out[1:, 1:] += v2[0] + v1[1]
+    out[:, 0] += out[:, na]
+    return out[:, :na]
+
+
+def reference_flux_factors(a, centroid, gx, gy):
+    a11, a12, a21, a22 = entries = a.entries(centroid)
+    if not all(np.isfinite(v).all() for v in entries):
+        raise EllipticityError("coefficient matrix is not finite on the mesh")
+    if not (np.min(a11) > 0 and np.min(a11 * a22 - a12 * a21) > 0):
+        raise EllipticityError("coefficient matrix is not positive definite on the mesh")
+    agx = [a11 * gx[m] + a12 * gy[m] for m in (1, 2)]
+    agy = [a21 * gx[m] + a22 * gy[m] for m in (1, 2)]
+    return agx, agy
+
+
+def reference_weak_blocks(sample, a, grid, start=0):
+    """verify._weak_blocks in expression form: the same (first row, R rows,
+    S rows), block by block, with verify._BLOCK read at the call."""
+    nr, na = grid.radii.size, grid.angles.node_count
+    centroid, (gx, gy), (hx, hy) = reference_unit_ring(grid)
+    angular = reference_flux_factors(a, centroid, gx, gy) if a.k is not None else None
+    hnorm = [np.hypot(hx[k], hy[k]) for k in range(3)]
+    step = max(1, verify._BLOCK // na)
+
+    def finite(i, j):
+        vals = sample(i, j)
+        bad = (i + np.flatnonzero(~np.isfinite(vals).all(axis=1))).tolist()
+        if bad:
+            raise ValueError(f"u is not finite at vertex rows {bad}")
+        return vals
+
+    U, r_held, s_held = finite(start, start + 1), 0.0, 0.0
+    edges = [start, *range((start // step + 1) * step, nr - 1, step), nr - 1]
+    for i0, i1 in zip(edges[:-1], edges[1:]):
+        U = np.concatenate([U[-1:], finite(i0 + 1, i1 + 1)])
+        agx, agy = angular or reference_flux_factors(a, grid.radii[i0:i1, None] * centroid, gx, gy)
+        u0, u1, u2 = verify._triangle_vertices(U)
+        d1, d2 = u1 - u0, u2 - u0
+        fx = d1 * agx[0] + d2 * agx[1]
+        fy = d1 * agy[0] + d2 * agy[1]
+        flux_mag = np.sqrt(fx * fx + fy * fy)
+        R = reference_to_vertices(*(fx * hx[k] + fy * hy[k] for k in range(3)))
+        S = reference_to_vertices(*(flux_mag * hnorm[k] for k in range(3)))
+        R[0] += r_held
+        S[0] += s_held
+        r_held, s_held = R[-1], S[-1]
+        yield i0, R[:-1], S[:-1]
+    yield nr - 1, r_held[None], s_held[None]

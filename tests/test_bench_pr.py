@@ -98,3 +98,17 @@ def test_coeff_file_command_reads_the_scripts_own_file(tmp_path, monkeypatch):
     events = entry["events"]
     assert events["call"] > 0 and events["per_layer"]["cli"] > 0, events
     assert sum(events["per_layer"].values()) == events["call"] + events["c_call"]
+
+
+def test_traced_layer_times_are_also_shares_of_the_job_time():
+    # a short traced maps run: every per-layer time over trace.job_s, each
+    # in [0, 1], the weak form's among them; the untraced run has no shares
+    traced = bench_pr.benchmark("maps", 0, 1, jobs=2)
+    assert traced["exit_code"] == 0 and traced["failed"] == 0, traced
+    shares, metrics = traced["per_layer_share"], traced["metrics"]
+    assert shares["verify.weak_form_residual.s"] > 0.0
+    assert "trace.job_s" not in shares and "verify.weak_residual_vector.calls" not in shares
+    for name, share in shares.items():
+        assert 0.0 <= share <= 1.0, (name, share)
+        assert share == metrics[name] / metrics["trace.job_s"]
+    assert "per_layer_share" not in bench_pr.benchmark("maps", 0, 0, jobs=2)

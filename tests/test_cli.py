@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beltbound import estimator, reduction
+from beltbound import cli, estimator, reduction
 from beltbound.cli import JobSpec, SpecError, _emit, _json_text, build_spec, run
 from beltbound.estimator import SweepConfig, corollary_bound
 from beltbound.reduction import BeltramiPair
@@ -546,6 +546,21 @@ def test_json_writer_matches_json_dumps_on_reports(monkeypatch, tmp_path):
     assert len(payloads) == 5
     for payload in payloads:
         assert _json_text(payload) == reference_json(payload)
+
+
+def test_lattice_payload_takes_no_isinstance_fallback(monkeypatch, capsys):
+    # CircleSpec stores its radius as a float, so the lattice's np.linspace
+    # radii reach the writer by exact type like every other payload value
+    calls, original = [], cli._json_other
+
+    def counted(obj, nl, out):
+        calls.append(type(obj))
+        original(obj, nl, out)
+
+    monkeypatch.setattr(cli, "_json_other", counted)
+    assert run(["--command", "estimate", "--M", "2", "--tau", "0.5", "--circles", "1"] + FAST) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["per_circle"]
+    assert calls == []
 
 
 def test_csv_reads_complex_values_and_arrays(capsys):

@@ -10,6 +10,7 @@ from helpers import (
     reference_eval_system_solution,
     reference_monodromy,
     reference_phase_advance,
+    reference_sl_weak_residuals,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -349,6 +350,33 @@ def test_sl_weak_residuals_smooth_converges():
         rels.append(rel)
     assert rels[0] > rels[1] > rels[2]
     assert rels[0] / rels[2] > 16.0  # at least second order over two refinements
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), piecewise=st.booleans(),
+       node_count=st.sampled_from([16, 64, 128]), alpha=st.floats(0.2, 2.0),
+       component=st.sampled_from([1, 2]))
+def test_sl_weak_residuals_read_k_once(seed, piecewise, node_count, alpha, component):
+    # bitwise the residuals of the version that read k at the Gauss points a
+    # second time; the one read there is the solution's (smooth k is also
+    # read at the cell midpoints, _CELLS_PER_GAP a node gap, by _cells)
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, node_count=node_count) if piecewise else trig_k(trig_coefficients(rng),
+                                                                        node_count)
+    s = solve_system(k, alpha)
+    sizes, original = [], KProfile.eval_wrapped
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KProfile, "eval_wrapped", counted)
+        res, rel = sl_weak_residuals(k, s, component=component)
+    n = s.grid.node_count
+    assert sizes == ([] if piecewise else [stretching_module._CELLS_PER_GAP * n]) + [5 * n]
+    ref, ref_rel = reference_sl_weak_residuals(k, s, component=component)
+    assert res.tobytes() == ref.tobytes() and rel.hex() == ref_rel.hex()
 
 
 def test_kprofile_validation():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import identity_matrix
+from helpers import identity_matrix, reference_weak_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -489,6 +489,8 @@ def test_weak_form_memory_is_set_by_the_block():
         tracemalloc.stop()
     assert rep.slope >= 1.0
     assert peak < 2.2e6, peak
+    # with every temporary of the triangles' shape a new array, 1.19 MB
+    assert peak < 8e5, peak
 
 
 @pytest.mark.parametrize("case", ["pointwise", "exp"])
@@ -519,6 +521,61 @@ def test_whole_walk_memory_is_set_by_the_block(case):
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
     assert max(peaks) < 2.2e6, peaks
+
+
+@st.composite
+def block_walks(draw):
+    """(grid, A, samples, start, _BLOCK) of a walk through several blocks."""
+    nodes = draw(st.sampled_from([8, 12, 16, 32]))
+    bks = draw(st.lists(st.floats(0.0, TWO_PI - 1e-3), min_size=1, max_size=nodes // 4 - 1))
+    na = AngularGrid.with_breakpoints(nodes, bks).node_count
+    step = draw(st.integers(1, 6))
+    nr = draw(st.integers(step + 2, 4 * step + 3))
+    block = draw(st.sampled_from([step * na, step * na + na // 2, verify._BLOCK]))
+    if block == verify._BLOCK:
+        nr = verify._BLOCK // na + draw(st.integers(2, 9))  # two blocks
+    start = draw(st.integers(0, nr - 2))
+    grid = PolarGrid.annulus(r_min=draw(st.floats(0.1, 0.6)), r_max=1.0, radius_count=nr,
+                             node_count=nodes, breakpoints=bks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = len(grid.angles.breakpoints)
+    k = KProfile.piecewise(grid.angles.breakpoints, rng.uniform(0.3, 3.0, pieces),
+                           rng.uniform(0.3, 3.0, pieces), 64)
+    a = CoefficientMatrixField.from_angular_k(k)
+    if draw(st.booleans()):  # the same matrix read pointwise, times a radial factor
+        a = CoefficientMatrixField.from_callables(
+            lambda z, angular=a: tuple((1.0 + np.abs(z)) * e for e in angular.entries(z)))
+    U = rng.normal(size=(nr, na))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, nr - 1), min_size=1, max_size=3))
+        U[rows, draw(st.integers(0, na - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return grid, a, U, start, block
+
+
+def walk_blocks(blocks):
+    """The (first row, R rows, S rows) of a walk, as bytes, or the message of
+    the ValueError it raised."""
+    try:
+        return [(i, r.tobytes(), s.tobytes()) for i, r, s in blocks]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk=block_walks())
+def test_buffered_blocks_equal_the_expression_form(walk):
+    # each block's products and sums in reused buffers: bitwise the blocks
+    # of the expression form, and the same refusal of samples not finite
+    grid, a, U, start, block = walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_BLOCK", block)
+        step = max(1, verify._BLOCK // grid.angles.node_count)
+        assert grid.radii.size - 1 > step
+        sample = lambda i, j: U[i:j]  # noqa: E731
+        got = walk_blocks(verify._weak_blocks(sample, a, grid, start))
+        assert got == walk_blocks(reference_weak_blocks(sample, a, grid, start))
+    assert isinstance(got, str) == (not np.isfinite(U[start:]).all())
+    assert not isinstance(got, str) or got.startswith("u is not finite at vertex rows")
 
 
 def mesh_vertices(g, first=0):
