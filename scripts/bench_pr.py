@@ -40,7 +40,8 @@ Run from anywhere inside a source checkout.  The record holds:
   counted in a fresh process, and ``per_job``, their sum per job.  A
   workload's sequence is its first ``min_jobs`` inputs at seed ``SEED``,
   after one uncounted warm-up job on the first, as the benchmark's traced
-  run does; a command's is one run after one uncounted run.  A count does
+  run does, each job's result dropped before the next, as the benchmark's
+  loop drops it; a command's is one run after one uncounted run.  A count does
   not depend on the host's speed or memory layout, so it tells a timing
   move that comes from the program apart from one that does not; it
   measures call overhead, not array work.  ``per_layer`` splits the count
@@ -250,7 +251,8 @@ def _profile_events(job, jobs):
 @contextlib.contextmanager
 def _job_sequence(name):
     """(run, jobs): run() runs a workload's first jobs = min_jobs inputs at
-    SEED, the first of them already run once as a warm-up."""
+    SEED, the first of them already run once as a warm-up, and drops each
+    result before the next job, as benchmark/run.py's loop does."""
     sys.path.insert(0, SRC)
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "benchmark", "workloads.py"))
@@ -264,7 +266,12 @@ def _job_sequence(name):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = w.make_inputs(SEED, w.min_jobs, tmp)
         w.run(inputs[0], part)
-        yield (lambda: [w.run(inp, part) for inp in inputs]), w.min_jobs
+
+        def run():
+            for inp in inputs:
+                w.run(inp, part)
+
+        yield run, w.min_jobs
 
 
 def workload_events(name):

@@ -174,9 +174,7 @@ def build_spec(argv) -> JobSpec:
                 fields.update(_config_fields(json.load(fh)))
         except (OSError, ValueError) as exc:  # unreadable, not JSON, not UTF-8
             raise SpecError(f"cannot read config {args.config}: {exc}") from exc
-    for key in ("command", "M", "tau", "alpha", "coeff_file", "circles", "radii",
-                "weight_pieces", "nodes", "out", "format", "tolerance",
-                "corrupt_mu"):
+    for key in JobSpec.__dataclass_fields__:
         v = getattr(args, key)
         if v is not None:
             fields[key] = v

@@ -178,6 +178,7 @@ class SweepConfig:
                 )
         return cls(circles=tuple(circles), **kw)
 
+    # only benchmark/run.py calls it, to ask if the window family ran; goes with ROADMAP item 17
     def families(self) -> tuple[str, ...]:
         return _FAMILIES
 
@@ -508,6 +509,7 @@ def _real_nu(pair: BeltramiPair) -> BeltramiPair:
 
 
 # (pair, cfg, report) of the last beta_estimate, for corollary_bound
+# benchmark/workloads.py's corollary_bound after beta_estimate reads it; goes with ROADMAP item 17
 _last_beta = None
 
 
@@ -529,6 +531,7 @@ def gamma_estimate(m: CoefficientMatrixField, cfg: SweepConfig) -> ExponentRepor
     return _sweep(m, cfg)
 
 
+# benchmark/workloads.py calls it after beta_estimate on origin-corpus; goes with ROADMAP item 17
 def corollary_bound(pair: BeltramiPair, cfg: SweepConfig) -> float:
     """The unit-weights bound: beta_estimate(pair, cfg).corollary.  Right
     after beta_estimate on the same pair and config objects it reads that

@@ -23,8 +23,6 @@ __all__ = [
     "PeriodicField",
     "gap_right_values",
     "gap_integrals",
-    "periodic_quadrature",
-    "periodic_mean",
     "field_extrema",
     "CircleSpec",
     "circle_points",
@@ -183,6 +181,7 @@ class PeriodicField:
         """Per-segment constants (valid for PIECEWISE fields)."""
         return self.values[self.grid.segment_starts]
 
+    # benchmark/tracer.py times it (periodic_fields.eval_at.*); goes with ROADMAP item 17
     def eval_at(self, theta) -> np.ndarray:
         """Evaluate off-node: step lookup (piecewise) or periodic linear interp."""
         return self.eval_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
@@ -212,22 +211,9 @@ def gap_right_values(field: PeriodicField) -> np.ndarray:
 
 
 def gap_integrals(field: PeriodicField) -> np.ndarray:
-    """Trapezoid integral over each node gap (exact for piecewise fields)."""
+    """Trapezoid integral over each node gap (exact for piecewise fields);
+    their sum over the last axis is the integral over one period."""
     return field.grid.spacings() * 0.5 * (field.values + gap_right_values(field))
-
-
-def periodic_quadrature(field: PeriodicField):
-    """Integral over one period: the sum of the gap integrals.
-
-    Piecewise-constant fields: exact.  Smooth fields: cyclic trapezoid, O(h^2)
-    in the largest node gap, spectral for smooth periodic data on uniform
-    grids.
-    """
-    return np.sum(gap_integrals(field), axis=-1)
-
-
-def periodic_mean(field: PeriodicField):
-    return periodic_quadrature(field) / TWO_PI
 
 
 def field_extrema(field: PeriodicField) -> tuple[float, float]:

@@ -5,14 +5,14 @@ Each field has one of two representations.  An angular field stores one
 KProfile k of weights (k1, k2) and nothing else: as a matrix field it is
 R(theta) diag(k1, k2) R(theta)^T, and as a pair it is the pair whose
 reduction matrix B that is, mu = -mu0(arg z) z/zbar, nu = -nu0(arg z) with
-(mu0, nu0) = munu_from_k(k), so both interpolate k linearly between its
-nodes.  Origin circles read k at their nodes, which keeps them
-piecewise-exact.  A pointwise field keeps one vectorized evaluator only (a
-pair z -> (mu, nu), a matrix z -> (a11, a12, a21, a22)), which does the work
-its outputs share once per call; constant fields are pointwise fields whose
-constructors know their kappa or eigenvalue bounds exactly.  A pair
-restricts to circles as its matrix B does, so every circle functional reads
-one restriction type, MatrixOnCircles.
+(mu0, nu0) = munu_values(k1, k2) of k read at arg z, so both interpolate k
+linearly between its nodes.  Origin circles read k at their nodes, which
+keeps them piecewise-exact.  A pointwise field keeps one vectorized
+evaluator only (a pair z -> (mu, nu), a matrix z -> (a11, a12, a21, a22)),
+which does the work its outputs share once per call, and samples it for its
+kappa or eigenvalue bounds.  A pair restricts to circles as its matrix B
+does, so every circle functional reads one restriction type,
+MatrixOnCircles.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .periodic_fields import (
     arg_of,
     circle_points,
 )
-from .stretching import KProfile, k_from_munu, munu_from_k, munu_values
+from .stretching import KProfile, k_from_munu, munu_values
 
 __all__ = [
     "EllipticityError",
@@ -43,7 +43,6 @@ __all__ = [
     "MatrixOnCircles",
     "MatrixReduction",
     "beltrami_to_matrices",
-    "matrix_to_beltrami",
     "normalize_matrix",
 ]
 
@@ -134,15 +133,6 @@ class BeltramiPair:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_constant(cls, mu: complex, nu: complex) -> "BeltramiPair":
-        mu, nu = complex(mu), complex(nu)
-
-        def munu_fn(z):
-            return np.full(np.shape(z), mu), np.full(np.shape(z), nu)
-
-        return cls(munu_fn, real_nu=(nu.imag == 0.0), kappa=abs(mu) + abs(nu))
-
-    @classmethod
     def from_angular(cls, mu0: PeriodicField, nu0: PeriodicField) -> "BeltramiPair":
         """mu(z) = -mu0(arg z) z/zbar, nu(z) = -nu0(arg z) from real profiles
         on one grid layout, stored as their weights k_from_munu(mu0, nu0)."""
@@ -209,14 +199,6 @@ class BeltramiPair:
     def is_angular(self) -> bool:
         return self.k is not None
 
-    @property
-    def mu0(self) -> PeriodicField:  # of an angular pair, as nu0
-        return munu_from_k(self.k)[0]
-
-    @property
-    def nu0(self) -> PeriodicField:
-        return munu_from_k(self.k)[1]
-
     def munu(self, z):
         """(mu, nu) complex arrays at the points z."""
         mu, nu = self.munu_fn(np.asarray(z, dtype=complex))
@@ -232,6 +214,7 @@ class BeltramiPair:
         See CoefficientMatrixField.on_circles for the cached geometry."""
         return _reduction_matrix(self).on_circles(circles, extra_breakpoints)
 
+    # benchmark/tracer.py patches it (reduction.on_circle.*); goes with ROADMAP item 17
     def on_circle(self, circle: CircleSpec, extra_breakpoints=None) -> "MatrixOnCircles":
         """B along one circle: on_circles of a batch of one."""
         return self.on_circles((circle,), extra_breakpoints)
@@ -242,10 +225,10 @@ class CoefficientMatrixField:
     """2x2 elliptic coefficient field with one evaluator z -> (a11, a12, a21, a22).
 
     Two representations: angular, with k set, when the field has the
-    rotational form R(theta) diag(k1, k2) R(theta)^T; pointwise otherwise
-    (constant fields included).  symmetric distinguishes the real-nu
-    reduction; eig_bounds records the extremes of the symmetric part's
-    eigenvalues: exact for angular and constant fields, sampled for callables.
+    rotational form R(theta) diag(k1, k2) R(theta)^T; pointwise otherwise.
+    symmetric distinguishes the real-nu reduction; eig_bounds records the
+    extremes of the symmetric part's eigenvalues: exact for angular fields,
+    sampled for callables.
     """
 
     entries_fn: Callable
@@ -259,16 +242,6 @@ class CoefficientMatrixField:
             raise EllipticityError(f"matrix field not positive: eig bounds {self.eig_bounds}")
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, a11, a12, a21, a22) -> "CoefficientMatrixField":
-        vals = tuple(float(v) for v in (a11, a12, a21, a22))
-
-        def entries_fn(z):
-            return tuple(np.full(np.shape(z), v) for v in vals)
-
-        lo, hi = _sym_eigs(*[np.asarray(v) for v in vals])
-        return cls(entries_fn, symmetric=(vals[1] == vals[2]), eig_bounds=(lo, hi))
 
     @classmethod
     def from_angular_k(cls, k: KProfile) -> "CoefficientMatrixField":
@@ -297,10 +270,6 @@ class CoefficientMatrixField:
         """(a11, a12, a21, a22) float arrays at the points z."""
         z = np.asarray(z, dtype=complex)
         return tuple(np.asarray(v, dtype=float) for v in self.entries_fn(z))
-
-    def det(self, z):
-        a11, a12, a21, a22 = self.entries(z)
-        return a11 * a22 - a12 * a21
 
     def on_circles(self, circles, extra_breakpoints=None) -> "MatrixOnCircles":
         """<n, A n> and det A along circles that share one grid, row c on
@@ -394,25 +363,6 @@ def beltrami_to_matrices(pair: BeltramiPair) -> MatrixReduction:
     B-tilde equation.  For real nu both are symmetric and B_tilde = B/det B.
     """
     return MatrixReduction(_reduction_matrix(pair), _reduction_matrix(pair, tilde=True))
-
-
-def _munu_of_entries(b11, b12, b21, b22):
-    """(mu, nu) of matrix entries: the formulas of matrix_to_beltrami."""
-    det = b11 * b22 - b12 * b21
-    den = 1.0 + (b11 + b22) + det
-    return -(b11 - b22 + 1j * (b12 + b21)) / den, (1.0 - det + 1j * (b12 - b21)) / den
-
-
-def matrix_to_beltrami(m: CoefficientMatrixField) -> BeltramiPair:
-    """Recover (mu, nu) from a matrix field.
-
-    mu = -(b11 - b22 + i(b12 + b21)) / (1 + tr + det),
-    nu = (1 - det + i(b12 - b21)) / (1 + tr + det).
-    """
-    if m.k is not None:
-        return BeltramiPair.from_angular_k(m.k)
-    return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z)),
-                                       real_nu=m.symmetric)
 
 
 def normalize_matrix(m: CoefficientMatrixField) -> CoefficientMatrixField:

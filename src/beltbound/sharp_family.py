@@ -83,11 +83,6 @@ class SharpFamily:
     def pair(self) -> BeltramiPair:
         return BeltramiPair.from_angular_k(self.k)
 
-    def profiles_at(self, theta):
-        """Exact (theta1, theta2, theta1', theta2') at arbitrary angles, all
-        four built on the phase that _phase shares with map_at."""
-        return _profile_samples(self.M, self.tau, self.c, self.d, theta)
-
     def map_at(self, z):
         """Exact planar map |z|^alpha (theta1 + i theta2)(arg z), 0 at 0: the
         values of _phase without derivatives, its half-turn sign folded into
@@ -124,7 +119,8 @@ def _phase(M: float, tau: float, c: float, d: float, t):
 
 
 def _profile_samples(M: float, tau: float, c: float, d: float, theta):
-    """Closed-form (theta1, theta2, theta1', theta2') at the given angles."""
+    """Closed-form (theta1, theta2, theta1', theta2') at the given angles,
+    all four built on the phase that _phase shares with map_at."""
     t = wrap_angle(np.asarray(theta, dtype=float))
     sign, th1, th2, (on1, sn, cs, amp, rate1, rate2) = _phase(M, tau, c, d, t)
     dth1 = np.where(on1, rate1 * cs, -rate2 * sn / amp)

@@ -1,9 +1,10 @@
 """Angular stretchings f(z) = |z|^alpha (eta1 + i eta2)(arg z).
 
-Covers pointwise evaluation, Jacobian/distortion factors, the first-order
-system eta1' = -alpha k2^{-1} eta2, eta2' = alpha k1 eta1 coupling the profile
-to a positive weight pair (k1, k2), shooting for exponents alpha whose
-solutions close up 2pi-periodically, and the (k1,k2) <-> (mu0,nu0) algebra.
+Covers pointwise evaluation, the first-order system eta1' = -alpha k2^{-1}
+eta2, eta2' = alpha k1 eta1 coupling the profile to a positive weight pair
+(k1, k2), shooting for exponents alpha whose solutions close up
+2pi-periodically, the injectivity certificate, and the (k1,k2) <-> (mu0,nu0)
+algebra.
 
 All propagation runs on constant-rate cells, where the system has a
 closed-form 2x2 propagator, and one recurrence gives the state at every cell
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,20 +42,14 @@ __all__ = [
     "AngularStretching",
     "RootSearchError",
     "k_from_munu",
-    "munu_from_k",
     "munu_values",
     "eval_stretching",
-    "differential_quantities",
-    "discriminants",
-    "distortion_from_k",
     "solve_system",
     "eval_system_solution",
     "monodromy",
     "phase_advance",
     "find_periodic_alpha",
-    "periodic_alpha_table",
     "injectivity_check",
-    "sl_weak_residuals",
 ]
 
 _CELLS_PER_GAP = 8  # constant-rate cells per node gap of a smooth weight pair
@@ -92,11 +86,6 @@ class KProfile:
     def constant(cls, k1: float, k2: float, node_count: int = 2048) -> "KProfile":
         g = AngularGrid.uniform(node_count)
         return cls(PeriodicField.constant(g, k1), PeriodicField.constant(g, k2))
-
-    @classmethod
-    def piecewise(cls, breakpoints, k1_pieces, k2_pieces, node_count: int = 2048) -> "KProfile":
-        g = AngularGrid.with_breakpoints(node_count, breakpoints)
-        return cls(PeriodicField.piecewise(g, k1_pieces), PeriodicField.piecewise(g, k2_pieces))
 
     @property
     def grid(self) -> AngularGrid:
@@ -150,16 +139,6 @@ def munu_values(k1, k2):
     return (k1 - k2) / den, (k1 * k2 - 1.0) / den
 
 
-def munu_from_k(k: KProfile) -> tuple[PeriodicField, PeriodicField]:
-    """Inverse of k_from_munu; output satisfies |mu0|+|nu0| < 1."""
-    mu0, nu0 = munu_values(k.k1.values, k.k2.values)
-    if np.max(np.abs(mu0) + np.abs(nu0)) >= 1.0 - 1e-12:
-        raise ValueError("recovered (mu0, nu0) violates ellipticity")
-    kind = PIECEWISE if k.is_piecewise else SMOOTH
-    grid = k.grid
-    return PeriodicField(grid, mu0, kind), PeriodicField(grid, nu0, kind)
-
-
 @dataclass(frozen=True, eq=False)
 class AngularStretching:
     """Profile pair with exponent and per-node derivative samples."""
@@ -208,71 +187,6 @@ def eval_stretching(s: AngularStretching, z):
     t = arg_of(z)
     out = np.abs(z)**s.alpha * (s.eta1.eval_wrapped(t) + 1j * s.eta2.eval_wrapped(t))
     return out if out.shape else complex(out)
-
-
-def _profile_arrays(s: AngularStretching, theta):
-    if theta is None:
-        return s.eta1.values, s.eta2.values, s.deta1, s.deta2
-    t = np.asarray(theta, dtype=float)
-    g = s.grid
-    d1 = PeriodicField(g, s.deta1, SMOOTH)
-    d2 = PeriodicField(g, s.deta2, SMOOTH)
-    return s.eta1.eval_at(t), s.eta2.eval_at(t), d1.eval_at(t), d2.eval_at(t)
-
-
-def discriminants(s: AngularStretching, theta=None):
-    """Discriminant of the |Df|^2 quadratic, both algebraic forms.
-
-    Returns (difference-of-squares form, four-square form); they agree
-    identically, and the four-square form is the numerically stable one.
-    """
-    e1, e2, d1, d2 = _profile_arrays(s, theta)
-    a2 = s.alpha**2
-    trace = a2 * (e1**2 + e2**2) + d1**2 + d2**2
-    cross = e1 * d2 - d1 * e2
-    diff_form = trace**2 - 4.0 * a2 * cross**2
-    four_form = (
-        (a2 * e1**2 - d2**2) ** 2
-        + (a2 * e2**2 - d1**2) ** 2
-        + 2.0 * (a2 * e1 * e2 + d1 * d2) ** 2
-        + 2.0 * a2 * (e1 * d1 + e2 * d2) ** 2
-    )
-    return diff_form, four_form
-
-
-def differential_quantities(s: AngularStretching, theta=None):
-    """r-independent factors (jacobian, |Df|^2, distortion) at angles theta.
-
-    jacobian factor: alpha (eta1 eta2' - eta1' eta2); |Df|^2 factor:
-    (trace + sqrt(discriminant))/2; distortion: their quotient.  Warns when
-    the jacobian factor is not strictly positive somewhere (orientation).
-    """
-    e1, e2, d1, d2 = _profile_arrays(s, theta)
-    a = s.alpha
-    jac = a * (e1 * d2 - d1 * e2)
-    _, disc = discriminants(s, theta)
-    grad_sq = 0.5 * (a**2 * (e1**2 + e2**2) + d1**2 + d2**2 + np.sqrt(disc))
-    if np.any(jac <= 0):
-        warnings.warn("jacobian factor <= 0: map is not sense-preserving there", stacklevel=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = grad_sq / jac
-    return jac, grad_sq, dist
-
-
-def distortion_from_k(k: KProfile, eta1, eta2):
-    """Distortion of a system solution written in (k1, k2, eta) only.
-
-    Valid on solutions of the coupled system, where the derivative terms
-    reduce through eta1' = -alpha k2^{-1} eta2, eta2' = alpha k1 eta1.
-    """
-    k1, k2 = k.k1.values, 1.0 / k.k2.values
-    e1s, e2s = np.asarray(eta1) ** 2, np.asarray(eta2) ** 2
-    root = np.sqrt(
-        (1.0 - k1**2) ** 2 * e1s**2
-        + (1.0 - k2**2) ** 2 * e2s**2
-        + 2.0 * ((1.0 - k1 * k2) ** 2 + (k1 - k2) ** 2) * e1s * e2s
-    )
-    return ((1.0 + k1**2) * e1s + (1.0 + k2**2) * e2s + root) / (2.0 * (k1 * e1s + k2 * e2s))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +281,6 @@ def eval_system_solution(k: KProfile, alpha: float, initial, thetas):
     right-hand side with k read by KProfile.eval_wrapped, so at a breakpoint
     they take the right-limit weights, matching the segment convention.
     """
-    return _solution_and_weights(k, alpha, initial, thetas)[0]
-
-
-def _solution_and_weights(k: KProfile, alpha: float, initial, thetas):
-    """(eval_system_solution's arrays, the (k1, k2) they read at the angles)."""
     lefts, h, av, bv = _piece_rates(_cells(k), alpha)
     anchors = _propagate(av, bv, h)[1][:-1] @ np.asarray(initial, dtype=float)
     t = wrap_angle(np.asarray(thetas, dtype=float))
@@ -380,7 +289,7 @@ def _solution_and_weights(k: KProfile, alpha: float, initial, thetas):
     e1 = c * anchors[cell, 0] + p12 * anchors[cell, 1]
     e2 = p21 * anchors[cell, 0] + c * anchors[cell, 1]
     k1, k2 = k.eval_wrapped(t)
-    return (e1, e2, -alpha / k2 * e2, alpha * k1 * e1), (k1, k2)
+    return e1, e2, -alpha / k2 * e2, alpha * k1 * e1
 
 
 def _fundamental(cells, alpha: float):
@@ -410,6 +319,7 @@ def monodromy(k: KProfile, alpha: float) -> np.ndarray:
     return _fundamental(_cells(k), alpha)[4][-1]
 
 
+# benchmark/tracer.py patches it, but the search calls _advance_extremum; goes with ROADMAP item 17
 def phase_advance(k: KProfile, alpha: float, phi0):
     """Unwrapped advance of arg(eta1 + i eta2) over one period.
 
@@ -531,32 +441,16 @@ def _edge_roots(k: KProfile, cells, winding: int):
         left = root
 
 
-def periodic_alpha_table(k: KProfile, branches: int):
-    """Distinct exponents with a 2pi-periodic solution, smallest first.
-
-    Each winding number contributes the two edges of its instability interval
-    (which coincide when the interval is degenerate, e.g. constant weights).
-    Entries are dicts {alpha, winding, edge}.  Solves both edges of every
-    winding up to the last entry's, so any of them may raise RootSearchError.
-    """
-    cells = _cells(k)
-    table = []
-    for w in itertools.count(1):
-        if len(table) >= branches:
-            return table[:branches]
-        edges = list(_edge_roots(k, cells, w))
-        labels = ("left", "right") if len(edges) == 2 else ("degenerate",)
-        table += [{"alpha": a, "winding": w, "edge": e} for a, e in zip(edges, labels)]
-
-
 def find_periodic_alpha(k: KProfile, branch: int = 1) -> float:
     """n-th alpha (increasing) with Floquet multiplier 1, i.e. tr Phi = 2.
 
     Roots are located through the phase advance of the solution direction,
     which crosses 2 pi n transversally in alpha even where tr Phi - 2 only
     touches zero; that keeps degenerate (constant-weight) roots at full
-    precision.  Solves periodic_alpha_table's edges in order through entry n
-    only (branch 1: one edge), so no later edge can raise RootSearchError.
+    precision.  Each winding number contributes the two edges of its
+    instability interval, one where they coincide (degenerate, e.g. constant
+    weights); the edges are solved in order through entry n only (branch 1:
+    one edge), so no later edge can raise RootSearchError.
     """
     if branch < 1:
         raise ValueError(f"branch must be >= 1, got {branch}")
@@ -593,53 +487,3 @@ def injectivity_check(s: AngularStretching):
         ok = False
         cert["minimal_period"] = TWO_PI / max(abs(winding), 1e-12)
     return ok, cert
-
-
-def _gauss_rule(n: int = 5):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
-
-
-def sl_weak_residuals(k: KProfile, s: AngularStretching, component: int = 1):
-    """Weak residual of the Sturm-Liouville form against nodal hat functions.
-
-    component 1: d/dtheta(k2 eta1') + alpha^2 k1 eta1 = 0;
-    component 2: d/dtheta(k1^{-1} eta2') + alpha^2 k2^{-1} eta2 = 0.
-    Hats sit at the interior nodes only: profiles of non-periodic exponents
-    jump at the cut angle, and closing up is monodromy's business anyway.
-    The integrals take per-cell Gauss(5) on eval_system_solution from s's
-    state at 0, for piecewise and smooth weights alike.  For piecewise k
-    the residual is rounding; for smooth k it gauges the cell rule of
-    _cells (k frozen at each cell midpoint) against the linear interpolant
-    of k that the flux and load read.  Returns (residual vector, one entry
-    per interior node, and normalized max residual).
-    """
-    nodes = s.grid.nodes
-    n = nodes.size
-    thetas_ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
-    h = np.diff(thetas_ext)
-    a2 = s.alpha**2
-    gx, gw = _gauss_rule(5)
-    # all Gauss points, cell by cell
-    pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
-    v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
-    (e1, e2, d1, d2), (k1, k2) = _solution_and_weights(k, s.alpha, v0, pts)
-    if component == 1:
-        flux = (k2 * d1).reshape(n, -1)
-        load = (a2 * k1 * e1).reshape(n, -1)
-    else:
-        flux = (d2 / k1).reshape(n, -1)
-        load = (a2 * e2 / k2).reshape(n, -1)
-    wts = gw[None, :] * h[:, None]
-    # hat_j rises on cell j-1, falls on cell j
-    rise = np.sum(wts * gx[None, :] * load, axis=1)
-    fall = np.sum(wts * (1.0 - gx[None, :]) * load, axis=1)
-    int_flux = np.sum(wts * flux, axis=1)
-    res = (
-        np.roll(rise, 1)
-        + fall
-        - np.roll(int_flux, 1) / np.roll(h, 1)
-        + int_flux / h
-    )[1:]
-    scale = np.max(np.abs(int_flux) / h) + np.max(np.abs(rise + fall))
-    return res, float(np.max(np.abs(res)) / scale)

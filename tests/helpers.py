@@ -1,20 +1,30 @@
-"""Constructors, reductions and references that only the tests need."""
+"""Constructors, reductions, oracles and references that only the tests need."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 
 from beltbound import verify
 from beltbound.estimator import _arc_reduce, _matrix_fields
-from beltbound.periodic_fields import SMOOTH, TWO_PI, AngularGrid, PeriodicField, wrap_angle
-from beltbound.reduction import CoefficientMatrixField, EllipticityError
+from beltbound.periodic_fields import (
+    PIECEWISE,
+    SMOOTH,
+    TWO_PI,
+    AngularGrid,
+    PeriodicField,
+    wrap_angle,
+)
+from beltbound.reduction import BeltramiPair, CoefficientMatrixField, EllipticityError
+from beltbound.sharp_family import _profile_samples
 from beltbound.stretching import (
+    KProfile,
     _cells,
-    _gauss_rule,
     _piece_propagator,
     _piece_rates,
     eval_system_solution,
+    munu_values,
 )
 
 
@@ -23,9 +33,137 @@ def field_from_callable(grid, fn, kind=SMOOTH):
     return PeriodicField(grid, np.asarray(fn(grid.nodes)), kind)
 
 
+def constant_pair(mu, nu):
+    """The pointwise pair of constant coefficients (mu, nu)."""
+    mu, nu = complex(mu), complex(nu)
+    return BeltramiPair.from_callables(
+        lambda z: (np.full(np.shape(z), mu), np.full(np.shape(z), nu)))
+
+
+def constant_matrix(a11, a12, a21, a22):
+    """The pointwise matrix field of constant entries."""
+    vals = tuple(float(v) for v in (a11, a12, a21, a22))
+    return CoefficientMatrixField.from_callables(
+        lambda z: tuple(np.full(np.shape(z), v) for v in vals))
+
+
 def identity_matrix():
     """The constant identity matrix field."""
-    return CoefficientMatrixField.constant(1.0, 0.0, 0.0, 1.0)
+    return constant_matrix(1.0, 0.0, 0.0, 1.0)
+
+
+def matrix_det(m, z):
+    """det A of a matrix field at the points z."""
+    a11, a12, a21, a22 = m.entries(z)
+    return a11 * a22 - a12 * a21
+
+
+def piecewise_k(breakpoints, k1_pieces, k2_pieces, node_count=2048):
+    """Piecewise-constant weights, one value per arc, on a grid that holds
+    the breakpoints."""
+    g = AngularGrid.with_breakpoints(node_count, breakpoints)
+    return KProfile(PeriodicField.piecewise(g, k1_pieces), PeriodicField.piecewise(g, k2_pieces))
+
+
+def munu_fields(k):
+    """(mu0, nu0) of the weights k at their nodes, as fields on k's grid:
+    munu_values, the inverse of k_from_munu."""
+    kind = PIECEWISE if k.is_piecewise else SMOOTH
+    return tuple(PeriodicField(k.grid, v, kind) for v in munu_values(k.k1.values, k.k2.values))
+
+
+def profiles_at(fam, theta):
+    """The sharp family's exact (theta1, theta2, theta1', theta2') at
+    arbitrary angles."""
+    return _profile_samples(fam.M, fam.tau, fam.c, fam.d, theta)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the paper's inversion formula, and the distortion of a stretching
+
+
+def _munu_of_entries(b11, b12, b21, b22):
+    """(mu, nu) of matrix entries: the formulas of matrix_to_beltrami."""
+    det = b11 * b22 - b12 * b21
+    den = 1.0 + (b11 + b22) + det
+    return -(b11 - b22 + 1j * (b12 + b21)) / den, (1.0 - det + 1j * (b12 - b21)) / den
+
+
+def matrix_to_beltrami(m):
+    """Recover (mu, nu) from a matrix field.
+
+    mu = -(b11 - b22 + i(b12 + b21)) / (1 + tr + det),
+    nu = (1 - det + i(b12 - b21)) / (1 + tr + det).
+    """
+    if m.k is not None:
+        return BeltramiPair.from_angular_k(m.k)
+    return BeltramiPair.from_callables(lambda z: _munu_of_entries(*m.entries(z)),
+                                       real_nu=m.symmetric)
+
+
+def _profile_arrays(s, theta):
+    if theta is None:
+        return s.eta1.values, s.eta2.values, s.deta1, s.deta2
+    t = np.asarray(theta, dtype=float)
+    g = s.grid
+    d1 = PeriodicField(g, s.deta1, SMOOTH)
+    d2 = PeriodicField(g, s.deta2, SMOOTH)
+    return s.eta1.eval_at(t), s.eta2.eval_at(t), d1.eval_at(t), d2.eval_at(t)
+
+
+def discriminants(s, theta=None):
+    """Discriminant of the |Df|^2 quadratic, both algebraic forms.
+
+    Returns (difference-of-squares form, four-square form); they agree
+    identically, and the four-square form is the numerically stable one.
+    """
+    e1, e2, d1, d2 = _profile_arrays(s, theta)
+    a2 = s.alpha**2
+    trace = a2 * (e1**2 + e2**2) + d1**2 + d2**2
+    cross = e1 * d2 - d1 * e2
+    diff_form = trace**2 - 4.0 * a2 * cross**2
+    four_form = (
+        (a2 * e1**2 - d2**2) ** 2
+        + (a2 * e2**2 - d1**2) ** 2
+        + 2.0 * (a2 * e1 * e2 + d1 * d2) ** 2
+        + 2.0 * a2 * (e1 * d1 + e2 * d2) ** 2
+    )
+    return diff_form, four_form
+
+
+def differential_quantities(s, theta=None):
+    """r-independent factors (jacobian, |Df|^2, distortion) at angles theta.
+
+    jacobian factor: alpha (eta1 eta2' - eta1' eta2); |Df|^2 factor:
+    (trace + sqrt(discriminant))/2; distortion: their quotient.  Warns when
+    the jacobian factor is not strictly positive somewhere (orientation).
+    """
+    e1, e2, d1, d2 = _profile_arrays(s, theta)
+    a = s.alpha
+    jac = a * (e1 * d2 - d1 * e2)
+    _, disc = discriminants(s, theta)
+    grad_sq = 0.5 * (a**2 * (e1**2 + e2**2) + d1**2 + d2**2 + np.sqrt(disc))
+    if np.any(jac <= 0):
+        warnings.warn("jacobian factor <= 0: map is not sense-preserving there", stacklevel=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = grad_sq / jac
+    return jac, grad_sq, dist
+
+
+def distortion_from_k(k, eta1, eta2):
+    """Distortion of a system solution written in (k1, k2, eta) only.
+
+    Valid on solutions of the coupled system, where the derivative terms
+    reduce through eta1' = -alpha k2^{-1} eta2, eta2' = alpha k1 eta1.
+    """
+    k1, k2 = k.k1.values, 1.0 / k.k2.values
+    e1s, e2s = np.asarray(eta1) ** 2, np.asarray(eta2) ** 2
+    root = np.sqrt(
+        (1.0 - k1**2) ** 2 * e1s**2
+        + (1.0 - k2**2) ** 2 * e2s**2
+        + 2.0 * ((1.0 - k1 * k2) ** 2 + (k1 - k2) ** 2) * e1s * e2s
+    )
+    return ((1.0 + k1**2) * e1s + (1.0 + k2**2) * e2s + root) / (2.0 * (k1 * e1s + k2 * e2s))
 
 
 def _jsonable(obj):
@@ -144,15 +282,39 @@ def reference_eval_system_solution(k, alpha, initial, thetas):
     return e1, e2, -alpha / k.k2.eval_at(t) * e2, alpha * k.k1.eval_at(t) * e1
 
 
-def reference_sl_weak_residuals(k, s, component=1):
-    """stretching.sl_weak_residuals as it was when it read k at its Gauss
-    points a second time, after eval_system_solution had read it there."""
+# ---------------------------------------------------------------------------
+# the Sturm-Liouville form of the profile system, tested weakly
+
+
+def gauss_rule(n=5):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def sl_weak_residuals(k, s, component=1):
+    """Weak residual of the Sturm-Liouville form against nodal hat functions.
+
+    component 1: d/dtheta(k2 eta1') + alpha^2 k1 eta1 = 0;
+    component 2: d/dtheta(k1^{-1} eta2') + alpha^2 k2^{-1} eta2 = 0.
+    Hats sit at the interior nodes only: profiles of non-periodic exponents
+    jump at the cut angle, and closing up is monodromy's business anyway.
+    The integrals take per-cell Gauss(5) on eval_system_solution from s's
+    state at 0, for piecewise and smooth weights alike, with k read at the
+    Gauss points by KProfile.eval_wrapped, as the solution's derivatives
+    read it there.  For piecewise k the residual is rounding; for smooth k
+    it gauges the cell rule of stretching._cells (k frozen at each cell
+    midpoint) against the linear interpolant of k that the flux and load
+    read.  Returns (residual vector, one entry per interior node, and
+    normalized max residual).
+    """
     nodes = s.grid.nodes
     n = nodes.size
     thetas_ext = np.concatenate([nodes, [nodes[0] + TWO_PI]])
     h = np.diff(thetas_ext)
     a2 = s.alpha**2
-    gx, gw = _gauss_rule(5)
+    gx, gw = gauss_rule(5)
+    # all Gauss points, cell by cell
     pts = (thetas_ext[:-1, None] + h[:, None] * gx[None, :]).ravel()
     v0 = np.array([s.eta1.values[0], s.eta2.values[0]])
     e1, e2, d1, d2 = eval_system_solution(k, s.alpha, v0, pts)
@@ -164,6 +326,7 @@ def reference_sl_weak_residuals(k, s, component=1):
         flux = (d2 / k1).reshape(n, -1)
         load = (a2 * e2 / k2).reshape(n, -1)
     wts = gw[None, :] * h[:, None]
+    # hat_j rises on cell j-1, falls on cell j
     rise = np.sum(wts * gx[None, :] * load, axis=1)
     fall = np.sum(wts * (1.0 - gx[None, :]) * load, axis=1)
     int_flux = np.sum(wts * flux, axis=1)

@@ -8,7 +8,15 @@ import math
 import time
 
 import numpy as np
-from helpers import node_gap_batch
+from helpers import (
+    constant_pair,
+    differential_quantities,
+    distortion_from_k,
+    matrix_to_beltrami,
+    node_gap_batch,
+    piecewise_k,
+    sl_weak_residuals,
+)
 
 from beltbound.estimator import (
     SweepConfig,
@@ -21,18 +29,14 @@ from beltbound.periodic_fields import TWO_PI, CircleSpec
 from beltbound.reduction import (
     BeltramiPair,
     beltrami_to_matrices,
-    matrix_to_beltrami,
     normalize_matrix,
 )
 from beltbound.sharp_family import build_family, build_maps, cd_params
 from beltbound.stretching import (
     AngularStretching,
     KProfile,
-    differential_quantities,
-    distortion_from_k,
     eval_system_solution,
     find_periodic_alpha,
-    sl_weak_residuals,
     solve_system,
 )
 from beltbound.verify import (
@@ -135,7 +139,7 @@ def test_criterion_5_reduction_identities(capsys):
         r_mu = rng.uniform(0.0, 0.75)
         mu = r_mu * np.exp(1j * rng.uniform(0.0, TWO_PI))
         nu = rng.uniform(-0.9, 0.9) * (0.97 - r_mu)
-        pair = BeltramiPair.from_constant(mu, nu)
+        pair = constant_pair(mu, nu)
         red = beltrami_to_matrices(pair)
         back = matrix_to_beltrami(red.B)
         bmu, bnu = (v[0] for v in back.munu(z))
@@ -239,7 +243,7 @@ def test_criterion_9_distortion_identities(capsys):
         bks = np.concatenate([[0.0], np.sort(rng.uniform(0.5, TWO_PI - 0.5, pieces - 1))])
         k1 = rng.uniform(0.5, 2.0, pieces)
         k2 = rng.uniform(0.5, 2.0, pieces)
-        prof = KProfile.piecewise(bks, k1, k2, node_count=512)
+        prof = piecewise_k(bks, k1, k2, node_count=512)
         s = solve_system(prof, find_periodic_alpha(prof))
         _, _, dist = differential_quantities(s)
         closed = distortion_from_k(prof, s.eta1.values, s.eta2.values)

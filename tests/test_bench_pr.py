@@ -2,7 +2,9 @@
 
 import importlib.util
 import os
+import weakref
 
+from beltbound import estimator
 from beltbound.cli import run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -77,6 +79,25 @@ def test_fault_counts_sit_beside_the_event_counts():
     assert set(faults) == {"minflt", "jobs", "per_job"}, faults
     assert faults["jobs"] == bench_pr.fresh_events(bench_pr.workload_events, "origin-corpus")["jobs"]
     assert faults["minflt"] >= 0 and faults["per_job"] == faults["minflt"] / faults["jobs"]
+
+
+def test_job_sequence_keeps_no_results(monkeypatch):
+    # the counted sequence drops each job's result before the next, as the
+    # benchmark's loop does: when a job starts, the only report alive is
+    # the last job's, which corollary_bound keeps for its next call
+    live, alive_at_start = weakref.WeakSet(), []
+    beta_estimate = estimator.beta_estimate
+
+    def tracked(pair, cfg):
+        alive_at_start.append(len(live))
+        report = beta_estimate(pair, cfg)
+        live.add(report)
+        return report
+
+    monkeypatch.setattr(estimator, "beta_estimate", tracked)
+    with bench_pr._job_sequence("origin-corpus") as (run_jobs, jobs):
+        run_jobs()
+    assert len(alive_at_start) == jobs + 1 and max(alive_at_start) <= 1, alive_at_start
 
 
 def test_coeff_file_command_reads_the_scripts_own_file(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import node_gap_batch
+from helpers import constant_matrix, constant_pair, node_gap_batch, piecewise_k
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import random_angular_pair as criterion_6_pair
@@ -41,7 +41,6 @@ from beltbound.reduction import (
     normalize_matrix,
 )
 from beltbound.sharp_family import build_family
-from beltbound.stretching import KProfile, k_from_munu
 
 # frozen: d = (4/pi) arctan M^{-1/2}
 D_M2 = 0.7836531040612146
@@ -64,7 +63,7 @@ def random_angular_pair(rng, pieces=4, node_count=512):
 
 
 def test_trivial_pair_all_bounds_one():
-    pair = BeltramiPair.from_constant(0.0, 0.0)
+    pair = constant_pair(0.0, 0.0)
     report = beta_estimate(pair, CFG)
     assert report.bound == report.mu_zero == report.nu_zero == 1.0
     assert corollary_bound(pair, CFG) == 1.0
@@ -111,7 +110,7 @@ def test_nu_zero_matches_independent_quadrature():
 
 
 def test_nu_zero_rejects_nonzero_nu():
-    report = beta_estimate(BeltramiPair.from_constant(0.0, 0.2), CFG)
+    report = beta_estimate(constant_pair(0.0, 0.2), CFG)
     assert report.nu_zero is None and report.mu_zero == report.corollary
 
 
@@ -128,7 +127,7 @@ def test_nu_zero_accepts_callable_pair_with_large_mu():
 
 
 def test_mu_zero_constant_nu_is_one():
-    pair = BeltramiPair.from_constant(0.0, 0.35)
+    pair = constant_pair(0.0, 0.35)
     assert abs(beta_estimate(pair, CFG).mu_zero - 1.0) < 1e-12
 
 
@@ -140,12 +139,12 @@ def test_mu_zero_two_valued_nu_gives_arctan_value():
 
 
 def test_mu_zero_rejects_nonzero_mu():
-    report = beta_estimate(BeltramiPair.from_constant(0.2, 0.0), CFG)
+    report = beta_estimate(constant_pair(0.2, 0.0), CFG)
     assert report.mu_zero is None and report.nu_zero == report.corollary
 
 
 def test_classical_bound_value():
-    pair = BeltramiPair.from_constant(1.0 / 3.0, 0.0)
+    pair = constant_pair(1.0 / 3.0, 0.0)
     assert abs(classical_bound(pair) - 0.5) < 1e-14
 
 
@@ -182,7 +181,7 @@ def test_objective_equal_for_normalized_matrix():
     rng = np.random.default_rng(41)
     for _ in range(20):
         pair = random_angular_pair(rng)
-        m = CoefficientMatrixField.from_angular_k(k_from_munu(pair.mu0, pair.nu0))
+        m = CoefficientMatrixField.from_angular_k(pair.k)
         circle = CircleSpec(0.0, 0.6, resolution=512)
         data_a = node_gap_batch(m.on_circles((circle,)))
         data_h = node_gap_batch(normalize_matrix(m).on_circles((circle,)))
@@ -517,7 +516,7 @@ def test_complex_nu_rejected():
 def test_gamma_requires_symmetric_field():
     from beltbound.reduction import CoefficientMatrixField
 
-    m = CoefficientMatrixField.constant(2.0, 0.3, -0.3, 1.0)
+    m = constant_matrix(2.0, 0.3, -0.3, 1.0)
     with pytest.raises(ValueError):
         gamma_estimate(m, CFG)
 
@@ -539,11 +538,11 @@ def random_symmetric_field(kind, rng):
         pieces = int(rng.integers(2, 6))
         bks = np.concatenate([[0.0], np.sort(rng.uniform(0.4, TWO_PI - 0.4, pieces - 1))])
         k1, k2 = rng.uniform(0.3, 3.0, (2, pieces))
-        return CoefficientMatrixField.from_angular_k(KProfile.piecewise(bks, k1, k2, 128))
+        return CoefficientMatrixField.from_angular_k(piecewise_k(bks, k1, k2, 128))
     if kind == "constant":
         a11, a22 = rng.uniform(0.3, 3.0, 2)
         a12 = rng.uniform(-0.9, 0.9) * np.sqrt(a11 * a22)
-        return CoefficientMatrixField.constant(a11, a12, a12, a22)
+        return constant_matrix(a11, a12, a12, a22)
     c = rng.uniform(-0.3, 0.3, 5)
     return CoefficientMatrixField.from_callables(
         lambda z: (1.5 + c[0] * np.real(z), c[1] + c[2] * np.imag(z),

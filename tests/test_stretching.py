@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    differential_quantities,
+    discriminants,
+    distortion_from_k,
     field_from_callable,
+    gauss_rule,
+    munu_fields,
     reference_advance_extremum,
     reference_eval_system_solution,
     reference_monodromy,
     reference_phase_advance,
-    reference_sl_weak_residuals,
+    sl_weak_residuals,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,19 +34,13 @@ from beltbound.stretching import (
     _cells,
     _piece_propagator,
     _piece_rates,
-    differential_quantities,
-    discriminants,
-    distortion_from_k,
     eval_stretching,
     eval_system_solution,
     find_periodic_alpha,
     injectivity_check,
     k_from_munu,
     monodromy,
-    munu_from_k,
-    periodic_alpha_table,
     phase_advance,
-    sl_weak_residuals,
     solve_system,
 )
 
@@ -171,7 +170,7 @@ def test_k_munu_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(50):
         k = random_k(rng)
-        mu0, nu0 = munu_from_k(k)
+        mu0, nu0 = munu_fields(k)
         back = k_from_munu(mu0, nu0)
         assert np.max(np.abs(back.k1.values - k.k1.values)) < 1e-12
         assert np.max(np.abs(back.k2.values - k.k2.values)) < 1e-12
@@ -181,7 +180,7 @@ def test_k_munu_round_trip():
 
 def test_munu_from_k_identity_weights():
     k = KProfile.constant(1.0, 1.0, node_count=64)
-    mu0, nu0 = munu_from_k(k)
+    mu0, nu0 = munu_fields(k)
     assert np.max(np.abs(mu0.values)) == 0.0
     assert np.max(np.abs(nu0.values)) == 0.0
 
@@ -234,29 +233,31 @@ def test_find_periodic_alpha_constant_weights():
 
 def test_periodic_alpha_table_gap_edges():
     # k2 = 1/k1 on both half-circles: every instability interval is
-    # degenerate, one root per winding, as for constant weights
+    # degenerate, one root per winding, as for constant weights; branch n
+    # of find_periodic_alpha is entry n of the table (scipy_alpha_table)
     g = AngularGrid.with_breakpoints(128, [0.0, np.pi])
     k = KProfile(
         PeriodicField.piecewise(g, [1.0, 3.0]),
         PeriodicField.piecewise(g, [1.0, 1.0 / 3.0]),
     )
-    table = periodic_alpha_table(k, branches=3)
-    assert table[0]["winding"] == 1
-    alphas = [row["alpha"] for row in table]
+    table = scipy_alpha_table(k, 3)
+    assert [row["winding"] for row in table] == [1, 2, 3]
+    alphas = [find_periodic_alpha(k, n) for n in (1, 2, 3)]
+    assert alphas == [row["alpha"] for row in table]
     assert all(np.diff(alphas) > 0)
-    for row in table:
-        m = monodromy(k, row["alpha"])
-        assert abs(np.trace(m) - 2.0) < 1e-8
+    for alpha in alphas:
+        assert abs(np.trace(monodromy(k, alpha)) - 2.0) < 1e-8
     # a jump of k1 against k2 = 1 opens an interval at every winding: both
     # edges are roots, the left one first
     gap = KProfile(PeriodicField.piecewise(g, [1.0, 3.0]), PeriodicField.piecewise(g, [1.0, 1.0]))
-    table = periodic_alpha_table(gap, branches=4)
+    table = scipy_alpha_table(gap, 4)
     assert [row["edge"] for row in table] == ["left", "right", "left", "right"]
     assert [row["winding"] for row in table] == [1, 1, 2, 2]
     expected = (0.6874058946488585, 0.781261426523646, 1.400944239060873, 1.5262155669433353)
-    for row, alpha in zip(table, expected):
-        assert abs(row["alpha"] - alpha) < 1e-12
-        assert abs(np.trace(monodromy(gap, row["alpha"])) - 2.0) < 1e-8
+    for n, (row, alpha) in enumerate(zip(table, expected), 1):
+        got = find_periodic_alpha(gap, n)
+        assert got == row["alpha"] and abs(got - alpha) < 1e-12
+        assert abs(np.trace(monodromy(gap, got)) - 2.0) < 1e-8
 
 
 def test_solution_closes_at_periodic_alpha():
@@ -357,13 +358,17 @@ def test_sl_weak_residuals_smooth_converges():
        node_count=st.sampled_from([16, 64, 128]), alpha=st.floats(0.2, 2.0),
        component=st.sampled_from([1, 2]))
 def test_sl_weak_residuals_read_k_once(seed, piecewise, node_count, alpha, component):
-    # bitwise the residuals of the version that read k at the Gauss points a
-    # second time; the one read there is the solution's (smooth k is also
-    # read at the cell midpoints, _CELLS_PER_GAP a node gap, by _cells)
+    # the solution at the Gauss points of the weak residual reads k there
+    # once (smooth k is also read at the cell midpoints, _CELLS_PER_GAP a
+    # node gap, by _cells), and its derivatives are the system right-hand
+    # side with those weights, bit for bit: the weights that the residual's
+    # flux and load read at the same points are the solution's own
     rng = np.random.default_rng(seed)
     k = random_k(rng, node_count=node_count) if piecewise else trig_k(trig_coefficients(rng),
                                                                         node_count)
     s = solve_system(k, alpha)
+    n = s.grid.node_count
+    pts = (s.grid.nodes[:, None] + s.grid.spacings()[:, None] * gauss_rule(5)[0]).ravel()
     sizes, original = [], KProfile.eval_wrapped
 
     def counted(self, t):
@@ -372,11 +377,14 @@ def test_sl_weak_residuals_read_k_once(seed, piecewise, node_count, alpha, compo
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(KProfile, "eval_wrapped", counted)
-        res, rel = sl_weak_residuals(k, s, component=component)
-    n = s.grid.node_count
+        e1, e2, d1, d2 = eval_system_solution(k, alpha, (s.eta1.values[0], s.eta2.values[0]),
+                                              pts)
     assert sizes == ([] if piecewise else [stretching_module._CELLS_PER_GAP * n]) + [5 * n]
-    ref, ref_rel = reference_sl_weak_residuals(k, s, component=component)
-    assert res.tobytes() == ref.tobytes() and rel.hex() == ref_rel.hex()
+    k1, k2 = k.eval_wrapped(wrap_angle(pts))
+    assert d1.tobytes() == (-alpha / k2 * e2).tobytes()
+    assert d2.tobytes() == (alpha * k1 * e1).tobytes()
+    res, rel = sl_weak_residuals(k, s, component=component)
+    assert res.shape == (n - 1,) and np.isfinite(res).all() and np.isfinite(rel)
 
 
 def test_kprofile_validation():
@@ -425,7 +433,10 @@ def scipy_edge_root(k, cells, winding, want_max):
 
 
 def scipy_alpha_table(k, branches):
-    """periodic_alpha_table on scipy_edge_root."""
+    """The first branches exponents with a 2pi-periodic solution, smallest
+    first, as dicts {alpha, winding, edge}: each winding number contributes
+    the two edges of its instability interval ("left", "right"), one
+    ("degenerate") where they coincide, each edge from scipy_edge_root."""
     cells = _cells(k)
     table = []
     w = 0
@@ -524,11 +535,6 @@ def reference_profiles():
     return profiles
 
 
-def test_alpha_table_bitwise_equal_to_scipy_search():
-    for k in reference_profiles():
-        assert periodic_alpha_table(k, 3) == scipy_alpha_table(k, 3)
-
-
 def test_edges_share_propagations(monkeypatch):
     # a maps-style smooth profile: both edges reuse the shared bracket ends,
     # and no end is propagated twice
@@ -562,12 +568,12 @@ def counting(monkeypatch, name):
 
 
 def test_branch_search_is_table_entry():
-    # branch n is entry n of the table, bitwise, however few edges it solves
+    # branch n is entry n of the table of the scipy search, bitwise, however
+    # few edges it solves
     for k in reference_profiles():
         ref = scipy_alpha_table(k, 3)
         for n in (1, 2, 3):
-            alpha = find_periodic_alpha(k, n)
-            assert alpha == periodic_alpha_table(k, n)[n - 1]["alpha"] == ref[n - 1]["alpha"]
+            assert find_periodic_alpha(k, n) == ref[n - 1]["alpha"]
         if np.ptp(k.k1.values) == 0.0 and np.ptp(k.k2.values) == 0.0:
             assert ref[1]["winding"] == 2 and ref[1]["edge"] == "degenerate"
 
@@ -579,7 +585,7 @@ def test_branch_search_solves_only_the_edges_it_needs(monkeypatch):
     g = AngularGrid.with_breakpoints(128, [0.0, np.pi])
     gap = KProfile(PeriodicField.piecewise(g, [1.0, 3.0]), PeriodicField.piecewise(g, [1.0, 1.0]))
     constant = KProfile.constant(2.0, 0.5)
-    assert [row["edge"] for row in periodic_alpha_table(gap, 2)] == ["left", "right"]
+    assert [row["edge"] for row in scipy_alpha_table(gap, 2)] == ["left", "right"]
     calls = counting(monkeypatch, "_brent")
     for k, branch, brents in ((gap, 1, 1), (constant, 1, 1), (gap, 2, 2), (constant, 2, 3)):
         calls.clear()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import identity_matrix, reference_weak_blocks
+from helpers import constant_pair, identity_matrix, piecewise_k, reference_weak_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,7 @@ from beltbound.verify import (
 
 
 def test_identity_map_zero_residual():
-    pair = BeltramiPair.from_constant(0.0, 0.0)
+    pair = constant_pair(0.0, 0.0)
     rep = beltrami_residual(AngularStretching.radial(1.0, 512), pair)
     assert rep.max_residual < 1e-12
 
@@ -539,8 +539,8 @@ def block_walks(draw):
                              node_count=nodes, breakpoints=bks)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pieces = len(grid.angles.breakpoints)
-    k = KProfile.piecewise(grid.angles.breakpoints, rng.uniform(0.3, 3.0, pieces),
-                           rng.uniform(0.3, 3.0, pieces), 64)
+    k = piecewise_k(grid.angles.breakpoints, rng.uniform(0.3, 3.0, pieces),
+                    rng.uniform(0.3, 3.0, pieces), 64)
     a = CoefficientMatrixField.from_angular_k(k)
     if draw(st.booleans()):  # the same matrix read pointwise, times a radial factor
         a = CoefficientMatrixField.from_callables(
@@ -861,7 +861,7 @@ def test_weak_vector_scale_free_for_angular_fields(r_min, nr, na, lam, seed, smo
         k = KProfile(PeriodicField(grid, np.exp(0.3 * log_k[0])),
                      PeriodicField(grid, np.exp(0.3 * log_k[1])))
     else:
-        k = KProfile.piecewise(bks, rng.uniform(0.3, 3.0, 4), rng.uniform(0.3, 3.0, 4), 64)
+        k = piecewise_k(bks, rng.uniform(0.3, 3.0, 4), rng.uniform(0.3, 3.0, 4), 64)
     a = CoefficientMatrixField.from_angular_k(k)
     base = PolarGrid.annulus(r_min=r_min, r_max=1.0, radius_count=nr, node_count=4 * na,
                              breakpoints=bks)
