@@ -535,6 +535,25 @@ def reference_profiles():
     return profiles
 
 
+def search_alpha_table(k, branches):
+    """scipy_alpha_table's layout from the search's own per-winding edges
+    (_edge_roots): one root is "degenerate", two are "left" and "right"."""
+    cells = _cells(k)
+    table = []
+    w = 0
+    while len(table) < branches:
+        w += 1
+        roots = list(stretching_module._edge_roots(k, cells, w))
+        edges = ["degenerate"] if len(roots) == 1 else ["left", "right"]
+        table += [{"alpha": a, "winding": w, "edge": e} for a, e in zip(roots, edges)]
+    return table[:branches]
+
+
+def test_alpha_table_bitwise_equal_to_scipy_search():
+    for k in reference_profiles():
+        assert search_alpha_table(k, 3) == scipy_alpha_table(k, 3)
+
+
 def test_edges_share_propagations(monkeypatch):
     # a maps-style smooth profile: both edges reuse the shared bracket ends,
     # and no end is propagated twice
