@@ -1,9 +1,12 @@
 """Command line front end.
 
-Four commands share one flag set: estimate (run the circle sweep and report
-every applicable bound), sharp (emit the piecewise family and its checks),
-verify (residuals and the measured exponent, with tolerances), and sweep
-(bounds over a parameter grid, one CSV row per point).
+Four commands: estimate (run the circle sweep and report every applicable
+bound), sharp (emit the piecewise family and its checks), verify (residuals
+and the measured exponent, with tolerances), and sweep (bounds over a
+parameter grid, one CSV row per point).  Each reads the fields of its row of
+_COMMAND_FIELDS besides the common ones, and a field given to a command that
+does not read it is refused.  A command's payload holds plain JSON values
+only, written as json.dumps(payload, indent=2) writes them.
 
 Exit codes: 0 success, 2 bad specification, 3 ellipticity violation,
 4 verification failure.
@@ -42,6 +45,17 @@ _SWEEP_COLUMNS = ("M", "tau", "c", "d", "alpha_target", "beta", "beta_rel_gap", 
                   "status")
 
 
+# the fields each command reads besides _COMMON_FIELDS; build_spec refuses
+# any other field it is given
+_COMMON_FIELDS = ("command", "nodes", "out", "format")
+_COMMAND_FIELDS = {
+    "estimate": ("M", "tau", "alpha", "coeff_file", "circles", "radii", "weight_pieces"),
+    "sharp": ("M", "tau", "tolerance"),
+    "verify": ("M", "tau", "alpha", "tolerance", "corrupt_mu"),
+    "sweep": ("M", "tau"),
+}
+
+
 class SpecError(ValueError):
     """Invalid job description (bad flags, config, or coefficient file)."""
 
@@ -63,19 +77,13 @@ class JobSpec:
     corrupt_mu: bool = False
 
     def __post_init__(self):
-        if self.command not in ("estimate", "sharp", "verify", "sweep"):
+        if self.command not in _COMMAND_FIELDS:
             raise SpecError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise SpecError(f"format must be json or csv, got {self.format!r}")
         if int(self.weight_pieces) < 1:
             raise SpecError(
                 f"weight-pieces must be a positive integer, got {self.weight_pieces}")
-        # only estimate sweeps circles of its choosing; the others would
-        # ignore them
-        if self.command != "estimate":
-            for key in ("circles", "radii"):
-                if getattr(self, key) is not None:
-                    raise SpecError(f"{key} applies to estimate only, not to {self.command}")
         # the library limits: a circle needs 16 nodes, a grid 4 per breakpoint.
         # Every source here is piecewise, so weight arcs reach only the
         # off-centre circles of estimate --circles
@@ -105,7 +113,7 @@ class JobSpec:
         sources = [self.M is not None or self.tau is not None,
                    self.alpha is not None,
                    self.coeff_file is not None]
-        if self.command != "sweep" and sum(sources) > 1:
+        if sum(sources) > 1:
             raise SpecError("give exactly one coefficient source: "
                             "--M/--tau, --alpha, or --coeff-file")
 
@@ -157,7 +165,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, help="angular resolution")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--tolerance", type=float, help="residual tolerance for verify")
+    p.add_argument("--tolerance", type=float, help="equation residual tolerance (sharp, verify)")
     p.add_argument("--corrupt-mu", action="store_true", default=None,
                    help="negative control: flip the sign of mu before verifying "
                    "(no effect when mu vanishes identically)")
@@ -180,8 +188,16 @@ def build_spec(argv) -> JobSpec:
             fields[key] = v
     if "command" not in fields:
         raise SpecError("no command given (use --command or a config file)")
+    unknown = set(fields) - set(JobSpec.__dataclass_fields__)
+    if unknown:
+        raise SpecError(f"unknown config fields: {sorted(unknown)}")
+    command = fields["command"]
+    for key in fields if command in _COMMAND_FIELDS else ():  # JobSpec refuses a bad command
+        if key not in _COMMON_FIELDS and key not in _COMMAND_FIELDS[command]:
+            readers = ", ".join(c for c, row in _COMMAND_FIELDS.items() if key in row)
+            raise SpecError(f"{key} applies to {readers} only, not to {command}")
     for key in ("M", "tau", "radii"):
-        if key in fields and fields[key] is not None:
+        if key in fields:
             v = fields[key]
             if isinstance(v, str):
                 fields[key] = _float_list(v)
@@ -191,9 +207,6 @@ def build_spec(argv) -> JobSpec:
                 fields[key] = tuple(float(x) for x in v)
             else:
                 raise SpecError(f"{key} must be a number or a list of numbers, got {v!r}")
-    unknown = set(fields) - set(JobSpec.__dataclass_fields__)
-    if unknown:
-        raise SpecError(f"unknown config fields: {sorted(unknown)}")
     return JobSpec(**fields)
 
 
@@ -278,75 +291,47 @@ def _sweep_config(spec: JobSpec) -> SweepConfig:
 _JSON_STR = json.encoder.encode_basestring_ascii
 
 
-def _json_float(v, nl: str, out: list) -> None:
-    if -math.inf < v < math.inf:  # finite: comparisons, not a call per float
-        out.append(float.__repr__(v))
-    else:
-        out.append("NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
-
-
-def _json_dict(obj, nl: str, out: list) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner, sep = nl + "  ", "{"
-    for key, v in obj.items():
-        out += (sep, inner, _JSON_STR(key), ": ")
-        _JSON_WRITERS.get(type(v), _json_other)(v, inner, out)
-        sep = ","
-    out.append(nl + "}")
-
-
-def _json_list(obj, nl: str, out: list) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    inner, sep = nl + "  ", "["
-    for v in obj:
-        out += (sep, inner)
-        _JSON_WRITERS.get(type(v), _json_other)(v, inner, out)
-        sep = ","
-    out.append(nl + "]")
-
-
-# the writer of each Python type that JSON holds, by exact type
-_JSON_WRITERS = {
-    float: _json_float,
-    str: lambda obj, nl, out: out.append(_JSON_STR(obj)),
-    type(None): lambda obj, nl, out: out.append("null"),
-    bool: lambda obj, nl, out: out.append("true" if obj else "false"),
-    int: lambda obj, nl, out: out.append(int.__repr__(obj)),
-    dict: _json_dict,
-    list: _json_list,
-    tuple: _json_list,
-    complex: lambda obj, nl, out: _json_list((obj.real, obj.imag), nl, out),
-}
-
-
-def _json_other(obj, nl: str, out: list) -> None:
-    """The writer of a type outside _JSON_WRITERS, found by isinstance: a
-    subclass (np.float64 is a float, np.complex128 a complex) takes its
-    base's writer, a numpy array its tolist() and a numpy scalar its item()."""
-    for base in (float, str, int, dict, list, tuple, complex):
-        if isinstance(obj, base):
-            _JSON_WRITERS[base](obj, nl, out)
-            return
-    if isinstance(obj, np.ndarray):
-        _json_parts(obj.tolist(), nl, out)
-    elif isinstance(obj, (np.floating, np.integer, np.bool_)):
-        _json_parts(obj.item(), nl, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _json_parts(obj, nl: str, out: list) -> None:
     """Append to out the text of obj as json.dumps(..., indent=2) writes it,
-    nl being a newline and the indent of obj's line.  Complex numbers are
-    written as [re, im], arrays as their tolist() and numpy scalars as
-    Python ones; dict keys must be strings.  Each value's writer is looked
-    up by its exact type in _JSON_WRITERS, and only a type outside that
-    table goes through isinstance tests (_json_other)."""
-    _JSON_WRITERS.get(type(obj), _json_other)(obj, nl, out)
+    nl being a newline and the indent of obj's line.  obj holds plain JSON
+    values only (dict with string keys, list, str, int, float, bool, None),
+    each taken by its exact type; any other type is refused."""
+    t = type(obj)
+    if t is float:
+        if -math.inf < obj < math.inf:  # finite: comparisons, not a call per float
+            out.append(float.__repr__(obj))
+        else:
+            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif t is str:
+        out.append(_JSON_STR(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for key, v in obj.items():
+            out += (sep, inner, _JSON_STR(key), ": ")
+            _json_parts(v, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif t is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for v in obj:
+            out += (sep, inner)
+            _json_parts(v, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _json_text(payload) -> str:
@@ -357,15 +342,11 @@ def _json_text(payload) -> str:
 
 
 def _flatten(payload, prefix=""):
-    if isinstance(payload, np.ndarray):
-        payload = payload.tolist()
-    if isinstance(payload, complex):
-        payload = (payload.real, payload.imag)
     rows = []
     if isinstance(payload, dict):
         for k, v in payload.items():
-            rows.extend(_flatten(v, f"{prefix}{k}." if prefix else f"{k}."))
-    elif isinstance(payload, (list, tuple)):
+            rows.extend(_flatten(v, f"{prefix}{k}."))
+    elif isinstance(payload, list):
         for i, v in enumerate(payload):
             rows.extend(_flatten(v, f"{prefix}{i}."))
     else:
@@ -374,13 +355,7 @@ def _flatten(payload, prefix=""):
 
 
 def _format_value(v):
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        v = v.item()
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    return format(v, ".17e")
+    return format(v, ".17e") if type(v) is float else str(v)
 
 
 def _emit(payload, spec: JobSpec) -> None:
@@ -389,32 +364,35 @@ def _emit(payload, spec: JobSpec) -> None:
     row per sweep point or one key/value row per leaf of the payload."""
     if spec.format == "json":
         text = _json_text(payload) + "\n"
-    elif isinstance(payload, list):  # sweep rows; a failed point leaves its numbers empty
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_SWEEP_COLUMNS)
-        for row in payload:
-            w.writerow([_format_value(row[k]) if k in row else "" for k in _SWEEP_COLUMNS])
-        text = buf.getvalue()
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["key", "value"])
-        for key, v in _flatten(payload):
-            w.writerow([key, _format_value(v)])
+        if isinstance(payload, list):  # sweep rows; a failed point leaves its numbers empty
+            w.writerow(_SWEEP_COLUMNS)
+            for row in payload:
+                w.writerow([_format_value(row[k]) if k in row else "" for k in _SWEEP_COLUMNS])
+        else:
+            w.writerow(["key", "value"])
+            for key, v in _flatten(payload):
+                w.writerow([key, _format_value(v)])
         text = buf.getvalue()
     if spec.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(spec.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise SpecError(f"cannot write {spec.out}: {exc}") from exc
 
 
 def _circle_payload(c: CircleSpec) -> dict:
-    return {"center": c.center, "radius": c.radius, "resolution": c.resolution}
+    return {"center": [c.center.real, c.center.imag], "radius": c.radius,
+            "resolution": c.resolution}
 
 
-_CIRCLE_KEYS = ("center", "radius", "value", "family", "evaluations", "solver_status",
+# the per-circle fields of a report after its center
+_CIRCLE_KEYS = ("radius", "value", "family", "evaluations", "solver_status",
                 "optimality_residual", "nodes", "arcs")
 
 
@@ -432,7 +410,8 @@ def _report_payload(report) -> dict:
             "psi_range": [float(lo_psi), float(hi_psi)],
         },
         "circle_count": len(report.per_circle),
-        "per_circle": [{key: rec[key] for key in _CIRCLE_KEYS} for rec in report.per_circle],
+        "per_circle": [{"center": [rec["center"].real, rec["center"].imag],
+                        **{key: rec[key] for key in _CIRCLE_KEYS}} for rec in report.per_circle],
     }
 
 
@@ -482,8 +461,7 @@ def cmd_sharp(spec: JobSpec) -> int:
     fam = build_family(m, t, node_count=spec.nodes)
     pair = fam.pair()
     residual = beltrami_residual(fam.stretch, pair)
-    cfg = SweepConfig.origin(resolution=spec.nodes, weight_pieces=spec.weight_pieces)
-    beta = beta_estimate(pair, cfg).bound
+    beta = beta_estimate(pair, _sweep_config(spec)).bound
     step = max(1, fam.grid.node_count // 256)
     sl = slice(None, None, step)
     payload = {
@@ -507,9 +485,9 @@ def cmd_sharp(spec: JobSpec) -> int:
             "nu0_vanishes": _vanishes(fam.nu0),
         },
         "samples": {
-            "angle": fam.grid.nodes[sl],
-            "theta1": fam.stretch.eta1.values[sl],
-            "theta2": fam.stretch.eta2.values[sl],
+            "angle": fam.grid.nodes[sl].tolist(),
+            "theta1": fam.stretch.eta1.values[sl].tolist(),
+            "theta2": fam.stretch.eta2.values[sl].tolist(),
         },
     }
     _emit(payload, spec)
@@ -518,8 +496,6 @@ def cmd_sharp(spec: JobSpec) -> int:
 
 def cmd_verify(spec: JobSpec) -> int:
     src = spec.source()
-    if src == "coeff-file":
-        raise SpecError("verify needs a constructed map: use --alpha or --M/--tau")
     if src == "radial":
         stretch = AngularStretching.radial(spec.alpha, node_count=spec.nodes)
         pair = BeltramiPair.radial_stretch(spec.alpha, node_count=spec.nodes)
@@ -585,9 +561,7 @@ def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
         c, d = cd_params(m, t)
         fam = build_family(m, t, node_count=spec.nodes)
         pair = fam.pair()
-        cfg = SweepConfig.origin(resolution=spec.nodes,
-                                 weight_pieces=spec.weight_pieces)
-        report = beta_estimate(pair, cfg)
+        report = beta_estimate(pair, _sweep_config(spec))
         beta, coro = report.bound, report.corollary
         classical = classical_bound(pair)
         row.update(

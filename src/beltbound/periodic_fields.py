@@ -115,13 +115,10 @@ class AngularGrid:
         """Node-to-node gaps, cyclically closed."""
         return np.diff(np.concatenate([self.nodes, [self.nodes[0] + TWO_PI]]))
 
-    def segment_of(self, theta) -> np.ndarray:
-        """Index of the breakpoint segment containing each angle."""
-        return self.segment_of_wrapped(wrap_angle(np.asarray(theta, dtype=float)))
-
     def segment_of_wrapped(self, t) -> np.ndarray:
-        """segment_of for angles already wrapped by wrap_angle; 2pi, which
-        np.mod returns for angles just below 0, lies in segment 0."""
+        """Index of the breakpoint segment containing each angle, for angles
+        already wrapped by wrap_angle; 2pi, which np.mod returns for angles
+        just below 0, lies in segment 0."""
         seg = np.maximum(np.searchsorted(self.breakpoints, t + _MERGE_TOL, side="right") - 1, 0)
         return np.where(t == TWO_PI, 0, seg)
 

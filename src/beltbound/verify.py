@@ -150,7 +150,7 @@ def beltrami_residual(f, pair: BeltramiPair, grid: PolarGrid | None = None) -> R
     elif callable(f):
         if pair.is_angular:
             counts = np.bincount(
-                pair.k.grid.segment_of(grid.angles.nodes),
+                pair.k.grid.segment_of_wrapped(grid.angles.nodes),  # nodes lie in [0, 2pi)
                 minlength=pair.k.grid.breakpoints.size,
             )
             if np.min(counts) < 3:

@@ -1,6 +1,5 @@
 """Constructors, reductions, oracles and references that only the tests need."""
 
-import json
 import math
 import warnings
 
@@ -166,25 +165,16 @@ def distortion_from_k(k, eta1, eta2):
     return ((1.0 + k1**2) * e1s + (1.0 + k2**2) * e2s + root) / (2.0 * (k1 * e1s + k2 * e2s))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
-def reference_json(payload) -> str:
-    """The CLI's JSON text as it was written before the one-pass writer: a
-    plain-Python copy of the payload (complex as [re, im], arrays through
-    tolist, numpy scalars through item), then json.dumps(indent=2)."""
-    return json.dumps(_jsonable(payload), indent=2)
+def non_json_types(obj) -> set:
+    """The types in obj, at any depth, that are not exactly a JSON type
+    (dict with string keys, list, str, int, float, bool, None)."""
+    t = type(obj)
+    if t is dict:
+        return set().union({type(k) for k in obj if type(k) is not str},
+                           *map(non_json_types, obj.values()))
+    if t is list:
+        return set().union(*map(non_json_types, obj))
+    return set() if t in (str, int, float, bool, type(None)) else {t}
 
 
 def node_gap_batch(on):

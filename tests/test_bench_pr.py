@@ -29,13 +29,15 @@ def test_digest_reads_the_out_file(tmp_path, monkeypatch):
     # the sweep writes nothing to stdout: its digest is the file's, which
     # holds what it would print without --out
     monkeypatch.chdir(tmp_path)
-    sweep = ["--command", "sweep", "--M", "2", "--format", "csv", "--out", "scan.csv"] + FAST
+    # (sweep reads no --weight-pieces)
+    sweep = ["--command", "sweep", "--M", "2", "--format", "csv", "--out", "scan.csv",
+             "--nodes", "64"]
     codes, _, digests = zip(*(bench_pr.run_captured(run, sweep + extra)
                               for extra in ([], [], ["--tau", "1"])))
     assert codes == (0, 0, 0) and not os.path.exists("scan.csv")
     assert digests[0] == digests[1] != digests[2]
     assert digests[0] == bench_pr.run_captured(run, ["--command", "sweep", "--M", "2",
-                                                     "--format", "csv"] + FAST)[2]
+                                                     "--format", "csv", "--nodes", "64"])[2]
 
 
 def test_readme_times_are_also_in_reference_units(monkeypatch):

@@ -18,6 +18,8 @@ import shlex
 import sys
 import types
 
+from helpers import non_json_types
+
 import beltbound
 from beltbound import cli
 
@@ -42,9 +44,6 @@ ALLOWED = {
                                                       "angular ones",
     "verify:_fd_derivatives": "paper API: beltrami_residual's finite-difference branch, a "
                               "check of a map that does not read its closed form",
-    "periodic_fields:AngularGrid.segment_of": "paper API: beltrami_residual's "
-                                              "finite-difference branch counts nodes per arc "
-                                              "with it",
 }
 
 
@@ -146,3 +145,21 @@ def test_every_src_function_runs_under_the_program_traffic(tmp_path, monkeypatch
     # one that the traffic now reaches needs no reason any more
     assert unreached == set(ALLOWED), {"unreached, not allowed": sorted(unreached - set(ALLOWED)),
                                        "allowed, but reached": sorted(set(ALLOWED) - unreached)}
+
+
+def test_every_traffic_payload_is_plain_json(tmp_path, monkeypatch):
+    # the writer takes exact JSON types only, and writes them as the stdlib
+    # does; every payload of the traffic is one of the kind
+    monkeypatch.chdir(tmp_path)
+    payloads, emit = [], cli._emit
+
+    def recorded(payload, spec):
+        payloads.append(payload)
+        emit(payload, spec)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    run_traffic(str(tmp_path))
+    assert len(payloads) == 8  # seven commands and the lattice-cli input
+    for payload in payloads:
+        assert non_json_types(payload) == set()
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
