@@ -4,7 +4,8 @@
 
 Run from anywhere inside a source checkout.  The record holds:
 
-- ``src_lines``: the line count of ``src/``;
+- ``src_lines``: the line count of ``src/``, and ``module_lines`` that of
+  each of its modules;
 - ``tier1``: wall time and outcome of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src/`` on
   the path);
@@ -114,14 +115,16 @@ README_REPEATS = 5
 SEED = 7
 
 
-def src_lines():
-    total = 0
+def module_lines():
+    """{path under src/: line count} of each Python module."""
+    lines = {}
     for dirpath, _, files in os.walk(SRC):
         for name in files:
             if name.endswith(".py"):
-                with open(os.path.join(dirpath, name)) as fh:
-                    total += sum(1 for _ in fh)
-    return total
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    lines[os.path.relpath(path, SRC)] = sum(1 for _ in fh)
+    return lines
 
 
 def tier1():
@@ -362,7 +365,8 @@ def main(argv=None):
     # Linux carries a process's peak RSS across fork and exec, so the
     # benchmark subprocesses run before this process imports the library:
     # otherwise their peak_rss_mb would report this process's peak
-    record = {"src_lines": src_lines(), "workloads": {}}
+    lines = module_lines()
+    record = {"src_lines": sum(lines.values()), "module_lines": lines, "workloads": {}}
     for w in spec["workloads"]:
         name = w["name"]
         record["workloads"][name] = {

@@ -3,9 +3,11 @@
 Four commands: estimate (run the circle sweep and report every applicable
 bound), sharp (emit the piecewise family and its checks), verify (residuals
 and the measured exponent, with tolerances), and sweep (bounds over a
-parameter grid, one CSV row per point).  Each reads the fields of its row of
-_COMMAND_FIELDS besides the common ones, and a field given to a command that
-does not read it is refused.  A command's payload holds plain JSON values
+parameter grid, one CSV row per point).  _COMMANDS names each command's
+handler and _FIELDS each job field, with its type, the commands that read
+it and its flag's help; the parser, the config check and the refusal of a
+field given to a command that does not read it all read these two tables.
+Flags are spelled in full.  A command's payload holds plain JSON values
 only, written as json.dumps(payload, indent=2) writes them.
 
 Exit codes: 0 success, 2 bad specification, 3 ellipticity violation,
@@ -28,7 +30,7 @@ import numpy as np
 from .estimator import SweepConfig, beta_estimate, classical_bound
 from .periodic_fields import CircleSpec
 from .reduction import BeltramiPair, EllipticityError, beltrami_to_matrices
-from .sharp_family import build_family, build_maps, cd_params
+from .sharp_family import build_family, build_maps
 from .stretching import AngularStretching
 from .verify import PolarGrid, beltrami_residual, empirical_holder, weak_form_residual
 
@@ -45,14 +47,23 @@ _SWEEP_COLUMNS = ("M", "tau", "c", "d", "alpha_target", "beta", "beta_rel_gap", 
                   "status")
 
 
-# the fields each command reads besides _COMMON_FIELDS; build_spec refuses
-# any other field it is given
-_COMMON_FIELDS = ("command", "nodes", "out", "format")
-_COMMAND_FIELDS = {
-    "estimate": ("M", "tau", "alpha", "coeff_file", "circles", "radii", "weight_pieces"),
-    "sharp": ("M", "tau", "tolerance"),
-    "verify": ("M", "tau", "alpha", "tolerance", "corrupt_mu"),
-    "sweep": ("M", "tau"),
+# each job field: the type of its value (tuple: a number or a list of
+# numbers, by flag a comma list), the commands that read it (None: every
+# command) and the help of its flag, --name with "_" written "-"
+_FIELDS = {
+    "command": (str, None, "one of {commands}"),
+    "M": (tuple, None, "distortion parameter, or comma list for sweeps"),
+    "tau": (tuple, None, "interpolation parameter in [0,1], or comma list"),
+    "alpha": (float, ("estimate", "verify"), "radial stretch exponent in (0,1]"),
+    "coeff_file": (str, ("estimate",), "JSON with breakpoints/mu0/nu0 piece lists"),
+    "circles": (int, ("estimate",), "radius count for the circle lattice"),
+    "weight_pieces": (int, ("estimate",), "arcs per weight function"),
+    "nodes": (int, None, "angular resolution"),
+    "out": (str, None, "output path (default stdout)"),
+    "format": (str, None, "json or csv"),
+    "tolerance": (float, ("sharp", "verify"), "equation residual tolerance"),
+    "corrupt_mu": (bool, ("verify",), "negative control: flip the sign of mu before "
+                   "verifying (no effect when mu vanishes identically)"),
 }
 
 
@@ -68,7 +79,6 @@ class JobSpec:
     alpha: float | None = None
     coeff_file: str | None = None
     circles: int | None = None
-    radii: tuple | None = None
     weight_pieces: int = 16
     nodes: int = 1024
     out: str | None = None
@@ -77,7 +87,7 @@ class JobSpec:
     corrupt_mu: bool = False
 
     def __post_init__(self):
-        if self.command not in _COMMAND_FIELDS:
+        if self.command not in _COMMANDS:
             raise SpecError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv"):
             raise SpecError(f"format must be json or csv, got {self.format!r}")
@@ -94,9 +104,6 @@ class JobSpec:
                             f"= {4 * self.weight_pieces}, got {self.nodes}")
         if self.circles is not None and int(self.circles) < 1:
             raise SpecError(f"circles must be a positive integer, got {self.circles}")
-        for r in self.radii or ():
-            if not 0.0 < r < math.inf:
-                raise SpecError(f"circle radii must be positive and finite, got {r}")
         if not 0.0 < self.tolerance < math.inf:
             raise SpecError(f"tolerance must be positive and finite, got {self.tolerance}")
         # M/tau ranges are checked per use: sweeps report bad grid points
@@ -139,41 +146,36 @@ class JobSpec:
 # spec assembly
 
 
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise SpecError(f"bad numeric list {text!r}") from exc
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # a bad flag value raises ArgumentError and an unknown or abbreviated
+    # flag is left over, so that build_spec refuses each as a SpecError
     p = argparse.ArgumentParser(
         prog="beltbound",
         description="Exponent bounds and extremal mappings for planar "
         "first-order elliptic systems with angular coefficients.",
+        exit_on_error=False,
+        allow_abbrev=False,
     )
-    p.add_argument("--command", choices=["estimate", "sharp", "verify", "sweep"])
     p.add_argument("--config", help="JSON file with job fields; flags override")
-    p.add_argument("--M", help="distortion parameter, or comma list for sweeps")
-    p.add_argument("--tau", help="interpolation parameter in [0,1], or comma list")
-    p.add_argument("--alpha", type=float, help="radial stretch exponent in (0,1]")
-    p.add_argument("--coeff-file", help="JSON with breakpoints/mu0/nu0 piece lists")
-    p.add_argument("--circles", type=int, help="radius count for the circle lattice")
-    p.add_argument("--radii", help="comma list of origin-circle radii (overrides lattice)")
-    p.add_argument("--weight-pieces", type=int, help="arcs per weight function")
-    p.add_argument("--nodes", type=int, help="angular resolution")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=["json", "csv"])
-    p.add_argument("--tolerance", type=float, help="equation residual tolerance (sharp, verify)")
-    p.add_argument("--corrupt-mu", action="store_true", default=None,
-                   help="negative control: flip the sign of mu before verifying "
-                   "(no effect when mu vanishes identically)")
+    for name, (kind, readers, text) in _FIELDS.items():
+        flag, text = "--" + name.replace("_", "-"), text.format(commands=", ".join(_COMMANDS))
+        if readers is not None:
+            text += f" ({', '.join(readers)})"
+        if kind is bool:
+            p.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            p.add_argument(flag, type=kind if kind in (int, float) else None, help=text)
     return p
 
 
 def build_spec(argv) -> JobSpec:
-    args = _parser().parse_args(argv)
+    try:
+        args, extra = _parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise SpecError(str(exc)) from exc
+    if extra:
+        raise SpecError(f"unrecognized arguments: {' '.join(extra)}")
 
     fields: dict = {}
     if args.config is not None:
@@ -182,59 +184,53 @@ def build_spec(argv) -> JobSpec:
                 fields.update(_config_fields(json.load(fh)))
         except (OSError, ValueError) as exc:  # unreadable, not JSON, not UTF-8
             raise SpecError(f"cannot read config {args.config}: {exc}") from exc
-    for key in JobSpec.__dataclass_fields__:
+    for key in _FIELDS:
         v = getattr(args, key)
         if v is not None:
             fields[key] = v
     if "command" not in fields:
         raise SpecError("no command given (use --command or a config file)")
-    unknown = set(fields) - set(JobSpec.__dataclass_fields__)
+    unknown = set(fields) - set(_FIELDS)
     if unknown:
         raise SpecError(f"unknown config fields: {sorted(unknown)}")
     command = fields["command"]
-    for key in fields if command in _COMMAND_FIELDS else ():  # JobSpec refuses a bad command
-        if key not in _COMMON_FIELDS and key not in _COMMAND_FIELDS[command]:
-            readers = ", ".join(c for c, row in _COMMAND_FIELDS.items() if key in row)
-            raise SpecError(f"{key} applies to {readers} only, not to {command}")
-    for key in ("M", "tau", "radii"):
-        if key in fields:
-            v = fields[key]
-            if isinstance(v, str):
-                fields[key] = _float_list(v)
-            elif isinstance(v, (int, float)) and not isinstance(v, bool):
-                fields[key] = (float(v),)
-            elif isinstance(v, list) and all(_is_number(x) for x in v):
-                fields[key] = tuple(float(x) for x in v)
-            else:
-                raise SpecError(f"{key} must be a number or a list of numbers, got {v!r}")
-    return JobSpec(**fields)
-
-
-# the JSON type of each config field: what its flag parses to
-_CONFIG_TYPES = {"command": str, "alpha": float, "coeff_file": str, "circles": int,
-                 "weight_pieces": int, "nodes": int, "out": str, "format": str,
-                 "tolerance": float, "corrupt_mu": bool}
+    for key in fields if command in _COMMANDS else ():  # JobSpec refuses a bad command
+        readers = _FIELDS[key][1]
+        if readers is not None and command not in readers:
+            raise SpecError(f"{key} applies to {', '.join(readers)} only, not to {command}")
+    return JobSpec(**{key: _numbers(key, v) if _FIELDS[key][0] is tuple else v
+                      for key, v in fields.items()})
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_json_type(v, kind) -> bool:
-    if kind is float:
-        return _is_number(v)
-    return isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+def _numbers(key: str, v) -> tuple:
+    """A list field's value: a comma list (by flag), a number or a list of numbers."""
+    if isinstance(v, str):
+        try:
+            return tuple(float(x) for x in v.split(",") if x.strip())
+        except ValueError as exc:
+            raise SpecError(f"bad numeric list {v!r}") from exc
+    if _is_number(v):
+        return (float(v),)
+    if isinstance(v, list) and all(_is_number(x) for x in v):
+        return tuple(float(x) for x in v)
+    raise SpecError(f"{key} must be a number or a list of numbers, got {v!r}")
 
 
 def _config_fields(doc) -> dict:
-    """The job fields of a config file; null means absent."""
+    """The job fields of a config file; null means absent.  A field's JSON
+    type is its flag's: a number for a float, exactly int, str or bool
+    otherwise; list fields are checked by _numbers."""
     if not isinstance(doc, dict):
         raise SpecError("a config file holds one JSON object of job fields")
     fields = {k: v for k, v in doc.items() if v is not None}
     for key, v in fields.items():
-        if key in _CONFIG_TYPES and not _is_json_type(v, _CONFIG_TYPES[key]):
-            raise SpecError(f"config field {key} must be a JSON "
-                            f"{_CONFIG_TYPES[key].__name__}, got {v!r}")
+        kind = _FIELDS[key][0] if key in _FIELDS else tuple  # build_spec refuses unknown keys
+        if kind is not tuple and not (_is_number(v) if kind is float else type(v) is kind):
+            raise SpecError(f"config field {key} must be a JSON {kind.__name__}, got {v!r}")
     return fields
 
 
@@ -274,14 +270,10 @@ def _build_pair(spec: JobSpec) -> BeltramiPair:
 
 
 def _sweep_config(spec: JobSpec) -> SweepConfig:
-    base = dict(weight_pieces=spec.weight_pieces)
-    if spec.radii is not None:
-        circles = tuple(CircleSpec(0.0, r, resolution=spec.nodes) for r in spec.radii)
-        return SweepConfig(circles=circles, **base)
     if spec.circles is not None:
-        return SweepConfig.disk_lattice(radius_count=spec.circles,
-                                        resolution=spec.nodes, **base)
-    return SweepConfig.origin(resolution=spec.nodes, **base)
+        return SweepConfig.disk_lattice(radius_count=spec.circles, resolution=spec.nodes,
+                                        weight_pieces=spec.weight_pieces)
+    return SweepConfig.origin(resolution=spec.nodes, weight_pieces=spec.weight_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +550,8 @@ def cmd_verify(spec: JobSpec) -> int:
 def _sweep_row(m: float, t: float, spec: JobSpec) -> dict:
     row = {"M": m, "tau": t}
     try:
-        c, d = cd_params(m, t)
         fam = build_family(m, t, node_count=spec.nodes)
+        c, d = fam.c, fam.d
         pair = fam.pair()
         report = beta_estimate(pair, _sweep_config(spec))
         beta, coro = report.bound, report.corollary
@@ -597,22 +589,17 @@ def cmd_sweep(spec: JobSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every command, by name, and its handler
+_COMMANDS = {"estimate": cmd_estimate, "sharp": cmd_sharp, "verify": cmd_verify,
+             "sweep": cmd_sweep}
+
+
 def run(argv=None) -> int:
     try:
         spec = build_spec(sys.argv[1:] if argv is None else argv)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SPEC
-    except SystemExit as exc:  # argparse rejects a flag value, or -h
-        return exc.code if isinstance(exc.code, int) else _EXIT_SPEC
-    handlers = {
-        "estimate": cmd_estimate,
-        "sharp": cmd_sharp,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-    }
-    try:
-        return handlers[spec.command](spec)
+        return _COMMANDS[spec.command](spec)
+    except SystemExit as exc:  # -h printed the help
+        return exc.code
     except EllipticityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ELLIPTICITY

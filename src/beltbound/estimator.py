@@ -370,16 +370,19 @@ def _solve_weights(data: _CircleBatch):
     v = np.minimum(np.maximum(v, lo), top)
     X = np.where(on[0], Lk[0], np.where(on[1], v * v / Lk[1], v * np.sqrt(s1[1] / s1[0])))
     Y = np.where(on[1], Lk[1], v * v / X)
-    f = np.where(lo <= top, (base + s1[0] * X + s1[1] * Y) / (8.0 * np.arctan(v)), np.inf)
+    F = (base + s1[0] * X + s1[1] * Y) / (8.0 * np.arctan(v))
+    f = np.where(lo <= top, F, np.inf)
     circle, best = rows[:, 0], f.argmin(axis=1)  # the first smallest F
-    f_best, xs, ys, v = f[circle, best], X[circle, best], Y[circle, best], v[circle, best]
+    # where no piece is feasible, the first starts past w0 by rounding only
+    # (the arc of max dmax also holds min dmin): F there, at v = w0, is finite
+    found = f[circle, best] < np.inf
+    f_best, xs, ys, v = F[circle, best], X[circle, best], Y[circle, best], v[circle, best]
     # the lines the window sits on: its piece's line or the next one
     pts, kb = np.array([xs, ys])[..., None], k[:, circle, best][..., None]
     near = L[side, rows, np.concatenate([kb, np.minimum(kb + 1, n - 1)], axis=-1)]
     sits = on[:, circle, best] | (np.abs(near - pts) <= _ON * pts).any(axis=-1)
     where = np.where(v >= w0 * (1.0 - _ON), "boundary", _STATUS[sits.sum(axis=0)])
     # the window's ends through libm pow, one circle at a time, like w0
-    found = f_best < np.inf
     M = np.where(found, [x**-2.0 for x in xs], dmax.max(axis=-1))
     m = np.where(found, [y**2 for y in ys], dmin.min(axis=-1))
     p = np.minimum(np.maximum(1.0, dmax / M[:, None]), dmin / m[:, None])

@@ -273,7 +273,10 @@ def _weak_blocks(sample, a: CoefficientMatrixField, grid: PolarGrid, start: int 
     """
     nr, na = grid.radii.size, grid.angles.node_count
     centroid, (gx, gy), (hx, hy) = _unit_ring(grid)
-    angular = _flux_factors(a, centroid, gx, gy) if a.k is not None else None
+    angular = None
+    if a.k is not None:
+        angular = _flux_factors(a, centroid, gx, gy)
+        del centroid, gx, gy  # only _flux_factors reads them
     hnorm = [np.hypot(x, y) for x, y in zip(hx, hy)]
     step = max(1, _BLOCK // na)
 

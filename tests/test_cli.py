@@ -151,8 +151,7 @@ def test_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("extra", [[], ["--radii", "0.2,0.7"], ["--circles", "1"]],
-                         ids=["origin", "radii", "lattice"])
+@pytest.mark.parametrize("extra", [[], ["--circles", "1"]], ids=["origin", "lattice"])
 def test_every_center_is_a_complex_pair(capsys, extra):
     # origin rows printed "center": 0.0, off-centre rows and the attaining
     # circle [re, im]
@@ -163,6 +162,17 @@ def test_every_center_is_a_complex_pair(capsys, extra):
     centers.append(report["attaining_circle"]["center"])
     assert code == 0
     assert all(isinstance(c, list) and len(c) == 2 for c in centers), centers
+
+
+def test_optimality_residual_is_finite_where_no_window_is_feasible(capsys):
+    # on the off-centre circles of this lattice, the arc of max dmax also
+    # holds min dmin, and rounding puts the first staircase piece's start
+    # past w0, so no piece was feasible: the residual was inf, and the JSON
+    # held Infinity
+    code, doc = run_json(capsys, ["--command", "estimate", "--M", "2", "--tau", "0.5",
+                                  "--circles", "1"] + FAST["estimate"])
+    residuals = [row["optimality_residual"] for row in doc["report"]["per_circle"]]
+    assert code == 0 and max(residuals) < 1e-12, residuals
 
 
 def test_large_lattice_sweep_memory(capsys):
@@ -344,7 +354,7 @@ def test_spec_errors_exit_two(capsys):
     "argv",
     [
         ["--command", "estimate", "--alpha", "0.5", "--nodes", "8"],
-        ["--command", "estimate", "--alpha", "0.5", "--radii", "inf"],
+        ["--command", "estimate", "--alpha", "0.5", "--circles", "0"],
         ["--command", "estimate", "--alpha", "0.5", "--nodes", "1024",
          "--weight-pieces", "600", "--circles", "1"],
         ["--command", "sharp", "--M", "1e300", "--tau", "0"],
@@ -382,72 +392,45 @@ def test_weight_pieces_past_the_node_limit_where_no_circle_takes_them(argv, caps
 
 
 @pytest.mark.parametrize("by", ["flag", "config"])
-@pytest.mark.parametrize("key, flag_value, config_value",
-                         [("circles", "3", 3), ("radii", "0.1,0.2", [0.1, 0.2])])
-@pytest.mark.parametrize("argv", [
-    ["--command", "sharp", "--M", "3", "--tau", "1"],
-    ["--command", "sweep", "--M", "2", "--tau", "0"],
-    ["--command", "verify", "--alpha", "0.5"],
-], ids=["sharp", "sweep", "verify"])
-def test_circle_fields_are_refused_where_no_sweep_reads_them(argv, key, flag_value,
-                                                             config_value, by, tmp_path, capsys):
-    # only estimate reads circles and radii; the other commands would print
-    # the bytes of a run without them
-    if by == "flag":
-        extra = ["--" + key, flag_value]
-    else:
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps({key: config_value}))
-        extra = ["--config", str(path)]
-    assert run(argv + ["--nodes", "64"] + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {key} applies to estimate only, not to {argv[1]}\n"
-
-
-@pytest.mark.parametrize("by", ["flag", "config"])
 def test_estimate_keeps_its_circle_fields(by, tmp_path, capsys):
-    fields = {"circles": ("1", 1), "radii": ("0.2,0.7", [0.2, 0.7])}
-    counts = []
-    for key, (flag_value, config_value) in fields.items():
-        if by == "flag":
-            extra = ["--" + key, flag_value]
-        else:
-            path = tmp_path / f"{key}.json"
-            path.write_text(json.dumps({key: config_value}))
-            extra = ["--config", str(path)]
-        code, doc = run_json(capsys, ["--command", "estimate", "--alpha", "0.5"]
-                             + FAST["estimate"] + extra)
-        assert code == 0
-        counts.append(doc["report"]["circle_count"])
-    assert counts == [len(SweepConfig.disk_lattice(radius_count=1).circles), 2]
+    if by == "flag":
+        extra = ["--circles", "1"]
+    else:
+        path = tmp_path / "circles.json"
+        path.write_text(json.dumps({"circles": 1}))
+        extra = ["--config", str(path)]
+    code, doc = run_json(capsys, ["--command", "estimate", "--alpha", "0.5"]
+                         + FAST["estimate"] + extra)
+    assert code == 0
+    assert doc["report"]["circle_count"] == len(SweepConfig.disk_lattice(radius_count=1).circles)
 
 
 # the fields each command reads besides command, nodes, out and format
 READS = {
-    "estimate": ("M", "tau", "alpha", "coeff_file", "circles", "radii", "weight_pieces"),
+    "estimate": ("M", "tau", "alpha", "coeff_file", "circles", "weight_pieces"),
     "sharp": ("M", "tau", "tolerance"),
     "verify": ("M", "tau", "alpha", "tolerance", "corrupt_mu"),
     "sweep": ("M", "tau"),
 }
-FIELDS = ("M", "tau", "alpha", "coeff_file", "circles", "radii", "weight_pieces", "tolerance",
-          "corrupt_mu")
+FIELDS = ("M", "tau", "alpha", "coeff_file", "circles", "weight_pieces", "tolerance", "corrupt_mu")
 # a run of each command that its fields are added to
 BASE = {"estimate": ["--alpha", "0.5"], "sharp": ["--M", "3", "--tau", "1"],
         "verify": ["--alpha", "0.5"], "sweep": ["--M", "2", "--tau", "0"]}
-# (flag value, config value) of each field that some command does not read
+# (flag value, config value) of each field that some command does not read;
+# radii, which set only the radius label of origin circles, no command reads
 OUTSIDE_VALUES = {"alpha": ("0.5", 0.5), "coeff_file": ("pair.json", "pair.json"),
-                  "circles": ("3", 3), "radii": ("0.1,0.2", [0.1, 0.2]),
-                  "weight_pieces": ("4", 4), "tolerance": ("1e-6", 1e-6),
-                  "corrupt_mu": (None, True)}
+                  "circles": ("3", 3), "weight_pieces": ("4", 4),
+                  "tolerance": ("1e-6", 1e-6), "corrupt_mu": (None, True),
+                  "radii": ("0.5", [0.5])}
 
 
 @pytest.mark.parametrize("by", ["flag", "config"])
-@pytest.mark.parametrize("command, field", [(c, f) for c in READS for f in FIELDS
+@pytest.mark.parametrize("command, field", [(c, f) for c in READS for f in (*FIELDS, "radii")
                                             if f not in READS[c]])
 def test_fields_outside_a_command_row_are_refused(command, field, by, tmp_path, capsys):
     # each of these was accepted and changed nothing, or was refused for
-    # another reason; now one line names the commands that read it
+    # another reason; now one line names the commands that read it, or, for
+    # a field no command reads, the unknown flag or config field
     flag_value, config_value = OUTSIDE_VALUES[field]
     if by == "flag":
         extra = ["--" + field.replace("_", "-")] + ([flag_value] if flag_value else [])
@@ -457,8 +440,11 @@ def test_fields_outside_a_command_row_are_refused(command, field, by, tmp_path, 
         extra = ["--config", str(path)]
     assert run(["--command", command] + BASE[command] + ["--nodes", "64"] + extra) == 2
     readers = ", ".join(c for c in READS if field in READS[c])
-    assert capsys.readouterr() == ("", f"error: {field} applies to {readers} only, "
-                                       f"not to {command}\n")
+    message = f"{field} applies to {readers} only, not to {command}"
+    if not readers:
+        message = (f"unrecognized arguments: {' '.join(extra)}" if by == "flag"
+                   else f"unknown config fields: {[field]}")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # per (command, field): a base run and two values of the field (None:
@@ -469,7 +455,6 @@ INSIDE_CASES = {
     ("estimate", "alpha"): ([], "0.5", "0.6"),
     ("estimate", "coeff_file"): ([], "good", "mu_zero"),
     ("estimate", "circles"): (["--alpha", "0.5"], None, "1"),
-    ("estimate", "radii"): (["--alpha", "0.5"], "0.5", "0.5,0.7"),
     ("estimate", "weight_pieces"): (["--M", "2", "--tau", "0.5", "--circles", "1"], "2", "4"),
     ("sharp", "M"): (["--tau", "1"], "2", "3"),
     ("sharp", "tau"): (["--M", "2"], "0", "1"),
@@ -559,12 +544,6 @@ def test_runtime_needs_no_scipy():
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_verify_rejects_coeff_file_source(tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"breakpoints": [0.0], "mu0": [0.2], "nu0": [0.0]}))
-    assert run(["--command", "verify", "--coeff-file", str(path)]) == 2
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -697,6 +676,24 @@ def test_build_spec_parses_lists_and_validates():
         JobSpec(command="estimate", M=(2.0,), tau=(0.0,), circles=0)
     with pytest.raises(SpecError):
         JobSpec(command="sharp", M=(2.0,), tau=(0.0, 1.0)).single_M_tau()
+    # one table names every job field, and the parser takes its flags from it
+    assert set(cli._FIELDS) == {f.name for f in dataclasses.fields(JobSpec)}
+
+
+@pytest.mark.parametrize("extra", [["--nodes", "x"], ["--nodes"], ["--bogus", "1"], ["--c", "1"],
+                                   ["--command", "bogus"], ["--format", "xml"]],
+                         ids=["bad-value", "no-value", "unknown", "abbreviation",
+                              "bad-command", "bad-format"])
+def test_flag_refusals_print_one_line(extra, capsys):
+    # each printed argparse's usage block and a "beltbound: error:" line
+    assert run(["--command", "estimate", "--alpha", "0.5"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: beltbound")
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +758,7 @@ FUZZ_FLAGS = {
     "--nodes": (["16", "17", "32", "64"], ["8", "-4", "x", "1e3"]),
     "--weight-pieces": (["1", "2", "4"], ["0", "1000000", "x"]),
     "--circles": (["1", "2"], ["0", "x"]),
+    # no command reads radii: an unknown flag, whatever its value
     "--radii": (["0.5", "0.1,0.9", "1e-300", "1e300"], ["0", "-1", "nan", "inf", "0.5,,x"]),
     "--tolerance": (["1e-8", "1e300", "1e-300"], ["0", "nan", "inf"]),
     "--format": (["json", "csv"], ["xml"]),
@@ -824,6 +822,8 @@ def test_cli_fuzz_keeps_exit_contract(tmp_path, capsys):
             pytest.fail(f"{argv} raised {exc!r}")
         out, err = capsys.readouterr()
         assert code in (0, 2, 3, 4), argv
+        if "--radii" in argv:
+            assert (code, out) == (2, ""), argv
         assert "Traceback" not in err, argv
         if code == 0 and "csv" not in argv:
             json.loads(out, parse_constant=_refuse_constant)

@@ -491,6 +491,9 @@ def test_weak_form_memory_is_set_by_the_block():
     assert peak < 2.2e6, peak
     # with every temporary of the triangles' shape a new array, 1.19 MB
     assert peak < 8e5, peak
+    # holding the unit ring's centroids and hat gradients past the angular
+    # flux factors, the only reader of them, 0.74 MB
+    assert peak < 7e5, peak
 
 
 @pytest.mark.parametrize("case", ["pointwise", "exp"])
