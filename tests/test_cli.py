@@ -392,6 +392,35 @@ def test_weight_pieces_past_the_node_limit_where_no_circle_takes_them(argv, caps
 
 
 @pytest.mark.parametrize("by", ["flag", "config"])
+@pytest.mark.parametrize("key, flag_value, config_value",
+                         [("circles", "3", 3), ("radii", "0.1,0.2", [0.1, 0.2])])
+@pytest.mark.parametrize("argv", [
+    ["--command", "sharp", "--M", "3", "--tau", "1"],
+    ["--command", "sweep", "--M", "2", "--tau", "0"],
+    ["--command", "verify", "--alpha", "0.5"],
+], ids=["sharp", "sweep", "verify"])
+def test_circle_fields_are_refused_where_no_sweep_reads_them(argv, key, flag_value,
+                                                             config_value, by, tmp_path, capsys):
+    # only estimate reads circles; the other commands would print the bytes
+    # of a run without them.  radii, which set only the radius label of
+    # origin circles, no command reads: an unknown flag or config field
+    if by == "flag":
+        extra = ["--" + key, flag_value]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({key: config_value}))
+        extra = ["--config", str(path)]
+    assert run(argv + ["--nodes", "64"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"{key} applies to estimate only, not to {argv[1]}"
+    if key == "radii":
+        message = (f"unrecognized arguments: {' '.join(extra)}" if by == "flag"
+                   else f"unknown config fields: {[key]}")
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("by", ["flag", "config"])
 def test_estimate_keeps_its_circle_fields(by, tmp_path, capsys):
     if by == "flag":
         extra = ["--circles", "1"]
@@ -544,6 +573,12 @@ def test_runtime_needs_no_scipy():
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_rejects_coeff_file_source(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"breakpoints": [0.0], "mu0": [0.2], "nu0": [0.0]}))
+    assert run(["--command", "verify", "--coeff-file", str(path)]) == 2
 
 
 def test_config_file_and_override(tmp_path, capsys):
